@@ -5,14 +5,11 @@ parameter estimation and asymptotic key rates."""
 from .channelsim import (
     ChannelModel,
     ProtocolParams,
-    PulseSchedule,
     SessionTallies,
     SimulationResult,
-    WindowRecord,
     arm_transmittance,
     click_probabilities,
     expected_tallies,
-    iter_windows,
     simulate_session,
 )
 from .dataio import RawTallies, load_raw_tallies, write_raw_tallies
@@ -20,7 +17,7 @@ from .defaults import bundled_tally_path, reference_model, reference_params
 from .estimator import KeyRateReport, TallySet
 from .keyrate import OptimizeResult, SweepPoint, analyze_tallies, key_length, key_rate
 from .phasecore import binary_entropy, interfere, minor_angle
-from .postselect import SelectionOutcome, StateCoefficients, posterior_state
+from .postselect import StateCoefficients, posterior_state
 
 __version__ = "0.1.0"
 
@@ -29,15 +26,12 @@ __all__ = [
     "KeyRateReport",
     "OptimizeResult",
     "ProtocolParams",
-    "PulseSchedule",
     "RawTallies",
-    "SelectionOutcome",
     "SessionTallies",
     "SimulationResult",
     "StateCoefficients",
     "SweepPoint",
     "TallySet",
-    "WindowRecord",
     "analyze_tallies",
     "arm_transmittance",
     "binary_entropy",
@@ -45,7 +39,6 @@ __all__ = [
     "click_probabilities",
     "expected_tallies",
     "interfere",
-    "iter_windows",
     "key_length",
     "key_rate",
     "load_raw_tallies",

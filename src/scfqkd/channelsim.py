@@ -14,11 +14,36 @@ labelled B maps "send" to bit 0, so the mismatched-decision windows carry
 perfectly correlated bits.  State labels are two digits, A first, each digit
 1 when that party sent ("01" means only B sent).
 
-The Monte Carlo is organised in fixed-size chunks of whole reference spans.
-Every chunk owns an independent, deterministically seeded random stream and
-draws in a frozen order (drift increments first), so a cheap sequential
-prefix pass can recover each chunk's starting phase and the chunks can then
-be simulated in any number of worker processes with bit-identical results.
+The Monte Carlo works per reference span rather than per window, which is
+exact for this model: only both-send ("11") windows, a fraction epsilon**2
+of all windows, click with a phase-dependent probability; post-selection
+looks only at the span-mean phase; and the 00/01/10 windows click
+independently of the phase, so their counts per span are binomial.  The
+session is cut into chunks of whole spans.  Every chunk owns an
+independent, deterministically seeded random stream and draws in this
+frozen order:
+
+1. each span's drift sum S ~ N(0, sigma**2 L) for a span of L windows;
+2. the number of both-send windows per span, Binomial(L, epsilon**2);
+3. for spans without both-send windows, the span-mean offset from the
+   span's starting phase, N(S (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L)),
+   which is its law given S;
+4. for the other spans, the whole walk given S (a discrete Brownian
+   bridge: increments sigma (Z_j - mean Z) + S / L, then uniforms that
+   place the both-send windows at random distinct positions);
+5. the four reference slot counts per span (Poisson at the span-mean
+   phase), from which the span's phase is estimated;
+6. per both-send window a test-set uniform, then left and right click
+   uniforms against the click probabilities at its phase;
+7. per span, chained binomials for the other windows: 01 and 10 counts,
+   the test split per state, then effective clicks on channel 0 and on
+   channel 1 per (state, subset).
+
+A span is kept at threshold delta when the minor angle of its estimated
+phase is below delta.  Because the drift sums come first, a cheap
+sequential prefix pass recovers each chunk's starting phase, and the
+chunks can then be simulated in any number of worker processes with
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -26,22 +51,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import phasetrack
-from .phasecore import interfere
+from .phasecore import interfere, minor_angle
 
 STATE_LABELS = ("00", "01", "10", "11")
 """Joint send states, A's digit first, 1 = sent a pulse."""
 
 CHUNK_SPANS = 1024
 """Reference spans per simulation chunk."""
-
-
-def _state_label(alice_sent: bool, bob_sent: bool) -> str:
-    return STATE_LABELS[2 * int(alice_sent) + int(bob_sent)]
 
 
 @dataclass(frozen=True)
@@ -127,91 +148,6 @@ class ChannelModel:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility!r}")
         if not 0.0 < self.gate_fraction <= 1.0:
             raise ValueError(f"gate_fraction must lie in (0, 1], got {self.gate_fraction!r}")
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Timing layout of one transmission frame.
-
-    A frame packs ``signal_slots`` narrow signal windows at
-    ``signal_period_ns`` spacing, then ``ref_slots`` long reference slots,
-    then a recovery gap.  The three regions tile the frame exactly.  The
-    default layout gives 15 signal windows per microsecond, i.e. an
-    equivalent signal rate of 15 MHz, and a 12-frame reference statistics
-    span of 180 signal windows.
-    """
-
-    frame_ns: float = 1000.0
-    signal_slots: int = 15
-    signal_slot_ns: float = 1.0
-    signal_period_ns: float = 30.0
-    ref_slots: int = 4
-    ref_slot_ns: float = 100.0
-    recovery_ns: float = 150.0
-    frames_per_span: int = 12
-
-    def __post_init__(self) -> None:
-        if self.signal_slots < 1 or self.ref_slots < 1 or self.frames_per_span < 1:
-            raise ValueError("slot and span counts must be positive")
-        if self.signal_slot_ns > self.signal_period_ns:
-            raise ValueError("signal slots overlap: slot wider than its period")
-        if abs(self.signal_region_ns + self.ref_region_ns + self.recovery_ns - self.frame_ns) > 1e-9:
-            raise ValueError("slot regions must tile the frame exactly")
-
-    @property
-    def signal_region_ns(self) -> float:
-        return self.signal_slots * self.signal_period_ns
-
-    @property
-    def ref_region_ns(self) -> float:
-        return self.ref_slots * self.ref_slot_ns
-
-    @property
-    def signal_offsets_ns(self) -> np.ndarray:
-        """Start time of each signal slot within the frame."""
-        return np.arange(self.signal_slots) * self.signal_period_ns
-
-    @property
-    def equivalent_signal_rate_hz(self) -> float:
-        """Signal windows per second averaged over the whole frame."""
-        return self.signal_slots / (self.frame_ns * 1e-9)
-
-    @property
-    def span_windows(self) -> int:
-        """Signal windows per reference statistics span."""
-        return self.signal_slots * self.frames_per_span
-
-
-@dataclass(frozen=True)
-class WindowRecord:
-    """Outcome of a single signal window."""
-
-    index: int
-    alice_sent: bool
-    bob_sent: bool
-    true_phase: float
-    estimated_phase: float
-    click_left: bool
-    click_right: bool
-
-    @property
-    def state(self) -> str:
-        return _state_label(self.alice_sent, self.bob_sent)
-
-    @property
-    def alice_bit(self) -> int:
-        """A's local bit: 1 for sending, 0 for not sending."""
-        return int(self.alice_sent)
-
-    @property
-    def bob_bit(self) -> int:
-        """B's local bit: 0 for sending, 1 for not sending."""
-        return 0 if self.bob_sent else 1
-
-    @property
-    def effective(self) -> bool:
-        """True when exactly one detector clicked."""
-        return self.click_left != self.click_right
 
 
 @dataclass
@@ -329,16 +265,48 @@ _SPAN = phasetrack.DEFAULT_SPAN_WINDOWS
 CHUNK_WINDOWS = CHUNK_SPANS * _SPAN
 
 
+def _threshold_list(params: ProtocolParams, thresholds: Sequence[float] | None) -> list:
+    """The primary threshold followed by each distinct extra one (radians)."""
+    thr_list = [params.delta_threshold]
+    for t in thresholds or ():
+        if not 0.0 < t <= math.pi:
+            raise ValueError(f"thresholds must lie in (0, pi], got {t!r}")
+        if t not in thr_list:
+            thr_list.append(t)
+    return thr_list
+
+
+def _phase_free_effective(params: ProtocolParams, model: ChannelModel) -> np.ndarray:
+    """Effective-click probabilities (ch0, ch1) of states 00, 01 and 10.
+
+    Their clicks do not depend on the phase, so it is set to zero.
+    """
+    alice = np.array([False, False, True])
+    bob = np.array([False, True, False])
+    p_left, p_right = click_probabilities(params, model, alice, bob, 0.0)
+    return np.stack((p_left * (1.0 - p_right), p_right * (1.0 - p_left)), axis=1)
+
+
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Independent random stream for one chunk; index 0 is the session stream."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
 
 
-def _chunk_bounds(n_windows: int) -> list:
-    return [
-        (start, min(CHUNK_WINDOWS, n_windows - start))
-        for start in range(0, n_windows, CHUNK_WINDOWS)
-    ]
+def _chunk_sizes(n_windows: int) -> list:
+    return [min(CHUNK_WINDOWS, n_windows - start) for start in range(0, n_windows, CHUNK_WINDOWS)]
+
+
+def _span_lengths(m: int) -> np.ndarray:
+    """Windows per span of an m-window chunk; only the session's last span
+    can be short."""
+    return np.minimum(_SPAN, m - np.arange(0, m, _SPAN))
+
+
+def _span_drift_sums(
+    rng: np.random.Generator, model: ChannelModel, length: np.ndarray
+) -> np.ndarray:
+    """Phase drift accumulated over each span: the first draw of a chunk."""
+    return model.drift_rad_per_window * np.sqrt(length) * rng.standard_normal(len(length))
 
 
 def _initial_phase(params: ProtocolParams, seed: int) -> float:
@@ -349,97 +317,127 @@ def _initial_phase(params: ProtocolParams, seed: int) -> float:
 def _chunk_offsets(model: ChannelModel, n_windows: int, seed: int, phi0: float) -> np.ndarray:
     """Starting phase of every chunk, recovered by a sequential prefix pass.
 
-    Re-generates each chunk's drift increments (the first draw of its
-    stream) and accumulates their sums; cost is one pass of Gaussian
-    generation, independent of the worker count used later.
+    Re-generates each chunk's span drift sums (the first draw of its
+    stream) and accumulates them; cost is one normal per span, independent
+    of the worker count used later.
     """
-    bounds = _chunk_bounds(n_windows)
-    offsets = np.empty(len(bounds))
+    sizes = _chunk_sizes(n_windows)
+    offsets = np.empty(len(sizes))
     phi = phi0
-    scale = model.drift_rad_per_window
-    for k, (_start, m) in enumerate(bounds):
+    for k, m in enumerate(sizes):
         offsets[k] = phi
-        inc = _chunk_rng(seed, k + 1).standard_normal(m)
-        phi += scale * float(inc.sum())
+        phi += float(_span_drift_sums(_chunk_rng(seed, k + 1), model, _span_lengths(m)).sum())
     return offsets
 
 
-def _chunk_arrays(
-    params: ProtocolParams,
-    model: ChannelModel,
-    seed: int,
-    chunk_index: int,
-    m: int,
-    phi_offset: float,
-    mean_ref_counts: float,
-):
-    """Simulate one chunk and return its per-window outcome arrays.
+def _span_mean_given_sum(
+    rng: np.random.Generator, total: np.ndarray, length: np.ndarray, scale: float
+) -> np.ndarray:
+    """Span-mean offset from the span's starting phase, drawn from its
+    Gaussian law given the span's drift sum ``total``."""
+    sd = scale * np.sqrt((length + 1) * (length - 1) / (12 * length))
+    return total * (length + 1) / (2 * length) + sd * rng.standard_normal(len(length))
 
-    Draw order is frozen: drift increments, A's send decisions, B's send
-    decisions, reference counts, left click uniforms, right click uniforms,
-    test-split uniforms.  Changing it would silently break reproducibility
-    across worker counts, because the prefix pass relies on the increments
-    being the first draw.
+
+def _bridge(
+    rng: np.random.Generator,
+    total: np.ndarray,
+    length: np.ndarray,
+    n_both: np.ndarray,
+    scale: float,
+):
+    """Walk of the spans that hold both-send windows, pinned at its drift sum.
+
+    Each row is a span: ``scale * (Z_j - mean(Z)) + total / length`` are
+    increments with the law of the Gaussian walk given its sum (the
+    discrete Brownian bridge).  Returns the span-mean offsets, and the
+    offsets and row indices of ``n_both`` windows per row placed at
+    uniformly random distinct positions.
     """
-    rng = _chunk_rng(seed, chunk_index + 1)
-    inc = rng.standard_normal(m)
-    phases = phi_offset + np.cumsum(model.drift_rad_per_window * inc)
-    alice = rng.random(m) < params.epsilon
-    bob = rng.random(m) < params.epsilon
-
-    starts = np.arange(0, m, _SPAN)
-    span_len = np.minimum(_SPAN, m - starts)
-    span_mean = np.add.reduceat(phases, starts) / span_len
-    lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(span_mean)
-    ref_counts = rng.poisson(lam)
-    est_span = phasetrack.estimate_phase_batch(ref_counts)
-    est = np.repeat(est_span, _SPAN)[:m]
-
-    p_left, p_right = click_probabilities(params, model, alice, bob, phases)
-    click_left = rng.random(m) < p_left
-    click_right = rng.random(m) < p_right
-    is_test = rng.random(m) < params.p_t
-    return phases, alice, bob, est, click_left, click_right, is_test
-
-
-def _accumulate(
-    state: np.ndarray,
-    minor_est: np.ndarray,
-    is_test: np.ndarray,
-    effective: np.ndarray,
-    channel: np.ndarray,
-    thresholds: np.ndarray,
-):
-    """Per-threshold tally arrays for one chunk of window outcomes."""
-    n_thr = len(thresholds)
-    sent_sel = np.zeros((n_thr, 4), dtype=np.int64)
-    sent_tt = np.zeros((n_thr, 4), dtype=np.int64)
-    det_tt = np.zeros((n_thr, 8), dtype=np.int64)
-    det_ss = np.zeros((n_thr, 8), dtype=np.int64)
-    det_cell = 2 * state + channel
-    for j, thr in enumerate(thresholds):
-        kept = minor_est < thr
-        sent_sel[j] = np.bincount(state[kept], minlength=4)
-        sent_tt[j] = np.bincount(state[kept & is_test], minlength=4)
-        eff_kept = kept & effective
-        det_tt[j] = np.bincount(det_cell[eff_kept & is_test], minlength=8)
-        det_ss[j] = np.bincount(det_cell[eff_kept & ~is_test], minlength=8)
-    return sent_sel, sent_tt, det_tt, det_ss
+    valid = np.arange(_SPAN) < length[:, None]
+    z = np.where(valid, rng.standard_normal(valid.shape), 0.0)
+    inc = scale * (z - z.sum(axis=1, keepdims=True) / length[:, None]) + (total / length)[:, None]
+    walk = np.cumsum(np.where(valid, inc, 0.0), axis=1)
+    mean = np.where(valid, walk, 0.0).sum(axis=1) / length
+    order = np.argsort(np.where(valid, rng.random(valid.shape), 2.0), axis=1)
+    picked = order[np.arange(_SPAN) < n_both[:, None]]
+    rows = np.repeat(np.arange(len(length)), n_both)
+    return mean, walk[rows, picked], rows
 
 
 def _chunk_tallies(args):
-    (params, model, seed, chunk_index, m, phi_offset, thresholds, mean_ref_counts) = args
-    phases, alice, bob, est, click_left, click_right, is_test = _chunk_arrays(
-        params, model, seed, chunk_index, m, phi_offset, mean_ref_counts
+    """Simulate one chunk span by span.
+
+    Returns the chunk's sent windows per state, its effective windows, and
+    per threshold the kept spans' counts shaped (state, subset, cell) with
+    subset (test, key) and cell (windows, effective on ch0, on ch1).
+    """
+    params, model, seed, chunk_index, m, phi_offset, thresholds, mean_ref_counts, phase_free = args
+    rng = _chunk_rng(seed, chunk_index + 1)
+    length = _span_lengths(m)
+    n_spans = len(length)
+    scale = model.drift_rad_per_window
+    eps = params.epsilon
+
+    total = _span_drift_sums(rng, model, length)
+    n_both = rng.binomial(length, eps * eps)
+    mean = np.empty(n_spans)
+    quiet = n_both == 0
+    mean[quiet] = _span_mean_given_sum(rng, total[quiet], length[quiet], scale)
+    busy = np.flatnonzero(~quiet)
+    mean[busy], both_offset, rows = _bridge(rng, total[busy], length[busy], n_both[busy], scale)
+    both_span = busy[rows]
+    start = phi_offset + np.concatenate(([0.0], np.cumsum(total[:-1])))
+
+    lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(start + mean)
+    est = phasetrack.estimate_phase_batch(rng.poisson(lam))
+    minor_est = minor_angle(est)
+
+    counts = np.empty((n_spans, 4, 2, 3), dtype=np.int64)
+    is_key = rng.random(both_span.size) >= params.p_t
+    p_left, p_right = click_probabilities(params, model, True, True, start[both_span] + both_offset)
+    left = rng.random(both_span.size) < p_left
+    right = rng.random(both_span.size) < p_right
+    cell = (both_span * 2 + is_key) * 3
+    eff = left != right
+    counts[:, 3] = np.bincount(
+        np.concatenate((cell, cell[eff] + 1 + right[eff])), minlength=n_spans * 6
+    ).reshape(n_spans, 2, 3)
+
+    rest = length - n_both
+    n01 = rng.binomial(rest, eps / (1.0 + eps))
+    n10 = rng.binomial(rest - n01, eps)
+    sent = np.stack((rest - n01 - n10, n01, n10), axis=1)
+    test = rng.binomial(sent, params.p_t)
+    pool = np.stack((test, sent - test), axis=2)
+    q0, q1 = phase_free.T
+    ch0 = rng.binomial(pool, q0[:, None])
+    # Channel 1 among windows without an effective channel-0 click; q0 can
+    # only reach 1 where q1 is 0.
+    q1_rest = np.minimum(1.0, np.divide(q1, 1.0 - q0, out=np.zeros(3), where=q1 > 0))
+    ch1 = rng.binomial(pool - ch0, q1_rest[:, None])
+    counts[:, :3] = np.stack((pool, ch0, ch1), axis=3)
+
+    # Float products are exact here (sums far below 2**53) and much faster
+    # than integer matrix products.
+    kept = (minor_est < thresholds[:, None]).astype(float)
+    per_thr = (kept @ counts.reshape(n_spans, -1)).astype(np.int64)
+    return (
+        counts[..., 0].sum(axis=(0, 2)),
+        int(counts[..., 1:].sum()),
+        per_thr.reshape(len(thresholds), 4, 2, 3),
     )
-    state = (alice.astype(np.int64) << 1) | bob
-    minor_est = np.abs(np.remainder(est + math.pi, 2.0 * math.pi) - math.pi)
-    effective = click_left != click_right
-    channel = click_right.astype(np.int64)
-    sent_total = np.bincount(state, minlength=4)
-    eff_total = int(effective.sum())
-    per_thr = _accumulate(state, minor_est, is_test, effective, channel, thresholds)
-    return chunk_index, sent_total, eff_total, per_thr
+
+
+def _run_chunks(tasks, workers: int):
+    """Chunk results in chunk order; the worker pool is shut down when the
+    iteration ends or a chunk raises."""
+    if workers == 1:
+        yield from map(_chunk_tallies, tasks)
+        return
+    tasks = list(tasks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_chunk_tallies, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 
 
 def _empty_tallies(n_windows: float, threshold: float) -> SessionTallies:
@@ -467,67 +465,48 @@ def simulate_session(
     """Run a full Monte Carlo session and aggregate raw-file-shaped tallies.
 
     ``thresholds`` optionally lists additional post-selection widths
-    (radians) to tally alongside ``params.delta_threshold``.  The result is
-    bit-identical for any ``workers`` value: the session is cut into
-    fixed-size chunks with independent seeded streams, a sequential prefix
-    pass recovers every chunk's starting phase, and partial tallies are
-    merged in chunk order.
+    (radians) to tally alongside ``params.delta_threshold``; each
+    threshold's tallies are the same whatever others are requested.  The
+    result is bit-identical for any ``workers`` value: the session is cut
+    into fixed-size chunks with independent seeded streams, a sequential
+    prefix pass recovers every chunk's starting phase, and partial tallies
+    are merged in chunk order.
     """
     n_windows = int(n_windows)
     if n_windows < 1:
         raise ValueError("n_windows must be positive")
     if workers < 1:
         raise ValueError("workers must be positive")
-    thr_list = [params.delta_threshold]
-    for t in thresholds or ():
-        if not 0.0 < t <= math.pi:
-            raise ValueError(f"thresholds must lie in (0, pi], got {t!r}")
-        if t not in thr_list:
-            thr_list.append(t)
+    thr_list = _threshold_list(params, thresholds)
     thr_arr = np.array(thr_list)
 
     phi0 = _initial_phase(params, seed)
     offsets = _chunk_offsets(model, n_windows, seed, phi0)
-    bounds = _chunk_bounds(n_windows)
-    tasks = [
-        (params, model, seed, k, m, offsets[k], thr_arr, mean_ref_counts)
-        for k, (_start, m) in enumerate(bounds)
-    ]
-
-    if workers == 1:
-        results = map(_chunk_tallies, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_chunk_tallies, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+    phase_free = _phase_free_effective(params, model)
+    tasks = (
+        (params, model, seed, k, m, offsets[k], thr_arr, mean_ref_counts, phase_free)
+        for k, m in enumerate(_chunk_sizes(n_windows))
+    )
 
     sent_total = np.zeros(4, dtype=np.int64)
     eff_total = 0
-    n_thr = len(thr_list)
-    acc_sel = np.zeros((n_thr, 4), dtype=np.int64)
-    acc_tt = np.zeros((n_thr, 4), dtype=np.int64)
-    acc_det_tt = np.zeros((n_thr, 8), dtype=np.int64)
-    acc_det_ss = np.zeros((n_thr, 8), dtype=np.int64)
-    for _k, chunk_sent, chunk_eff, (sel, tt, dtt, dss) in results:
+    acc = np.zeros((len(thr_list), 4, 2, 3), dtype=np.int64)
+    for chunk_sent, chunk_eff, per_thr in _run_chunks(tasks, workers):
         sent_total += chunk_sent
         eff_total += chunk_eff
-        acc_sel += sel
-        acc_tt += tt
-        acc_det_tt += dtt
-        acc_det_ss += dss
-    if workers > 1:
-        pool.shutdown()
+        acc += per_thr
 
     by_threshold = {}
     for j, thr in enumerate(thr_list):
         t = _empty_tallies(n_windows, thr)
         for i, s in enumerate(STATE_LABELS):
             t.sent[s] = int(sent_total[i])
-            t.sent_selected[s] = int(acc_sel[j, i])
-            t.sent_test[s] = int(acc_tt[j, i])
-            t.sent_key[s] = int(acc_sel[j, i] - acc_tt[j, i])
+            t.sent_test[s] = int(acc[j, i, 0, 0])
+            t.sent_key[s] = int(acc[j, i, 1, 0])
+            t.sent_selected[s] = t.sent_test[s] + t.sent_key[s]
             for ch in (0, 1):
-                t.detected_test[(s, ch)] = int(acc_det_tt[j, 2 * i + ch])
-                t.detected_key[(s, ch)] = int(acc_det_ss[j, 2 * i + ch])
+                t.detected_test[(s, ch)] = int(acc[j, i, 0, 1 + ch])
+                t.detected_key[(s, ch)] = int(acc[j, i, 1, 1 + ch])
         t.effective_windows = eff_total
         t.check_conservation()
         by_threshold[thr] = t
@@ -539,42 +518,6 @@ def simulate_session(
         tallies=by_threshold[params.delta_threshold],
         by_threshold=by_threshold,
     )
-
-
-def iter_windows(
-    params: ProtocolParams,
-    model: ChannelModel,
-    n_windows: int,
-    seed: int,
-    mean_ref_counts: float = phasetrack.DEFAULT_MEAN_REF_COUNTS,
-) -> Iterator[WindowRecord]:
-    """Yield the per-window outcomes of a session, one record at a time.
-
-    Uses the same chunk streams as :func:`simulate_session`, so for equal
-    arguments the records reproduce exactly the windows that the aggregate
-    tallies count.  Intended for inspection and small sessions; the
-    aggregate path is the fast one.
-    """
-    n_windows = int(n_windows)
-    if n_windows < 1:
-        raise ValueError("n_windows must be positive")
-    phi0 = _initial_phase(params, seed)
-    offsets = _chunk_offsets(model, n_windows, seed, phi0)
-    for k, (start, m) in enumerate(_chunk_bounds(n_windows)):
-        phases, alice, bob, est, click_left, click_right, _is_test = _chunk_arrays(
-            params, model, seed, k, m, offsets[k], mean_ref_counts
-        )
-        for i in range(m):
-            yield WindowRecord(
-                index=start + i,
-                alice_sent=bool(alice[i]),
-                bob_sent=bool(bob[i]),
-                true_phase=float(phases[i]),
-                estimated_phase=float(est[i]),
-                click_left=bool(click_left[i]),
-                click_right=bool(click_right[i]),
-            )
-
 
 # ---------------------------------------------------------------------------
 # Expected-value model
@@ -619,12 +562,7 @@ def expected_tallies(
     """
     if n_windows <= 0:
         raise ValueError("n_windows must be positive")
-    thr_list = [params.delta_threshold]
-    for t in thresholds or ():
-        if not 0.0 < t <= math.pi:
-            raise ValueError(f"thresholds must lie in (0, pi], got {t!r}")
-        if t not in thr_list:
-            thr_list.append(t)
+    thr_list = _threshold_list(params, thresholds)
 
     eps = params.epsilon
     priors = {
@@ -633,10 +571,7 @@ def expected_tallies(
         "10": eps * (1.0 - eps),
         "11": eps * eps,
     }
-    single = {}
-    for s, (a_sent, b_sent) in (("00", (False, False)), ("01", (False, True)), ("10", (True, False))):
-        p_left, p_right = click_probabilities(params, model, a_sent, b_sent, 0.0)
-        single[s] = (p_left * (1.0 - p_right), p_right * (1.0 - p_left))
+    single = dict(zip(("00", "01", "10"), _phase_free_effective(params, model).tolist()))
     p11_full = _effective_probs_both_send(params, model, 0.0, math.pi)
 
     out = {}

@@ -106,7 +106,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = keyrate.analyze_tallies(
         u, v, params,
         n_total_pulses=raw.n_total_pulses,
-        delta_threshold=raw.delta_threshold or params.delta_threshold,
+        delta_threshold=(
+            params.delta_threshold if raw.delta_threshold is None else raw.delta_threshold
+        ),
     )
     _emit(dataio.emit_report(report, fmt=args.format), args.out)
     return 0

@@ -130,9 +130,21 @@ def _parse_lines(text: str, source: str):
         if key not in CELL_KEYS and key not in METADATA_KEYS:
             warnings.warn(f"{source}: ignoring unknown key {key!r}", stacklevel=3)
             continue
+        if not math.isfinite(value):
+            raise ParseError(
+                f"{source}:{lineno}: value of {key!r} is not finite: {parts[1]!r}",
+                key=key,
+                line=lineno,
+            )
         if key in CELL_KEYS and value < 0:
             raise ParseError(
                 f"{source}: negative count for {key!r}: {value}", key=key, line=lineno
+            )
+        if key == "Delta-Degrees" and not 0 < value <= 180:
+            raise ParseError(
+                f"{source}:{lineno}: {key!r} must lie in (0, 180], got {value}",
+                key=key,
+                line=lineno,
             )
         values[key] = value
     return values

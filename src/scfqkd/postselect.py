@@ -1,12 +1,12 @@
-"""Phase post-selection, test-set splitting and the announced-state posterior.
+"""The announced-state posterior of the post-selected pool.
 
 After a session both parties announce, per window, whether they sent.  The
-windows that survive the phase threshold form the sifted pool; a random
-subset (the test set) is sacrificed for parameter estimation and the rest
-feeds the key.  Discarding windows by announced phase also updates the
-knowledge an observer has about the joint send state: if ``a_i`` windows of
-state i were produced in total and ``b_i`` of them were discarded, the kept
-pool is described by coefficients
+windows that survive the phase threshold form the sifted pool (the
+simulator in :mod:`scfqkd.channelsim` keeps or discards whole reference
+spans and splits the pool into test and key sets).  Discarding windows by
+announced phase also updates the knowledge an observer has about the joint
+send state: if ``a_i`` windows of state i were produced in total and
+``b_i`` of them were discarded, the kept pool is described by coefficients
 
     c_i = (a_i - b_i) / N'      with  N' = sum_i (a_i - b_i).
 """
@@ -14,65 +14,9 @@ pool is described by coefficients
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-import numpy as np
-
-from .channelsim import STATE_LABELS, WindowRecord
-from .phasecore import minor_angle
-
-
-@dataclass
-class SelectionOutcome:
-    """Windows kept and discarded by the phase threshold."""
-
-    kept: list
-    discarded: list
-    threshold: float
-
-    @property
-    def kept_fraction(self) -> float:
-        total = len(self.kept) + len(self.discarded)
-        return len(self.kept) / total if total else 0.0
-
-    @property
-    def announced_bits(self) -> list:
-        """(A bit, B bit) pairs disclosed for the discarded windows."""
-        return [(w.alice_bit, w.bob_bit) for w in self.discarded]
-
-
-def select(windows: Iterable[WindowRecord], delta_threshold: float) -> SelectionOutcome:
-    """Split windows by the strict test minor_angle(estimate) < threshold.
-
-    The comparison is strict, so a window sitting exactly on the threshold
-    is discarded.  Order within each bucket follows the input order.
-    """
-    if not 0.0 < delta_threshold <= np.pi:
-        raise ValueError(f"delta_threshold must lie in (0, pi], got {delta_threshold!r}")
-    kept: list = []
-    discarded: list = []
-    for w in windows:
-        if minor_angle(w.estimated_phase) < delta_threshold:
-            kept.append(w)
-        else:
-            discarded.append(w)
-    return SelectionOutcome(kept=kept, discarded=discarded, threshold=delta_threshold)
-
-
-def split_test_set(
-    windows: Sequence[WindowRecord], p_t: float, rng: np.random.Generator
-):
-    """Randomly assign each window to the test set with probability ``p_t``.
-
-    Returns ``(test, key)`` lists preserving input order.  Each window is an
-    independent Bernoulli draw, so the split sizes fluctuate binomially.
-    """
-    if not 0.0 <= p_t <= 1.0:
-        raise ValueError(f"p_t must lie in [0, 1], got {p_t!r}")
-    draws = rng.random(len(windows)) < p_t
-    test = [w for w, d in zip(windows, draws) if d]
-    key = [w for w, d in zip(windows, draws) if not d]
-    return test, key
+from .channelsim import STATE_LABELS
 
 
 @dataclass(frozen=True)

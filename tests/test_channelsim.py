@@ -1,20 +1,27 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from scfqkd import channelsim, phasetrack
 from scfqkd.channelsim import (
     CHUNK_WINDOWS,
+    STATE_LABELS,
     ChannelModel,
     ProtocolParams,
-    PulseSchedule,
     arm_transmittance,
     click_probabilities,
     expected_tallies,
-    iter_windows,
     simulate_session,
 )
 from scfqkd.phasecore import minor_angle
+from scfqkd.phasetrack import (
+    DEFAULT_SPAN_WINDOWS,
+    estimate_phase_batch,
+    estimation_error_profile,
+    slot_probabilities,
+)
 
 
 def test_protocol_params_validation():
@@ -40,18 +47,6 @@ def test_channel_model_validation():
         ChannelModel(dark_prob=1.5)
     with pytest.raises(ValueError):
         ChannelModel(visibility=-0.1)
-
-
-def test_pulse_schedule_layout():
-    sched = PulseSchedule()
-    assert sched.signal_region_ns + sched.ref_region_ns + sched.recovery_ns == sched.frame_ns
-    assert sched.signal_region_ns == 450
-    assert sched.ref_region_ns == 400
-    assert sched.span_windows == 180
-    assert sched.equivalent_signal_rate_hz == pytest.approx(15e6)
-    assert len(sched.signal_offsets_ns) == 15
-    with pytest.raises(ValueError):
-        PulseSchedule(recovery_ns=100)
 
 
 def test_arm_transmittance_known_values():
@@ -189,47 +184,190 @@ def test_worker_count_does_not_change_tallies():
         assert other == base
 
 
-def test_iter_windows_consistent_with_tallies():
-    params = ProtocolParams(mu=0.1, epsilon=0.3)
-    model = ChannelModel(fiber_km_a=5.0, fiber_km_b=5.0, dark_prob=1e-5, visibility=0.9)
-    n = 100_000
-    t = simulate_session(params, model, n, seed=3).tallies
-    sent = {s: 0 for s in ("00", "01", "10", "11")}
-    selected = dict(sent)
-    effective = 0
-    for w in iter_windows(params, model, n, seed=3):
-        sent[w.state] += 1
-        if minor_angle(w.estimated_phase) < params.delta_threshold:
-            selected[w.state] += 1
-        effective += int(w.effective)
-    assert sent == t.sent
-    assert selected == t.sent_selected
-    assert effective == t.effective_windows
-
-
-def test_window_record_bit_conventions():
-    params = ProtocolParams(mu=0.05, epsilon=0.5)
-    model = ChannelModel(dark_prob=1e-3)
-    seen = set()
-    for w in iter_windows(params, model, 2000, seed=4):
-        assert w.state == f"{int(w.alice_sent)}{int(w.bob_sent)}"
-        assert w.alice_bit == int(w.alice_sent)
-        assert w.bob_bit == (0 if w.bob_sent else 1)
-        assert w.effective == (w.click_left != w.click_right)
-        seen.add(w.state)
-    assert seen == {"00", "01", "10", "11"}
-
-
 def test_phase_tracking_error_is_small():
     """With generous reference counts the per-window estimate tracks truth."""
-    params = ProtocolParams(mu=0.002, epsilon=0.021)
-    model = ChannelModel()
-    diffs = []
-    for w in iter_windows(params, model, 36_000, seed=15, mean_ref_counts=5000.0):
-        d = (w.estimated_phase - w.true_phase + math.pi) % (2 * math.pi) - math.pi
-        diffs.append(d)
-    rms = float(np.sqrt(np.mean(np.square(diffs))))
-    assert rms < 0.1
+    prof = estimation_error_profile(mean_total=5000.0, n_trials=2000, seed=15)
+    assert prof.rms_error < 0.1
+
+
+def _failing_chunk(args):
+    raise RuntimeError("chunk failed")
+
+
+def test_worker_pool_released_on_error(monkeypatch):
+    monkeypatch.setattr(channelsim, "_chunk_tallies", _failing_chunk)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        simulate_session(ProtocolParams(), ChannelModel(), 2 * CHUNK_WINDOWS, seed=1, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_threshold_validation_is_shared():
+    params = ProtocolParams()
+    for bad in (0.0, -0.1, 3.5, math.nan):
+        with pytest.raises(ValueError, match="thresholds"):
+            simulate_session(params, ChannelModel(), 180, seed=1, thresholds=[bad])
+        with pytest.raises(ValueError, match="thresholds"):
+            expected_tallies(params, ChannelModel(), 1e6, thresholds=[bad])
+    out = expected_tallies(params, ChannelModel(), 1e6,
+                           thresholds=[math.pi, params.delta_threshold])
+    assert list(out) == [params.delta_threshold, math.pi]
+
+
+def test_span_selection_is_strict_and_symmetric(monkeypatch):
+    """A span is kept when the minor angle of its estimated phase lies
+    strictly below the threshold, whatever the estimate's sign."""
+    model = ChannelModel(dark_prob=1e-4)
+    n = 50 * DEFAULT_SPAN_WINDOWS
+
+    def kept(estimate, threshold):
+        monkeypatch.setattr(phasetrack, "estimate_phase_batch",
+                            lambda counts: np.full(len(counts), estimate))
+        params = ProtocolParams(mu=0.05, epsilon=0.3, delta_threshold=threshold)
+        return sum(simulate_session(params, model, n, seed=4).tallies.sent_selected.values())
+
+    thr = math.radians(30)
+    for estimate in (math.radians(29), -math.radians(29), 0.0):
+        assert kept(estimate, thr) == n
+        assert kept(estimate, math.pi) == n
+    for estimate in (math.radians(31), -math.radians(31), 2.5, math.pi):
+        assert kept(estimate, thr) == 0
+    for estimate in (math.radians(30), -math.radians(30), 2.5):
+        assert kept(estimate, float(minor_angle(np.array([estimate]))[0])) == 0
+
+
+def test_test_split_degenerate_fractions():
+    model = ChannelModel(dark_prob=1e-3)
+    n = 20 * DEFAULT_SPAN_WINDOWS
+    for p_t, empty, empty_detected in ((0.0, "sent_test", "detected_test"),
+                                       (1.0, "sent_key", "detected_key")):
+        params = ProtocolParams(mu=0.1, epsilon=0.3, p_t=p_t, delta_threshold=math.pi)
+        t = simulate_session(params, model, n, seed=5).tallies
+        assert sum(t.sent_selected.values()) > 0
+        assert all(v == 0 for v in getattr(t, empty).values())
+        assert all(v == 0 for v in getattr(t, empty_detected).values())
+
+
+def test_threshold_tallies_do_not_depend_on_other_thresholds():
+    params = ProtocolParams(mu=0.1, epsilon=0.3)
+    model = ChannelModel(fiber_km_a=5.0, fiber_km_b=5.0, dark_prob=1e-4, visibility=0.9)
+    n = 200_000
+    extra = [math.radians(5), math.radians(45), math.radians(90)]
+    alone = simulate_session(params, model, n, seed=21, thresholds=[extra[1]])
+    together = simulate_session(params, model, n, seed=21, thresholds=extra)
+    assert alone.by_threshold[extra[1]] == together.by_threshold[extra[1]]
+    assert alone.tallies == together.tallies
+
+
+def test_ragged_final_span_with_every_window_both_send():
+    params = ProtocolParams(mu=0.05, epsilon=1.0)
+    model = ChannelModel(fiber_km_a=2.0, fiber_km_b=2.0, dark_prob=1e-4, visibility=0.9)
+    n = 2 * CHUNK_WINDOWS + 12345  # the last span holds 105 windows
+    res = simulate_session(params, model, n, seed=8, thresholds=[math.pi])
+    assert res.tallies.sent == {"00": 0, "01": 0, "10": 0, "11": n}
+    widest = res.by_threshold[math.pi]
+    assert 0.9 * n < widest.sent_selected["11"] <= n
+    assert 0 < widest.detected_total() <= res.tallies.effective_windows
+    assert simulate_session(params, model, n, seed=8, workers=2).tallies == res.tallies
+
+
+def _oracle_cells(params, model, n, rng, mean_ref_counts):
+    """Per-window reference sampler: every window draws its own drift step,
+    send decisions, clicks and test flag, as the session simulator did
+    before it sampled per span.  Returns the cells of :func:`_sampler_cells`."""
+    phases = rng.uniform(0.0, 2.0 * math.pi) + np.cumsum(
+        model.drift_rad_per_window * rng.standard_normal(n))
+    alice = rng.random(n) < params.epsilon
+    bob = rng.random(n) < params.epsilon
+    starts = np.arange(0, n, DEFAULT_SPAN_WINDOWS)
+    span_mean = np.add.reduceat(phases, starts) / np.minimum(DEFAULT_SPAN_WINDOWS, n - starts)
+    counts = rng.poisson(0.5 * mean_ref_counts * slot_probabilities(span_mean))
+    kept_span = minor_angle(estimate_phase_batch(counts)) < params.delta_threshold
+    kept = np.repeat(kept_span, DEFAULT_SPAN_WINDOWS)[:n]
+    p_left, p_right = click_probabilities(params, model, alice, bob, phases)
+    left = rng.random(n) < p_left
+    right = rng.random(n) < p_right
+    is_test = rng.random(n) < params.p_t
+    state = 2 * alice.astype(int) + bob
+    effective = left != right
+    cells = []
+    for subset in (is_test, ~is_test):
+        pool = kept & subset
+        cells.append(np.bincount(state[pool], minlength=4))
+        clicked = pool & effective
+        cells.append(np.bincount(2 * state[clicked] + right[clicked], minlength=8))
+    return np.concatenate(cells + [[effective.sum()]])
+
+
+def _sampler_cells(t):
+    """Test windows per state, test detections per (state, channel), the
+    same two for the key set, and the effective windows: 25 cells."""
+    cells = []
+    for sent, det in ((t.sent_test, t.detected_test), (t.sent_key, t.detected_key)):
+        cells += [sent[s] for s in STATE_LABELS]
+        cells += [det[(s, ch)] for s in STATE_LABELS for ch in (0, 1)]
+    return np.array(cells + [t.effective_windows])
+
+
+def test_bridge_positions_and_span_mean_law():
+    rng = np.random.default_rng(3)
+    rows = 20_000
+    length = np.where(np.arange(rows) < 1000, 105, DEFAULT_SPAN_WINDOWS)
+    # Without noise the walk climbs by one per window: offsets are positions + 1.
+    n_both = rng.integers(1, 4, rows)
+    _mean, offset, row = channelsim._bridge(rng, length.astype(float), length, n_both, 0.0)
+    pos = np.rint(offset).astype(int) - 1
+    assert np.array_equal(row, np.repeat(np.arange(rows), n_both))
+    assert np.unique(row * DEFAULT_SPAN_WINDOWS + pos).size == pos.size
+    assert np.all((0 <= pos) & (pos < length[row]))
+    full = pos[length[row] == DEFAULT_SPAN_WINDOWS]
+    expect = full.size / DEFAULT_SPAN_WINDOWS
+    chi2 = float(np.sum((np.bincount(full, minlength=DEFAULT_SPAN_WINDOWS) - expect) ** 2) / expect)
+    dof = DEFAULT_SPAN_WINDOWS - 1
+    assert chi2 < dof + 5 * math.sqrt(2 * dof)
+
+    # The pinned walk's span mean has the closed-form law that spans
+    # without both-send windows draw from.
+    total = np.full(rows, 3.0)
+    length = np.full(rows, DEFAULT_SPAN_WINDOWS)
+    scale = 0.02
+    walked, _, _ = channelsim._bridge(rng, total, length, np.zeros(rows, dtype=int), scale)
+    closed = channelsim._span_mean_given_sum(rng, total, length, scale)
+    se = math.sqrt((walked.var() + closed.var()) / rows)
+    assert abs(walked.mean() - closed.mean()) < 5 * se
+    assert abs(walked.var() / closed.var() - 1.0) < 5 * math.sqrt(4.0 / rows)
+
+
+def test_span_sampler_matches_per_window_oracle():
+    """Two-sample z-test per cell between the span-level simulator and the
+    per-window oracle over many short sessions, at high click rates and
+    visibility below 1.  In the second configuration the phase drifts by
+    about 1.3 rad per span and the reference estimate is precise, so the
+    both-send windows' spread around the span mean shows in the cells."""
+    configs = [
+        (ProtocolParams(mu=0.2, epsilon=0.4, p_t=0.3),
+         ChannelModel(fiber_km_a=2, fiber_km_b=3, dark_prob=2e-3, visibility=0.9,
+                      det_eff_left=0.7, det_eff_right=0.6),
+         100 * DEFAULT_SPAN_WINDOWS, 45.0),
+        (ProtocolParams(mu=0.3, epsilon=0.5, p_t=0.4, delta_threshold=math.radians(45)),
+         ChannelModel(fiber_km_a=1, fiber_km_b=1, dark_prob=2e-3, visibility=0.8,
+                      drift_rad_per_window=0.1),
+         100 * DEFAULT_SPAN_WINDOWS + 77, 1000.0),
+    ]
+    sessions = 400
+    worst = 0.0
+    for k, (params, model, n, ref) in enumerate(configs):
+        rng = np.random.default_rng(100 + k)
+        oracle = np.array([_oracle_cells(params, model, n, rng, ref) for _ in range(sessions)])
+        spans = np.array([
+            _sampler_cells(simulate_session(params, model, n, seed=1000 * k + i,
+                                            mean_ref_counts=ref).tallies)
+            for i in range(sessions)
+        ])
+        se = np.sqrt((oracle.var(axis=0, ddof=1) + spans.var(axis=0, ddof=1)) / sessions)
+        assert np.all(se > 0)
+        z = (spans.mean(axis=0) - oracle.mean(axis=0)) / se
+        worst = max(worst, float(np.abs(z).max()))
+    assert worst < 4.5
 
 
 def test_expected_tallies_priors_and_structure():

@@ -62,6 +62,22 @@ def test_analyze_corrupted_file_names_key(tmp_path, capsys):
     assert "Sent-00" in err
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("Delta-Degrees\t30", "Delta-Degrees\t0"),
+    ("Delta-Degrees\t30", "Delta-Degrees\tnan"),
+    ("Sent-00\t578835000000", "Sent-00\tinf"),
+])
+def test_analyze_rejects_bad_values(tmp_path, capsys, line, bad):
+    text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
+    assert line in text
+    path = tmp_path / "bad.tsv"
+    path.write_text(text.replace(line, bad), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert bad.split("\t")[0] in err
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu": 0.5}))

@@ -92,6 +92,32 @@ def test_negative_value_rejected(tmp_path):
     assert "Sent-00" in str(exc.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("Sent-00", "nan"),
+    ("Sent-00", "inf"),
+    ("Detected-SS11-ch0", "-inf"),
+    ("Mu", "nan"),
+    ("Delta-Degrees", "nan"),
+    ("Delta-Degrees", "0"),
+    ("Delta-Degrees", "-30"),
+    ("Delta-Degrees", "400"),
+])
+def test_non_finite_and_impossible_values_rejected(tmp_path, key, value):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"Sent-01\t7\n{key}\t{value}\n")
+    with pytest.raises(ParseError) as exc:
+        load_raw_tallies(path, strict=False)
+    assert exc.value.key == key
+    assert key in str(exc.value)
+
+
+def test_delta_degrees_range_edges_accepted(tmp_path):
+    for deg in ("180", "0.5"):
+        path = tmp_path / f"d{deg}.tsv"
+        path.write_text(f"Delta-Degrees\t{deg}\n")
+        assert load_raw_tallies(path, strict=False).metadata["Delta-Degrees"] == float(deg)
+
+
 def test_duplicate_key_rejected(tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("Sent-00\t5\nSent-00\t6\n")

@@ -1,89 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from scfqkd import dataio, defaults
-from scfqkd.channelsim import WindowRecord
-from scfqkd.postselect import (
-    SelectionOutcome,
-    StateCoefficients,
-    posterior_state,
-    select,
-    split_test_set,
-)
-
-
-def make_window(i, est, alice=True, bob=False):
-    return WindowRecord(
-        index=i, alice_sent=alice, bob_sent=bob,
-        true_phase=est, estimated_phase=est,
-        click_left=False, click_right=False,
-    )
-
-
-def test_select_boundary_behaviour():
-    delta = math.radians(30)
-    win_in = make_window(0, math.radians(29))
-    win_out = make_window(1, math.radians(31))
-    win_edge = make_window(2, delta)  # exactly at threshold: discarded
-    out = select([win_in, win_out, win_edge], delta)
-    assert out.kept == [win_in]
-    assert out.discarded == [win_out, win_edge]
-    assert out.threshold == delta
-    assert out.kept_fraction == pytest.approx(1 / 3)
-
-
-def test_select_full_threshold_keeps_generic_phases():
-    rng = np.random.default_rng(0)
-    windows = [make_window(i, p) for i, p in enumerate(rng.uniform(-20, 20, 64))]
-    out = select(windows, math.pi)
-    assert out.kept == windows
-    assert out.discarded == []
-
-
-def test_select_negative_phase_symmetric():
-    delta = math.radians(30)
-    out = select([make_window(0, math.radians(-29)), make_window(1, math.radians(-31))], delta)
-    assert len(out.kept) == 1
-    assert out.kept[0].index == 0
-
-
-def test_select_threshold_validation():
-    with pytest.raises(ValueError):
-        select([], 0.0)
-    with pytest.raises(ValueError):
-        select([], 3.5)
-
-
-def test_announced_bits_of_discarded():
-    delta = math.radians(10)
-    windows = [
-        make_window(0, 2.0, alice=True, bob=False),
-        make_window(1, 2.5, alice=False, bob=True),
-        make_window(2, 0.01, alice=True, bob=True),
-    ]
-    out = select(windows, delta)
-    # bit conventions: sender bit 1 for the first party, 0 for the second
-    assert out.announced_bits == [(1, 1), (0, 0)]
-
-
-def test_split_test_set_partition():
-    rng = np.random.default_rng(5)
-    windows = [make_window(i, 0.0) for i in range(10_000)]
-    u, v = split_test_set(windows, 0.1, rng)
-    assert len(u) + len(v) == len(windows)
-    assert {w.index for w in u}.isdisjoint({w.index for w in v})
-    assert len(u) == pytest.approx(1000, abs=3 * math.sqrt(900))
-
-
-def test_split_test_set_degenerate_fractions():
-    rng = np.random.default_rng(1)
-    windows = [make_window(i, 0.0) for i in range(50)]
-    u, v = split_test_set(windows, 0.0, rng)
-    assert u == [] and v == windows
-    u, v = split_test_set(windows, 1.0, rng)
-    assert u == windows and v == []
+from scfqkd.postselect import StateCoefficients, posterior_state
 
 
 def test_posterior_state_prior_only():
@@ -146,7 +65,3 @@ def test_state_coefficients_dict_keys():
     assert c.as_dict() == {"11": 0.1, "10": 0.2, "01": 0.3, "00": 0.4}
     assert c.as_tuple() == (0.1, 0.2, 0.3, 0.4)
 
-
-def test_selection_outcome_kept_fraction_empty():
-    out = SelectionOutcome(kept=[], discarded=[], threshold=1.0)
-    assert out.kept_fraction == 0.0
