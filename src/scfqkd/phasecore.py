@@ -60,7 +60,10 @@ def minor_angle(x: ArrayLike) -> ArrayLike:
     if isinstance(x, np.ndarray):
         if not np.all(np.isfinite(x)):
             raise ValueError("minor_angle requires finite input")
-        return np.abs(np.remainder(x + math.pi, _TWO_PI) - math.pi)
+        # fmod and the reflection 2*pi - r (Sterbenz) are exact, so the
+        # result equals the scalar path bit for bit.
+        r = np.fmod(np.abs(x), _TWO_PI)
+        return np.where(r > math.pi, _TWO_PI - r, r)
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("minor_angle requires finite input")

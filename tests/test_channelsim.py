@@ -4,7 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from scfqkd import channelsim, phasetrack
+from scfqkd import channelsim
 from scfqkd.channelsim import (
     CHUNK_WINDOWS,
     STATE_LABELS,
@@ -199,52 +199,6 @@ def test_worker_pool_released_on_error(monkeypatch):
     with pytest.raises(RuntimeError, match="chunk failed"):
         simulate_session(ProtocolParams(), ChannelModel(), 2 * CHUNK_WINDOWS, seed=1, workers=2)
     assert multiprocessing.active_children() == []
-
-
-def test_threshold_validation_is_shared():
-    params = ProtocolParams()
-    for bad in (0.0, -0.1, 3.5, math.nan):
-        with pytest.raises(ValueError, match="thresholds"):
-            simulate_session(params, ChannelModel(), 180, seed=1, thresholds=[bad])
-        with pytest.raises(ValueError, match="thresholds"):
-            expected_tallies(params, ChannelModel(), 1e6, thresholds=[bad])
-    out = expected_tallies(params, ChannelModel(), 1e6,
-                           thresholds=[math.pi, params.delta_threshold])
-    assert list(out) == [params.delta_threshold, math.pi]
-
-
-def test_span_selection_is_strict_and_symmetric(monkeypatch):
-    """A span is kept when the minor angle of its estimated phase lies
-    strictly below the threshold, whatever the estimate's sign."""
-    model = ChannelModel(dark_prob=1e-4)
-    n = 50 * DEFAULT_SPAN_WINDOWS
-
-    def kept(estimate, threshold):
-        monkeypatch.setattr(phasetrack, "estimate_phase_batch",
-                            lambda counts: np.full(len(counts), estimate))
-        params = ProtocolParams(mu=0.05, epsilon=0.3, delta_threshold=threshold)
-        return sum(simulate_session(params, model, n, seed=4).tallies.sent_selected.values())
-
-    thr = math.radians(30)
-    for estimate in (math.radians(29), -math.radians(29), 0.0):
-        assert kept(estimate, thr) == n
-        assert kept(estimate, math.pi) == n
-    for estimate in (math.radians(31), -math.radians(31), 2.5, math.pi):
-        assert kept(estimate, thr) == 0
-    for estimate in (math.radians(30), -math.radians(30), 2.5):
-        assert kept(estimate, float(minor_angle(np.array([estimate]))[0])) == 0
-
-
-def test_test_split_degenerate_fractions():
-    model = ChannelModel(dark_prob=1e-3)
-    n = 20 * DEFAULT_SPAN_WINDOWS
-    for p_t, empty, empty_detected in ((0.0, "sent_test", "detected_test"),
-                                       (1.0, "sent_key", "detected_key")):
-        params = ProtocolParams(mu=0.1, epsilon=0.3, p_t=p_t, delta_threshold=math.pi)
-        t = simulate_session(params, model, n, seed=5).tallies
-        assert sum(t.sent_selected.values()) > 0
-        assert all(v == 0 for v in getattr(t, empty).values())
-        assert all(v == 0 for v in getattr(t, empty_detected).values())
 
 
 def test_threshold_tallies_do_not_depend_on_other_thresholds():

@@ -1,8 +1,109 @@
+import math
+
 import numpy as np
 import pytest
 
-from scfqkd import dataio, defaults
+from scfqkd import dataio, defaults, phasetrack
+from scfqkd.channelsim import (
+    CHUNK_WINDOWS,
+    ChannelModel,
+    ProtocolParams,
+    expected_tallies,
+    simulate_session,
+)
+from scfqkd.phasecore import minor_angle
+from scfqkd.phasetrack import DEFAULT_SPAN_WINDOWS
 from scfqkd.postselect import StateCoefficients, posterior_state
+
+# The simulator keeps or discards whole reference spans by the strict test
+# minor_angle(estimate) < threshold.  The selection tests below replace the
+# span phase estimator with fixed estimates, one per span in span order, and
+# read the kept windows from the session tallies.
+
+
+def _kept_per_span(monkeypatch, estimates, threshold, seed=4):
+    """Windows kept per span when span k is estimated at estimates[k]."""
+    estimates = np.asarray(estimates, dtype=float)
+    n = len(estimates) * DEFAULT_SPAN_WINDOWS
+    assert n <= CHUNK_WINDOWS  # one chunk, so one estimator call
+    monkeypatch.setattr(phasetrack, "estimate_phase_batch",
+                        lambda counts: estimates[: len(counts)])
+    params = ProtocolParams(mu=0.05, epsilon=0.3, delta_threshold=threshold)
+    res = simulate_session(params, ChannelModel(dark_prob=1e-4), n, seed=seed)
+    return res.tallies
+
+
+def _selected(tallies):
+    return sum(tallies.sent_selected.values())
+
+
+def test_select_boundary_behaviour(monkeypatch):
+    delta = math.radians(30)
+    pattern = [math.radians(29), math.radians(31), delta]  # kept, out, at threshold
+    t = _kept_per_span(monkeypatch, pattern * 17, delta)
+    assert t.threshold == delta
+    assert _selected(t) == 17 * DEFAULT_SPAN_WINDOWS
+    assert _selected(t) / t.n_windows == pytest.approx(1 / 3)
+    # a span sitting exactly on the threshold is discarded
+    for estimate in (math.radians(30), 2.5, math.pi):
+        edge = minor_angle(estimate)
+        assert _selected(_kept_per_span(monkeypatch, [estimate] * 10, edge)) == 0
+
+
+def test_select_full_threshold_keeps_generic_phases(monkeypatch):
+    rng = np.random.default_rng(0)
+    estimates = rng.uniform(-20, 20, 64)
+    t = _kept_per_span(monkeypatch, estimates, math.pi)
+    assert _selected(t) == t.n_windows
+    assert t.sent_selected == t.sent
+
+
+def test_select_negative_phase_symmetric(monkeypatch):
+    delta = math.radians(30)
+    pattern = np.array([math.radians(29), math.radians(31)] * 20)
+    positive = _kept_per_span(monkeypatch, pattern, delta)
+    negative = _kept_per_span(monkeypatch, -pattern, delta)
+    assert _selected(negative) == 20 * DEFAULT_SPAN_WINDOWS
+    assert negative == positive
+
+
+def test_select_threshold_validation():
+    params = ProtocolParams()
+    for bad in (0.0, -0.1, 3.5, math.nan):
+        with pytest.raises(ValueError, match="thresholds"):
+            simulate_session(params, ChannelModel(), 180, seed=1, thresholds=[bad])
+        with pytest.raises(ValueError, match="thresholds"):
+            expected_tallies(params, ChannelModel(), 1e6, thresholds=[bad])
+        with pytest.raises(ValueError, match="delta_threshold"):
+            ProtocolParams(delta_threshold=bad)
+    out = expected_tallies(params, ChannelModel(), 1e6,
+                           thresholds=[math.pi, params.delta_threshold])
+    assert list(out) == [params.delta_threshold, math.pi]
+
+
+def test_split_test_set_partition():
+    params = ProtocolParams(mu=0.1, epsilon=0.3, p_t=0.1, delta_threshold=math.pi)
+    model = ChannelModel(dark_prob=1e-3)
+    t = simulate_session(params, model, 400_000, seed=5).tallies
+    t.check_conservation()
+    for s in ("00", "01", "10", "11"):
+        assert t.sent_test[s] + t.sent_key[s] == t.sent_selected[s]
+    n_sel = sum(t.sent_selected.values())
+    n_test = sum(t.sent_test.values())
+    sd = math.sqrt(n_sel * params.p_t * (1 - params.p_t))
+    assert n_test == pytest.approx(n_sel * params.p_t, abs=4 * sd)
+
+
+def test_split_test_set_degenerate_fractions():
+    model = ChannelModel(dark_prob=1e-3)
+    n = 20 * DEFAULT_SPAN_WINDOWS
+    for p_t, empty, empty_detected in ((0.0, "sent_test", "detected_test"),
+                                       (1.0, "sent_key", "detected_key")):
+        params = ProtocolParams(mu=0.1, epsilon=0.3, p_t=p_t, delta_threshold=math.pi)
+        t = simulate_session(params, model, n, seed=5).tallies
+        assert sum(t.sent_selected.values()) > 0
+        assert all(v == 0 for v in getattr(t, empty).values())
+        assert all(v == 0 for v in getattr(t, empty_detected).values())
 
 
 def test_posterior_state_prior_only():
