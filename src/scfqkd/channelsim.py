@@ -48,6 +48,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -276,17 +277,6 @@ def _threshold_list(params: ProtocolParams, thresholds: Sequence[float] | None) 
     return thr_list
 
 
-def _phase_free_effective(params: ProtocolParams, model: ChannelModel) -> np.ndarray:
-    """Effective-click probabilities (ch0, ch1) of states 00, 01 and 10.
-
-    Their clicks do not depend on the phase, so it is set to zero.
-    """
-    alice = np.array([False, False, True])
-    bob = np.array([False, True, False])
-    p_left, p_right = click_probabilities(params, model, alice, bob, 0.0)
-    return np.stack((p_left * (1.0 - p_right), p_right * (1.0 - p_left)), axis=1)
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Independent random stream for one chunk; index 0 is the session stream."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
@@ -482,7 +472,7 @@ def simulate_session(
 
     phi0 = _initial_phase(params, seed)
     offsets = _chunk_offsets(model, n_windows, seed, phi0)
-    phase_free = _phase_free_effective(params, model)
+    phase_free = _effective_probs(params, model)
     tasks = (
         (params, model, seed, k, m, offsets[k], thr_arr, mean_ref_counts, phase_free)
         for k, m in enumerate(_chunk_sizes(n_windows))
@@ -526,18 +516,41 @@ def simulate_session(
 _QUAD_NODES = 64
 
 
-def _effective_probs_both_send(
-    params: ProtocolParams, model: ChannelModel, lo: float, hi: float
-):
-    """Mean effective-click probabilities per channel for both-send windows,
-    averaged over a phase difference uniform on [lo, hi]."""
+@functools.cache
+def _quadrature():
+    """Gauss-Legendre nodes on [-1, 1] and weights summing to 1, built on first use."""
     x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    delta = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    weight = w / w.sum()
-    p_left, p_right = click_probabilities(params, model, True, True, delta)
-    p_ch0 = float(np.sum(weight * p_left * (1.0 - p_right)))
-    p_ch1 = float(np.sum(weight * p_right * (1.0 - p_left)))
-    return p_ch0, p_ch1
+    return x, w / w.sum()
+
+
+def _effective_probs(
+    params: ProtocolParams, model: ChannelModel, thresholds: Sequence[float] = ()
+) -> np.ndarray:
+    """Effective-click probabilities (ch0, ch1), one row per case.
+
+    The first three rows are states 00, 01 and 10, whose clicks do not
+    depend on the phase.  Then comes one row per threshold t: the both-send
+    probabilities averaged over a phase difference uniform on [0, t].  A
+    single click evaluation covers every row; without thresholds the
+    quadrature is not built.
+    """
+    thr = np.asarray(thresholds, dtype=float)[:, None]
+    x, weight = _quadrature() if thr.size else (np.empty(0), np.empty(0))
+    both = np.ones(thr.size * x.size, dtype=bool)
+    alice = np.concatenate(([False, False, True], both))
+    bob = np.concatenate(([False, True, False], both))
+    phase = np.concatenate((np.zeros(3), (0.5 * thr * x + 0.5 * thr).ravel()))
+    p_left, p_right = click_probabilities(params, model, alice, bob, phase)
+
+    shape = (thr.size, x.size)
+
+    def effective(p, q):
+        # The p detector clicks and the q one does not; nodes reduce to
+        # their weighted mean per threshold.
+        nodes = weight * p[3:].reshape(shape) * (1.0 - q[3:].reshape(shape))
+        return np.concatenate((p[:3] * (1.0 - q[:3]), nodes.sum(axis=1)))
+
+    return np.stack((effective(p_left, p_right), effective(p_right, p_left)), axis=1)
 
 
 def expected_tallies(
@@ -557,6 +570,10 @@ def expected_tallies(
     windows have phase-independent click statistics, so for them the
     expectation is exact.
 
+    The both-send averages use 64-node Gauss-Legendre quadrature whose
+    nodes are computed once per process; one call evaluates the click
+    probabilities once, for every state and threshold together.
+
     Returns ``{threshold: SessionTallies}`` with float-valued cells,
     covering ``params.delta_threshold`` and any extra ``thresholds``.
     """
@@ -571,14 +588,14 @@ def expected_tallies(
         "10": eps * (1.0 - eps),
         "11": eps * eps,
     }
-    single = dict(zip(("00", "01", "10"), _phase_free_effective(params, model).tolist()))
-    p11_full = _effective_probs_both_send(params, model, 0.0, math.pi)
+    eff = _effective_probs(params, model, thr_list + [math.pi]).tolist()
+    single = dict(zip(("00", "01", "10"), eff[:3]))
+    p11_full = eff[-1]
 
     out = {}
-    for thr in thr_list:
+    for thr, p11 in zip(thr_list, eff[3:]):
         keep = thr / math.pi
-        p_eff = dict(single)
-        p_eff["11"] = _effective_probs_both_send(params, model, 0.0, thr)
+        p_eff = {**single, "11": p11}
         t = _empty_tallies(float(n_windows), thr)
         for s in STATE_LABELS:
             base = n_windows * priors[s]

@@ -19,23 +19,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import __version__, dataio, defaults, estimator, keyrate
 from .channelsim import ChannelModel, ProtocolParams, simulate_session
 from .estimator import EstimationError
-
-
-@dataclass
-class RunConfig:
-    """Resolved configuration of one command invocation."""
-
-    command: str
-    params: ProtocolParams
-    model: ChannelModel
-    seed: int
-    in_paths: list
-    out_path: str | None
 
 
 class _Resolver:
@@ -83,10 +71,6 @@ def _build_model(r: _Resolver) -> ChannelModel:
     if dark is not None:
         model = replace(model, dark_prob=float(dark))
     return model
-
-
-def _out_stream(path: str | None):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -257,7 +241,7 @@ def _cmd_qber_table(args: argparse.Namespace) -> int:
                     u, v, params, n_total_pulses=raw.n_total_pulses
                 )
                 rate = rep.rate_per_pulse
-            except (EstimationError, KeyError):
+            except EstimationError:
                 rate = None
             rows.append((deg, stats, rate))
 

@@ -188,8 +188,9 @@ def x_basis_upper_right(s00_right: float, s11_right: float, mu: float) -> float:
     return val / (2.0 * (1.0 + em))
 
 
-def x_basis_lower_left(s00_left: float, s11_left: float, mu: float) -> float:
-    """Lower bound on the bright X-basis yield at detector L, floored at 0."""
+def _x_lower_left_raw(s00_left: float, s11_left: float, mu: float) -> float:
+    """Lower bound on the bright X-basis yield at detector L before the
+    floor at 0; negative when the bound is vacuous."""
     _check_rates(s00_left=s00_left, s11_left=s11_left)
     em = math.exp(-mu)
     g = 1.0 - em
@@ -200,7 +201,12 @@ def x_basis_lower_left(s00_left: float, s11_left: float, mu: float) -> float:
         - 2.0 * g * math.sqrt(s00_left)
         - (2.0 * g / em) * math.sqrt(s11_left)
     )
-    return max(0.0, val / (2.0 * (1.0 + em)))
+    return val / (2.0 * (1.0 + em))
+
+
+def x_basis_lower_left(s00_left: float, s11_left: float, mu: float) -> float:
+    """Lower bound on the bright X-basis yield at detector L, floored at 0."""
+    return max(0.0, _x_lower_left_raw(s00_left, s11_left, mu))
 
 
 def _check_rates(**rates) -> None:
@@ -247,20 +253,14 @@ def phase_flip_upper(
     _check_rates(s01_left=s01_left, s10_left=s10_left)
     em = math.exp(-mu)
     up = x_basis_upper_right(s00_right, s11_right, mu)
-    low_raw_num = (
-        em * s00_left
-        + s11_left / em
-        - 2.0 * math.sqrt(s00_left * s11_left)
-        - 2.0 * (1.0 - em) * math.sqrt(s00_left)
-        - (2.0 * (1.0 - em) / em) * math.sqrt(s11_left)
-    )
-    low = x_basis_lower_left(s00_left, s11_left, mu)
+    low_raw = _x_lower_left_raw(s00_left, s11_left, mu)
+    low = max(0.0, low_raw)
     value = ((1.0 + em) * (up - low) + s01_left + s10_left) / (2.0 * s_z)
     return PhaseFlipBound(
         value=value,
         x_upper_right=up,
         x_lower_left=low,
-        lower_clamped=low_raw_num < 0.0,
+        lower_clamped=low_raw < 0.0,
         flagged=value >= 0.5,
     )
 

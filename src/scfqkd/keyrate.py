@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from . import estimator
+from . import channelsim, estimator
 from .channelsim import ChannelModel, ProtocolParams, expected_tallies
 from .estimator import KeyRateReport, TallySet
 from .phasecore import binary_entropy
@@ -124,13 +124,12 @@ def model_both_send_qber(
     params: ProtocolParams, model: ChannelModel, delta_threshold: float | None = None
 ) -> float:
     """Expected wrong-port fraction of kept both-send windows."""
-    thr = params.delta_threshold if delta_threshold is None else delta_threshold
-    exp = expected_tallies(params, model, 1.0, thresholds=[thr])[thr]
-    u, v = estimator.tallies_to_sets(exp)
-    stats = estimator.qber_both_send(u, v)
-    if stats.qber is None:
+    if delta_threshold is not None:
+        params = replace(params, delta_threshold=delta_threshold)
+    p_ch0, p_ch1 = channelsim._effective_probs(params, model, [params.delta_threshold])[3].tolist()
+    if not p_ch0 + p_ch1 > 0.0:
         raise ValueError("model predicts no both-send detections")
-    return stats.qber
+    return p_ch1 / (p_ch0 + p_ch1)
 
 
 def calibrate_visibility(

@@ -1,10 +1,12 @@
 import math
 import multiprocessing
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from scfqkd import channelsim
+from scfqkd import channelsim, defaults, keyrate
 from scfqkd.channelsim import (
     CHUNK_WINDOWS,
     STATE_LABELS,
@@ -464,3 +466,84 @@ def test_selection_fraction_over_session_ensemble():
         total += sum(t.sent_selected.values()) / sum(t.sent.values())
     mean = total / n_sessions
     assert abs(mean - 1.0 / 6.0) < 0.05
+
+
+def _mp_both_send_effective(params, model, threshold):
+    """Both-send effective-click probabilities (ch0, ch1) averaged over a
+    phase uniform on [0, threshold], by mpmath quadrature at 40 digits."""
+    with mp.workdps(40):
+        mu_a = mp.mpf(params.mu) * model.gate_fraction * arm_transmittance(model, "a")
+        mu_b = mp.mpf(params.mu) * model.gate_fraction * arm_transmittance(model, "b")
+        d = mp.mpf(model.dark_prob)
+
+        def clicks(phi):
+            cross = mp.sqrt(mu_a * mu_b) * model.visibility * mp.cos(phi)
+            left = (mu_a + mu_b) / 2 + cross
+            right = (mu_a + mu_b) / 2 - cross
+            return (1 - (1 - d) * mp.exp(-left * model.det_eff_left),
+                    1 - (1 - d) * mp.exp(-right * model.det_eff_right))
+
+        def ch(k):
+            def f(phi):
+                p = clicks(phi)
+                return p[k] * (1 - p[1 - k])
+            return mp.quad(f, [0, threshold]) / threshold
+
+        return ch(0), ch(1)
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.9])
+def test_expected_tallies_both_send_against_mpmath(visibility):
+    params = defaults.reference_params()
+    model = replace(defaults.reference_model(50.0), visibility=visibility)
+    thresholds = [math.radians(d) for d in (2, 30, 90, 180)]
+    out = expected_tallies(params, model, 1e12, thresholds=thresholds)
+    for thr in thresholds:
+        t = out[thr]
+        for ch, p in enumerate(_mp_both_send_effective(params, model, thr)):
+            assert t.detected_test[("11", ch)] == pytest.approx(
+                float(p) * t.sent_test["11"], rel=1e-12)
+            assert t.detected_key[("11", ch)] == pytest.approx(
+                float(p) * t.sent_key["11"], rel=1e-12)
+
+
+def test_expected_tallies_threshold_does_not_depend_on_others():
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    a, b, c = math.radians(7.5), math.radians(45.0), math.radians(120.0)
+    alone = expected_tallies(params, model, 1e12, thresholds=[a])
+    together = expected_tallies(params, model, 1e12, thresholds=[c, a, b])
+    assert alone[a] == together[a]
+    assert alone[params.delta_threshold] == together[params.delta_threshold]
+
+
+def _count_leggauss(monkeypatch):
+    """Clear the node cache and count calls of numpy's leggauss from now on."""
+    calls = []
+    real = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    channelsim._quadrature.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    return calls
+
+
+def test_quadrature_nodes_computed_once(monkeypatch):
+    calls = _count_leggauss(monkeypatch)
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    for deg in (2, 30, 90):
+        expected_tallies(params, model, 1e12, thresholds=[math.radians(deg)])
+    keyrate.optimize_params(model, params, grid=3, refine_rounds=2)
+    keyrate.calibrate_visibility(params, model, defaults.REFERENCE_BOTH_SEND_QBER)
+    assert calls == [64]
+
+
+def test_simulation_never_builds_quadrature(monkeypatch):
+    calls = _count_leggauss(monkeypatch)
+    simulate_session(ProtocolParams(mu=0.1, epsilon=0.3), ChannelModel(), 20_000, seed=4,
+                     thresholds=[math.radians(10)])
+    assert calls == []

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from scfqkd import dataio, defaults
+from scfqkd import dataio, defaults, keyrate
 from scfqkd.cli import main
 from scfqkd.keyrate import analyze_tallies
 
@@ -215,3 +215,13 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_qber_table_does_not_hide_key_errors(monkeypatch):
+    """A KeyError inside the analysis is a program error, not a missing rate."""
+    def broken(*args, **kwargs):
+        raise KeyError("broken")
+
+    monkeypatch.setattr(keyrate, "analyze_tallies", broken)
+    with pytest.raises(KeyError):
+        main(["qber-table", "--in", defaults.bundled_tally_path()])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from scfqkd import dataio, defaults
-from scfqkd.channelsim import ChannelModel, ProtocolParams
-from scfqkd.estimator import EstimationError, TallySet
+from scfqkd.channelsim import ChannelModel, ProtocolParams, expected_tallies
+from scfqkd.estimator import EstimationError, TallySet, qber_both_send, tallies_to_sets
 from scfqkd.keyrate import (
     analyze_expected,
     analyze_tallies,
@@ -206,3 +206,31 @@ def test_optimizer_best_delta_on_coarse_grid():
         rates[deg] = rep.rate_per_pulse
     best = max(rates, key=rates.get)
     assert best in (30, 45)
+
+
+def test_optimizer_default_search_is_unchanged():
+    """Default search at the reference 50 km model: evaluation count and
+    optimum pinned to the values before the quadrature nodes were cached."""
+    res = optimize_params(defaults.reference_model(50.0), defaults.reference_params())
+    assert res.evaluations == 553
+    assert res.params.mu == pytest.approx(0.003423099290778052, rel=1e-12)
+    assert res.params.epsilon == pytest.approx(0.025616629464285712, rel=1e-12)
+    assert res.params.delta_threshold == pytest.approx(0.5597000800666339, rel=1e-12)
+
+
+@pytest.mark.parametrize("deg", [2.0, 30.0, 90.0])
+def test_model_both_send_qber_matches_expected_tallies(deg):
+    params = defaults.reference_params()
+    model = replace(defaults.reference_model(50.0), visibility=0.93)
+    thr = math.radians(deg)
+    u, v = tallies_to_sets(expected_tallies(params, model, 1e12, thresholds=[thr])[thr])
+    assert model_both_send_qber(params, model, thr) == pytest.approx(
+        qber_both_send(u, v).qber, rel=1e-13)
+
+
+def test_model_both_send_qber_without_detections_fails():
+    params = ProtocolParams(mu=0.0)
+    with pytest.raises(ValueError):
+        model_both_send_qber(params, ChannelModel(dark_prob=0.0))
+    with pytest.raises(ValueError):
+        model_both_send_qber(defaults.reference_params(), ChannelModel(), 0.0)
