@@ -66,6 +66,24 @@ CHUNK_SPANS = 1024
 """Reference spans per simulation chunk."""
 
 
+_ROW_RANGES = {
+    "mu": ("be non-negative", lambda v: v >= 0.0),
+    "epsilon": ("lie in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0)),
+    "delta_threshold": ("lie in (0, pi]", lambda v: (0.0 < v) & (v <= math.pi)),
+}
+"""Range rules of the protocol parameters that batched analyses vary per row."""
+
+
+def _check_rows(**values: np.ndarray) -> None:
+    """Apply :class:`ProtocolParams`' range checks and messages to arrays of
+    per-row values; the first offending value is reported."""
+    for name, v in values.items():
+        rule, ok = _ROW_RANGES[name]
+        bad = ~ok(v)
+        if bad.any():
+            raise ValueError(f"{name} must {rule}, got {v[bad][0].item()!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Protocol-level configuration shared by simulation and analysis.
@@ -91,14 +109,10 @@ class ProtocolParams:
     gamma_b: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.mu >= 0.0:
-            raise ValueError(f"mu must be non-negative, got {self.mu!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
-        if not 0.0 < self.delta_threshold <= math.pi:
-            raise ValueError(
-                f"delta_threshold must lie in (0, pi], got {self.delta_threshold!r}"
-            )
+        for name, (rule, ok) in _ROW_RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must {rule}, got {value!r}")
         if not self.f_ec >= 1.0:
             raise ValueError(f"f_ec must be at least 1, got {self.f_ec!r}")
         if not 0.0 <= self.p_t <= 1.0:
@@ -208,21 +222,35 @@ class SimulationResult:
     by_threshold: dict
 
 
-def arm_transmittance(model: ChannelModel, arm: str) -> float:
+def arm_transmittance(model: ChannelModel, arm: str, fiber_km: float | None = None) -> float:
     """Power transmittance of one arm from source to beam splitter.
 
     ``arm`` is "a" or "b" (case-insensitive).  Combines fibre attenuation
     with the lumped component loss of that arm; detector efficiency is not
-    included.
+    included.  ``fiber_km`` replaces the model's fibre length of the arm.
     """
     key = arm.lower() if isinstance(arm, str) else arm
     if key == "a":
-        loss_db = model.fiber_km_a * model.atten_db_per_km + model.comp_loss_db_a
+        length, comp = model.fiber_km_a, model.comp_loss_db_a
     elif key == "b":
-        loss_db = model.fiber_km_b * model.atten_db_per_km + model.comp_loss_db_b
+        length, comp = model.fiber_km_b, model.comp_loss_db_b
     else:
         raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
+    loss_db = (length if fiber_km is None else fiber_km) * model.atten_db_per_km + comp
     return 10.0 ** (-loss_db / 10.0)
+
+
+def _arm_intensities(model: ChannelModel, mu, fiber_km=None) -> np.ndarray:
+    """Signal intensities of arms a and b at the beam splitter, shape (rows, 2).
+
+    ``mu`` holds one source intensity per row; ``fiber_km`` optionally
+    gives each row's (arm a, arm b) fibre lengths in place of the model's.
+    """
+    if fiber_km is None:
+        trans = [arm_transmittance(model, "a"), arm_transmittance(model, "b")]
+    else:
+        trans = [[arm_transmittance(model, arm, f) for arm, f in zip("ab", row)] for row in fiber_km]
+    return np.asarray(mu, dtype=float)[:, None] * model.gate_fraction * np.reshape(trans, (-1, 2))
 
 
 def click_probabilities(
@@ -231,6 +259,7 @@ def click_probabilities(
     alice_sent,
     bob_sent,
     phase_diff,
+    intensity=None,
 ):
     """Per-window click probabilities of the two detectors.
 
@@ -240,10 +269,11 @@ def click_probabilities(
     probability d clicks with probability 1 - (1 - d) * exp(-I * eta); the
     two detectors sample independently.  Returns ``(p_left, p_right)``
     where left watches the port that is bright at zero phase difference.
-    Accepts scalars or broadcastable arrays.
+    Accepts scalars or broadcastable arrays.  ``intensity`` optionally
+    replaces the sending intensities of arms a and b by a pair of arrays
+    that broadcast against the other arguments, such as one per batch row.
     """
-    mu_a = params.mu * model.gate_fraction * arm_transmittance(model, "a")
-    mu_b = params.mu * model.gate_fraction * arm_transmittance(model, "b")
+    mu_a, mu_b = _arm_intensities(model, [params.mu])[0] if intensity is None else intensity
     ports = interfere(
         np.where(alice_sent, mu_a, 0.0),
         np.where(bob_sent, mu_b, 0.0),
@@ -420,27 +450,37 @@ def _chunk_tallies(args):
 
 
 def _run_chunks(tasks, workers: int):
-    """Chunk results in chunk order; the worker pool is shut down when the
-    iteration ends or a chunk raises."""
+    """Chunk results in chunk order.
+
+    Uses at most one worker per chunk, and none beside this process for a
+    single chunk; the worker pool is shut down when the iteration ends or a
+    chunk raises.
+    """
+    if workers > 1:
+        tasks = list(tasks)
+        workers = min(workers, len(tasks))
     if workers == 1:
         yield from map(_chunk_tallies, tasks)
         return
-    tasks = list(tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_chunk_tallies, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 
 
-def _empty_tallies(n_windows: float, threshold: float) -> SessionTallies:
-    return SessionTallies(
-        n_windows=n_windows,
-        threshold=threshold,
-        sent={s: 0 for s in STATE_LABELS},
-        sent_selected={s: 0 for s in STATE_LABELS},
-        sent_test={s: 0 for s in STATE_LABELS},
-        sent_key={s: 0 for s in STATE_LABELS},
-        detected_test={(s, ch): 0 for s in STATE_LABELS for ch in (0, 1)},
-        detected_key={(s, ch): 0 for s in STATE_LABELS for ch in (0, 1)},
-    )
+def _session_tallies(n_windows, threshold, sent, selected, cells, effective) -> SessionTallies:
+    """Tallies from per-state lists: ``sent`` and ``selected`` windows, and
+    ``cells[state][subset][cell]`` with subset (test, key) and cell
+    (windows, effective on ch0, effective on ch1)."""
+    t = SessionTallies(n_windows=n_windows, threshold=threshold, effective_windows=effective)
+    for s, n, n_sel, ((n_test, test0, test1), (n_key, key0, key1)) in zip(
+        STATE_LABELS, sent, selected, cells
+    ):
+        t.sent[s] = n
+        t.sent_selected[s] = n_sel
+        t.sent_test[s] = n_test
+        t.sent_key[s] = n_key
+        t.detected_test[(s, 0)], t.detected_test[(s, 1)] = test0, test1
+        t.detected_key[(s, 0)], t.detected_key[(s, 1)] = key0, key1
+    return t
 
 
 def simulate_session(
@@ -472,7 +512,7 @@ def simulate_session(
 
     phi0 = _initial_phase(params, seed)
     offsets = _chunk_offsets(model, n_windows, seed, phi0)
-    phase_free = _effective_probs(params, model)
+    phase_free = _effective_probs(params, model)[0]
     tasks = (
         (params, model, seed, k, m, offsets[k], thr_arr, mean_ref_counts, phase_free)
         for k, m in enumerate(_chunk_sizes(n_windows))
@@ -487,17 +527,11 @@ def simulate_session(
         acc += per_thr
 
     by_threshold = {}
-    for j, thr in enumerate(thr_list):
-        t = _empty_tallies(n_windows, thr)
-        for i, s in enumerate(STATE_LABELS):
-            t.sent[s] = int(sent_total[i])
-            t.sent_test[s] = int(acc[j, i, 0, 0])
-            t.sent_key[s] = int(acc[j, i, 1, 0])
-            t.sent_selected[s] = t.sent_test[s] + t.sent_key[s]
-            for ch in (0, 1):
-                t.detected_test[(s, ch)] = int(acc[j, i, 0, 1 + ch])
-                t.detected_key[(s, ch)] = int(acc[j, i, 1, 1 + ch])
-        t.effective_windows = eff_total
+    for thr, cells in zip(thr_list, acc):
+        selected = cells[:, :, 0].sum(axis=1)
+        t = _session_tallies(
+            n_windows, thr, sent_total.tolist(), selected.tolist(), cells.tolist(), eff_total
+        )
         t.check_conservation()
         by_threshold[thr] = t
     return SimulationResult(
@@ -524,33 +558,79 @@ def _quadrature():
 
 
 def _effective_probs(
-    params: ProtocolParams, model: ChannelModel, thresholds: Sequence[float] = ()
+    params: ProtocolParams, model: ChannelModel, thresholds=(), intensity=None
 ) -> np.ndarray:
-    """Effective-click probabilities (ch0, ch1), one row per case.
+    """Effective-click probabilities (ch0, ch1) per row and case.
 
-    The first three rows are states 00, 01 and 10, whose clicks do not
-    depend on the phase.  Then comes one row per threshold t: the both-send
-    probabilities averaged over a phase difference uniform on [0, t].  A
-    single click evaluation covers every row; without thresholds the
-    quadrature is not built.
+    A row is one configuration: ``intensity`` holds each row's signal
+    intensities of arms a and b at the beam splitter, shape (rows, 2), and
+    defaults to the single row of ``params`` and ``model``.  ``thresholds``
+    has shape (k,), shared by all rows, or (rows, k).  The result has shape
+    (rows, 3 + k, 2): first states 00, 01 and 10, whose clicks do not depend
+    on the phase, then per threshold t the both-send probabilities averaged
+    over a phase difference uniform on [0, t].  A single click evaluation
+    covers every row and case; without thresholds the quadrature is not
+    built.
     """
-    thr = np.asarray(thresholds, dtype=float)[:, None]
+    inten = _arm_intensities(model, [params.mu]) if intensity is None else intensity
+    rows = len(inten)
+    thr = np.broadcast_to(np.asarray(thresholds, dtype=float), (rows, np.shape(thresholds)[-1]))
     x, weight = _quadrature() if thr.size else (np.empty(0), np.empty(0))
-    both = np.ones(thr.size * x.size, dtype=bool)
+    both = np.ones(thr.shape[1] * x.size, dtype=bool)
     alice = np.concatenate(([False, False, True], both))
     bob = np.concatenate(([False, True, False], both))
-    phase = np.concatenate((np.zeros(3), (0.5 * thr * x + 0.5 * thr).ravel()))
-    p_left, p_right = click_probabilities(params, model, alice, bob, phase)
+    t = thr[..., None]
+    phase = np.concatenate(
+        (np.zeros((rows, 3)), (0.5 * t * x + 0.5 * t).reshape(rows, both.size)), axis=1
+    )
+    p_left, p_right = click_probabilities(
+        params, model, alice, bob, phase, intensity=(inten[:, :1], inten[:, 1:])
+    )
 
-    shape = (thr.size, x.size)
+    shape = (rows, thr.shape[1], x.size)
 
     def effective(p, q):
         # The p detector clicks and the q one does not; nodes reduce to
         # their weighted mean per threshold.
-        nodes = weight * p[3:].reshape(shape) * (1.0 - q[3:].reshape(shape))
-        return np.concatenate((p[:3] * (1.0 - q[:3]), nodes.sum(axis=1)))
+        nodes = weight * p[:, 3:].reshape(shape) * (1.0 - q[:, 3:].reshape(shape))
+        return np.concatenate((p[:, :3] * (1.0 - q[:, :3]), nodes.sum(axis=2)), axis=1)
 
-    return np.stack((effective(p_left, p_right), effective(p_right, p_left)), axis=1)
+    return np.stack((effective(p_left, p_right), effective(p_right, p_left)), axis=2)
+
+
+def _expected_cells(
+    params: ProtocolParams,
+    model: ChannelModel,
+    n_windows: float,
+    mu,
+    epsilon,
+    thresholds,
+    fiber_km=None,
+):
+    """Expected-value cells of a batch of configurations, one row each.
+
+    ``mu`` and ``epsilon`` hold one value per row, ``thresholds`` has shape
+    (rows, k), and ``fiber_km`` optionally gives each row's (arm a, arm b)
+    fibre lengths; everything else comes from ``params`` and ``model``.
+    Returns the probabilities of :func:`_effective_probs`, the joint-state
+    priors, shape (rows, 4), the expected kept windows per threshold and
+    state, shape (rows, k, 4), and the cells, shape (rows, k, state,
+    subset, cell) with subset (test, key) and cell (windows, effective on
+    ch0, effective on ch1): the simulator's tally layout.
+    """
+    if n_windows <= 0:
+        raise ValueError("n_windows must be positive")
+    eps = np.asarray(epsilon, dtype=float)[:, None]
+    thr = np.asarray(thresholds, dtype=float)
+    eff = _effective_probs(params, model, thr, _arm_intensities(model, mu, fiber_km))
+    prior = np.hstack(((1.0 - eps) ** 2, (1.0 - eps) * eps, eps * (1.0 - eps), eps * eps))
+    selected = (n_windows * prior)[:, None, :] * (thr / math.pi)[..., None]
+    pool = np.stack((selected * params.p_t, selected * (1.0 - params.p_t)), axis=3)
+    p_eff = np.concatenate(
+        (np.broadcast_to(eff[:, None, :3], (*thr.shape, 3, 2)), eff[:, 3:, None]), axis=2
+    )
+    cells = np.concatenate((pool[..., None], pool[..., None] * p_eff[:, :, :, None, :]), axis=4)
+    return eff, prior, selected, cells
 
 
 def expected_tallies(
@@ -571,44 +651,28 @@ def expected_tallies(
     expectation is exact.
 
     The both-send averages use 64-node Gauss-Legendre quadrature whose
-    nodes are computed once per process; one call evaluates the click
-    probabilities once, for every state and threshold together.
+    nodes are computed once per process, on first use; one call evaluates
+    the click probabilities once, for every state and threshold together.
+    It is the single-row case of the batched model behind
+    :func:`scfqkd.keyrate.analyze_expected_batch`.
 
     Returns ``{threshold: SessionTallies}`` with float-valued cells,
     covering ``params.delta_threshold`` and any extra ``thresholds``.
     """
-    if n_windows <= 0:
-        raise ValueError("n_windows must be positive")
     thr_list = _threshold_list(params, thresholds)
-
-    eps = params.epsilon
-    priors = {
-        "00": (1.0 - eps) ** 2,
-        "01": (1.0 - eps) * eps,
-        "10": eps * (1.0 - eps),
-        "11": eps * eps,
-    }
-    eff = _effective_probs(params, model, thr_list + [math.pi]).tolist()
-    single = dict(zip(("00", "01", "10"), eff[:3]))
-    p11_full = eff[-1]
-
-    out = {}
-    for thr, p11 in zip(thr_list, eff[3:]):
-        keep = thr / math.pi
-        p_eff = {**single, "11": p11}
-        t = _empty_tallies(float(n_windows), thr)
-        for s in STATE_LABELS:
-            base = n_windows * priors[s]
-            t.sent[s] = base
-            t.sent_selected[s] = base * keep
-            t.sent_test[s] = base * keep * params.p_t
-            t.sent_key[s] = base * keep * (1.0 - params.p_t)
-            for ch in (0, 1):
-                t.detected_test[(s, ch)] = t.sent_test[s] * p_eff[s][ch]
-                t.detected_key[(s, ch)] = t.sent_key[s] * p_eff[s][ch]
-        t.effective_windows = n_windows * (
-            sum(priors[s] * (single[s][0] + single[s][1]) for s in ("00", "01", "10"))
-            + priors["11"] * (p11_full[0] + p11_full[1])
+    eff, prior, selected, cells = (
+        a[0].tolist()
+        for a in _expected_cells(
+            params, model, n_windows, [params.mu], [params.epsilon], [thr_list + [math.pi]]
         )
-        out[thr] = t
-    return out
+    )
+    sent = [n_windows * p for p in prior]
+    p11_full = eff[-1]
+    effective = n_windows * (
+        sum(p * (p0 + p1) for p, (p0, p1) in zip(prior, eff[:3]))
+        + prior[3] * (p11_full[0] + p11_full[1])
+    )
+    return {
+        thr: _session_tallies(float(n_windows), thr, sent, sel, c, effective)
+        for thr, sel, c in zip(thr_list, selected, cells)
+    }

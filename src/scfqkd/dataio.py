@@ -328,7 +328,10 @@ def emit_report(report: KeyRateReport, fmt: str = "table") -> str:
         ("phase-flip upper bound", f"{report.e_ph_upper:.4%}" + (" [flagged]" if report.e_ph_flagged else "")),
         ("key-set bit error", f"{report.e_v:.4%}"),
         ("key-set detections", f"{report.n_v:,.1f}"),
-        ("secure key length", f"{report.n_f:,.1f}" + (f" (raw {report.n_f_raw:,.1f})" if report.n_f_raw < 0 else "")),
+        (
+            "asymptotic secure key length",
+            f"{report.n_f:,.1f}" + (f" (raw {report.n_f_raw:,.1f})" if report.n_f_raw < 0 else ""),
+        ),
         ("key rate per window", _fmt_optional(report.rate_per_pulse, lambda v: f"{v:.6e}")),
     ]
     width = max(len(name) for name, _ in rows)

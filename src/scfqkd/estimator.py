@@ -145,10 +145,7 @@ def counting_rates(t: TallySet) -> CountingRates:
     total_det = t.total_detected()
     total = total_det / total_sent if total_sent > 0 else math.nan
     err = (t.n_detected("00") + t.n_detected("11")) / total_det if total_det > 0 else None
-    for s in STATE_LABELS:
-        r = by_state[s]
-        if not math.isnan(r) and not 0.0 <= r <= 1.0:
-            raise ValueError(f"counting rate out of [0, 1] for state {s}: {r}")
+    check_rate_range(by_state)
     return CountingRates(
         by_state=by_state,
         by_cell=by_cell,
@@ -156,6 +153,15 @@ def counting_rates(t: TallySet) -> CountingRates:
         error_rate=err,
         missing=tuple(missing),
     )
+
+
+def check_rate_range(by_state: Mapping[str, float]) -> None:
+    """Raise ValueError for a per-state counting rate outside [0, 1]; NaN
+    marks a state without announced windows and passes."""
+    for s in STATE_LABELS:
+        r = by_state[s]
+        if not math.isnan(r) and not 0.0 <= r <= 1.0:
+            raise ValueError(f"counting rate out of [0, 1] for state {s}: {r}")
 
 
 def s_tilde_z(rate_bob_only: float, rate_alice_only: float) -> float:

@@ -16,10 +16,16 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from . import channelsim, estimator
-from .channelsim import ChannelModel, ProtocolParams, expected_tallies
-from .estimator import KeyRateReport, TallySet
+from .channelsim import STATE_LABELS, ChannelModel, ProtocolParams
+from .channelsim import expected_tallies  # noqa: F401  (kept importable from this module)
+from .estimator import DETECTORS, CountingRates, KeyRateReport, TallySet
 from .phasecore import binary_entropy
+
+_TEST_CELLS = ("01", "10", ("00", "L"), ("00", "R"), ("11", "L"), ("11", "R"), ("01", "L"), ("10", "L"))
+"""Test-set counting rates the phase-flip bound needs."""
 
 
 def key_length(n_z: float, e_ph: float, n_v: float, e_v: float, f_ec: float) -> float:
@@ -56,24 +62,10 @@ def analyze_tallies(
     carried into the report for bookkeeping only.
     """
     ru = estimator.counting_rates(u)
-    ru.require(
-        "01", "10",
-        ("00", "L"), ("00", "R"), ("11", "L"), ("11", "R"), ("01", "L"), ("10", "L"),
-    )
     s_z = estimator.s_tilde_z(ru.by_state["01"], ru.by_state["10"])
-    if s_z <= 0:
-        raise estimator.EstimationError("mismatched-send yield is zero; no key material")
+    _check_estimable(ru, s_z)
     n_z = estimator.n_tilde_z(v.sent.get("01", 0), v.sent.get("10", 0), s_z)
-    pf = estimator.phase_flip_upper(
-        ru.by_cell[("00", "L")],
-        ru.by_cell[("00", "R")],
-        ru.by_cell[("11", "L")],
-        ru.by_cell[("11", "R")],
-        ru.by_cell[("01", "L")],
-        ru.by_cell[("10", "L")],
-        params.mu,
-        s_z,
-    )
+    pf = _phase_flip(ru, params.mu, s_z)
     e_v, n_v = estimator.bit_flip_error_v(v)
     if e_v is None:
         e_v = 0.0
@@ -107,17 +99,169 @@ def analyze_tallies(
     )
 
 
+def _check_estimable(ru: CountingRates, s_z: float) -> None:
+    """Raise EstimationError where a needed test-set cell has no announced
+    windows or the mismatched-send yield is zero."""
+    ru.require(*_TEST_CELLS)
+    if s_z <= 0:
+        raise estimator.EstimationError("mismatched-send yield is zero; no key material")
+
+
+def _phase_flip(ru: CountingRates, mu: float, s_z: float) -> estimator.PhaseFlipBound:
+    c = ru.by_cell
+    return estimator.phase_flip_upper(
+        c[("00", "L")], c[("00", "R")], c[("11", "L")], c[("11", "R")], c[("01", "L")], c[("10", "L")],
+        mu, s_z,
+    )
+
+
+class ExpectedReports:
+    """Expected-value analyses of a batch of configurations, one row each.
+
+    ``values`` maps every :class:`KeyRateReport` field to an array over
+    rows: ``rates_u_by_state`` has shape (rows, 4) in ``STATE_LABELS``
+    order, ``rates_u_by_cell`` shape (rows, 4, 2) by state and detector
+    side (L, R), and ``e_u`` is NaN where a report holds None.  ``failed``
+    marks the rows on which :func:`analyze_tallies` raises
+    EstimationError; their other values carry no meaning.
+    """
+
+    def __init__(self, values: dict, failed: np.ndarray):
+        self.values = values
+        self.failed = failed
+
+    def report(self, i: int) -> KeyRateReport:
+        """Row ``i`` as a report; on a failed row, raises the
+        EstimationError that :func:`analyze_tallies` raises."""
+        row = {name: a[i] for name, a in self.values.items()}
+        by_state = dict(zip(STATE_LABELS, row.pop("rates_u_by_state").tolist()))
+        by_cell = {
+            (s, d): r
+            for s, pair in zip(STATE_LABELS, row.pop("rates_u_by_cell").tolist())
+            for d, r in zip(DETECTORS, pair)
+        }
+        fields = {name: x.item() for name, x in row.items()}
+        if self.failed[i]:
+            # The scalar chain's checks, in its order, raise its error.
+            ru = CountingRates(by_state, by_cell, fields["s_u"], None, ())
+            _check_estimable(ru, fields["s_tilde_z"])
+            _phase_flip(ru, fields["mu"], fields["s_tilde_z"])
+        if math.isnan(fields["e_u"]):
+            fields["e_u"] = None
+        return KeyRateReport(
+            **fields,
+            rates_u_by_state=by_state,
+            rates_u_by_cell={f"{s}/{d}": r for (s, d), r in by_cell.items()},
+        )
+
+
+def analyze_expected_batch(
+    params: ProtocolParams,
+    model: ChannelModel,
+    n_windows: float,
+    mu,
+    epsilon,
+    delta_threshold,
+    fiber_km=None,
+) -> ExpectedReports:
+    """Analyse the expected-value tallies of many configurations at once.
+
+    Row i replaces ``params``' mu, epsilon and delta_threshold by ``mu[i]``,
+    ``epsilon[i]`` and ``delta_threshold[i]`` and, when ``fiber_km`` is
+    given, the model's arm lengths by ``fiber_km[i] = (arm a, arm b)``.  A
+    single click evaluation covers every row.  Each row equals what
+    :func:`analyze_tallies` makes of that configuration's
+    :func:`~scfqkd.channelsim.expected_tallies`, up to rounding in the last
+    digits.  Out-of-range rows raise ValueError with
+    :class:`ProtocolParams`' messages, as does a counting rate outside
+    [0, 1]; rows without a phase-flip bound are marked ``failed`` instead.
+    """
+    mu, eps, delta = (np.asarray(a, dtype=float) for a in (mu, epsilon, delta_threshold))
+    channelsim._check_rows(mu=mu, epsilon=eps, delta_threshold=delta)
+    cells = channelsim._expected_cells(params, model, n_windows, mu, eps, delta[:, None], fiber_km)[3]
+    # (row, state, cell) of each subset; detector sides L, R are ch0, ch1.
+    test, key = cells[:, 0, :, 0], cells[:, 0, :, 1]
+    rows = len(mu)
+    sent, det = test[..., 0], test[..., 1:]
+    present = sent > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_state = np.where(present, (det[..., 0] + det[..., 1]) / sent, np.nan)
+        by_cell = np.where(present[..., None], det / sent[..., None], np.nan)
+        bad_rows = ((by_state < 0.0) | (by_state > 1.0)).any(axis=1)
+        if bad_rows.any():
+            estimator.check_rate_range(dict(zip(STATE_LABELS, by_state[bad_rows][0].tolist())))
+        # Sums run in the scalar chain's order (cumsum adds sequentially).
+        total_det = np.cumsum(det.reshape(rows, 8), axis=1)[:, -1]
+        total_sent = np.cumsum(sent, axis=1)[:, -1]
+        s_u = np.where(total_sent > 0, total_det / total_sent, np.nan)
+        e_u = np.where(
+            total_det > 0, (det[:, 0].sum(axis=1) + det[:, 3].sum(axis=1)) / total_det, np.nan
+        )
+        s_z = 0.5 * (by_state[:, 1] + by_state[:, 2])
+        n_z = 2.0 * np.minimum(key[:, 1, 0], key[:, 2, 0]) * s_z
+
+        (s00_l, s00_r), (s01_l, _), (s10_l, _), (s11_l, s11_r) = by_cell.transpose(1, 2, 0)
+        em = np.exp(-mu)
+        g = 1.0 - em
+        up = (
+            em * s00_r + s11_r / em + g * g / em + 2.0 * np.sqrt(s00_r * s11_r)
+            + 2.0 * g * np.sqrt(s00_r) + (2.0 * g / em) * np.sqrt(s11_r)
+        ) / (2.0 * (1.0 + em))
+        low_raw = (
+            em * s00_l + s11_l / em - 2.0 * np.sqrt(s00_l * s11_l)
+            - 2.0 * g * np.sqrt(s00_l) - (2.0 * g / em) * np.sqrt(s11_l)
+        ) / (2.0 * (1.0 + em))
+        low = np.where(low_raw > 0.0, low_raw, 0.0)
+        e_ph = ((1.0 + em) * (up - low) + s01_l + s10_l) / (2.0 * s_z)
+
+        key_det = key[..., 1:]
+        n_v = np.cumsum(key_det.reshape(rows, 8), axis=1)[:, -1]
+        e_v = np.where(
+            n_v > 0, (key_det[:, 0].sum(axis=1) + key_det[:, 3].sum(axis=1)) / n_v, 0.0
+        )
+    # Where _check_estimable or phase_flip_upper raise; every state's rates
+    # are needed.
+    failed = ~present.all(axis=1) | (s_z <= 0) | (mu <= 0)
+    # The bound's entropy argument is clamped to [0, 0.5], as in analyze_tallies.
+    h_ph, h_v = binary_entropy(np.where(failed, 0.0, np.stack((np.clip(e_ph, 0.0, 0.5), e_v))))
+    n_f_raw = n_z * (1.0 - h_ph) - params.f_ec * n_v * h_v
+    n_f = np.where(n_f_raw > 0.0, n_f_raw, 0.0)
+    values = {
+        "mu": mu,
+        "f_ec": np.full(rows, params.f_ec),
+        "delta_threshold": delta,
+        "n_total_pulses": np.full(rows, n_windows),
+        "s_u": s_u,
+        "e_u": e_u,
+        "s_tilde_z": s_z,
+        "n_tilde_z": n_z,
+        "e_ph_upper": e_ph,
+        "e_ph_flagged": e_ph >= 0.5,
+        "x_upper_right": up,
+        "x_lower_left": low,
+        "x_lower_clamped": low_raw < 0.0,
+        "e_v": e_v,
+        "n_v": n_v,
+        "n_f_raw": n_f_raw,
+        "n_f": n_f,
+        "rate_per_pulse": n_f / n_windows,
+        "rates_u_by_state": by_state,
+        "rates_u_by_cell": by_cell,
+    }
+    return ExpectedReports(values, failed)
+
+
 def analyze_expected(
     params: ProtocolParams,
     model: ChannelModel,
     n_windows: float,
     delta_threshold: float | None = None,
 ) -> KeyRateReport:
-    """Analyse the expected-value tallies of the given configuration."""
+    """Analyse the expected-value tallies of the given configuration: the
+    single-row case of :func:`analyze_expected_batch`."""
     thr = params.delta_threshold if delta_threshold is None else delta_threshold
-    exp = expected_tallies(params, model, n_windows, thresholds=[thr])[thr]
-    u, v = estimator.tallies_to_sets(exp)
-    return analyze_tallies(u, v, params, n_total_pulses=n_windows, delta_threshold=thr)
+    batch = analyze_expected_batch(params, model, n_windows, [params.mu], [params.epsilon], [thr])
+    return batch.report(0)
 
 
 def model_both_send_qber(
@@ -126,7 +270,7 @@ def model_both_send_qber(
     """Expected wrong-port fraction of kept both-send windows."""
     if delta_threshold is not None:
         params = replace(params, delta_threshold=delta_threshold)
-    p_ch0, p_ch1 = channelsim._effective_probs(params, model, [params.delta_threshold])[3].tolist()
+    p_ch0, p_ch1 = channelsim._effective_probs(params, model, [params.delta_threshold])[0, 3].tolist()
     if not p_ch0 + p_ch1 > 0.0:
         raise ValueError("model predicts no both-send detections")
     return p_ch1 / (p_ch0 + p_ch1)
@@ -186,18 +330,27 @@ def sweep_distance(
     reference model's values; only the fibre is swept, half the distance per
     arm.  When ``target_qber`` is given, the visibility is first calibrated
     against it on the reference model and then held fixed across distances.
+    All distances are analysed in one :func:`analyze_expected_batch` call;
+    the first distance without a phase-flip bound raises its
+    EstimationError.
     """
     vis = (
         calibrate_visibility(params, model, target_qber)
         if target_qber is not None
         else model.visibility
     )
-    points = []
     for d in distances_km:
-        if d < 0:
+        if not d >= 0:
             raise ValueError(f"distance must be non-negative, got {d!r}")
-        m = replace(model, fiber_km_a=0.5 * d, fiber_km_b=0.5 * d, visibility=vis)
-        report = analyze_expected(params, m, n_windows)
+    n = len(distances_km)
+    batch = analyze_expected_batch(
+        params, replace(model, visibility=vis), n_windows,
+        [params.mu] * n, [params.epsilon] * n, [params.delta_threshold] * n,
+        fiber_km=[(0.5 * d, 0.5 * d) for d in distances_km],
+    )
+    points = []
+    for i, d in enumerate(distances_km):
+        report = batch.report(i)
         points.append(
             SweepPoint(distance_km=float(d), rate_per_pulse=report.rate_per_pulse, report=report)
         )
@@ -227,19 +380,23 @@ def optimize_params(
 
     A coarse log/linear grid seeds a coordinate-descent refinement that
     repeatedly rescans a shrinking bracket around the incumbent on each
-    coordinate in a fixed order.  No randomness is involved, so equal
-    inputs give equal results.
+    coordinate in a fixed order.  Points are evaluated in batches with
+    :func:`analyze_expected_batch`: the coarse grid one mu-plane
+    (``grid**2`` points) per call, and each coordinate scan (``grid``
+    points) in one call.  Points are visited in a fixed order, a point
+    without a phase-flip bound counts as rate 0, and the incumbent changes
+    only on a strictly greater rate, so the first maximum wins.
+    ``evaluations`` counts points, not calls: ``grid**3 + 3 * grid *
+    refine_rounds``, 553 with the defaults.  No randomness is involved, so
+    equal inputs give equal results.
     """
     evaluations = 0
 
-    def rate_at(mu: float, eps: float, delta: float) -> float:
+    def rates_at(points) -> list:
         nonlocal evaluations
-        evaluations += 1
-        p = replace(base_params, mu=mu, epsilon=eps, delta_threshold=delta)
-        try:
-            return analyze_expected(p, model, n_windows).rate_per_pulse or 0.0
-        except estimator.EstimationError:
-            return 0.0
+        evaluations += len(points)
+        batch = analyze_expected_batch(base_params, model, n_windows, *zip(*points))
+        return np.where(batch.failed, 0.0, batch.values["rate_per_pulse"]).tolist()
 
     def log_grid(lo: float, hi: float, n: int):
         return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
@@ -248,13 +405,14 @@ def optimize_params(
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
     best = None
+    eps_delta = [(eps, delta) for eps in log_grid(*epsilon_bounds, grid)
+                 for delta in lin_grid(*delta_bounds, grid)]
     for mu in log_grid(*mu_bounds, grid):
-        for eps in log_grid(*epsilon_bounds, grid):
-            for delta in lin_grid(*delta_bounds, grid):
-                r = rate_at(mu, eps, delta)
-                if best is None or r > best[0]:
-                    best = (r, mu, eps, delta)
-    _, mu, eps, delta = best
+        plane = [[mu, eps, delta] for eps, delta in eps_delta]
+        for r, trial in zip(rates_at(plane), plane):
+            if best is None or r > best[0]:
+                best = (r, trial)
+    best_rate, point = best
 
     spans = [
         (mu_bounds[1] - mu_bounds[0]) / grid,
@@ -262,19 +420,16 @@ def optimize_params(
         (delta_bounds[1] - delta_bounds[0]) / grid,
     ]
     bounds = [mu_bounds, epsilon_bounds, delta_bounds]
-    point = [mu, eps, delta]
-    best_rate = best[0]
     for _ in range(refine_rounds):
         for axis in range(3):
             lo = max(bounds[axis][0], point[axis] - spans[axis])
             hi = min(bounds[axis][1], point[axis] + spans[axis])
-            for x in lin_grid(lo, hi, grid):
-                trial = list(point)
-                trial[axis] = x
-                r = rate_at(*trial)
+            # The other coordinates stay fixed during a scan, so all its
+            # points are known before the first is evaluated.
+            trials = [point[:axis] + [x] + point[axis + 1:] for x in lin_grid(lo, hi, grid)]
+            for r, trial in zip(rates_at(trials), trials):
                 if r > best_rate:
-                    best_rate = r
-                    point = trial
+                    best_rate, point = r, trial
             spans[axis] *= 0.5
     final = replace(
         base_params, mu=point[0], epsilon=point[1], delta_threshold=point[2]

@@ -70,11 +70,21 @@ def minor_angle(x: ArrayLike) -> ArrayLike:
     return abs(math.remainder(x, _TWO_PI))
 
 
-def binary_entropy(x: float) -> float:
+def binary_entropy(x: ArrayLike) -> ArrayLike:
     """Binary Shannon entropy H(x) in bits, with H(0) = H(1) = 0.
 
-    Raises ValueError outside [0, 1].
+    Accepts a scalar or an ndarray; raises ValueError for a value outside
+    [0, 1].
     """
+    if isinstance(x, np.ndarray):
+        inside = (x >= 0.0) & (x <= 1.0)
+        if not inside.all():
+            raise ValueError(
+                f"binary_entropy argument must lie in [0, 1], got {x[~inside][0].item()!r}"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+        return np.where((x == 0.0) | (x == 1.0), 0.0, h)
     x = float(x)
     if math.isnan(x) or x < 0.0 or x > 1.0:
         raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x!r}")

@@ -55,13 +55,6 @@ def drift_scale_per_window(
     return rms_per_span / math.sqrt(span_windows)
 
 
-def drift_step(phase: Angle, scale: float, rng: np.random.Generator) -> Angle:
-    """Advance the interferometer phase by one window of Gaussian drift."""
-    if scale == 0.0:
-        return phase
-    return phase + scale * rng.standard_normal()
-
-
 def slot_probabilities(phase) -> np.ndarray:
     """Expected reference detection probabilities p_T,i for a given phase.
 
@@ -71,22 +64,6 @@ def slot_probabilities(phase) -> np.ndarray:
     """
     phi = np.asarray(phase, dtype=float)
     return np.cos(0.5 * (REF_SLOT_OFFSETS + phi[..., np.newaxis])) ** 2
-
-
-def simulate_reference_counts(
-    true_phase: Angle,
-    rng: np.random.Generator,
-    mean_total: float = DEFAULT_MEAN_REF_COUNTS,
-) -> np.ndarray:
-    """Draw the four per-span reference slot counts for one statistics span.
-
-    Each slot count is Poisson with mean proportional to p_T,i(true_phase),
-    scaled so the expected total equals ``mean_total``.
-    """
-    if mean_total < 0.0:
-        raise ValueError("mean_total must be non-negative")
-    lam = 0.5 * mean_total * slot_probabilities(true_phase)
-    return rng.poisson(lam)
 
 
 def estimate_phase(counts) -> Angle:

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from scfqkd import channelsim, defaults, keyrate
+from scfqkd import channelsim, dataio, defaults, keyrate
 from scfqkd.channelsim import (
     CHUNK_WINDOWS,
     STATE_LABELS,
@@ -201,6 +201,23 @@ def test_worker_pool_released_on_error(monkeypatch):
     with pytest.raises(RuntimeError, match="chunk failed"):
         simulate_session(ProtocolParams(), ChannelModel(), 2 * CHUNK_WINDOWS, seed=1, workers=2)
     assert multiprocessing.active_children() == []
+
+
+def test_single_chunk_session_starts_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk session started a worker pool")
+
+    params = ProtocolParams(mu=0.1, epsilon=0.3)
+    model = ChannelModel(dark_prob=1e-4, visibility=0.9)
+    thresholds = [math.radians(10)]
+    one = simulate_session(params, model, 50_000, seed=6, thresholds=thresholds)
+    monkeypatch.setattr(channelsim, "ProcessPoolExecutor", no_pool)
+    two = simulate_session(params, model, 50_000, seed=6, workers=2, thresholds=thresholds)
+    for name, res in (("one", one), ("two", two)):
+        for thr, t in res.by_threshold.items():
+            dataio.write_raw_tallies(tmp_path / f"{name}_{thr}.tsv", t, {"Windows": 50_000})
+    for thr in one.by_threshold:
+        assert (tmp_path / f"one_{thr}.tsv").read_bytes() == (tmp_path / f"two_{thr}.tsv").read_bytes()
 
 
 def test_threshold_tallies_do_not_depend_on_other_thresholds():
@@ -515,6 +532,27 @@ def test_expected_tallies_threshold_does_not_depend_on_others():
     together = expected_tallies(params, model, 1e12, thresholds=[c, a, b])
     assert alone[a] == together[a]
     assert alone[params.delta_threshold] == together[params.delta_threshold]
+
+
+def test_effective_probs_rows_do_not_depend_on_each_other():
+    params = defaults.reference_params()
+    model = replace(defaults.reference_model(50.0), visibility=0.9)
+    mu = [2e-4, 3e-3, 0.05]
+    thresholds = [[math.radians(d)] for d in (2.0, 30.0, 180.0)]
+    fibre = [(10.0, 15.0), (25.0, 25.0), (0.0, 60.0)]
+    together = channelsim._effective_probs(
+        params, model, thresholds, channelsim._arm_intensities(model, mu, fibre)
+    )
+    for i in range(3):
+        alone = channelsim._effective_probs(
+            params, model, thresholds[i], channelsim._arm_intensities(model, mu[i:i + 1], fibre[i:i + 1])
+        )
+        assert np.array_equal(together[i:i + 1], alone)
+    single = channelsim._effective_probs(replace(params, mu=mu[1]), model, thresholds[1])
+    assert np.array_equal(
+        single,
+        channelsim._effective_probs(params, model, thresholds[1], channelsim._arm_intensities(model, mu[1:2])),
+    )
 
 
 def _count_leggauss(monkeypatch):

@@ -19,6 +19,7 @@ def test_analyze_defaults_to_bundled_dataset(capsys):
     assert code == 0
     assert err == ""
     assert "key rate per window" in out
+    assert "asymptotic secure key length" in out
     assert "2,248,625" in out
 
 

@@ -1,15 +1,22 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from scfqkd import dataio, defaults
+from scfqkd import channelsim, dataio, defaults
 from scfqkd.channelsim import ChannelModel, ProtocolParams, expected_tallies
-from scfqkd.estimator import EstimationError, TallySet, qber_both_send, tallies_to_sets
+from scfqkd.estimator import (
+    EstimationError,
+    KeyRateReport,
+    TallySet,
+    qber_both_send,
+    tallies_to_sets,
+)
 from scfqkd.keyrate import (
     analyze_expected,
+    analyze_expected_batch,
     analyze_tallies,
     calibrate_visibility,
     key_length,
@@ -234,3 +241,137 @@ def test_model_both_send_qber_without_detections_fails():
         model_both_send_qber(params, ChannelModel(dark_prob=0.0))
     with pytest.raises(ValueError):
         model_both_send_qber(defaults.reference_params(), ChannelModel(), 0.0)
+
+
+def _scalar_chain(params, model, n_windows):
+    """The reference path: expected tallies, tally sets, scalar estimator."""
+    thr = params.delta_threshold
+    u, v = tallies_to_sets(expected_tallies(params, model, n_windows, thresholds=[thr])[thr])
+    return analyze_tallies(u, v, params, n_total_pulses=n_windows, delta_threshold=thr)
+
+
+def _assert_close(got, want, name):
+    if isinstance(want, dict):
+        assert list(got) == list(want), name
+        for key in want:
+            _assert_close(got[key], want[key], f"{name}[{key}]")
+    elif want is None or isinstance(want, bool):
+        assert got is want, name
+    elif math.isnan(want):
+        assert math.isnan(got), name
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("p_t", [0.0, 0.1, 1.0])
+def test_batched_analysis_matches_scalar_chain_row_by_row(p_t):
+    params = replace(defaults.reference_params(), p_t=p_t)
+    model = replace(defaults.reference_model(50.0), visibility=0.93)
+    rows = [
+        (mu, eps, math.radians(deg), dist)
+        for mu in (0.0, 2e-4, 3e-3, 2e-2)
+        for eps in (0.0, 2e-3, 0.021, 0.2, 1.0)
+        for deg in (5.0, 30.0, 90.0, 180.0)
+        for dist in (0.0, 50.0, 120.0)
+    ]
+    mu, eps, delta, dist = zip(*rows)
+    batch = analyze_expected_batch(
+        params, model, 1e12, mu, eps, delta, fiber_km=[(0.5 * d, 0.5 * d) for d in dist]
+    )
+    failed = []
+    for i, (m, e, d, km) in enumerate(rows):
+        p = replace(params, mu=m, epsilon=e, delta_threshold=d)
+        mod = replace(model, fiber_km_a=0.5 * km, fiber_km_b=0.5 * km)
+        try:
+            want = _scalar_chain(p, mod, 1e12)
+        except EstimationError as exc:
+            failed.append(i)
+            with pytest.raises(EstimationError) as got:
+                batch.report(i)
+            assert str(got.value) == str(exc)
+            continue
+        got = batch.report(i)
+        for f in fields(KeyRateReport):
+            _assert_close(getattr(got, f.name), getattr(want, f.name), f.name)
+    assert np.flatnonzero(batch.failed).tolist() == failed
+    assert 0 < len(failed) < len(rows) or p_t == 0.0
+
+
+@pytest.mark.parametrize("change", [{"epsilon": 0.0}, {"mu": 0.0}, {"p_t": 0.0}])
+def test_sweep_distance_raises_the_scalar_chain_error(change):
+    params = replace(defaults.reference_params(), **change)
+    model = defaults.reference_model(50.0)
+    with pytest.raises(EstimationError) as want:
+        _scalar_chain(params, replace(model, fiber_km_a=5.0, fiber_km_b=5.0), 1e12)
+    with pytest.raises(EstimationError) as got:
+        sweep_distance(params, model, [10.0, 20.0], n_windows=1e12)
+    assert str(got.value) == str(want.value)
+
+
+def test_sweep_distance_matches_single_analyses():
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    for pt in sweep_distance(params, model, [0.0, 35.0, 80.0], n_windows=1e12):
+        d = pt.distance_km
+        want = analyze_expected(params, replace(model, fiber_km_a=0.5 * d, fiber_km_b=0.5 * d), 1e12)
+        for f in fields(KeyRateReport):
+            _assert_close(getattr(pt.report, f.name), getattr(want, f.name), f.name)
+    assert sweep_distance(params, model, []) == []
+
+
+@pytest.mark.parametrize(
+    "name, bad", [("mu", -1e-3), ("epsilon", 1.5), ("delta_threshold", 0.0), ("delta_threshold", 4.0)]
+)
+def test_batched_rows_keep_protocol_range_checks(name, bad):
+    params = defaults.reference_params()
+    with pytest.raises(ValueError) as want:
+        replace(params, **{name: bad})
+    rows = {"mu": [params.mu] * 3, "epsilon": [params.epsilon] * 3,
+            "delta_threshold": [params.delta_threshold] * 3}
+    rows[name][1] = bad
+    with pytest.raises(ValueError) as got:
+        analyze_expected_batch(params, defaults.reference_model(50.0), 1e12, **rows)
+    assert str(got.value) == str(want.value)
+
+
+def test_default_optimize_batches_click_evaluations(monkeypatch):
+    calls = []
+    real = channelsim.click_probabilities
+
+    def counting(*args, **kwargs):
+        calls.append(np.broadcast(*args[2:5]).shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(channelsim, "click_probabilities", counting)
+    res = optimize_params(defaults.reference_model(50.0), defaults.reference_params())
+    assert res.evaluations == 553
+    # 7 mu-planes of the coarse grid plus 3 coordinate scans per round.
+    assert len(calls) == 37
+    assert sum(shape[0] for shape in calls) == 553
+
+
+def test_optimizer_keeps_the_first_of_equal_rates():
+    """Where no point yields key, every rate is 0 and the first coarse
+    point stays the incumbent."""
+    res = optimize_params(defaults.reference_model(600.0), defaults.reference_params(),
+                          grid=3, refine_rounds=2)
+    assert res.rate_per_pulse == 0.0
+    assert res.evaluations == 3**3 + 3 * 3 * 2
+    assert (res.params.mu, res.params.epsilon, res.params.delta_threshold) == (
+        2e-4, 2e-3, math.radians(5.0))
+
+
+def test_batched_rate_outside_unit_interval_raises(monkeypatch):
+    real = channelsim._expected_cells
+
+    def inflated(*args, **kwargs):
+        eff, prior, selected, cells = real(*args, **kwargs)
+        cells = cells.copy()
+        cells[1, :, 2, 0, 1:] *= 1e9  # row 1, state 10, test set: detections
+        return eff, prior, selected, cells
+
+    monkeypatch.setattr(channelsim, "_expected_cells", inflated)
+    params = defaults.reference_params()
+    with pytest.raises(ValueError, match=r"counting rate out of \[0, 1\] for state 10"):
+        analyze_expected_batch(params, defaults.reference_model(50.0), 1e12,
+                               [params.mu] * 3, [params.epsilon] * 3, [params.delta_threshold] * 3)

@@ -10,12 +10,10 @@ from scfqkd.phasetrack import (
     DEFAULT_SPAN_WINDOWS,
     REF_SLOT_OFFSETS,
     drift_scale_per_window,
-    drift_step,
     estimate_phase,
     estimate_phase_batch,
     estimation_error_profile,
     fit_error,
-    simulate_reference_counts,
     slot_probabilities,
 )
 
@@ -123,45 +121,6 @@ def test_fit_error_minimal_at_estimate():
 def test_drift_scale_per_window():
     assert drift_scale_per_window() == pytest.approx(0.073 / math.sqrt(180))
     assert drift_scale_per_window(0.0, 180) == 0.0
-
-
-def test_drift_step_statistics():
-    rng = np.random.default_rng(2)
-    scale = 0.01
-    phase = 0.0
-    steps = []
-    for _ in range(4000):
-        nxt = drift_step(phase, scale, rng)
-        steps.append(nxt - phase)
-        phase = nxt
-    steps = np.asarray(steps)
-    assert abs(steps.mean()) < 5 * scale / math.sqrt(len(steps))
-    assert steps.std() == pytest.approx(scale, rel=0.1)
-
-
-def test_drift_step_zero_scale_is_constant():
-    rng = np.random.default_rng(0)
-    assert drift_step(1.234, 0.0, rng) == 1.234
-
-
-def test_simulate_reference_counts_ratios():
-    rng = np.random.default_rng(9)
-    total = 200000.0
-    counts = simulate_reference_counts(0.0, rng, mean_total=total)
-    ratios = counts / counts.sum()
-    np.testing.assert_allclose(ratios, [0.5, 0.25, 0.0, 0.25], atol=0.01)
-    counts = simulate_reference_counts(math.pi / 2, rng, mean_total=total)
-    ratios = counts / counts.sum()
-    np.testing.assert_allclose(ratios, [0.25, 0.0, 0.25, 0.5], atol=0.01)
-
-
-def test_simulate_reference_counts_mean_total():
-    rng = np.random.default_rng(33)
-    totals = [
-        simulate_reference_counts(phi, rng).sum()
-        for phi in np.random.default_rng(1).uniform(0, 2 * math.pi, 400)
-    ]
-    assert np.mean(totals) == pytest.approx(DEFAULT_MEAN_REF_COUNTS, rel=0.05)
 
 
 def test_error_profile_vanishes_without_noise():

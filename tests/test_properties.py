@@ -1,4 +1,5 @@
-"""Property tests of the expected-value model over random valid settings."""
+"""Property tests of the expected-value model, the tally file format and
+the estimator over random valid inputs."""
 
 import math
 from dataclasses import replace
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfqkd import defaults
-from scfqkd.channelsim import STATE_LABELS, ProtocolParams, expected_tallies
-from scfqkd.keyrate import model_both_send_qber
+from scfqkd.channelsim import STATE_LABELS, ProtocolParams, SessionTallies, expected_tallies
+from scfqkd.dataio import load_raw_tallies, write_raw_tallies
+from scfqkd.estimator import counting_rates, tallies_to_sets
+from scfqkd.keyrate import key_length, model_both_send_qber
 
 unit = st.floats(0.0, 1.0)
 
@@ -55,3 +58,67 @@ def test_expected_tallies_cells_are_consistent(setting, n_windows):
 def test_model_both_send_qber_is_at_most_half(setting):
     params, model = setting
     assert 0.0 <= model_both_send_qber(params, model) <= 0.5
+
+
+@st.composite
+def consistent_tallies(draw):
+    """Integer session tallies that satisfy every conservation rule."""
+    t = SessionTallies(n_windows=0, threshold=math.radians(30.0))
+    for s in STATE_LABELS:
+        sent = draw(st.integers(0, 10**12))
+        selected = draw(st.integers(0, sent))
+        test = draw(st.integers(0, selected))
+        t.sent[s], t.sent_selected[s] = sent, selected
+        t.sent_test[s], t.sent_key[s] = test, selected - test
+        for pool, detected in ((test, t.detected_test), (selected - test, t.detected_key)):
+            ch0 = draw(st.integers(0, pool))
+            detected[(s, 0)], detected[(s, 1)] = ch0, draw(st.integers(0, pool - ch0))
+    t.n_windows = sum(t.sent.values())
+    return t
+
+
+@settings(max_examples=100, deadline=None)
+@given(consistent_tallies())
+def test_raw_tally_file_round_trips_every_cell(tmp_path_factory, t):
+    path = tmp_path_factory.mktemp("roundtrip") / "tallies.tsv"
+    write_raw_tallies(path, t, {"Delta-Degrees": 30, "Windows": t.n_windows})
+    back = load_raw_tallies(path, strict=True).tallies
+    for name in ("sent", "sent_selected", "sent_test", "sent_key", "detected_test", "detected_key"):
+        assert getattr(back, name) == getattr(t, name), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(configurations())
+def test_expected_tally_file_round_trips_every_cell(tmp_path_factory, setting):
+    params, model = setting
+    t = expected_tallies(params, model, 1e12)[params.delta_threshold]
+    path = tmp_path_factory.mktemp("roundtrip") / "tallies.tsv"
+    write_raw_tallies(path, t)
+    back = load_raw_tallies(path, strict=True).tallies
+    for name in ("sent", "sent_selected", "sent_test", "sent_key", "detected_test", "detected_key"):
+        assert getattr(back, name) == getattr(t, name), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 1e12), st.floats(0.0, 1e12), st.floats(0.0, 1.0), st.floats(1.0, 2.0),
+    st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+)
+def test_key_length_does_not_increase_with_phase_error(n_z, n_v, e_v, f_ec, a, b):
+    lo, hi = min(a, b), max(a, b)
+    at_lo = key_length(n_z, lo, n_v, e_v, f_ec)
+    at_hi = key_length(n_z, hi, n_v, e_v, f_ec)
+    # Rounding in the entropy can move a value by a few ulp of its terms.
+    assert at_hi <= at_lo + 1e-12 * (n_z + f_ec * n_v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(consistent_tallies(), st.booleans())
+def test_counting_rates_stay_in_unit_interval(t, swap):
+    for subset in tallies_to_sets(t, swap_detectors=swap):
+        rates = counting_rates(subset)
+        values = [*rates.by_state.values(), *rates.by_cell.values(), rates.total]
+        if rates.error_rate is not None:
+            values.append(rates.error_rate)
+        assert all(math.isnan(r) or 0.0 <= r <= 1.0 for r in values)
+        assert all(math.isnan(rates.by_state[s]) == (subset.sent[s] == 0) for s in STATE_LABELS)
