@@ -28,16 +28,22 @@ frozen order:
 3. for spans without both-send windows, the span-mean offset from the
    span's starting phase, N(S (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L)),
    which is its law given S;
-4. for the other spans, the whole walk given S (a discrete Brownian
-   bridge: increments sigma (Z_j - mean Z) + S / L, then uniforms that
-   place the both-send windows at random distinct positions);
+4. for the other spans, the walk only where it is observed (see
+   :func:`_bridge`): the both-send windows' distinct uniform positions
+   (one integer per span holding one, then a row of uniforms per span
+   holding more), a free Gaussian walk at those positions and then at the
+   span's end, which turns into the walk given S (a discrete Brownian
+   bridge), and one normal per span for the span mean given those points;
 5. the four reference slot counts per span (Poisson at the span-mean
    phase), from which the span's phase is estimated;
 6. per both-send window a test-set uniform, then left and right click
    uniforms against the click probabilities at its phase;
 7. per span, chained binomials for the other windows: 01 and 10 counts,
-   the test split per state, then effective clicks on channel 0 and on
-   channel 1 per (state, subset).
+   then the test split per state; then the chunk's effective clicks on
+   channel 0, one binomial total per (state, subset) cell followed by a
+   draw without replacement that spreads each nonzero total over its
+   cell's windows, and likewise channel 1 among the windows without a
+   channel-0 click (see :func:`_sparse_binomial`).
 
 A span is kept at threshold delta when the minor angle of its estimated
 phase is below delta.  Because the drift sums come first, a cheap
@@ -366,23 +372,86 @@ def _bridge(
     n_both: np.ndarray,
     scale: float,
 ):
-    """Walk of the spans that hold both-send windows, pinned at its drift sum.
+    """Walk of the spans that hold both-send windows, pinned at its drift sum,
+    drawn only where it is observed.
 
-    Each row is a span: ``scale * (Z_j - mean(Z)) + total / length`` are
-    increments with the law of the Gaussian walk given its sum (the
-    discrete Brownian bridge).  Returns the span-mean offsets, and the
-    offsets and row indices of ``n_both`` windows per row placed at
-    uniformly random distinct positions.
+    Each row is a span whose walk W has W_0 = 0 at the span's start, W_tau
+    the offset of its tau-th window, and W_L = ``total`` at its end.  Draws,
+    in this order: the ``n_both`` positions per row, uniform and distinct
+    (one integer in a row holding one, else the smallest of a row of
+    uniforms); a free Gaussian walk U at the sorted positions tau, then at
+    L, so that W_tau = U_tau - (tau / L)(U_L - total) has the law of the
+    walk given its sum (the discrete Brownian bridge); and one normal per
+    row for the span mean given those pinned points.  Between pinned points
+    (a, W_a) and (b, W_b), n = b - a steps, the walk is again a bridge, and
+    its sum over windows a+1..b is Gaussian with mean
+    n W_a + (W_b - W_a)(n + 1) / 2 and variance scale**2 n (n**2 - 1) / 12.
+    Returns the span-mean offsets, and the offsets and row indices of the
+    both-send windows, ordered by row and position.
     """
-    valid = np.arange(_SPAN) < length[:, None]
-    z = np.where(valid, rng.standard_normal(valid.shape), 0.0)
-    inc = scale * (z - z.sum(axis=1, keepdims=True) / length[:, None]) + (total / length)[:, None]
-    walk = np.cumsum(np.where(valid, inc, 0.0), axis=1)
-    mean = np.where(valid, walk, 0.0).sum(axis=1) / length
-    order = np.argsort(np.where(valid, rng.random(valid.shape), 2.0), axis=1)
-    picked = order[np.arange(_SPAN) < n_both[:, None]]
-    rows = np.repeat(np.arange(len(length)), n_both)
-    return mean, walk[rows, picked], rows
+    n_rows = len(length)
+    rows = np.repeat(np.arange(n_rows), n_both)
+    one = n_both == 1
+    pos = np.empty(rows.size, dtype=np.int64)
+    pos[one[rows]] = rng.integers(0, length[one])
+    many = np.flatnonzero(n_both > 1)
+    if many.size:
+        cols = np.arange(_SPAN)
+        order = np.argsort(
+            np.where(cols < length[many, None], rng.random((many.size, _SPAN)), 2.0), axis=1
+        )
+        first_k = cols < n_both[many, None]
+        picked = np.zeros(order.shape, dtype=bool)
+        picked[np.nonzero(first_k)[0], order[first_k]] = True
+        pos[~one[rows]] = np.nonzero(picked)[1]
+
+    tau = pos + 1.0
+    first = np.cumsum(n_both) - n_both
+    has = n_both > 0
+    last = first[has] + n_both[has] - 1
+    prev = np.empty_like(tau)
+    prev[1:] = tau[:-1]
+    prev[first[has]] = 0.0
+    gap = tau - prev
+    free = np.concatenate(([0.0], np.cumsum(scale * np.sqrt(gap) * rng.standard_normal(tau.size))))
+    tail = length.astype(float)
+    tail[has] -= tau[last]
+    free_end = free[first + n_both] - free[first] + scale * np.sqrt(tail) * rng.standard_normal(n_rows)
+    walk = free[1:] - free[first][rows] - tau / length[rows] * (free_end - total)[rows]
+
+    # The segments' mean sums add up to the trapezoid rule over the pinned points.
+    nxt = np.empty_like(tau)
+    nxt[:-1] = tau[1:]
+    nxt[last] = length[has]
+    span_sum = np.bincount(rows, walk * (nxt - prev) / 2, n_rows) + total * (tail + 1) / 2
+    span_var = np.bincount(rows, gap * (gap * gap - 1) / 12, n_rows) + tail * (tail * tail - 1) / 12
+    mean = (span_sum + scale * np.sqrt(span_var) * rng.standard_normal(n_rows)) / length
+    return mean, walk, rows
+
+
+def _sparse_binomial(rng: np.random.Generator, pool: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Independent Binomial(pool[i, c], q[c]) counts for every span i and
+    cell c, drawn as one binomial total per cell spread over the cell's
+    windows by a uniform draw without replacement: exact in law, and cheap
+    when the totals are small."""
+    n = pool.sum(axis=0)
+    totals = rng.binomial(n, q)
+    out = np.zeros_like(pool)
+    for c in np.flatnonzero(totals):
+        picks = rng.choice(n[c], totals[c], replace=False, shuffle=False)
+        span = np.searchsorted(np.cumsum(pool[:, c]), picks, "right")
+        out[:, c] = np.bincount(span, minlength=len(pool))
+    return out
+
+
+def _phase_free_clicks(rng: np.random.Generator, pool: np.ndarray, q0: np.ndarray, q1: np.ndarray):
+    """Effective clicks on channel 0 and on channel 1 among ``pool`` windows
+    per (span, cell), with per-cell probabilities ``q0`` and ``q1``: channel
+    0 first, then channel 1 among the windows without a channel-0 click."""
+    ch0 = _sparse_binomial(rng, pool, q0)
+    # q0 can only reach 1 where q1 is 0.
+    q1_rest = np.minimum(1.0, np.divide(q1, 1.0 - q0, out=np.zeros_like(q1), where=q1 > 0))
+    return ch0, _sparse_binomial(rng, pool - ch0, q1_rest)
 
 
 def _chunk_tallies(args):
@@ -430,13 +499,9 @@ def _chunk_tallies(args):
     sent = np.stack((rest - n01 - n10, n01, n10), axis=1)
     test = rng.binomial(sent, params.p_t)
     pool = np.stack((test, sent - test), axis=2)
-    q0, q1 = phase_free.T
-    ch0 = rng.binomial(pool, q0[:, None])
-    # Channel 1 among windows without an effective channel-0 click; q0 can
-    # only reach 1 where q1 is 0.
-    q1_rest = np.minimum(1.0, np.divide(q1, 1.0 - q0, out=np.zeros(3), where=q1 > 0))
-    ch1 = rng.binomial(pool - ch0, q1_rest[:, None])
-    counts[:, :3] = np.stack((pool, ch0, ch1), axis=3)
+    q0, q1 = np.repeat(phase_free, 2, axis=0).T
+    ch0, ch1 = _phase_free_clicks(rng, pool.reshape(n_spans, 6), q0, q1)
+    counts[:, :3] = np.stack((pool, ch0.reshape(pool.shape), ch1.reshape(pool.shape)), axis=3)
 
     # Float products are exact here (sums far below 2**53) and much faster
     # than integer matrix products.

@@ -73,6 +73,18 @@ def _build_model(r: _Resolver) -> ChannelModel:
     return model
 
 
+def _windows(r: _Resolver, default: float) -> int:
+    """The ``windows`` option: a whole number of at least 1."""
+    value = r.get("windows", default)
+    try:
+        count = float(value)
+    except (TypeError, ValueError):
+        count = math.nan
+    if not (math.isfinite(count) and count >= 1 and count.is_integer()):
+        raise ValueError(f"windows must be a whole number of at least 1, got {value!r}")
+    return int(count)
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -102,7 +114,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     params = _build_params(r)
     model = _build_model(r)
-    n_windows = int(float(r.get("windows", 1e7)))
+    n_windows = _windows(r, 1e7)
     seed = int(r.get("seed", 1))
     workers = int(r.get("workers", 1))
     result = simulate_session(params, model, n_windows, seed, workers=workers)
@@ -150,7 +162,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     target = None if args.no_calibrate else float(r.get("target_qber", defaults.REFERENCE_BOTH_SEND_QBER))
     points = keyrate.sweep_distance(
         params, model, distances,
-        n_windows=float(r.get("windows", 1e12)),
+        n_windows=float(_windows(r, 1e12)),
         target_qber=target,
     )
     _emit(dataio.emit_sweep_csv(points), args.out)
@@ -178,7 +190,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         mu_bounds=_parse_range(r.get("mu_range", "2e-4:2e-2"), "--mu-range"),
         epsilon_bounds=_parse_range(r.get("epsilon_range", "2e-3:2e-1"), "--epsilon-range"),
         delta_bounds=(math.radians(d_lo), math.radians(d_hi)),
-        n_windows=float(r.get("windows", 1e12)),
+        n_windows=float(_windows(r, 1e12)),
     )
     p = result.params
     lines = [
@@ -216,7 +228,7 @@ def _cmd_qber_table(args: argparse.Namespace) -> int:
         model = _build_model(r)
         deltas = [float(x) for x in str(r.get("delta_list", "2,5,8,10,12,15,30,45")).split(",")]
         thresholds = [math.radians(d) for d in deltas]
-        n_windows = int(float(r.get("windows", 1e7)))
+        n_windows = _windows(r, 1e7)
         result = simulate_session(
             params, model, n_windows, int(r.get("seed", 1)), workers=int(r.get("workers", 1)),
             thresholds=thresholds,

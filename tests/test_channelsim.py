@@ -310,6 +310,148 @@ def test_bridge_positions_and_span_mean_law():
     assert abs(walked.var() / closed.var() - 1.0) < 5 * math.sqrt(4.0 / rows)
 
 
+def _bridge_law(rows, length, scale, seed):
+    """Draw ``rows`` spans of ``length`` windows holding one or two
+    both-send windows, each span with its own drift sum; returns the sums,
+    the span means, and per entry the row, position tau (1-based) and
+    offset."""
+    rng = np.random.default_rng(seed)
+    total = scale * math.sqrt(length) * rng.standard_normal(rows)
+    n_both = np.full(rows, 2)
+    n_both[: rows // 2] = 1
+    lengths = np.full(rows, length)
+    mean, offset, row = channelsim._bridge(rng, total, lengths, n_both, scale)
+    # A noiseless copy with the same stream recovers the positions.
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(rows)
+    _, climb, _ = channelsim._bridge(rng, lengths.astype(float), lengths, n_both, 0.0)
+    return total, mean, row, np.rint(climb), offset
+
+
+def _z_mean_var(x, var):
+    """|z| of the sample mean of x against 0, and of its variance against
+    ``var`` (x Gaussian)."""
+    n = x.size
+    return abs(x.mean()) / math.sqrt(var / n), abs(x.var() / var - 1.0) / math.sqrt(2.0 / n)
+
+
+def test_bridge_pinned_value_and_span_mean_law():
+    """Given the drift sum S of an L-window span, the walk at window tau has
+    mean S tau / L and variance sigma**2 tau (L - tau) / L, and covariance
+    sigma**2 / L**2 sum_j min(tau, j)(L - max(tau, j)) with the span mean,
+    whose own law given S is N(S (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L))."""
+    length, scale = 9, 0.3
+    total, mean, row, tau, offset = _bridge_law(120_000, length, scale, seed=31)
+    single = np.bincount(row) == 1
+    m_res = mean - total * (length + 1) / (2 * length)
+    m_var = scale**2 * (length + 1) * (length - 1) / (12 * length)
+    assert max(_z_mean_var(m_res, m_var)) < 5
+    one = single[row]
+    j = np.arange(1, length + 1)
+    for t in range(1, length + 1):
+        at = one & (tau == t)
+        res = offset[at] - total[row[at]] * t / length
+        var = scale**2 * t * (length - t) / length
+        if t == length:
+            assert np.allclose(res, 0.0, atol=1e-12)
+            continue
+        assert max(_z_mean_var(res, var)) < 5, t
+        cov = scale**2 * np.sum(np.minimum(t, j) * (length - np.maximum(t, j))) / length**2
+        prod = res * m_res[row[at]]
+        se = math.sqrt((var * m_var + cov**2) / at.sum())
+        assert abs(prod.mean() - cov) < 5 * se, t
+
+
+def test_bridge_second_pinned_value_given_first():
+    """With two both-send windows at tau1 < tau2, the second has mean
+    W1 + (S - W1)(tau2 - tau1) / (L - tau1) and variance
+    sigma**2 (tau2 - tau1)(L - tau2) / (L - tau1) given the first and S."""
+    length, scale = 12, 0.2
+    total, _, row, tau, offset = _bridge_law(120_000, length, scale, seed=32)
+    first = np.flatnonzero(np.bincount(row)[row] == 2)[::2]
+    t1, t2 = tau[first], tau[first + 1]
+    w1, w2, s = offset[first], offset[first + 1], total[row[first]]
+    assert np.all(t1 < t2)
+    res1 = w1 - s * t1 / length
+    assert max(_z_mean_var(res1 / np.sqrt(t1 * (length - t1) / length), scale**2)) < 5
+    end = t2 == length
+    assert np.allclose(w2[end], s[end], atol=1e-12)
+    mid = ~end
+    cond_mean = w1 + (s - w1) * (t2 - t1) / (length - t1)
+    cond_sd = np.sqrt((t2 - t1) * (length - t2) / (length - t1))
+    z = (w2 - cond_mean)[mid] / cond_sd[mid]
+    assert max(_z_mean_var(z, scale**2)) < 5
+    # Given W1 the residual carries no further dependence on it.
+    corr = np.corrcoef(z, res1[mid])[0, 1]
+    assert abs(corr) < 5 / math.sqrt(z.size)
+
+
+def test_bridge_positions_distinct_uniform_and_dense():
+    rng = np.random.default_rng(33)
+    rows = 30_000
+    # Two of five positions: every one of the ten pairs is equally likely.
+    length = np.full(rows, 5)
+    _, climb, row = channelsim._bridge(rng, length.astype(float), length, np.full(rows, 2), 0.0)
+    lo, hi = np.rint(climb[::2]).astype(int), np.rint(climb[1::2]).astype(int)
+    assert np.array_equal(row[::2], row[1::2]) and np.all(lo < hi) and np.all(hi <= 5)
+    pairs = np.bincount((lo - 1) * 5 + hi - 1, minlength=25).reshape(5, 5)[np.triu_indices(5, 1)]
+    expect = rows / 10
+    assert pairs.sum() == rows
+    assert np.sum((pairs - expect) ** 2 / expect) < 9 + 5 * math.sqrt(18)
+    # Every window both-send (epsilon = 1), full and ragged spans: each
+    # position once, and the span mean is the mean of the pinned walk.
+    length = np.array([DEFAULT_SPAN_WINDOWS, 105, DEFAULT_SPAN_WINDOWS, 1])
+    total = rng.standard_normal(4)
+    mean, offset, row = channelsim._bridge(rng, total, length, length, 0.05)
+    _, climb, _ = channelsim._bridge(rng, length.astype(float), length, length, 0.0)
+    assert np.array_equal(np.rint(climb), np.concatenate([np.arange(1, n + 1) for n in length]))
+    last = np.cumsum(length) - 1
+    assert np.allclose(offset[last], total, rtol=0, atol=1e-12)
+    assert np.allclose(mean, np.bincount(row, offset) / length, rtol=0, atol=1e-12)
+
+
+def test_sparse_binomial_matches_independent_binomials():
+    """Per (span, cell) mean, variance and probability of zero of the
+    spread totals against Binomial(pool, q), and no correlation between
+    spans of a cell."""
+    rng = np.random.default_rng(34)
+    pool = np.array([[0, 3, 40, 7], [1, 12, 0, 30], [5, 150, 9, 2], [25, 1, 60, 11]])
+    q = np.array([0.3, 0.02, 0.5, 0.004])
+    draws = np.array([channelsim._sparse_binomial(rng, pool, q) for _ in range(20_000)])
+    assert np.all((0 <= draws) & (draws <= pool))
+    mean, var = pool * q, pool * q * (1 - q)
+    live = var > 0
+    se = np.sqrt(var / len(draws))
+    assert np.all(np.abs(draws.mean(axis=0) - mean)[live] < 5 * se[live])
+    assert np.all(draws.std(axis=0)[~live] == 0)
+    fourth = var * (1 + 3 * (pool - 2) * q * (1 - q))  # the binomial's fourth central moment
+    var_se = np.sqrt((fourth - var**2) / len(draws))
+    assert np.all(np.abs(draws.var(axis=0) - var)[live] < 5 * var_se[live])
+    p0 = (1 - q) ** pool
+    p0_se = np.sqrt(p0 * (1 - p0) / len(draws))
+    assert np.all(np.abs((draws == 0).mean(axis=0) - p0) <= 5 * p0_se + 1e-12)
+    for c in range(pool.shape[1]):
+        a, b = draws[:, 1, c], draws[:, 3, c]
+        if a.std() > 0 and b.std() > 0:
+            assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(len(draws))
+
+
+def test_sparse_binomial_edge_probabilities():
+    rng = np.random.default_rng(35)
+    pool = np.array([[0, 4, 7], [9, 0, 2], [3, 5, 0]])
+    assert np.array_equal(channelsim._sparse_binomial(rng, pool, np.zeros(3)), np.zeros_like(pool))
+    assert np.array_equal(channelsim._sparse_binomial(rng, pool, np.ones(3)), pool)
+    empty = np.zeros_like(pool)
+    assert np.array_equal(channelsim._sparse_binomial(rng, empty, np.full(3, 0.5)), empty)
+    ch0, ch1 = channelsim._phase_free_clicks(
+        rng, pool, np.array([1.0, 0.0, 0.2]), np.array([0.0, 1.0, 0.8])
+    )
+    assert np.array_equal(ch0[:, 0], pool[:, 0]) and np.all(ch1[:, 0] == 0)
+    assert np.all(ch0[:, 1] == 0) and np.array_equal(ch1[:, 1], pool[:, 1])
+    # q0 + q1 = 1: every window clicks on exactly one channel.
+    assert np.array_equal(ch0[:, 2] + ch1[:, 2], pool[:, 2])
+
+
 def test_span_sampler_matches_per_window_oracle():
     """Two-sample z-test per cell between the span-level simulator and the
     per-window oracle over many short sessions, at high click rates and

@@ -120,13 +120,18 @@ def test_simulate_epsilon_zero_has_no_key(tmp_path, capsys):
 
 
 def test_simulate_then_analyze_roundtrip(tmp_path, capsys):
-    """Integration: a simulated session file feeds the analysis chain."""
+    """Integration: a simulated session file feeds the analysis chain.
+
+    At mu = 0.02 the test set expects about 18 mismatched-send detections
+    and every one of 100 seeds gives a report; at the reference mu = 0.002
+    it expects 1.8, and 7 to 15 seeds in 60 give none and no report."""
     target = tmp_path / "s50.tsv"
     code, out, _ = run(capsys, "simulate", "--windows", "1e7", "--seed", "2",
-                       "--out", str(target))
+                       "--mu", "0.02", "--out", str(target))
     assert code == 0
     assert "key rate per window" in out
-    code, out2, _ = run(capsys, "analyze", "--in", str(target), "--format", "json")
+    code, out2, _ = run(capsys, "analyze", "--in", str(target), "--mu", "0.02",
+                        "--format", "json")
     assert code == 0
     rep = json.loads(out2)
     assert rep["n_total_pulses"] == 10_000_000
@@ -226,3 +231,31 @@ def test_qber_table_does_not_hide_key_errors(monkeypatch):
     monkeypatch.setattr(keyrate, "analyze_tallies", broken)
     with pytest.raises(KeyError):
         main(["qber-table", "--in", defaults.bundled_tally_path()])
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["sweep", "--distances", "50"], ["optimize"], ["qber-table", "--simulate"],
+])
+@pytest.mark.parametrize("windows", ["inf", "-inf", "nan", "1000.7", "0", "-5"])
+def test_bad_windows_rejected_by_name(tmp_path, capsys, command, windows):
+    target = tmp_path / "out.tsv"
+    code, out, err = run(capsys, *command, f"--windows={windows}", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: windows must be a whole number")
+    assert not target.exists()
+
+
+def test_bad_windows_in_config_rejected_by_name(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"windows": "many"}))
+    code, _, err = run(capsys, "sweep", "--config", str(cfg), "--distances", "50")
+    assert code == 2
+    assert "windows must be a whole number" in err and "'many'" in err
+
+
+def test_whole_float_windows_accepted(tmp_path, capsys):
+    target = tmp_path / "sim.tsv"
+    code, _, _ = run(capsys, "simulate", "--windows", "1800.0", "--seed", "4", "--out", str(target))
+    assert code == 0
+    assert sum(dataio.load_raw_tallies(target).tallies.sent.values()) == 1800

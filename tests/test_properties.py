@@ -4,12 +4,13 @@ the estimator over random valid inputs."""
 import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfqkd import defaults
 from scfqkd.channelsim import STATE_LABELS, ProtocolParams, SessionTallies, expected_tallies
-from scfqkd.dataio import load_raw_tallies, write_raw_tallies
+from scfqkd.dataio import ParseError, load_raw_tallies, write_raw_tallies
 from scfqkd.estimator import counting_rates, tallies_to_sets
 from scfqkd.keyrate import key_length, model_both_send_qber
 
@@ -85,6 +86,25 @@ def test_raw_tally_file_round_trips_every_cell(tmp_path_factory, t):
     back = load_raw_tallies(path, strict=True).tallies
     for name in ("sent", "sent_selected", "sent_test", "sent_key", "detected_test", "detected_key"):
         assert getattr(back, name) == getattr(t, name), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(consistent_tallies(), st.data(), st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+def test_non_finite_value_rejected_by_key(tmp_path_factory, t, data, bad):
+    path = tmp_path_factory.mktemp("nonfinite") / "tallies.tsv"
+    metadata = {"Delta-Degrees": 30, "Mu": 0.002, "Epsilon": 0.021, "Pt": 0.1, "F-EC": 1.1,
+                "Windows": t.n_windows, "Seed": 1}
+    write_raw_tallies(path, t, metadata)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    key = lines[i].split("\t")[0]
+    lines[i] = f"{key}\t{bad}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for strict in (True, False):
+        with pytest.raises(ParseError) as exc:
+            load_raw_tallies(path, strict=strict)
+        assert exc.value.key == key
+        assert key in str(exc.value)
 
 
 @settings(max_examples=100, deadline=None)
