@@ -12,6 +12,7 @@ key length by the total number of signal windows.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -23,6 +24,8 @@ from .channelsim import STATE_LABELS, ChannelModel, ProtocolParams
 from .channelsim import expected_tallies  # noqa: F401  (kept importable from this module)
 from .estimator import DETECTORS, CountingRates, KeyRateReport, TallySet
 from .phasecore import binary_entropy
+
+_log = logging.getLogger(__name__)
 
 _TEST_CELLS = ("01", "10", ("00", "L"), ("00", "R"), ("11", "L"), ("11", "R"), ("01", "L"), ("10", "L"))
 """Test-set counting rates the phase-flip bound needs."""
@@ -264,16 +267,55 @@ def analyze_expected(
     return batch.report(0)
 
 
+def _both_send_qber(params: ProtocolParams, model: ChannelModel, visibility) -> np.ndarray:
+    """Expected wrong-port fraction of kept both-send windows at each of the
+    given visibilities, from one model call; NaN where the model predicts no
+    both-send detections."""
+    vis = np.asarray(visibility, dtype=float)[:, None]
+    inten = np.broadcast_to(channelsim._arm_intensities(model, [params.mu]), (len(vis), 2))
+    p_ch0, p_ch1 = channelsim._effective_probs(
+        params, model, [params.delta_threshold], inten, vis
+    )[:, 3].T
+    total = p_ch0 + p_ch1
+    return np.divide(p_ch1, total, out=np.full_like(total, np.nan), where=total > 0.0)
+
+
 def model_both_send_qber(
     params: ProtocolParams, model: ChannelModel, delta_threshold: float | None = None
 ) -> float:
     """Expected wrong-port fraction of kept both-send windows."""
     if delta_threshold is not None:
         params = replace(params, delta_threshold=delta_threshold)
-    p_ch0, p_ch1 = channelsim._effective_probs(params, model, [params.delta_threshold])[0, 3].tolist()
-    if not p_ch0 + p_ch1 > 0.0:
+    return _checked_qber(_both_send_qber(params, model, [model.visibility]).item())
+
+
+def _checked_qber(q: float) -> float:
+    """``q``, or ValueError where :func:`_both_send_qber` found no detections."""
+    if math.isnan(q):
         raise ValueError("model predicts no both-send detections")
-    return p_ch1 / (p_ch0 + p_ch1)
+    return q
+
+
+# Halvings covered by one batched model call in calibrate_visibility.  A
+# call costs about 0.1-0.17 ms plus 2-3.5 us per row on a 2-core host, and
+# covering k halvings takes 2**k - 1 rows; the default tol needs 34
+# halvings, so ceil(34 / k) calls.  k = 4 (9 calls, about 125 rows) and
+# k = 5 (7 calls, about 200 rows) cost least, k = 6 (6 calls, about 330
+# rows) a little more; 5 keeps a calibration within 8 calls.
+_CALIBRATION_LEVELS = 5
+
+
+def _bisection_midpoints(lo: float, hi: float, tol: float) -> list:
+    """Every midpoint that bisection of [lo, hi] down to width ``tol`` can
+    visit in its next ``_CALIBRATION_LEVELS`` halvings, in increasing order,
+    each computed as bisection computes it, 0.5 * (lo + hi)."""
+    edges, width = [lo, hi], hi - lo
+    for _ in range(_CALIBRATION_LEVELS):
+        if not width > tol:
+            break
+        edges = [x for a, b in zip(edges, edges[1:]) for x in (a, 0.5 * (a + b))] + [hi]
+        width *= 0.5
+    return edges[1:-1]
 
 
 def calibrate_visibility(
@@ -288,20 +330,45 @@ def calibrate_visibility(
     distribution, so the calibrated visibility absorbs every interference
     imperfection of the measured setup, tracking error included.  The QBER
     is monotone decreasing in visibility; when the target falls outside the
-    reachable range the nearer endpoint of [0, 1] is returned.
+    reachable range the nearer endpoint of [0, 1] is returned and a WARNING
+    naming the target and the range is logged.
+
+    The search is bisection of [0, 1] down to width ``tol``, run against
+    batches of model values: one batched call evaluates every midpoint the
+    bisection can visit in its next five halvings, 31 points, and the first
+    call also the endpoints 1 and 0.  The midpoints are dyadic rationals
+    computed with bisection's own arithmetic, and the loop makes bisection's
+    own comparisons, so the result equals plain one-point-per-step
+    bisection bit for bit, whether or not the model's QBER is monotone in
+    floating point.  The default ``tol`` takes 34 halvings, so 7 model
+    calls instead of 36.
     """
     if not 0.0 < target_qber < 0.5:
         raise ValueError(f"target_qber must lie in (0, 0.5), got {target_qber!r}")
     lo, hi = 0.0, 1.0
-    q_hi = model_both_send_qber(params, replace(model, visibility=hi))
-    if q_hi >= target_qber:
-        return hi
-    q_lo = model_both_send_qber(params, replace(model, visibility=lo))
-    if q_lo <= target_qber:
-        return lo
+    known = {}
+
+    def qber(v: float) -> float:
+        if v not in known:
+            points = ([] if known else [hi, lo]) + _bisection_midpoints(lo, hi, tol)
+            known.update(zip(points, _both_send_qber(params, model, points).tolist()))
+        return _checked_qber(known[v])
+
+    def unreachable(v: float) -> float:
+        _log.warning(
+            "target both-send QBER %.6g lies outside the reachable range [%.6g, %.6g] "
+            "of visibilities 1 to 0; returning visibility %g",
+            target_qber, known[1.0], known[0.0], v,
+        )
+        return v
+
+    if qber(hi) >= target_qber:
+        return unreachable(hi)
+    if qber(lo) <= target_qber:
+        return unreachable(lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if model_both_send_qber(params, replace(model, visibility=mid)) > target_qber:
+        if qber(mid) > target_qber:
             lo = mid
         else:
             hi = mid

@@ -97,7 +97,7 @@ def interfere(
     intensity_a: ArrayLike,
     intensity_b: ArrayLike,
     phase_diff: ArrayLike,
-    visibility: float = 1.0,
+    visibility: ArrayLike = 1.0,
 ) -> PortIntensities:
     """Combine two weak coherent pulses on a symmetric beam splitter.
 
@@ -112,9 +112,14 @@ def interfere(
 
     Both outputs are non-negative for any visibility in [0, 1] and their sum
     equals ``intensity_a + intensity_b`` identically.  Scalar and ndarray
-    arguments broadcast in the usual numpy way.
+    arguments broadcast in the usual numpy way; ``visibility`` may be an
+    ndarray too, such as one value per batch row with shape (rows, 1).
     """
-    if not 0.0 <= visibility <= 1.0:
+    if isinstance(visibility, np.ndarray):
+        inside = (visibility >= 0.0) & (visibility <= 1.0)
+        if not inside.all():
+            raise ValueError(f"visibility must lie in [0, 1], got {visibility[~inside][0].item()!r}")
+    elif not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
     a = np.asarray(intensity_a, dtype=float)
     b = np.asarray(intensity_b, dtype=float)

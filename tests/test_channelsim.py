@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from scfqkd import channelsim, dataio, defaults, keyrate
+from scfqkd import channelsim, dataio, defaults, keyrate, phasetrack
 from scfqkd.channelsim import (
     CHUNK_WINDOWS,
     STATE_LABELS,
@@ -695,6 +695,57 @@ def test_effective_probs_rows_do_not_depend_on_each_other():
         single,
         channelsim._effective_probs(params, model, thresholds[1], channelsim._arm_intensities(model, mu[1:2])),
     )
+
+
+def test_effective_probs_per_row_visibility_equals_single_rows():
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    vis = [0.0, 0.25, 0.9, 0.9990234375, 1.0]
+    mu = [2e-4, 3e-3, 0.05, 0.002, 0.01]
+    thresholds = [math.radians(2.0), math.radians(30.0), math.pi]
+    together = channelsim._effective_probs(
+        params, model, thresholds, channelsim._arm_intensities(model, mu),
+        np.array(vis)[:, None],
+    )
+    for i, v in enumerate(vis):
+        alone = channelsim._effective_probs(
+            replace(params, mu=mu[i]), replace(model, visibility=v), thresholds
+        )
+        assert np.array_equal(together[i:i + 1], alone)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+def test_effective_probs_rejects_bad_row_visibility(bad):
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    vis = np.array([[0.5], [bad], [1.0]])
+    with pytest.raises(ValueError, match=rf"visibility must lie in \[0, 1\], got {bad!r}"):
+        channelsim._effective_probs(
+            params, model, [math.radians(30.0)], channelsim._arm_intensities(model, [0.002] * 3), vis
+        )
+
+
+@pytest.mark.parametrize("p_t", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("m", [5 * DEFAULT_SPAN_WINDOWS + 77, CHUNK_WINDOWS])
+def test_chunk_totals_equal_sums_over_span_counts(monkeypatch, p_t, m):
+    """A chunk's sent windows per state and its effective windows equal the
+    sums over its per-span counts, read here through a threshold that keeps
+    every span."""
+    monkeypatch.setattr(phasetrack, "estimate_phase_batch", lambda counts: np.zeros(len(counts)))
+    params = ProtocolParams(mu=0.5, epsilon=0.3, p_t=p_t)
+    model = ChannelModel(fiber_km_a=1.0, fiber_km_b=2.0, dark_prob=1e-3, visibility=0.9)
+    phase_free = channelsim._effective_probs(params, model)[0]
+    sent, effective, per_thr = channelsim._chunk_tallies(
+        (params, model, 9, 0, m, 0.3, np.array([math.pi]), 45.0, phase_free)
+    )
+    (cells,) = per_thr
+    assert sent.tolist() == cells[..., 0].sum(axis=1).tolist()
+    assert sent.sum() == m
+    assert type(effective) is int
+    assert effective == cells[..., 1:].sum() > 0
+    test_windows, key_windows = cells[..., 0].sum(axis=0)
+    assert (test_windows == 0) == (p_t == 0.0)
+    assert (key_windows == 0) == (p_t == 1.0)
 
 
 def _count_leggauss(monkeypatch):

@@ -259,3 +259,35 @@ def test_whole_float_windows_accepted(tmp_path, capsys):
     code, _, _ = run(capsys, "simulate", "--windows", "1800.0", "--seed", "4", "--out", str(target))
     assert code == 0
     assert sum(dataio.load_raw_tallies(target).tallies.sent.values()) == 1800
+
+
+# `scfqkd sweep` with every default: visibility calibrated to the reference
+# both-send QBER, 0:80:5 km.
+DEFAULT_SWEEP_STDOUT = (
+    "distance_km,rate_per_pulse,s_tilde_z,n_tilde_z,e_ph_upper,e_v,n_v,n_f\n"
+    "0.0,1.5593867041691318e-06,0.0008433607321659382,5201595.987779857,0.12093095047781462,0.021468407014062624,5315715.941176169,1559386.7041691318\n"
+    "5.0,1.3375549595153318e-06,0.0007516999985920615,4636260.081316258,0.12476612524674047,0.02153358338460077,4738292.497920866,1337554.9595153318\n"
+    "10.0,1.1433789437714233e-06,0.0006699966369255533,4132338.257565735,0.12884121355607972,0.021606547458741975,4223595.57582125,1143378.9437714233\n"
+    "15.0,9.736460010569657e-07,0.0005971699812630713,3683165.2934362446,0.13317158217227126,0.021688263522876148,3764817.6507615363,973646.0010569657\n"
+    "20.0,8.255027120614365e-07,0.0005322564371363263,3282798.0273257196,0.13777369080467258,0.021779810997419213,3355888.6478032586,825502.7120614365\n"
+    "25.0,6.964157201396168e-07,0.00047439684257984913,2925937.4059797353,0.14266517451532734,0.021882398500007314,2991396.3326011742,696415.7201396169\n"
+    "30.0,5.841367404507192e-07,0.00042282518467119147,2607858.8914965075,0.14786493364402775,0.02199737955638982,2666515.2393084737,584136.7404507191\n"
+    "35.0,4.86671318779092e-07,0.00037685852803898113,2324350.343386024,0.15339323196013202,0.022126270150264353,2376943.2314570863,486671.31877909193\n"
+    "40.0,4.022509490581583e-07,0.0003358880266394814,2071656.5819043296,0.15927180383225037,0.022270768323299786,2118844.8854614506,402250.94905815826\n"
+    "45.0,3.293081973967494e-07,0.00029937090346166255,1846429.921280496,0.16552397129516652,0.02243277605827618,1888800.9704696978,329308.1973967494\n"
+    "50.0,2.664545157649163e-07,0.0002668232948579097,1645686.0356951295,0.17217477199122236,0.022614423701637795,1683763.374049177,266454.5157649163\n"
+    "55.0,2.1246046064303283e-07,0.00023781386702939774,1466764.5876772164,0.17925109907198677,0.022818097206765458,1501014.89137747,212460.46064303283\n"
+    "60.0,1.6623806109311546e-07,0.000211958121931648,1307294.1086378254,0.18678185426658717,0.023046468505819644,1338133.3569043074,166238.06109311545\n"
+    "65.0,1.2682510709737852e-07,0.00018891331860905114,1165160.6751850448,0.19479811545699627,0.023302529345890197,1192959.652495791,126825.10709737852\n"
+    "70.0,9.337115284648846e-08,0.00016837394381174426,1038479.9732476951,0.20333332024933554,0.0235896289541031,1063569.1754639104,93371.15284648846\n"
+    "75.0,6.512505116270052e-08,0.00015006767278119418,925572.3854125714,0.21242346719558206,0.023911515925818576,948246.3941683276,65125.05116270052\n"
+    "80.0,4.142385461634773e-08,0.00013375176739192647,824940.7757431848,0.22210733650378606,0.02427238475945309,845462.1585551944,41423.85461634773\n"
+    "\n"
+)
+
+
+def test_sweep_default_stdout_is_unchanged(capsys):
+    code, out, err = run(capsys, "sweep")
+    assert code == 0
+    assert out == DEFAULT_SWEEP_STDOUT
+    assert err == ""

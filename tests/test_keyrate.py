@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import fields, replace
 
@@ -5,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from scfqkd import channelsim, dataio, defaults
+from scfqkd import channelsim, dataio, defaults, keyrate
 from scfqkd.channelsim import ChannelModel, ProtocolParams, expected_tallies
 from scfqkd.estimator import (
     EstimationError,
@@ -156,6 +157,109 @@ def test_calibrate_visibility_saturates():
     assert calibrate_visibility(params, model, 1e-6) == 1.0
     with pytest.raises(ValueError):
         calibrate_visibility(params, model, 0.6)
+
+
+def _bisection_oracle(params, model, target, tol=1e-10):
+    """Calibration as plain bisection, one model call per step."""
+    if not 0.0 < target < 0.5:
+        raise ValueError(f"target_qber must lie in (0, 0.5), got {target!r}")
+    lo, hi = 0.0, 1.0
+    if model_both_send_qber(params, replace(model, visibility=hi)) >= target:
+        return hi
+    if model_both_send_qber(params, replace(model, visibility=lo)) <= target:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if model_both_send_qber(params, replace(model, visibility=mid)) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _asymmetric_model():
+    """Channel 1 detects half as well, so visibility 0 gives a QBER near 1/3."""
+    model = defaults.reference_model(50.0)
+    return replace(model, det_eff_right=0.5 * model.det_eff_right)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.3])
+def test_calibrate_visibility_equals_bisection(tol):
+    params = defaults.reference_params()
+    wide = replace(params, delta_threshold=math.radians(90.0))
+    cases = [
+        (params, defaults.reference_model(d), t)
+        for d in (0.0, 50.0, 100.0)
+        for t in (1e-6, 0.03, defaults.REFERENCE_BOTH_SEND_QBER, 0.2, 0.45, 0.4999)
+    ]
+    cases += [(params, _asymmetric_model(), t) for t in (0.2, 0.33, 0.4)]
+    cases += [(wide, model, t) for model in (defaults.reference_model(50.0), _asymmetric_model())
+              for t in (0.1, 0.3)]
+    clamps = set()
+    for p, model, t in cases:
+        got = calibrate_visibility(p, model, t, tol=tol)
+        assert got.hex() == _bisection_oracle(p, model, t, tol=tol).hex()
+        if got in (0.0, 1.0):
+            clamps.add(got)
+    assert clamps == {0.0, 1.0}
+
+
+def test_calibrate_visibility_without_detections_fails():
+    with pytest.raises(ValueError, match="model predicts no both-send detections"):
+        calibrate_visibility(ProtocolParams(mu=0.0), ChannelModel(dark_prob=0.0), 0.1)
+    with pytest.raises(ValueError, match=r"target_qber must lie in \(0, 0.5\)"):
+        calibrate_visibility(ProtocolParams(mu=0.0), ChannelModel(dark_prob=0.0), 0.5)
+
+
+def test_calibrated_sweep_makes_few_model_calls(monkeypatch):
+    calls = []
+    click = channelsim.click_probabilities
+    calibrate = keyrate.calibrate_visibility
+
+    def counting_click(*args, **kwargs):
+        calls.append("click")
+        return click(*args, **kwargs)
+
+    def marked_calibrate(*args, **kwargs):
+        calls.append("start")
+        vis = calibrate(*args, **kwargs)
+        calls.append("end")
+        return vis
+
+    monkeypatch.setattr(channelsim, "click_probabilities", counting_click)
+    monkeypatch.setattr(keyrate, "calibrate_visibility", marked_calibrate)
+    sweep_distance(defaults.reference_params(), defaults.reference_model(50.0),
+                   [0.0, 50.0, 80.0], target_qber=defaults.REFERENCE_BOTH_SEND_QBER)
+    assert 0 < calls.index("end") - calls.index("start") - 1 <= 8
+    assert calls[calls.index("end") + 1:] == ["click"]
+
+
+def test_calibrate_visibility_warns_when_target_unreachable(caplog):
+    params = defaults.reference_params()
+    q_one = model_both_send_qber(params, replace(defaults.reference_model(50.0), visibility=1.0))
+    with caplog.at_level(logging.WARNING, logger="scfqkd.keyrate"):
+        assert calibrate_visibility(params, defaults.reference_model(50.0), 1e-6) == 1.0
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.name == "scfqkd.keyrate"
+    assert "1e-06" in record.getMessage()
+    assert f"[{q_one:.6g}, " in record.getMessage()
+    assert record.getMessage().endswith("returning visibility 1")
+
+    caplog.clear()
+    model = _asymmetric_model()
+    q_zero = model_both_send_qber(params, replace(model, visibility=0.0))
+    with caplog.at_level(logging.WARNING, logger="scfqkd.keyrate"):
+        assert calibrate_visibility(params, model, 0.4) == 0.0
+    (record,) = caplog.records
+    assert "0.4 " in record.getMessage()
+    assert f", {q_zero:.6g}]" in record.getMessage()
+    assert record.getMessage().endswith("returning visibility 0")
+
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="scfqkd.keyrate"):
+        calibrate_visibility(params, model, 0.2)
+    assert caplog.records == []
 
 
 def test_sweep_distance_shape_and_monotonicity():

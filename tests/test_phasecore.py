@@ -133,3 +133,16 @@ def test_interfere_validation():
 def test_port_intensities_total():
     p = PortIntensities(0.25, 0.5)
     assert p.total == pytest.approx(0.75)
+
+
+def test_interfere_per_row_visibility():
+    a, b, phase = np.array([[0.8], [0.3]]), np.array([[0.2], [0.3]]), np.array([0.0, 1.0, 2.5])
+    vis = np.array([[0.9], [0.4]])
+    out = interfere(a, b, phase, visibility=vis)
+    for i in range(2):
+        row = interfere(a[i], b[i], phase, visibility=float(vis[i, 0]))
+        assert np.array_equal(out.left[i], row.left)
+        assert np.array_equal(out.right[i], row.right)
+    for bad in (np.array([[0.5], [math.nan]]), np.array([1.0, 1.5]), np.array(-0.2)):
+        with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\], got"):
+            interfere(1.0, 0.5, 0.0, visibility=bad)
