@@ -14,6 +14,14 @@ labelled B maps "send" to bit 0, so the mismatched-decision windows carry
 perfectly correlated bits.  State labels are two digits, A first, each digit
 1 when that party sent ("01" means only B sent).
 
+Every count lives in one tally layout, :class:`SessionTallies`: per joint
+state the windows sent and selected, then a (subset, cell) table with
+subset (test, key) and cell (windows, effective on ch0, effective on
+ch1).  The Monte Carlo chunks and the batched expected-value model produce
+that (state, subset, cell) table directly, the raw files of
+:mod:`scfqkd.dataio` name its entries, and the estimator reads one subset
+of it as a :class:`~scfqkd.estimator.TallySet`.
+
 The Monte Carlo works per reference span rather than per window, which is
 exact for this model: only both-send ("11") windows, a fraction epsilon**2
 of all windows, click with a phase-dependent probability; post-selection
@@ -57,8 +65,9 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -85,9 +94,9 @@ def _check_rows(**values: np.ndarray) -> None:
     per-row values; the first offending value is reported."""
     for name, v in values.items():
         rule, ok = _ROW_RANGES[name]
-        bad = ~ok(v)
-        if bad.any():
-            raise ValueError(f"{name} must {rule}, got {v[bad][0].item()!r}")
+        good = ok(v)
+        if not good.all():
+            raise ValueError(f"{name} must {rule}, got {v[~good][0].item()!r}")
 
 
 @dataclass(frozen=True)
@@ -171,44 +180,63 @@ class ChannelModel:
             raise ValueError(f"gate_fraction must lie in (0, 1], got {self.gate_fraction!r}")
 
 
-@dataclass
-class SessionTallies:
-    """Aggregate counts of a session, shaped like the raw data files.
+_STATE_CHANNELS = tuple((s, ch) for s in STATE_LABELS for ch in (0, 1))
 
-    ``sent`` counts every window by joint state; ``sent_selected`` restricts
-    to windows passing the phase threshold; ``sent_test`` / ``sent_key``
-    split those into the announced test subset and the key subset.
-    ``detected_test`` / ``detected_key`` count effective windows by state and
-    physical output channel (0 or 1).  Values are ints for Monte Carlo runs
-    and floats for expected-value calculations.
+
+def _view(keys, values: np.ndarray) -> Mapping:
+    """Read-only mapping of ``keys`` to the flattened ``values``."""
+    return MappingProxyType(dict(zip(keys, values.ravel().tolist())))
+
+
+@dataclass(eq=False)
+class SessionTallies:
+    """Aggregate counts of a session in the package's one tally layout.
+
+    ``counts`` has one row per joint state, in ``STATE_LABELS`` order, and
+    eight columns: the windows sent, the windows kept at the threshold
+    (selected), then the kept windows' (subset, cell) table with subset
+    (test, key) and cell (windows, effective on ch0, effective on ch1).
+    :attr:`cells` is that table as a (state, subset, cell) view.  Values
+    are ints for Monte Carlo runs, floats for expected-value calculations
+    and the numbers as written for a raw tally file.
+
+    ``sent``, ``sent_selected``, ``sent_test``, ``sent_key``,
+    ``detected_test`` and ``detected_key`` are read-only mappings of the
+    raw-file cells, keyed by state or by (state, physical channel).
     """
 
     n_windows: float
     threshold: float
-    sent: dict = field(default_factory=dict)
-    sent_selected: dict = field(default_factory=dict)
-    sent_test: dict = field(default_factory=dict)
-    sent_key: dict = field(default_factory=dict)
-    detected_test: dict = field(default_factory=dict)
-    detected_key: dict = field(default_factory=dict)
+    counts: np.ndarray
     effective_windows: float = 0
+
+    cells = property(lambda self: self.counts[:, 2:].reshape(4, 2, 3))
+    sent = property(lambda self: _view(STATE_LABELS, self.counts[:, 0]))
+    sent_selected = property(lambda self: _view(STATE_LABELS, self.counts[:, 1]))
+    sent_test = property(lambda self: _view(STATE_LABELS, self.counts[:, 2]))
+    sent_key = property(lambda self: _view(STATE_LABELS, self.counts[:, 5]))
+    detected_test = property(lambda self: _view(_STATE_CHANNELS, self.counts[:, 3:5]))
+    detected_key = property(lambda self: _view(_STATE_CHANNELS, self.counts[:, 6:8]))
+
+    def __eq__(self, other):
+        if not isinstance(other, SessionTallies):
+            return NotImplemented
+        return (self.n_windows, self.threshold, self.effective_windows) == (
+            other.n_windows, other.threshold, other.effective_windows
+        ) and np.array_equal(self.counts, other.counts)
 
     def check_conservation(self) -> None:
         """Raise ValueError if the tally structure is internally inconsistent."""
-        if sum(self.sent.values()) != self.n_windows:
+        sent, selected, test, _, _, key, _, _ = self.counts.T.tolist()
+        if sum(sent) != self.n_windows:
             raise ValueError("sent counts do not sum to the number of windows")
-        for s in STATE_LABELS:
-            if self.sent_selected.get(s, 0) > self.sent.get(s, 0):
+        for s, n_sent, n_sel, n_test, n_key in zip(STATE_LABELS, sent, selected, test, key):
+            if n_sel > n_sent:
                 raise ValueError(f"selected count exceeds sent count for state {s}")
-            split = self.sent_test.get(s, 0) + self.sent_key.get(s, 0)
-            if split != self.sent_selected.get(s, 0):
+            if n_test + n_key != n_sel:
                 raise ValueError(f"test/key split does not partition state {s}")
-        for (s, _ch), n in list(self.detected_test.items()) + list(self.detected_key.items()):
-            if n < 0 or s not in STATE_LABELS:
-                raise ValueError("malformed detection cell")
-
-    def detected_total(self) -> float:
-        return sum(self.detected_test.values()) + sum(self.detected_key.values())
+        if (self.counts < 0).any():
+            raise ValueError("negative count in the tallies")
 
 
 @dataclass
@@ -534,23 +562,6 @@ def _run_chunks(tasks, workers: int):
         yield from pool.map(_chunk_tallies, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 
 
-def _session_tallies(n_windows, threshold, sent, selected, cells, effective) -> SessionTallies:
-    """Tallies from per-state lists: ``sent`` and ``selected`` windows, and
-    ``cells[state][subset][cell]`` with subset (test, key) and cell
-    (windows, effective on ch0, effective on ch1)."""
-    t = SessionTallies(n_windows=n_windows, threshold=threshold, effective_windows=effective)
-    for s, n, n_sel, ((n_test, test0, test1), (n_key, key0, key1)) in zip(
-        STATE_LABELS, sent, selected, cells
-    ):
-        t.sent[s] = n
-        t.sent_selected[s] = n_sel
-        t.sent_test[s] = n_test
-        t.sent_key[s] = n_key
-        t.detected_test[(s, 0)], t.detected_test[(s, 1)] = test0, test1
-        t.detected_key[(s, 0)], t.detected_key[(s, 1)] = key0, key1
-    return t
-
-
 def simulate_session(
     params: ProtocolParams,
     model: ChannelModel,
@@ -602,8 +613,8 @@ def simulate_session(
     by_threshold = {}
     for thr, cells in zip(thr_list, acc):
         selected = cells[:, :, 0].sum(axis=1)
-        t = _session_tallies(
-            n_windows, thr, sent_total.tolist(), selected.tolist(), cells.tolist(), eff_total
+        t = SessionTallies(
+            n_windows, thr, np.column_stack((sent_total, selected, cells.reshape(4, 6))), eff_total
         )
         t.check_conservation()
         by_threshold[thr] = t
@@ -735,18 +746,19 @@ def expected_tallies(
     """
     thr_list = _threshold_list(params, thresholds)
     eff, prior, selected, cells = (
-        a[0].tolist()
+        a[0]
         for a in _expected_cells(
             params, model, n_windows, [params.mu], [params.epsilon], [thr_list + [math.pi]]
         )
     )
-    sent = [n_windows * p for p in prior]
-    p11_full = eff[-1]
+    p, e = prior.tolist(), eff.tolist()
     effective = n_windows * (
-        sum(p * (p0 + p1) for p, (p0, p1) in zip(prior, eff[:3]))
-        + prior[3] * (p11_full[0] + p11_full[1])
+        sum(p_s * (p0 + p1) for p_s, (p0, p1) in zip(p, e[:3])) + p[3] * (e[-1][0] + e[-1][1])
     )
+    sent = n_windows * prior
     return {
-        thr: _session_tallies(float(n_windows), thr, sent, sel, c, effective)
+        thr: SessionTallies(
+            float(n_windows), thr, np.column_stack((sent, sel, c.reshape(4, 6))), effective
+        )
         for thr, sel, c in zip(thr_list, selected, cells)
     }

@@ -100,11 +100,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     raw = dataio.load_raw_tallies(path, strict=True)
     u, v = raw.tally_sets(swap_detectors=args.swap_detectors)
     report = keyrate.analyze_tallies(
-        u, v, params,
-        n_total_pulses=raw.n_total_pulses,
-        delta_threshold=(
-            params.delta_threshold if raw.delta_threshold is None else raw.delta_threshold
-        ),
+        u, v, params, n_total_pulses=raw.n_total_pulses, delta_threshold=raw.delta_threshold
     )
     _emit(dataio.emit_report(report, fmt=args.format), args.out)
     return 0
@@ -204,58 +200,38 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _qber_rows_from_files(paths, swap: bool):
-    rows = []
-    for path in paths:
-        raw = dataio.load_raw_tallies(path, strict=False)
-        if raw.delta_threshold is None:
-            raise dataio.ParseError(
-                f"{path}: missing Delta-Degrees metadata needed to label the row",
-                key="Delta-Degrees",
-            )
-        u, v = raw.tally_sets(swap_detectors=swap)
-        stats = estimator.qber_both_send(u, v)
-        rows.append((math.degrees(raw.delta_threshold), stats, raw))
-    rows.sort(key=lambda t: t[0])
-    return rows
-
-
 def _cmd_qber_table(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     params = _build_params(r)
-    rows = []
+    # (threshold in degrees, tallies, total windows) per row, from one
+    # simulation or from the files.
+    sources = []
     if args.simulate:
-        model = _build_model(r)
         deltas = [float(x) for x in str(r.get("delta_list", "2,5,8,10,12,15,30,45")).split(",")]
         thresholds = [math.radians(d) for d in deltas]
         n_windows = _windows(r, 1e7)
         result = simulate_session(
-            params, model, n_windows, int(r.get("seed", 1)), workers=int(r.get("workers", 1)),
-            thresholds=thresholds,
+            params, _build_model(r), n_windows, int(r.get("seed", 1)),
+            workers=int(r.get("workers", 1)), thresholds=thresholds,
         )
-        for deg, thr in sorted(zip(deltas, thresholds)):
-            tallies = result.by_threshold[thr]
-            u, v = estimator.tallies_to_sets(tallies, swap_detectors=args.swap_detectors)
-            stats = estimator.qber_both_send(u, v)
-            try:
-                rep = keyrate.analyze_tallies(u, v, params, n_total_pulses=n_windows)
-                rate = rep.rate_per_pulse
-            except EstimationError:
-                rate = None
-            rows.append((deg, stats, rate))
+        sources = [(deg, result.by_threshold[thr], n_windows) for deg, thr in zip(deltas, thresholds)]
     else:
-        paths = args.infile or [defaults.bundled_tally_path()]
-        for deg, stats, raw in _qber_rows_from_files(paths, args.swap_detectors):
-            rate = None
-            try:
-                u, v = raw.tally_sets(swap_detectors=args.swap_detectors)
-                rep = keyrate.analyze_tallies(
-                    u, v, params, n_total_pulses=raw.n_total_pulses
+        for path in args.infile or [defaults.bundled_tally_path()]:
+            raw = dataio.load_raw_tallies(path, strict=False)
+            if raw.delta_threshold is None:
+                raise dataio.ParseError(
+                    f"{path}: missing Delta-Degrees metadata needed to label the row",
+                    key="Delta-Degrees",
                 )
-                rate = rep.rate_per_pulse
-            except EstimationError:
-                rate = None
-            rows.append((deg, stats, rate))
+            sources.append((math.degrees(raw.delta_threshold), raw.tallies, raw.n_total_pulses))
+    rows = []
+    for deg, tallies, n_total in sorted(sources, key=lambda source: source[0]):
+        u, v = estimator.tallies_to_sets(tallies, swap_detectors=args.swap_detectors)
+        try:
+            rate = keyrate.analyze_tallies(u, v, params, n_total_pulses=n_total).rate_per_pulse
+        except EstimationError:
+            rate = None
+        rows.append((deg, estimator.qber_both_send(u, v), rate))
 
     if args.format == "json":
         payload = [

@@ -13,8 +13,12 @@ cell names mirror the layout of the reference experiment's count tables:
 
 CD is two digits, the first party's digit first, 1 = sent.  The Greek
 letter may be spelled ``Delta`` (``Sent-00-Delta``); files written here use
-the glyph.  Physical channels are preserved verbatim; mapping them onto
-logical detector sides happens in :mod:`scfqkd.estimator`.
+the glyph.  Every cell is one entry of the package's one tally layout,
+:attr:`SessionTallies.counts <scfqkd.channelsim.SessionTallies>` (state by
+sent, selected and (subset, cell) columns), and :data:`CELL_INDEX` maps
+each name to its flat index there; reading and writing both go through
+that table.  Physical channels are kept as recorded: the estimator reads
+channel 0 as detector side L unless told to swap.
 
 Metadata keys (``Delta-Degrees``, ``Mu``, ``Epsilon``, ``Pt``, ``F-EC``,
 ``Windows``, ``Seed``) may precede the cells.  Unknown keys produce a
@@ -26,34 +30,36 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .channelsim import STATE_LABELS, SessionTallies
-from .estimator import KeyRateReport, TallySet, tallies_to_sets
+from .estimator import KeyRateReport, tallies_to_sets
 
 _DELTA = "Δ"
 
 METADATA_KEYS = ("Delta-Degrees", "Mu", "Epsilon", "Pt", "F-EC", "Windows", "Seed")
 
-SENT_KEYS = tuple(f"Sent-{cd}" for cd in STATE_LABELS)
-SENT_SELECTED_KEYS = tuple(f"Sent-{cd}-{_DELTA}" for cd in STATE_LABELS)
-SENT_KEY_SET_KEYS = tuple(f"Sent-SS{cd}-{_DELTA}" for cd in STATE_LABELS)
-SENT_TEST_SET_KEYS = tuple(f"Sent-TT{cd}-{_DELTA}" for cd in STATE_LABELS)
-DETECTED_KEY_SET_KEYS = tuple(
-    f"Detected-SS{cd}-ch{k}" for cd in STATE_LABELS for k in (0, 1)
-)
-DETECTED_TEST_SET_KEYS = tuple(
-    f"Detected-TT{cd}-ch{k}" for cd in STATE_LABELS for k in (0, 1)
-)
-CELL_KEYS = (
-    SENT_KEYS
-    + SENT_SELECTED_KEYS
-    + SENT_KEY_SET_KEYS
-    + SENT_TEST_SET_KEYS
-    + DETECTED_KEY_SET_KEYS
-    + DETECTED_TEST_SET_KEYS
-)
+CELL_INDEX = {
+    name.format(cd=cd, k=k): 8 * i + column + k
+    for name, column, channels in (
+        ("Sent-{cd}", 0, (0,)),
+        (f"Sent-{{cd}}-{_DELTA}", 1, (0,)),
+        (f"Sent-SS{{cd}}-{_DELTA}", 5, (0,)),
+        (f"Sent-TT{{cd}}-{_DELTA}", 2, (0,)),
+        ("Detected-SS{cd}-ch{k}", 6, (0, 1)),
+        ("Detected-TT{cd}-ch{k}", 3, (0, 1)),
+    )
+    for i, cd in enumerate(STATE_LABELS)
+    for k in channels
+}
+"""Raw-file cell name -> index into ``SessionTallies.counts.ravel()``, in
+file order."""
+
+CELL_KEYS = tuple(CELL_INDEX)
+_KEYS_BY_INDEX = sorted(CELL_INDEX, key=CELL_INDEX.get)
 
 SPLIT_TOLERANCE = 0.005
 """Allowed relative mismatch between SS + TT and the selected total,
@@ -89,7 +95,7 @@ class RawTallies:
 
     @property
     def n_total_pulses(self) -> float:
-        return sum(self.tallies.sent.values())
+        return self.tallies.n_windows
 
     @property
     def delta_threshold(self) -> float | None:
@@ -151,35 +157,27 @@ def _parse_lines(text: str, source: str):
 
 
 def _check_consistency(values: Mapping, source: str) -> None:
-    for cd in STATE_LABELS:
-        sent = values.get(f"Sent-{cd}")
-        sel = values.get(f"Sent-{cd}-{_DELTA}")
-        if sent is not None and sel is not None and sel > sent:
+    for i, cd in enumerate(STATE_LABELS):
+        sent, selected, tt, tt0, tt1, ss, ss0, ss1 = _KEYS_BY_INDEX[8 * i:8 * i + 8]
+        n_sent, n_sel, n_ss, n_tt = (values.get(k) for k in (sent, selected, ss, tt))
+        if n_sent is not None and n_sel is not None and n_sel > n_sent:
             raise ConsistencyError(
-                f"{source}: Sent-{cd}-{_DELTA} = {sel} exceeds Sent-{cd} = {sent}",
-                key=f"Sent-{cd}-{_DELTA}",
+                f"{source}: {selected} = {n_sel} exceeds {sent} = {n_sent}", key=selected
             )
-        ss = values.get(f"Sent-SS{cd}-{_DELTA}")
-        tt = values.get(f"Sent-TT{cd}-{_DELTA}")
-        if sel is not None and ss is not None and tt is not None:
-            if abs(ss + tt - sel) > max(SPLIT_TOLERANCE * sel, 1.0):
+        if n_sel is not None and n_ss is not None and n_tt is not None:
+            if abs(n_ss + n_tt - n_sel) > max(SPLIT_TOLERANCE * n_sel, 1.0):
                 raise ConsistencyError(
-                    f"{source}: SS + TT = {ss + tt} is not the selected total "
-                    f"{sel} for state {cd} (tolerance {SPLIT_TOLERANCE:.1%})",
-                    key=f"Sent-SS{cd}-{_DELTA}",
+                    f"{source}: SS + TT = {n_ss + n_tt} is not the selected total "
+                    f"{n_sel} for state {cd} (tolerance {SPLIT_TOLERANCE:.1%})",
+                    key=ss,
                 )
-        for prefix, sent_key in (("SS", f"Sent-SS{cd}-{_DELTA}"), ("TT", f"Sent-TT{cd}-{_DELTA}")):
-            pool = values.get(sent_key)
-            det = [
-                values.get(f"Detected-{prefix}{cd}-ch{k}")
-                for k in (0, 1)
-            ]
-            present = [d for d in det if d is not None]
+        for pool_key, ch0, ch1 in ((ss, ss0, ss1), (tt, tt0, tt1)):
+            pool = values.get(pool_key)
+            present = [values[k] for k in (ch0, ch1) if k in values]
             if pool is not None and present and sum(present) > pool:
                 raise ConsistencyError(
-                    f"{source}: Detected-{prefix}{cd} total {sum(present)} exceeds "
-                    f"{sent_key} = {pool}",
-                    key=f"Detected-{prefix}{cd}-ch0",
+                    f"{source}: {ch0[:-4]} total {sum(present)} exceeds {pool_key} = {pool}",
+                    key=ch0,
                 )
 
 
@@ -205,37 +203,12 @@ def load_raw_tallies(path, strict: bool = True) -> RawTallies:
             )
     _check_consistency(values, path)
 
+    # Python numbers, so each count keeps the exact value and type it has in the file.
+    counts = np.array([values.get(k, 0) for k in _KEYS_BY_INDEX], dtype=object).reshape(4, 8)
     tallies = SessionTallies(
-        n_windows=sum(values.get(f"Sent-{cd}", 0) for cd in STATE_LABELS),
+        n_windows=sum(counts[:, 0].tolist()),
         threshold=math.radians(values["Delta-Degrees"]) if "Delta-Degrees" in values else math.nan,
-        sent={cd: values[f"Sent-{cd}"] for cd in STATE_LABELS if f"Sent-{cd}" in values},
-        sent_selected={
-            cd: values[f"Sent-{cd}-{_DELTA}"]
-            for cd in STATE_LABELS
-            if f"Sent-{cd}-{_DELTA}" in values
-        },
-        sent_test={
-            cd: values[f"Sent-TT{cd}-{_DELTA}"]
-            for cd in STATE_LABELS
-            if f"Sent-TT{cd}-{_DELTA}" in values
-        },
-        sent_key={
-            cd: values[f"Sent-SS{cd}-{_DELTA}"]
-            for cd in STATE_LABELS
-            if f"Sent-SS{cd}-{_DELTA}" in values
-        },
-        detected_test={
-            (cd, k): values[f"Detected-TT{cd}-ch{k}"]
-            for cd in STATE_LABELS
-            for k in (0, 1)
-            if f"Detected-TT{cd}-ch{k}" in values
-        },
-        detected_key={
-            (cd, k): values[f"Detected-SS{cd}-ch{k}"]
-            for cd in STATE_LABELS
-            for k in (0, 1)
-            if f"Detected-SS{cd}-ch{k}" in values
-        },
+        counts=counts,
     )
     metadata = {k: values[k] for k in METADATA_KEYS if k in values}
     return RawTallies(tallies=tallies, metadata=metadata, path=path)
@@ -258,24 +231,8 @@ def write_raw_tallies(path, tallies: SessionTallies, metadata: Mapping | None = 
     for k in METADATA_KEYS:
         if metadata and k in metadata:
             lines.append(f"{k}\t{_format_value(metadata[k])}")
-    for cd in STATE_LABELS:
-        lines.append(f"Sent-{cd}\t{_format_value(tallies.sent.get(cd, 0))}")
-    for cd in STATE_LABELS:
-        lines.append(f"Sent-{cd}-{_DELTA}\t{_format_value(tallies.sent_selected.get(cd, 0))}")
-    for cd in STATE_LABELS:
-        lines.append(f"Sent-SS{cd}-{_DELTA}\t{_format_value(tallies.sent_key.get(cd, 0))}")
-    for cd in STATE_LABELS:
-        lines.append(f"Sent-TT{cd}-{_DELTA}\t{_format_value(tallies.sent_test.get(cd, 0))}")
-    for cd in STATE_LABELS:
-        for k in (0, 1):
-            lines.append(
-                f"Detected-SS{cd}-ch{k}\t{_format_value(tallies.detected_key.get((cd, k), 0))}"
-            )
-    for cd in STATE_LABELS:
-        for k in (0, 1):
-            lines.append(
-                f"Detected-TT{cd}-ch{k}\t{_format_value(tallies.detected_test.get((cd, k), 0))}"
-            )
+    flat = tallies.counts.ravel().tolist()
+    lines += [f"{k}\t{_format_value(flat[i])}" for k, i in CELL_INDEX.items()]
     with open(str(path), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -284,24 +241,19 @@ def write_raw_tallies(path, tallies: SessionTallies, metadata: Mapping | None = 
 # Reports and sweep tables
 # ---------------------------------------------------------------------------
 
-_REPORT_SCALARS = (
-    "mu", "f_ec", "delta_threshold", "n_total_pulses",
-    "s_u", "e_u", "s_tilde_z", "n_tilde_z",
-    "e_ph_upper", "e_ph_flagged", "x_upper_right", "x_lower_left", "x_lower_clamped",
-    "e_v", "n_v", "n_f_raw", "n_f", "rate_per_pulse",
-)
-
-
 def _jsonable(v):
     if isinstance(v, float) and math.isnan(v):
         return None
     return v
 
 
+_REPORT_FIELDS = tuple(f.name for f in fields(KeyRateReport))
+
+
 def report_to_dict(report: KeyRateReport) -> dict:
-    d = {k: _jsonable(getattr(report, k)) for k in _REPORT_SCALARS}
-    d["rates_u_by_state"] = {k: _jsonable(v) for k, v in report.rates_u_by_state.items()}
-    d["rates_u_by_cell"] = {k: _jsonable(v) for k, v in report.rates_u_by_cell.items()}
+    d = {name: _jsonable(getattr(report, name)) for name in _REPORT_FIELDS}
+    for name in ("rates_u_by_state", "rates_u_by_cell"):
+        d[name] = {k: _jsonable(v) for k, v in d[name].items()}
     return d
 
 
@@ -309,8 +261,7 @@ def emit_report(report: KeyRateReport, fmt: str = "table") -> str:
     """Render an analysis report as an aligned table or as JSON.
 
     The JSON form is machine readable and NaN-free: undefined values are
-    null and clamping/flag states are explicit booleans.  It round-trips
-    through :func:`parse_report`.
+    null and clamping/flag states are explicit booleans.
     """
     if fmt == "json":
         return json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False)
@@ -340,11 +291,6 @@ def emit_report(report: KeyRateReport, fmt: str = "table") -> str:
 
 def _fmt_optional(v, fmt) -> str:
     return "n/a" if v is None else fmt(v)
-
-
-def parse_report(text: str) -> dict:
-    """Parse a JSON report back into a plain dict."""
-    return json.loads(text)
 
 
 SWEEP_CSV_COLUMNS = (

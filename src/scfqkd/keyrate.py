@@ -1,6 +1,9 @@
-"""Key-length formula, end-to-end analysis, distance sweeps and optimisation.
+"""End-to-end analysis, distance sweeps, calibration and optimisation.
 
-The asymptotic secure key length of a session is
+:func:`analyze_tallies` (one tally pair) and :func:`analyze_expected_batch`
+(a batch of expected-value configurations) are the two entry points to
+the one estimation chain, :func:`scfqkd.estimator.estimate`.  Its
+asymptotic secure key length is
 
     n_F = n_z * (1 - H(e_ph)) - f_ec * n_v * H(e_v)
 
@@ -20,35 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from . import channelsim, estimator
-from .channelsim import STATE_LABELS, ChannelModel, ProtocolParams
+from .channelsim import ChannelModel, ProtocolParams
 from .channelsim import expected_tallies  # noqa: F401  (kept importable from this module)
-from .estimator import DETECTORS, CountingRates, KeyRateReport, TallySet
-from .phasecore import binary_entropy
+from .estimator import KeyRateReport, TallySet, key_length, key_rate  # noqa: F401  (kept importable)
 
 _log = logging.getLogger(__name__)
-
-_TEST_CELLS = ("01", "10", ("00", "L"), ("00", "R"), ("11", "L"), ("11", "R"), ("01", "L"), ("10", "L"))
-"""Test-set counting rates the phase-flip bound needs."""
-
-
-def key_length(n_z: float, e_ph: float, n_v: float, e_v: float, f_ec: float) -> float:
-    """Asymptotic key-length formula; may be negative for lossy sessions.
-
-    Negative values mean no secure key; callers clamp at zero for rates and
-    keep the raw value for diagnostics.
-    """
-    if n_z < 0 or n_v < 0:
-        raise ValueError("pool sizes must be non-negative")
-    if f_ec < 0:
-        raise ValueError("f_ec must be non-negative")
-    return n_z * (1.0 - binary_entropy(e_ph)) - f_ec * n_v * binary_entropy(e_v)
-
-
-def key_rate(n_f: float, n_total_pulses: float) -> float:
-    """Secure bits per signal window; negative key lengths count as zero."""
-    if n_total_pulses <= 0:
-        raise ValueError("n_total_pulses must be positive")
-    return max(n_f, 0.0) / n_total_pulses
 
 
 def analyze_tallies(
@@ -58,104 +37,44 @@ def analyze_tallies(
     n_total_pulses: float | None = None,
     delta_threshold: float | None = None,
 ) -> KeyRateReport:
-    """Run the full estimation chain on a (test, key) tally pair.
+    """Run the estimation chain on a (test, key) tally pair.
 
     Raises :class:`~scfqkd.estimator.EstimationError` when the test set
     lacks the cells the phase-flip bound needs.  ``delta_threshold`` is
     carried into the report for bookkeeping only.
     """
-    ru = estimator.counting_rates(u)
-    s_z = estimator.s_tilde_z(ru.by_state["01"], ru.by_state["10"])
-    _check_estimable(ru, s_z)
-    n_z = estimator.n_tilde_z(v.sent.get("01", 0), v.sent.get("10", 0), s_z)
-    pf = _phase_flip(ru, params.mu, s_z)
-    e_v, n_v = estimator.bit_flip_error_v(v)
-    if e_v is None:
-        e_v = 0.0
-    # The bound can leave [0, 0.5] at low statistics; the entropy argument is
-    # clamped while the report keeps the raw value.
-    e_ph_eval = min(max(pf.value, 0.0), 0.5)
-    n_f_raw = key_length(n_z, e_ph_eval, n_v, e_v, params.f_ec)
-    n_f = max(0.0, n_f_raw)
-    rate = key_rate(n_f_raw, n_total_pulses) if n_total_pulses else None
-    return KeyRateReport(
-        mu=params.mu,
-        f_ec=params.f_ec,
-        delta_threshold=delta_threshold if delta_threshold is not None else params.delta_threshold,
-        n_total_pulses=n_total_pulses,
-        s_u=ru.total,
-        e_u=ru.error_rate,
-        s_tilde_z=s_z,
-        n_tilde_z=n_z,
-        e_ph_upper=pf.value,
-        e_ph_flagged=pf.flagged,
-        x_upper_right=pf.x_upper_right,
-        x_lower_left=pf.x_lower_left,
-        x_lower_clamped=pf.lower_clamped,
-        e_v=e_v,
-        n_v=n_v,
-        n_f_raw=n_f_raw,
-        n_f=n_f,
-        rate_per_pulse=rate,
-        rates_u_by_state=dict(ru.by_state),
-        rates_u_by_cell={f"{s}/{d}": r for (s, d), r in ru.by_cell.items()},
+    values = estimator.estimate(
+        u.cells.tolist(), v.cells.tolist(), params.mu, params.f_ec, n_total_pulses or math.nan
     )
-
-
-def _check_estimable(ru: CountingRates, s_z: float) -> None:
-    """Raise EstimationError where a needed test-set cell has no announced
-    windows or the mismatched-send yield is zero."""
-    ru.require(*_TEST_CELLS)
-    if s_z <= 0:
-        raise estimator.EstimationError("mismatched-send yield is zero; no key material")
-
-
-def _phase_flip(ru: CountingRates, mu: float, s_z: float) -> estimator.PhaseFlipBound:
-    c = ru.by_cell
-    return estimator.phase_flip_upper(
-        c[("00", "L")], c[("00", "R")], c[("11", "L")], c[("11", "R")], c[("01", "L")], c[("10", "L")],
-        mu, s_z,
+    return estimator.report(
+        values, params.mu, params.f_ec,
+        params.delta_threshold if delta_threshold is None else delta_threshold,
+        n_total_pulses,
     )
 
 
 class ExpectedReports:
     """Expected-value analyses of a batch of configurations, one row each.
 
-    ``values`` maps every :class:`KeyRateReport` field to an array over
-    rows: ``rates_u_by_state`` has shape (rows, 4) in ``STATE_LABELS``
-    order, ``rates_u_by_cell`` shape (rows, 4, 2) by state and detector
-    side (L, R), and ``e_u`` is NaN where a report holds None.  ``failed``
-    marks the rows on which :func:`analyze_tallies` raises
-    EstimationError; their other values carry no meaning.
+    ``values`` holds :func:`~scfqkd.estimator.estimate`'s values as arrays
+    with rows on the last axis: ``rates_u_by_state`` has shape (4, rows)
+    in ``STATE_LABELS`` order, ``rates_u_by_cell`` shape (4, 2, rows) by
+    state and detector side (L, R), and ``e_u`` is NaN where a report holds
+    None.  ``failed`` marks the rows on which :func:`analyze_tallies`
+    raises EstimationError; their other values carry no meaning.
     """
 
-    def __init__(self, values: dict, failed: np.ndarray):
+    def __init__(self, values: dict, mu: np.ndarray, delta: np.ndarray, f_ec: float, n_windows):
         self.values = values
-        self.failed = failed
+        self.failed = values["failed"]
+        self._inputs = mu, delta, f_ec, n_windows
 
     def report(self, i: int) -> KeyRateReport:
         """Row ``i`` as a report; on a failed row, raises the
         EstimationError that :func:`analyze_tallies` raises."""
-        row = {name: a[i] for name, a in self.values.items()}
-        by_state = dict(zip(STATE_LABELS, row.pop("rates_u_by_state").tolist()))
-        by_cell = {
-            (s, d): r
-            for s, pair in zip(STATE_LABELS, row.pop("rates_u_by_cell").tolist())
-            for d, r in zip(DETECTORS, pair)
-        }
-        fields = {name: x.item() for name, x in row.items()}
-        if self.failed[i]:
-            # The scalar chain's checks, in its order, raise its error.
-            ru = CountingRates(by_state, by_cell, fields["s_u"], None, ())
-            _check_estimable(ru, fields["s_tilde_z"])
-            _phase_flip(ru, fields["mu"], fields["s_tilde_z"])
-        if math.isnan(fields["e_u"]):
-            fields["e_u"] = None
-        return KeyRateReport(
-            **fields,
-            rates_u_by_state=by_state,
-            rates_u_by_cell={f"{s}/{d}": r for (s, d), r in by_cell.items()},
-        )
+        mu, delta, f_ec, n_windows = self._inputs
+        row = {name: a[..., i].tolist() for name, a in self.values.items()}
+        return estimator.report(row, mu[i].item(), f_ec, delta[i].item(), n_windows)
 
 
 def analyze_expected_batch(
@@ -172,86 +91,25 @@ def analyze_expected_batch(
     Row i replaces ``params``' mu, epsilon and delta_threshold by ``mu[i]``,
     ``epsilon[i]`` and ``delta_threshold[i]`` and, when ``fiber_km`` is
     given, the model's arm lengths by ``fiber_km[i] = (arm a, arm b)``.  A
-    single click evaluation covers every row.  Each row equals what
+    single click evaluation covers every row, and the estimation chain runs
+    once over arrays of rows, so each row equals what
     :func:`analyze_tallies` makes of that configuration's
-    :func:`~scfqkd.channelsim.expected_tallies`, up to rounding in the last
-    digits.  Out-of-range rows raise ValueError with
-    :class:`ProtocolParams`' messages, as does a counting rate outside
-    [0, 1]; rows without a phase-flip bound are marked ``failed`` instead.
+    :func:`~scfqkd.channelsim.expected_tallies` bit for bit.  Out-of-range
+    rows raise ValueError with :class:`ProtocolParams`' messages, as does a
+    counting rate outside [0, 1]; rows without a phase-flip bound are
+    marked ``failed`` instead.
     """
     mu, eps, delta = (np.asarray(a, dtype=float) for a in (mu, epsilon, delta_threshold))
     channelsim._check_rows(mu=mu, epsilon=eps, delta_threshold=delta)
     cells = channelsim._expected_cells(params, model, n_windows, mu, eps, delta[:, None], fiber_km)[3]
-    # (row, state, cell) of each subset; detector sides L, R are ch0, ch1.
-    test, key = cells[:, 0, :, 0], cells[:, 0, :, 1]
-    rows = len(mu)
-    sent, det = test[..., 0], test[..., 1:]
-    present = sent > 0
+    # (state, subset, cell, row) of the one threshold; sides L, R are ch0, ch1.
+    leaves = cells[:, 0].transpose(1, 2, 3, 0).copy()
+    # A mu above about 745 underflows exp(-mu) to 0; such a row fails quietly.
     with np.errstate(divide="ignore", invalid="ignore"):
-        by_state = np.where(present, (det[..., 0] + det[..., 1]) / sent, np.nan)
-        by_cell = np.where(present[..., None], det / sent[..., None], np.nan)
-        bad_rows = ((by_state < 0.0) | (by_state > 1.0)).any(axis=1)
-        if bad_rows.any():
-            estimator.check_rate_range(dict(zip(STATE_LABELS, by_state[bad_rows][0].tolist())))
-        # Sums run in the scalar chain's order (cumsum adds sequentially).
-        total_det = np.cumsum(det.reshape(rows, 8), axis=1)[:, -1]
-        total_sent = np.cumsum(sent, axis=1)[:, -1]
-        s_u = np.where(total_sent > 0, total_det / total_sent, np.nan)
-        e_u = np.where(
-            total_det > 0, (det[:, 0].sum(axis=1) + det[:, 3].sum(axis=1)) / total_det, np.nan
-        )
-        s_z = 0.5 * (by_state[:, 1] + by_state[:, 2])
-        n_z = 2.0 * np.minimum(key[:, 1, 0], key[:, 2, 0]) * s_z
-
-        (s00_l, s00_r), (s01_l, _), (s10_l, _), (s11_l, s11_r) = by_cell.transpose(1, 2, 0)
-        em = np.exp(-mu)
-        g = 1.0 - em
-        up = (
-            em * s00_r + s11_r / em + g * g / em + 2.0 * np.sqrt(s00_r * s11_r)
-            + 2.0 * g * np.sqrt(s00_r) + (2.0 * g / em) * np.sqrt(s11_r)
-        ) / (2.0 * (1.0 + em))
-        low_raw = (
-            em * s00_l + s11_l / em - 2.0 * np.sqrt(s00_l * s11_l)
-            - 2.0 * g * np.sqrt(s00_l) - (2.0 * g / em) * np.sqrt(s11_l)
-        ) / (2.0 * (1.0 + em))
-        low = np.where(low_raw > 0.0, low_raw, 0.0)
-        e_ph = ((1.0 + em) * (up - low) + s01_l + s10_l) / (2.0 * s_z)
-
-        key_det = key[..., 1:]
-        n_v = np.cumsum(key_det.reshape(rows, 8), axis=1)[:, -1]
-        e_v = np.where(
-            n_v > 0, (key_det[:, 0].sum(axis=1) + key_det[:, 3].sum(axis=1)) / n_v, 0.0
-        )
-    # Where _check_estimable or phase_flip_upper raise; every state's rates
-    # are needed.
-    failed = ~present.all(axis=1) | (s_z <= 0) | (mu <= 0)
-    # The bound's entropy argument is clamped to [0, 0.5], as in analyze_tallies.
-    h_ph, h_v = binary_entropy(np.where(failed, 0.0, np.stack((np.clip(e_ph, 0.0, 0.5), e_v))))
-    n_f_raw = n_z * (1.0 - h_ph) - params.f_ec * n_v * h_v
-    n_f = np.where(n_f_raw > 0.0, n_f_raw, 0.0)
-    values = {
-        "mu": mu,
-        "f_ec": np.full(rows, params.f_ec),
-        "delta_threshold": delta,
-        "n_total_pulses": np.full(rows, n_windows),
-        "s_u": s_u,
-        "e_u": e_u,
-        "s_tilde_z": s_z,
-        "n_tilde_z": n_z,
-        "e_ph_upper": e_ph,
-        "e_ph_flagged": e_ph >= 0.5,
-        "x_upper_right": up,
-        "x_lower_left": low,
-        "x_lower_clamped": low_raw < 0.0,
-        "e_v": e_v,
-        "n_v": n_v,
-        "n_f_raw": n_f_raw,
-        "n_f": n_f,
-        "rate_per_pulse": n_f / n_windows,
-        "rates_u_by_state": by_state,
-        "rates_u_by_cell": by_cell,
-    }
-    return ExpectedReports(values, failed)
+        values = estimator.estimate(leaves[:, 0], leaves[:, 1], mu, params.f_ec, n_windows)
+    for name in ("rates_u_by_state", "rates_u_by_cell"):
+        values[name] = np.array(values[name])
+    return ExpectedReports(values, mu, delta, params.f_ec, n_windows)
 
 
 def analyze_expected(
@@ -341,10 +199,14 @@ def calibrate_visibility(
     own comparisons, so the result equals plain one-point-per-step
     bisection bit for bit, whether or not the model's QBER is monotone in
     floating point.  The default ``tol`` takes 34 halvings, so 7 model
-    calls instead of 36.
+    calls instead of 36.  ``tol`` must be finite and positive; bisection
+    also stops once the midpoint rounds to an end of the interval, so a
+    ``tol`` below the spacing of floats ends there.
     """
     if not 0.0 < target_qber < 0.5:
         raise ValueError(f"target_qber must lie in (0, 0.5), got {target_qber!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     lo, hi = 0.0, 1.0
     known = {}
 
@@ -368,6 +230,8 @@ def calibrate_visibility(
         return unreachable(lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if qber(mid) > target_qber:
             lo = mid
         else:

@@ -74,7 +74,8 @@ def binary_entropy(x: ArrayLike) -> ArrayLike:
     """Binary Shannon entropy H(x) in bits, with H(0) = H(1) = 0.
 
     Accepts a scalar or an ndarray; raises ValueError for a value outside
-    [0, 1].
+    [0, 1].  Both paths evaluate the same formula with numpy's log2, so a
+    scalar and an array element give the same float.
     """
     if isinstance(x, np.ndarray):
         inside = (x >= 0.0) & (x <= 1.0)
@@ -82,15 +83,15 @@ def binary_entropy(x: ArrayLike) -> ArrayLike:
             raise ValueError(
                 f"binary_entropy argument must lie in [0, 1], got {x[~inside][0].item()!r}"
             )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-        return np.where((x == 0.0) | (x == 1.0), 0.0, h)
+        # At x = 0 or 1 the log of the smallest float, times 0, gives H = 0.
+        tiny = 5e-324
+        return -x * np.log2(np.fmax(x, tiny)) - (1.0 - x) * np.log2(np.fmax(1.0 - x, tiny))
     x = float(x)
     if math.isnan(x) or x < 0.0 or x > 1.0:
         raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x!r}")
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
 def interfere(

@@ -151,7 +151,7 @@ def test_simulate_session_epsilon_boundaries():
     res = simulate_session(ProtocolParams(mu=0.002, epsilon=0.0), model, 50_000, seed=3)
     assert res.tallies.sent["00"] == 50_000
     assert res.tallies.sent["01"] == res.tallies.sent["10"] == res.tallies.sent["11"] == 0
-    assert res.tallies.detected_total() == 0
+    assert sum(res.tallies.detected_test.values()) + sum(res.tallies.detected_key.values()) == 0
     res = simulate_session(ProtocolParams(mu=0.002, epsilon=1.0), model, 50_000, seed=3)
     assert res.tallies.sent["11"] == 50_000
 
@@ -160,7 +160,7 @@ def test_simulate_session_no_light_no_dark_is_silent():
     params = ProtocolParams(mu=0.0, epsilon=0.5)
     model = ChannelModel(dark_prob=0.0)
     res = simulate_session(params, model, 100_000, seed=9)
-    assert res.tallies.detected_total() == 0
+    assert sum(res.tallies.detected_test.values()) + sum(res.tallies.detected_key.values()) == 0
     assert res.tallies.effective_windows == 0
 
 
@@ -239,7 +239,8 @@ def test_ragged_final_span_with_every_window_both_send():
     assert res.tallies.sent == {"00": 0, "01": 0, "10": 0, "11": n}
     widest = res.by_threshold[math.pi]
     assert 0.9 * n < widest.sent_selected["11"] <= n
-    assert 0 < widest.detected_total() <= res.tallies.effective_windows
+    detected = sum(widest.detected_test.values()) + sum(widest.detected_key.values())
+    assert 0 < detected <= res.tallies.effective_windows
     assert simulate_session(params, model, n, seed=8, workers=2).tallies == res.tallies
 
 

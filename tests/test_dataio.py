@@ -13,7 +13,6 @@ from scfqkd.dataio import (
     emit_report,
     emit_sweep_csv,
     load_raw_tallies,
-    parse_report,
     report_to_dict,
     write_raw_tallies,
 )
@@ -179,7 +178,7 @@ def test_report_roundtrip():
                           delta_threshold=raw.delta_threshold)
     text = emit_report(rep, fmt="json")
     assert emit_report(rep, fmt="json") == text  # deterministic
-    back = parse_report(text)
+    back = json.loads(text)
     d = report_to_dict(rep)
     for key, val in d.items():
         if isinstance(val, float):

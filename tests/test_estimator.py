@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 
 from scfqkd import dataio, defaults
+from scfqkd.channelsim import STATE_LABELS, SessionTallies
 from scfqkd.estimator import (
     EstimationError,
     TallySet,
     bit_flip_error_v,
     counting_rates,
-    n_tilde_z,
     phase_flip_upper,
     qber_both_send,
-    s_tilde_z,
     tallies_to_sets,
-    x_basis_lower_left,
-    x_basis_upper_right,
 )
+from scfqkd.keyrate import analyze_tallies
 
 mp.mp.dps = 50
 
@@ -57,6 +55,14 @@ def mp_phase_flip(s00_l, s00_r, s11_l, s11_r, s01_l, s10_l, mu, s_z):
     return ((1 + em) * (upper - lower) + mp.mpf(s01_l) + mp.mpf(s10_l)) / (2 * mp.mpf(s_z))
 
 
+def tally_set(sent, detected):
+    """A tally set from counts keyed by state and by (state, side); absent
+    cells are 0."""
+    return TallySet(np.array([
+        [sent.get(s, 0), detected.get((s, "L"), 0), detected.get((s, "R"), 0)] for s in STATE_LABELS
+    ]))
+
+
 def sample_tally_set():
     sent = {"00": 10_000_000, "01": 400_000, "10": 390_000, "11": 9_000}
     detected = {
@@ -65,78 +71,75 @@ def sample_tally_set():
         ("10", "L"): 102, ("10", "R"): 104,
         ("11", "L"): 4, ("11", "R"): 52,
     }
-    return TallySet(sent=sent, detected=detected)
+    return tally_set(sent, detected)
 
 
-def test_from_channel_counts_mapping():
-    sent = {"00": 100, "01": 100, "10": 100, "11": 100}
-    by_ch = {(s, 0): 1 for s in sent}
-    by_ch.update({(s, 1): 2 for s in sent})
-    t = TallySet.from_channel_counts(sent, by_ch)
-    assert t.detected[("01", "L")] == 1
-    assert t.detected[("01", "R")] == 2
-    swapped = TallySet.from_channel_counts(sent, by_ch, swap_detectors=True)
-    assert swapped.detected[("01", "L")] == 2
-    assert swapped.detected[("01", "R")] == 1
-
-
-def test_tally_set_validation():
-    with pytest.raises(ValueError):
-        TallySet(sent={"00": -1}, detected={})
-    with pytest.raises(ValueError):
-        TallySet(sent={"00": 1}, detected={("00", "L"): -2})
+def test_swap_detectors_reverses_channel_axis():
+    counts = np.zeros((4, 8), dtype=np.int64)
+    counts[:, [2, 5]] = 100  # test and key windows
+    counts[:, [3, 6]] = 1  # channel 0
+    counts[:, [4, 7]] = 2  # channel 1
+    t = SessionTallies(n_windows=0, threshold=math.nan, counts=counts)
+    for swap, (left, right) in ((False, (1, 2)), (True, (2, 1))):
+        for subset in tallies_to_sets(t, swap_detectors=swap):
+            assert subset.sent == dict.fromkeys(STATE_LABELS, 100)
+            assert subset.detected[("01", "L")] == left
+            assert subset.detected[("01", "R")] == right
 
 
 def test_counting_rates_basic():
     t = sample_tally_set()
     r = counting_rates(t)
-    assert r.by_cell[("01", "L")] == pytest.approx(110 / 400_000)
-    assert r.by_state["01"] == pytest.approx(218 / 400_000)
-    assert r.total == pytest.approx(t.total_detected() / t.total_sent())
+    assert r["by_cell"][("01", "L")] == pytest.approx(110 / 400_000)
+    assert r["by_state"]["01"] == pytest.approx(218 / 400_000)
+    assert r["total"] == pytest.approx(485 / sum(t.sent.values()))
     # matched-decision detections are errors
-    assert r.error_rate == pytest.approx((3 + 2 + 4 + 52) / 485)
-    assert not r.missing
-    r.require("01", ("11", "R"))  # must not raise
+    assert r["error_rate"] == pytest.approx((3 + 2 + 4 + 52) / 485)
+    assert all(math.isfinite(v) for v in [*r["by_state"].values(), *r["by_cell"].values()])
 
 
 def test_counting_rates_all_rates_in_unit_interval():
     r = counting_rates(sample_tally_set())
-    for v in list(r.by_state.values()) + list(r.by_cell.values()):
+    for v in list(r["by_state"].values()) + list(r["by_cell"].values()):
         assert 0.0 <= v <= 1.0
-    assert 0.0 <= r.error_rate <= 1.0
+    assert 0.0 <= r["error_rate"] <= 1.0
 
 
 def test_counting_rates_missing_cells():
-    t = TallySet(sent={"01": 1000}, detected={("01", "L"): 3})
+    t = tally_set({"01": 1000}, {("01", "L"): 3})
     r = counting_rates(t)
-    assert math.isnan(r.by_state["11"])
-    assert math.isnan(r.by_cell[("00", "R")])
+    assert math.isnan(r["by_state"]["11"])
+    assert math.isnan(r["by_cell"][("00", "R")])
     with pytest.raises(EstimationError) as exc:
-        r.require("11", ("00", "R"))
-    assert "11" in str(exc.value)
+        analyze_tallies(t, t, defaults.reference_params())
+    assert str(exc.value) == (
+        "no announced windows for cells: ['10', ('00', 'L'), ('00', 'R'), ('11', 'L'), "
+        "('11', 'R'), ('10', 'L')]"
+    )
 
 
 def test_counting_rates_no_detections_flags_error_rate():
-    t = TallySet(sent={"00": 10, "01": 10, "10": 10, "11": 10},
-                 detected={(s, d): 0 for s in ("00", "01", "10", "11") for d in ("L", "R")})
+    t = tally_set({"00": 10, "01": 10, "10": 10, "11": 10},
+                  {(s, d): 0 for s in ("00", "01", "10", "11") for d in ("L", "R")})
     r = counting_rates(t)
-    assert r.error_rate is None
-    assert all(v == 0.0 for v in r.by_state.values())
+    assert r["error_rate"] is None
+    assert all(v == 0.0 for v in r["by_state"].values())
 
 
 def test_s_tilde_z_is_symmetric_mean():
-    assert s_tilde_z(2.741e-4, 2.794e-4) == pytest.approx(2.7675e-4, rel=1e-10)
-    assert s_tilde_z(2.741e-4, 2.794e-4) == pytest.approx(2.767e-4, abs=1e-7)
-    assert s_tilde_z(0.0, 0.0) == 0.0
+    t = sample_tally_set()
+    rates = counting_rates(t)["by_state"]
+    rep = analyze_tallies(t, t, defaults.reference_params())
+    assert rep.s_tilde_z == 0.5 * (rates["01"] + rates["10"])
+    assert rep.s_tilde_z == pytest.approx(0.5 * (218 / 400_000 + 206 / 390_000), rel=1e-12)
 
 
 def test_n_tilde_z_uses_smaller_pool():
-    s = 2.767e-4
-    n = n_tilde_z(3_993_295_035, 3_987_675_420, s)
-    assert n == pytest.approx(2 * 3_987_675_420 * s, rel=1e-12)
-    assert n == pytest.approx(2_207_341, rel=5e-3)
-    assert n_tilde_z(0, 5, s) == 0.0
-    assert n_tilde_z(5, 0, s) == 0.0
+    u = sample_tally_set()
+    for pools, smaller in (((3_993_295_035, 3_987_675_420), 3_987_675_420), ((0, 5), 0), ((5, 0), 0)):
+        v = tally_set(dict(zip(("01", "10"), pools)), {})
+        rep = analyze_tallies(u, v, defaults.reference_params())
+        assert rep.n_tilde_z == 2 * smaller * rep.s_tilde_z
 
 
 def test_x_basis_bounds_match_high_precision():
@@ -145,8 +148,8 @@ def test_x_basis_bounds_match_high_precision():
         s00 = 10.0 ** rng.uniform(-9, -3)
         s11 = 10.0 ** rng.uniform(-6, -1)
         mu = 10.0 ** rng.uniform(-3.5, -0.5)
-        up = x_basis_upper_right(s00, s11, mu)
-        lo = x_basis_lower_left(s00, s11, mu)
+        bound = phase_flip_upper(s00, s00, s11, s11, 0.0, 0.0, mu, 1.0)
+        up, lo = bound.x_upper_right, bound.x_lower_left
         assert up == pytest.approx(float(mp_x_upper(s00, s11, mu)), rel=1e-12)
         assert lo == pytest.approx(float(mp_x_lower(s00, s11, mu)), rel=1e-12, abs=1e-300)
         assert lo >= 0.0
@@ -154,7 +157,9 @@ def test_x_basis_bounds_match_high_precision():
 
 def test_x_basis_lower_clamps_to_zero():
     # tiny s00/s11 make the subtracted square roots dominate
-    assert x_basis_lower_left(1e-10, 1e-10, 0.1) == 0.0
+    bound = phase_flip_upper(1e-10, 1e-10, 1e-10, 1e-10, 0.0, 0.0, 0.1, 1e-4)
+    assert bound.x_lower_left == 0.0
+    assert bound.lower_clamped
 
 
 def test_phase_flip_upper_against_high_precision():
@@ -217,15 +222,15 @@ def test_bit_flip_error_v():
     e_v, n_v = bit_flip_error_v(t)
     assert n_v == 485
     assert e_v == pytest.approx(61 / 485)
-    empty = TallySet(sent={"01": 10}, detected={("01", "L"): 0})
+    empty = tally_set({"01": 10}, {("01", "L"): 0})
     e_v, n_v = bit_flip_error_v(empty)
     assert e_v is None
     assert n_v == 0
 
 
 def test_qber_both_send_hand_case():
-    u = TallySet(sent={"11": 1000}, detected={("11", "L"): 90, ("11", "R"): 10})
-    v = TallySet(sent={"11": 2000}, detected={("11", "L"): 190, ("11", "R"): 10})
+    u = tally_set({"11": 1000}, {("11", "L"): 90, ("11", "R"): 10})
+    v = tally_set({"11": 2000}, {("11", "L"): 190, ("11", "R"): 10})
     stats = qber_both_send(u, v)
     assert stats.detections == 300
     assert stats.wrong_port == 20
@@ -233,8 +238,8 @@ def test_qber_both_send_hand_case():
 
 
 def test_qber_both_send_empty_flagged():
-    u = TallySet(sent={"11": 10}, detected={("11", "L"): 0, ("11", "R"): 0})
-    v = TallySet(sent={"11": 10}, detected={("11", "L"): 0, ("11", "R"): 0})
+    u = tally_set({"11": 10}, {("11", "L"): 0, ("11", "R"): 0})
+    v = tally_set({"11": 10}, {("11", "L"): 0, ("11", "R"): 0})
     stats = qber_both_send(u, v)
     assert stats.detections == 0
     assert stats.qber is None

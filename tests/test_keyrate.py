@@ -96,27 +96,18 @@ def test_analyze_tallies_reference_dataset():
 
 
 def test_analyze_tallies_requires_yield():
-    sent = {"00": 1000, "01": 1000, "10": 1000, "11": 1000}
-    zeros = {(s, d): 0 for s in sent for d in ("L", "R")}
-    u = TallySet(sent=sent, detected=zeros)
-    v = TallySet(sent=sent, detected=dict(zeros))
-    with pytest.raises(EstimationError):
-        analyze_tallies(u, v, defaults.reference_params())
+    u = TallySet(np.array([[1000, 0, 0]] * 4))
+    with pytest.raises(EstimationError, match="mismatched-send yield is zero"):
+        analyze_tallies(u, u, defaults.reference_params())
 
 
 def test_analyze_tallies_clamps_entropy_argument():
     # sparse left-heavy counts drive the raw bound negative; the report keeps
     # the raw value while the key-length evaluation clamps it
-    sent = {"00": 10_000_000, "01": 500_000, "10": 500_000, "11": 10_000}
-    det = {(s, d): 0 for s in sent for d in ("L", "R")}
-    det[("01", "L")] = 70
-    det[("01", "R")] = 70
-    det[("10", "L")] = 70
-    det[("10", "R")] = 70
-    det[("11", "L")] = 40
-    u = TallySet(sent=sent, detected=det)
-    v = TallySet(sent=sent, detected=dict(det))
-    rep = analyze_tallies(u, v, defaults.reference_params())
+    u = TallySet(np.array([
+        [10_000_000, 0, 0], [500_000, 70, 70], [500_000, 70, 70], [10_000, 40, 0]
+    ]))
+    rep = analyze_tallies(u, u, defaults.reference_params())
     assert rep.e_ph_upper < 0.0
     assert rep.n_f >= 0.0
     assert math.isfinite(rep.n_f_raw)
@@ -209,6 +200,38 @@ def test_calibrate_visibility_without_detections_fails():
         calibrate_visibility(ProtocolParams(mu=0.0), ChannelModel(dark_prob=0.0), 0.1)
     with pytest.raises(ValueError, match=r"target_qber must lie in \(0, 0.5\)"):
         calibrate_visibility(ProtocolParams(mu=0.0), ChannelModel(dark_prob=0.0), 0.5)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_calibrate_visibility_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        calibrate_visibility(defaults.reference_params(), defaults.reference_model(50.0),
+                             defaults.REFERENCE_BOTH_SEND_QBER, tol=tol)
+
+
+def test_calibrate_visibility_ends_below_float_spacing(monkeypatch):
+    """A tol below the spacing of floats near the answer ends where the
+    midpoint rounds to an end of the interval, after a bounded number of
+    model calls and bisection steps."""
+    def limited(name, real, bound):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > bound:
+                raise RuntimeError(f"calibration made more than {bound} {name}")
+            return real(*args, **kwargs)
+        return counted
+
+    params, model = defaults.reference_params(), defaults.reference_model(50.0)
+    target = defaults.REFERENCE_BOTH_SEND_QBER
+    coarse = calibrate_visibility(params, model, target)
+    monkeypatch.setattr(channelsim, "click_probabilities",
+                        limited("model calls", channelsim.click_probabilities, 60))
+    # Halving [0, 1] reaches adjacent floats within about 1,075 steps.
+    monkeypatch.setattr(keyrate, "_checked_qber", limited("steps", keyrate._checked_qber, 1100))
+    for tol in (1e-20, 5e-324):
+        assert abs(calibrate_visibility(params, model, target, tol=tol) - coarse) <= 1e-10
 
 
 def test_calibrated_sweep_makes_few_model_calls(monkeypatch):
@@ -354,17 +377,17 @@ def _scalar_chain(params, model, n_windows):
     return analyze_tallies(u, v, params, n_total_pulses=n_windows, delta_threshold=thr)
 
 
-def _assert_close(got, want, name):
+def _assert_equal(got, want, name):
     if isinstance(want, dict):
         assert list(got) == list(want), name
         for key in want:
-            _assert_close(got[key], want[key], f"{name}[{key}]")
+            _assert_equal(got[key], want[key], f"{name}[{key}]")
     elif want is None or isinstance(want, bool):
         assert got is want, name
     elif math.isnan(want):
         assert math.isnan(got), name
     else:
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
+        assert got == want, name
 
 
 @pytest.mark.parametrize("p_t", [0.0, 0.1, 1.0])
@@ -396,7 +419,7 @@ def test_batched_analysis_matches_scalar_chain_row_by_row(p_t):
             continue
         got = batch.report(i)
         for f in fields(KeyRateReport):
-            _assert_close(getattr(got, f.name), getattr(want, f.name), f.name)
+            _assert_equal(getattr(got, f.name), getattr(want, f.name), f.name)
     assert np.flatnonzero(batch.failed).tolist() == failed
     assert 0 < len(failed) < len(rows) or p_t == 0.0
 
@@ -419,7 +442,7 @@ def test_sweep_distance_matches_single_analyses():
         d = pt.distance_km
         want = analyze_expected(params, replace(model, fiber_km_a=0.5 * d, fiber_km_b=0.5 * d), 1e12)
         for f in fields(KeyRateReport):
-            _assert_close(getattr(pt.report, f.name), getattr(want, f.name), f.name)
+            _assert_equal(getattr(pt.report, f.name), getattr(want, f.name), f.name)
     assert sweep_distance(params, model, []) == []
 
 

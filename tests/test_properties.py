@@ -4,6 +4,7 @@ the estimator over random valid inputs."""
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from scfqkd import defaults
 from scfqkd.channelsim import STATE_LABELS, ProtocolParams, SessionTallies, expected_tallies
 from scfqkd.dataio import ParseError, load_raw_tallies, write_raw_tallies
-from scfqkd.estimator import counting_rates, tallies_to_sets
-from scfqkd.keyrate import key_length, model_both_send_qber
+from scfqkd.estimator import EstimationError, counting_rates, estimate, report, tallies_to_sets
+from scfqkd.keyrate import analyze_tallies, key_length, model_both_send_qber
 
 unit = st.floats(0.0, 1.0)
 
@@ -64,18 +65,18 @@ def test_model_both_send_qber_is_at_most_half(setting):
 @st.composite
 def consistent_tallies(draw):
     """Integer session tallies that satisfy every conservation rule."""
-    t = SessionTallies(n_windows=0, threshold=math.radians(30.0))
-    for s in STATE_LABELS:
+    rows = []
+    for _ in STATE_LABELS:
         sent = draw(st.integers(0, 10**12))
         selected = draw(st.integers(0, sent))
         test = draw(st.integers(0, selected))
-        t.sent[s], t.sent_selected[s] = sent, selected
-        t.sent_test[s], t.sent_key[s] = test, selected - test
-        for pool, detected in ((test, t.detected_test), (selected - test, t.detected_key)):
+        row = [sent, selected]
+        for pool in (test, selected - test):
             ch0 = draw(st.integers(0, pool))
-            detected[(s, 0)], detected[(s, 1)] = ch0, draw(st.integers(0, pool - ch0))
-    t.n_windows = sum(t.sent.values())
-    return t
+            row += [pool, ch0, draw(st.integers(0, pool - ch0))]
+        rows.append(row)
+    counts = np.array(rows, dtype=np.int64)
+    return SessionTallies(int(counts[:, 0].sum()), math.radians(30.0), counts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,8 +138,31 @@ def test_key_length_does_not_increase_with_phase_error(n_z, n_v, e_v, f_ec, a, b
 def test_counting_rates_stay_in_unit_interval(t, swap):
     for subset in tallies_to_sets(t, swap_detectors=swap):
         rates = counting_rates(subset)
-        values = [*rates.by_state.values(), *rates.by_cell.values(), rates.total]
-        if rates.error_rate is not None:
-            values.append(rates.error_rate)
+        values = [*rates["by_state"].values(), *rates["by_cell"].values(), rates["total"]]
+        if rates["error_rate"] is not None:
+            values.append(rates["error_rate"])
         assert all(math.isnan(r) or 0.0 <= r <= 1.0 for r in values)
-        assert all(math.isnan(rates.by_state[s]) == (subset.sent[s] == 0) for s in STATE_LABELS)
+        assert all(math.isnan(rates["by_state"][s]) == (subset.sent[s] == 0) for s in STATE_LABELS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(consistent_tallies(), min_size=1, max_size=6), st.booleans(),
+       st.floats(0.0, 0.1), st.sampled_from([None, 0, 1e12]))
+def test_batch_of_tallies_equals_each_analysis(stack, swap, mu, n_total):
+    """The estimation chain over arrays of rows gives each row's single
+    analysis bit for bit, and fails exactly where it raises."""
+    params = ProtocolParams(mu=mu)
+    sets = [tallies_to_sets(t, swap_detectors=swap) for t in stack]
+    test, key = (np.stack([s[i].cells for s in sets], axis=-1) for i in (0, 1))
+    values = estimate(test, key, mu, params.f_ec, n_total or math.nan)
+    values = {name: np.asarray(a) for name, a in values.items()}
+    for i, (u, v) in enumerate(sets):
+        row = {name: a[..., i].tolist() for name, a in values.items()}
+        try:
+            want = analyze_tallies(u, v, params, n_total_pulses=n_total)
+        except EstimationError as exc:
+            with pytest.raises(EstimationError) as got:
+                report(row, mu, params.f_ec, params.delta_threshold, n_total)
+            assert str(got.value) == str(exc)
+            continue
+        assert report(row, mu, params.f_ec, params.delta_threshold, n_total) == want
