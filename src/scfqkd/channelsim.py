@@ -27,26 +27,27 @@ exact for this model: only both-send ("11") windows, a fraction epsilon**2
 of all windows, click with a phase-dependent probability; post-selection
 looks only at the span-mean phase; and the 00/01/10 windows click
 independently of the phase, so their counts per span are binomial.  The
-session is cut into chunks of whole spans.  Every chunk owns an
-independent, deterministically seeded random stream and draws in this
-frozen order:
+session is cut into chunks of whole spans.  The session stream
+(:func:`_chunk_rng` index 0) draws the initial phase, uniform on [0, 2 pi),
+then each chunk's drift total T ~ N(0, sigma**2 m) for a chunk of m
+windows; a chunk starts at the initial phase plus the totals before it.
+Every chunk owns an independent, deterministically seeded stream and draws
+in this frozen order:
 
-1. each span's drift sum S ~ N(0, sigma**2 L) for a span of L windows;
+1. one free normal Z ~ N(0, sigma**2 L) per span of L windows, pinned to
+   T as S = Z - (L / m)(sum Z - T), the span drift sums' law given T;
 2. the number of both-send windows per span, Binomial(L, epsilon**2);
-3. for spans without both-send windows, the span-mean offset from the
-   span's starting phase, N(S (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L)),
-   which is its law given S;
-4. for the other spans, the walk only where it is observed (see
-   :func:`_bridge`): the both-send windows' distinct uniform positions
-   (one integer per span holding one, then a row of uniforms per span
-   holding more), a free Gaussian walk at those positions and then at the
-   span's end, which turns into the walk given S (a discrete Brownian
+3. for every span the walk only where it is observed (see :func:`_bridge`):
+   the both-send windows' distinct uniform positions (one integer per span
+   holding one, then a row of uniforms per span holding more), a free
+   Gaussian walk at those positions and then at the end of each span
+   holding any, which turns into the walk given S (a discrete Brownian
    bridge), and one normal per span for the span mean given those points;
-5. the four reference slot counts per span (Poisson at the span-mean
+4. the four reference slot counts per span (Poisson at the span-mean
    phase), from which the span's phase is estimated;
-6. per both-send window a test-set uniform, then left and right click
+5. per both-send window a test-set uniform, then left and right click
    uniforms against the click probabilities at its phase;
-7. per span, chained binomials for the other windows: 01 and 10 counts,
+6. per span, chained binomials for the other windows: 01 and 10 counts,
    then the test split per state; then the chunk's effective clicks on
    channel 0, one binomial total per (state, subset) cell followed by a
    draw without replacement that spreads each nonzero total over its
@@ -54,10 +55,9 @@ frozen order:
    channel-0 click (see :func:`_sparse_binomial`).
 
 A span is kept at threshold delta when the minor angle of its estimated
-phase is below delta.  Because the drift sums come first, a cheap
-sequential prefix pass recovers each chunk's starting phase, and the
-chunks can then be simulated in any number of worker processes with
-bit-identical results.
+phase is below delta.  Chunk streams are keyed by (seed, chunk), so the
+chunks can run in any number of worker processes with bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ CHUNK_SPANS = 1024
 
 
 _ROW_RANGES = {
-    "mu": ("be non-negative", lambda v: v >= 0.0),
+    "mu": ("be finite and non-negative", lambda v: (0.0 <= v) & (v < math.inf)),
     "epsilon": ("lie in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0)),
     "delta_threshold": ("lie in (0, pi]", lambda v: (0.0 < v) & (v <= math.pi)),
 }
@@ -106,12 +106,8 @@ class ProtocolParams:
     ``mu`` is the signal mean photon number at the source, ``epsilon`` the
     per-window send probability of each party, ``delta_threshold`` the
     post-selection bound on the minor angle of the estimated phase (radians),
-    ``f_ec`` the error-correction inefficiency, ``p_t`` the fraction of kept
-    windows sacrificed as the test set, and ``mu_ref`` the reference-pulse
-    mean photon number (recorded for bookkeeping; reference statistics are
-    parameterised directly by detected counts per span).  ``gamma_a`` and
-    ``gamma_b`` are the parties' static source phases; only their difference
-    matters and it is absorbed into the uniformly random initial phase.
+    ``f_ec`` the error-correction inefficiency and ``p_t`` the fraction of
+    kept windows sacrificed as the test set.
     """
 
     mu: float = 0.002
@@ -119,9 +115,6 @@ class ProtocolParams:
     delta_threshold: float = math.radians(30.0)
     f_ec: float = 1.1
     p_t: float = 0.1
-    mu_ref: float = 0.062
-    gamma_a: float = 0.0
-    gamma_b: float = 0.0
 
     def __post_init__(self) -> None:
         for name, (rule, ok) in _ROW_RANGES.items():
@@ -132,11 +125,6 @@ class ProtocolParams:
             raise ValueError(f"f_ec must be at least 1, got {self.f_ec!r}")
         if not 0.0 <= self.p_t <= 1.0:
             raise ValueError(f"p_t must lie in [0, 1], got {self.p_t!r}")
-        if not self.mu_ref >= 0.0:
-            raise ValueError(f"mu_ref must be non-negative, got {self.mu_ref!r}")
-        for name in ("gamma_a", "gamma_b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -349,51 +337,18 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
 
 
-def _chunk_sizes(n_windows: int) -> list:
-    return [min(CHUNK_WINDOWS, n_windows - start) for start in range(0, n_windows, CHUNK_WINDOWS)]
-
-
 def _span_lengths(m: int) -> np.ndarray:
     """Windows per span of an m-window chunk; only the session's last span
     can be short."""
     return np.minimum(_SPAN, m - np.arange(0, m, _SPAN))
 
 
-def _span_drift_sums(
-    rng: np.random.Generator, model: ChannelModel, length: np.ndarray
-) -> np.ndarray:
-    """Phase drift accumulated over each span: the first draw of a chunk."""
-    return model.drift_rad_per_window * np.sqrt(length) * rng.standard_normal(len(length))
-
-
-def _initial_phase(params: ProtocolParams, seed: int) -> float:
-    rng = _chunk_rng(seed, 0)
-    return params.gamma_a - params.gamma_b + rng.uniform(0.0, 2.0 * math.pi)
-
-
-def _chunk_offsets(model: ChannelModel, n_windows: int, seed: int, phi0: float) -> np.ndarray:
-    """Starting phase of every chunk, recovered by a sequential prefix pass.
-
-    Re-generates each chunk's span drift sums (the first draw of its
-    stream) and accumulates them; cost is one normal per span, independent
-    of the worker count used later.
-    """
-    sizes = _chunk_sizes(n_windows)
-    offsets = np.empty(len(sizes))
-    phi = phi0
-    for k, m in enumerate(sizes):
-        offsets[k] = phi
-        phi += float(_span_drift_sums(_chunk_rng(seed, k + 1), model, _span_lengths(m)).sum())
-    return offsets
-
-
-def _span_mean_given_sum(
-    rng: np.random.Generator, total: np.ndarray, length: np.ndarray, scale: float
-) -> np.ndarray:
-    """Span-mean offset from the span's starting phase, drawn from its
-    Gaussian law given the span's drift sum ``total``."""
-    sd = scale * np.sqrt((length + 1) * (length - 1) / (12 * length))
-    return total * (length + 1) / (2 * length) + sd * rng.standard_normal(len(length))
+def _pinned_sums(rng: np.random.Generator, length: np.ndarray, total: float, scale: float) -> np.ndarray:
+    """Span drift sums of a chunk given its drift ``total``: free sums
+    Z ~ N(0, scale**2 L) shifted as S = Z - (L / m)(sum Z - total), m = sum
+    L, which is their exact joint law given the total."""
+    free = scale * np.sqrt(length) * rng.standard_normal(len(length))
+    return free - length / length.sum() * (free.sum() - total)
 
 
 def _bridge(
@@ -403,22 +358,23 @@ def _bridge(
     n_both: np.ndarray,
     scale: float,
 ):
-    """Walk of the spans that hold both-send windows, pinned at its drift sum,
-    drawn only where it is observed.
+    """Walk of each span, pinned at its drift sum, drawn only where it is
+    observed.
 
     Each row is a span whose walk W has W_0 = 0 at the span's start, W_tau
     the offset of its tau-th window, and W_L = ``total`` at its end.  Draws,
     in this order: the ``n_both`` positions per row, uniform and distinct
     (one integer in a row holding one, else the smallest of a row of
     uniforms); a free Gaussian walk U at the sorted positions tau, then at
-    L, so that W_tau = U_tau - (tau / L)(U_L - total) has the law of the
-    walk given its sum (the discrete Brownian bridge); and one normal per
-    row for the span mean given those pinned points.  Between pinned points
-    (a, W_a) and (b, W_b), n = b - a steps, the walk is again a bridge, and
-    its sum over windows a+1..b is Gaussian with mean
-    n W_a + (W_b - W_a)(n + 1) / 2 and variance scale**2 n (n**2 - 1) / 12.
-    Returns the span-mean offsets, and the offsets and row indices of the
-    both-send windows, ordered by row and position.
+    L where a row has any, so that W_tau = U_tau - (tau / L)(U_L - total)
+    has the law of the walk given its sum (the discrete Brownian bridge);
+    and one normal per row for the span mean given those pinned points.
+    Between pinned points (a, W_a) and (b, W_b), among them (0, 0) and
+    (L, total), n = b - a steps, the walk is again a bridge, and its sum
+    over windows a+1..b is Gaussian with mean n W_a + (W_b - W_a)(n + 1) / 2
+    and variance scale**2 n (n**2 - 1) / 12.  Returns the span-mean
+    offsets, and the offsets and row indices of the both-send windows,
+    ordered by row and position.
     """
     n_rows = len(length)
     rows = np.repeat(np.arange(n_rows), n_both)
@@ -447,8 +403,11 @@ def _bridge(
     free = np.concatenate(([0.0], np.cumsum(scale * np.sqrt(gap) * rng.standard_normal(tau.size))))
     tail = length.astype(float)
     tail[has] -= tau[last]
-    free_end = free[first + n_both] - free[first] + scale * np.sqrt(tail) * rng.standard_normal(n_rows)
-    walk = free[1:] - free[first][rows] - tau / length[rows] * (free_end - total)[rows]
+    # How far each free walk ends from its pinned sum; 0 in rows without pinned points.
+    miss = np.zeros(n_rows)
+    miss[has] = free[last + 1] - free[first[has]] - total[has]
+    miss[has] += scale * np.sqrt(tail[has]) * rng.standard_normal(last.size)
+    walk = free[1:] - free[first][rows] - tau / length[rows] * miss[rows]
 
     # The segments' mean sums add up to the trapezoid rule over the pinned points.
     nxt = np.empty_like(tau)
@@ -492,21 +451,17 @@ def _chunk_tallies(args):
     per threshold the kept spans' counts shaped (state, subset, cell) with
     subset (test, key) and cell (windows, effective on ch0, on ch1).
     """
-    params, model, seed, chunk_index, m, phi_offset, thresholds, mean_ref_counts, phase_free = args
+    (params, model, seed, chunk_index, m, phi_offset, chunk_total, thresholds, mean_ref_counts,
+     phase_free) = args
     rng = _chunk_rng(seed, chunk_index + 1)
     length = _span_lengths(m)
     n_spans = len(length)
     scale = model.drift_rad_per_window
     eps = params.epsilon
 
-    total = _span_drift_sums(rng, model, length)
+    total = _pinned_sums(rng, length, chunk_total, scale)
     n_both = rng.binomial(length, eps * eps)
-    mean = np.empty(n_spans)
-    quiet = n_both == 0
-    mean[quiet] = _span_mean_given_sum(rng, total[quiet], length[quiet], scale)
-    busy = np.flatnonzero(~quiet)
-    mean[busy], both_offset, rows = _bridge(rng, total[busy], length[busy], n_both[busy], scale)
-    both_span = busy[rows]
+    mean, both_offset, both_span = _bridge(rng, total, length, n_both, scale)
     start = phi_offset + np.concatenate(([0.0], np.cumsum(total[:-1])))
 
     lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(start + mean)
@@ -577,9 +532,10 @@ def simulate_session(
     (radians) to tally alongside ``params.delta_threshold``; each
     threshold's tallies are the same whatever others are requested.  The
     result is bit-identical for any ``workers`` value: the session is cut
-    into fixed-size chunks with independent seeded streams, a sequential
-    prefix pass recovers every chunk's starting phase, and partial tallies
-    are merged in chunk order.
+    into fixed-size chunks with independent seeded streams, and partial
+    tallies are merged in chunk order.  Every chunk's start phase, the
+    initial phase plus the drift totals of the chunks before it, comes from
+    the session stream before any chunk runs.
 
     More workers are not always faster: starting the worker pool costs more
     than a few chunks' work, so ``workers=2`` ran a session of 8 chunks
@@ -594,12 +550,15 @@ def simulate_session(
     thr_list = _threshold_list(params, thresholds)
     thr_arr = np.array(thr_list)
 
-    phi0 = _initial_phase(params, seed)
-    offsets = _chunk_offsets(model, n_windows, seed, phi0)
+    sizes = [min(CHUNK_WINDOWS, n_windows - start) for start in range(0, n_windows, CHUNK_WINDOWS)]
+    session = _chunk_rng(seed, 0)
+    phi0 = session.uniform(0.0, 2.0 * math.pi)
+    totals = model.drift_rad_per_window * np.sqrt(sizes) * session.standard_normal(len(sizes))
+    starts = np.cumsum(np.concatenate(([phi0], totals[:-1])))
     phase_free = _effective_probs(params, model)[0]
     tasks = (
-        (params, model, seed, k, m, offsets[k], thr_arr, mean_ref_counts, phase_free)
-        for k, m in enumerate(_chunk_sizes(n_windows))
+        (params, model, seed, k, m, starts[k], totals[k], thr_arr, mean_ref_counts, phase_free)
+        for k, m in enumerate(sizes)
     )
 
     sent_total = np.zeros(4, dtype=np.int64)

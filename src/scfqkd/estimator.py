@@ -135,12 +135,14 @@ def _rates(cells):
 def _phase_flip(s00_l, s00_r, s11_l, s11_r, s01_l, s10_l, mu, s_z):
     """The X-basis bounds and the phase-flip bound (see the module
     docstring): ``(up, low_raw, low, e_ph)``, ``low`` being ``low_raw``
-    floored at 0; ``e_ph`` is NaN where ``s_z`` is not positive."""
+    floored at 0; ``e_ph`` is NaN where ``s_z`` is not positive or
+    exp(-mu) underflows to 0."""
     em, sqrt = np.exp(-mu), np.sqrt
     if not isinstance(s_z, np.ndarray):
         # One analysis runs on Python floats: math.sqrt rounds as np.sqrt
         # does (both exactly), while exp stays numpy's, which math.exp is not.
         em, sqrt = float(em), math.sqrt
+    em = _positive(em)
     g = 1.0 - em
     two_g, two_g_em, den = 2.0 * g, 2.0 * g / em, 2.0 * (1.0 + em)
     up = (
@@ -210,7 +212,8 @@ def estimate(test, key, mu, f_ec, n_total) -> dict:
     # clamped (a failed row's NaN to 0) while the report keeps the raw value.
     n_f_raw = key_length(n_z, _clip(e_ph, 0.0, 0.5), n_v, e_v, f_ec)
     n_f = _clip(n_f_raw, 0.0)
-    # e_ph is NaN exactly where a test-set state has no windows or s_z is 0.
+    # e_ph is NaN exactly where a test-set state has no windows, s_z is 0 or
+    # exp(-mu) underflows to 0.
     failed = np.isnan(e_ph) | (mu <= 0.0)
     return {
         "s_u": s_u,
@@ -241,7 +244,13 @@ def _failure(by_state, s_z: float, mu: float) -> EstimationError:
         return EstimationError(f"no announced windows for cells: {bad}")
     if s_z <= 0:
         return EstimationError("mismatched-send yield is zero; no key material")
-    return EstimationError(f"mu must be positive, got {mu!r}")
+    return _mu_error(mu)
+
+
+def _mu_error(mu: float) -> EstimationError:
+    """The error for a mu that is not positive or whose exp(-mu) underflows to 0."""
+    rule = "be positive" if not mu > 0.0 else "be small enough that exp(-mu) > 0"
+    return EstimationError(f"mu must {rule}, got {mu!r}")
 
 
 @dataclass
@@ -342,8 +351,8 @@ def phase_flip_upper(
     Inputs are test-set counting rates resolved by detector side, the signal
     mean photon number and the mismatched-send yield ``s_z``.
     """
-    if not mu > 0.0:
-        raise EstimationError(f"mu must be positive, got {mu!r}")
+    if not (mu > 0.0 and np.exp(-mu) > 0.0):
+        raise _mu_error(mu)
     if not s_z > 0.0:
         raise EstimationError(f"s_tilde_z must be positive, got {s_z!r}")
     up, low_raw, low, value = _phase_flip(

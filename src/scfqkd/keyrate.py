@@ -104,9 +104,7 @@ def analyze_expected_batch(
     cells = channelsim._expected_cells(params, model, n_windows, mu, eps, delta[:, None], fiber_km)[3]
     # (state, subset, cell, row) of the one threshold; sides L, R are ch0, ch1.
     leaves = cells[:, 0].transpose(1, 2, 3, 0).copy()
-    # A mu above about 745 underflows exp(-mu) to 0; such a row fails quietly.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = estimator.estimate(leaves[:, 0], leaves[:, 1], mu, params.f_ec, n_windows)
+    values = estimator.estimate(leaves[:, 0], leaves[:, 1], mu, params.f_ec, n_windows)
     for name in ("rates_u_by_state", "rates_u_by_cell"):
         values[name] = np.array(values[name])
     return ExpectedReports(values, mu, delta, params.f_ec, n_windows)

@@ -30,6 +30,8 @@ def test_protocol_params_validation():
     ProtocolParams(mu=0.0, epsilon=0.0, p_t=0.0)  # boundary values allowed
     with pytest.raises(ValueError):
         ProtocolParams(mu=-0.1)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        ProtocolParams(mu=math.inf)
     with pytest.raises(ValueError):
         ProtocolParams(epsilon=1.5)
     with pytest.raises(ValueError):
@@ -299,16 +301,22 @@ def test_bridge_positions_and_span_mean_law():
     dof = DEFAULT_SPAN_WINDOWS - 1
     assert chi2 < dof + 5 * math.sqrt(2 * dof)
 
-    # The pinned walk's span mean has the closed-form law that spans
-    # without both-send windows draw from.
+    # A span without both-send windows has the span mean's closed-form law
+    # given its sum S: N(S (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L)).
     total = np.full(rows, 3.0)
     length = np.full(rows, DEFAULT_SPAN_WINDOWS)
+    length[:1000] = 105
     scale = 0.02
-    walked, _, _ = channelsim._bridge(rng, total, length, np.zeros(rows, dtype=int), scale)
-    closed = channelsim._span_mean_given_sum(rng, total, length, scale)
-    se = math.sqrt((walked.var() + closed.var()) / rows)
-    assert abs(walked.mean() - closed.mean()) < 5 * se
-    assert abs(walked.var() / closed.var() - 1.0) < 5 * math.sqrt(4.0 / rows)
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    mean, offset, _ = channelsim._bridge(rng, total, length, np.zeros(rows, dtype=int), scale)
+    assert offset.size == 0
+    # Such a span draws its span-mean normal and nothing else.
+    twin.standard_normal(rows)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    for n in (105, DEFAULT_SPAN_WINDOWS):
+        res = mean[length == n] - 3.0 * (n + 1) / (2 * n)
+        assert max(_z_mean_var(res, scale**2 * (n + 1) * (n - 1) / (12 * n))) < 5
 
 
 def _bridge_law(rows, length, scale, seed):
@@ -409,6 +417,58 @@ def test_bridge_positions_distinct_uniform_and_dense():
     last = np.cumsum(length) - 1
     assert np.allclose(offset[last], total, rtol=0, atol=1e-12)
     assert np.allclose(mean, np.bincount(row, offset) / length, rtol=0, atol=1e-12)
+
+
+def test_pinned_sums_add_up_and_have_the_free_law():
+    """Span sums pinned to a chunk total T ~ N(0, sigma**2 m) add up to T,
+    and each has variance sigma**2 L, the ragged last span too, with no
+    covariance between spans: the law of independent free sums."""
+    rng = np.random.default_rng(36)
+    scale, m = 0.05, 5 * DEFAULT_SPAN_WINDOWS + 77
+    length = channelsim._span_lengths(m)
+    draws = 20_000
+    totals = scale * math.sqrt(m) * rng.standard_normal(draws)
+    sums = np.array([channelsim._pinned_sums(rng, length, t, scale) for t in totals])
+    assert np.allclose(sums.sum(axis=1), totals, rtol=0, atol=1e-12)
+    var = scale**2 * length
+    for i in range(len(length)):
+        assert max(_z_mean_var(sums[:, i], var[i])) < 5, i
+        for j in range(i):
+            cov = np.mean(sums[:, i] * sums[:, j])
+            assert abs(cov) / math.sqrt(var[i] * var[j] / draws) < 5, (i, j)
+
+
+def test_chunk_start_phases_advance_by_chunk_totals(monkeypatch):
+    """The parent draws the initial phase and one total per chunk from the
+    session stream and builds no chunk stream; each chunk starts where the
+    one before it started plus that chunk's total."""
+    events, tasks = [], []
+    real_rng, real_chunk = channelsim._chunk_rng, channelsim._chunk_tallies
+
+    def rng_spy(seed, index):
+        events.append(("rng", index))
+        return real_rng(seed, index)
+
+    def chunk_spy(args):
+        events.append(("chunk", args[3]))
+        tasks.append(args)
+        return real_chunk(args)
+
+    monkeypatch.setattr(channelsim, "_chunk_rng", rng_spy)
+    monkeypatch.setattr(channelsim, "_chunk_tallies", chunk_spy)
+    model = ChannelModel(drift_rad_per_window=0.01)
+    n = 2 * CHUNK_WINDOWS + 5000
+    simulate_session(ProtocolParams(mu=0.1, epsilon=0.3), model, n, seed=4)
+    assert events[:3] == [("rng", 0), ("chunk", 0), ("rng", 1)]
+    assert [e for e in events if e[0] == "rng"] == [("rng", k) for k in range(4)]
+    start = [args[5] for args in tasks]
+    total = [args[6] for args in tasks]
+    session = real_rng(4, 0)
+    assert start[0] == session.uniform(0.0, 2.0 * math.pi)
+    sizes = np.array([CHUNK_WINDOWS, CHUNK_WINDOWS, 5000])
+    assert np.array_equal(total, 0.01 * np.sqrt(sizes) * session.standard_normal(3))
+    for k in range(2):
+        assert start[k + 1] == start[k] + total[k]
 
 
 def test_sparse_binomial_matches_independent_binomials():
@@ -737,7 +797,7 @@ def test_chunk_totals_equal_sums_over_span_counts(monkeypatch, p_t, m):
     model = ChannelModel(fiber_km_a=1.0, fiber_km_b=2.0, dark_prob=1e-3, visibility=0.9)
     phase_free = channelsim._effective_probs(params, model)[0]
     sent, effective, per_thr = channelsim._chunk_tallies(
-        (params, model, 9, 0, m, 0.3, np.array([math.pi]), 45.0, phase_free)
+        (params, model, 9, 0, m, 0.3, -0.2, np.array([math.pi]), 45.0, phase_free)
     )
     (cells,) = per_thr
     assert sent.tolist() == cells[..., 0].sum(axis=1).tolist()

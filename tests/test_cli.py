@@ -79,6 +79,17 @@ def test_analyze_rejects_bad_values(tmp_path, capsys, line, bad):
     assert bad.split("\t")[0] in err
 
 
+@pytest.mark.parametrize("mu, message", [
+    ("800", "mu must be small enough that exp(-mu) > 0, got 800.0"),
+    ("inf", "mu must be finite and non-negative, got inf"),
+])
+def test_analyze_rejects_unusable_mu(capsys, mu, message):
+    code, out, err = run(capsys, "analyze", "--mu", mu)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu": 0.5}))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -11,8 +12,10 @@ from scfqkd.estimator import (
     TallySet,
     bit_flip_error_v,
     counting_rates,
+    estimate,
     phase_flip_upper,
     qber_both_send,
+    report,
     tallies_to_sets,
 )
 from scfqkd.keyrate import analyze_tallies
@@ -215,6 +218,29 @@ def test_phase_flip_upper_validation():
         phase_flip_upper(0, 0, 0, 0, 0, 0, 0.0, 1e-4)
     with pytest.raises(EstimationError):
         phase_flip_upper(0, 0, 0, 0, 0, 0, 0.002, 0.0)
+    with pytest.raises(EstimationError, match=r"exp\(-mu\) > 0, got 800.0"):
+        phase_flip_upper(0, 0, 0, 0, 0, 0, 800.0, 1e-4)
+
+
+def test_underflowing_exp_mu_fails_alike_in_both_chains():
+    """At mu = 800 exp(-mu) is 0: the scalar chain and a row of the array
+    chain both fail with the error that names mu, and the row beside it,
+    at the reference mu, is untouched."""
+    raw = dataio.load_raw_tallies(defaults.bundled_tally_path())
+    u, v = raw.tally_sets()
+    params = defaults.reference_params()
+    with pytest.raises(EstimationError, match="got 800.0") as scalar:
+        analyze_tallies(u, v, replace(params, mu=800.0), n_total_pulses=raw.n_total_pulses)
+    mu = np.array([params.mu, 800.0])
+    test, key = (np.stack([t.cells] * 2, axis=-1).astype(float) for t in (u, v))
+    values = estimate(test, key, mu, params.f_ec, raw.n_total_pulses)
+    assert values["failed"].tolist() == [False, True]
+    rows = [{name: np.asarray(a)[..., i].tolist() for name, a in values.items()} for i in (0, 1)]
+    with pytest.raises(EstimationError) as array:
+        report(rows[1], 800.0, params.f_ec, params.delta_threshold, raw.n_total_pulses)
+    assert str(array.value) == str(scalar.value)
+    want = analyze_tallies(u, v, params, n_total_pulses=raw.n_total_pulses)
+    assert report(rows[0], params.mu, params.f_ec, params.delta_threshold, raw.n_total_pulses) == want
 
 
 def test_bit_flip_error_v():

@@ -447,7 +447,8 @@ def test_sweep_distance_matches_single_analyses():
 
 
 @pytest.mark.parametrize(
-    "name, bad", [("mu", -1e-3), ("epsilon", 1.5), ("delta_threshold", 0.0), ("delta_threshold", 4.0)]
+    "name, bad",
+    [("mu", -1e-3), ("mu", math.inf), ("epsilon", 1.5), ("delta_threshold", 0.0), ("delta_threshold", 4.0)],
 )
 def test_batched_rows_keep_protocol_range_checks(name, bad):
     params = defaults.reference_params()
