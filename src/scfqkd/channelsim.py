@@ -34,20 +34,19 @@ windows; a chunk starts at the initial phase plus the totals before it.
 Every chunk owns an independent, deterministically seeded stream and draws
 in this frozen order:
 
-1. one free normal Z ~ N(0, sigma**2 L) per span of L windows, pinned to
-   T as S = Z - (L / m)(sum Z - T), the span drift sums' law given T;
-2. the number of both-send windows per span, Binomial(L, epsilon**2);
-3. for every span the walk only where it is observed (see :func:`_bridge`):
-   the both-send windows' distinct uniform positions (one integer per span
-   holding one, then a row of uniforms per span holding more), a free
-   Gaussian walk at those positions and then at the end of each span
-   holding any, which turns into the walk given S (a discrete Brownian
+1. the number of both-send windows per span, Binomial(L, epsilon**2) for a
+   span of L windows;
+2. the walk only where it is observed (see :func:`_bridge`): the both-send
+   windows' distinct uniform positions (one integer per span holding one,
+   then a row of uniforms per span holding more), one normal per pinned
+   point in chunk order (per span its both-send windows, then its end) for
+   a free Gaussian walk that is pinned to T once (a discrete Brownian
    bridge), and one normal per span for the span mean given those points;
-4. the four reference slot counts per span (Poisson at the span-mean
+3. the four reference slot counts per span (Poisson at the span-mean
    phase), from which the span's phase is estimated;
-5. per both-send window a test-set uniform, then left and right click
+4. per both-send window a test-set uniform, then left and right click
    uniforms against the click probabilities at its phase;
-6. per span, chained binomials for the other windows: 01 and 10 counts,
+5. per span, chained binomials for the other windows: 01 and 10 counts,
    then the test split per state; then the chunk's effective clicks on
    channel 0, one binomial total per (state, subset) cell followed by a
    draw without replacement that spreads each nonzero total over its
@@ -86,12 +85,14 @@ _ROW_RANGES = {
     "epsilon": ("lie in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0)),
     "delta_threshold": ("lie in (0, pi]", lambda v: (0.0 < v) & (v <= math.pi)),
 }
-"""Range rules of the protocol parameters that batched analyses vary per row."""
+"""Range rules of the protocol parameters that batched analyses vary per
+row, and of the extra post-selection thresholds of a session."""
+_ROW_RANGES["thresholds"] = _ROW_RANGES["delta_threshold"]
 
 
 def _check_rows(**values: np.ndarray) -> None:
-    """Apply :class:`ProtocolParams`' range checks and messages to arrays of
-    per-row values; the first offending value is reported."""
+    """Apply the range rules and their messages to arrays of values, one
+    per row or per threshold; the first offending value is reported."""
     for name, v in values.items():
         rule, ok = _ROW_RANGES[name]
         good = ok(v)
@@ -117,7 +118,8 @@ class ProtocolParams:
     p_t: float = 0.1
 
     def __post_init__(self) -> None:
-        for name, (rule, ok) in _ROW_RANGES.items():
+        for name in ("mu", "epsilon", "delta_threshold"):
+            rule, ok = _ROW_RANGES[name]
             value = getattr(self, name)
             if not ok(value):
                 raise ValueError(f"{name} must {rule}, got {value!r}")
@@ -185,8 +187,8 @@ class SessionTallies:
     (selected), then the kept windows' (subset, cell) table with subset
     (test, key) and cell (windows, effective on ch0, effective on ch1).
     :attr:`cells` is that table as a (state, subset, cell) view.  Values
-    are ints for Monte Carlo runs, floats for expected-value calculations
-    and the numbers as written for a raw tally file.
+    are ints for Monte Carlo runs, floats for expected-value calculations,
+    and for a raw tally file ints when every cell is an integer, else floats.
 
     ``sent``, ``sent_selected``, ``sent_test``, ``sent_key``,
     ``detected_test`` and ``detected_key`` are read-only mappings of the
@@ -323,13 +325,9 @@ CHUNK_WINDOWS = CHUNK_SPANS * _SPAN
 
 def _threshold_list(params: ProtocolParams, thresholds: Sequence[float] | None) -> list:
     """The primary threshold followed by each distinct extra one (radians)."""
-    thr_list = [params.delta_threshold]
-    for t in thresholds or ():
-        if not 0.0 < t <= math.pi:
-            raise ValueError(f"thresholds must lie in (0, pi], got {t!r}")
-        if t not in thr_list:
-            thr_list.append(t)
-    return thr_list
+    extra = list(thresholds or ())
+    _check_rows(thresholds=np.asarray(extra))
+    return list(dict.fromkeys([params.delta_threshold, *extra]))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -337,47 +335,34 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
 
 
-def _span_lengths(m: int) -> np.ndarray:
-    """Windows per span of an m-window chunk; only the session's last span
-    can be short."""
-    return np.minimum(_SPAN, m - np.arange(0, m, _SPAN))
-
-
-def _pinned_sums(rng: np.random.Generator, length: np.ndarray, total: float, scale: float) -> np.ndarray:
-    """Span drift sums of a chunk given its drift ``total``: free sums
-    Z ~ N(0, scale**2 L) shifted as S = Z - (L / m)(sum Z - total), m = sum
-    L, which is their exact joint law given the total."""
-    free = scale * np.sqrt(length) * rng.standard_normal(len(length))
-    return free - length / length.sum() * (free.sum() - total)
-
-
 def _bridge(
     rng: np.random.Generator,
-    total: np.ndarray,
+    total: float,
     length: np.ndarray,
     n_both: np.ndarray,
     scale: float,
 ):
-    """Walk of each span, pinned at its drift sum, drawn only where it is
+    """Walk of a chunk, pinned at its drift total, drawn only where it is
     observed.
 
-    Each row is a span whose walk W has W_0 = 0 at the span's start, W_tau
-    the offset of its tau-th window, and W_L = ``total`` at its end.  Draws,
-    in this order: the ``n_both`` positions per row, uniform and distinct
-    (one integer in a row holding one, else the smallest of a row of
-    uniforms); a free Gaussian walk U at the sorted positions tau, then at
-    L where a row has any, so that W_tau = U_tau - (tau / L)(U_L - total)
-    has the law of the walk given its sum (the discrete Brownian bridge);
-    and one normal per row for the span mean given those pinned points.
-    Between pinned points (a, W_a) and (b, W_b), among them (0, 0) and
-    (L, total), n = b - a steps, the walk is again a bridge, and its sum
-    over windows a+1..b is Gaussian with mean n W_a + (W_b - W_a)(n + 1) / 2
-    and variance scale**2 n (n**2 - 1) / 12.  Returns the span-mean
-    offsets, and the offsets and row indices of the both-send windows,
-    ordered by row and position.
+    The chunk's spans have ``length`` windows and hold ``n_both`` both-send
+    windows each.  The walk W has W_0 = 0 at the chunk's start, W_t the
+    offset of its t-th window and W_m = ``total`` at its end.  Its pinned
+    points are, per span in order, the span's both-send windows and then
+    the span's end.  Draws, in this order: the both-send positions per
+    span, uniform and distinct (one integer in a span holding one, else the
+    smallest of a row of uniforms); a free Gaussian walk U at the pinned
+    points, so that W_t = U_t - (t / m)(U_m - total) has the law of the walk
+    given its total (the discrete Brownian bridge); and one normal per span
+    for the span mean given those points.  Between pinned points (a, W_a)
+    and (b, W_b), the first starting from (0, 0), n = b - a steps, the walk
+    is again a bridge, and its sum over windows a+1..b is Gaussian with mean
+    n W_a + (W_b - W_a)(n + 1) / 2 and variance scale**2 n (n**2 - 1) / 12;
+    a span's sum adds up its segments.  Returns the span-mean offsets, and
+    the offsets and span indices of the both-send windows, ordered by span
+    and position.
     """
-    n_rows = len(length)
-    rows = np.repeat(np.arange(n_rows), n_both)
+    rows = np.repeat(np.arange(len(length)), n_both)
     one = n_both == 1
     pos = np.empty(rows.size, dtype=np.int64)
     pos[one[rows]] = rng.integers(0, length[one])
@@ -392,31 +377,25 @@ def _bridge(
         picked[np.nonzero(first_k)[0], order[first_k]] = True
         pos[~one[rows]] = np.nonzero(picked)[1]
 
-    tau = pos + 1.0
-    first = np.cumsum(n_both) - n_both
-    has = n_both > 0
-    last = first[has] + n_both[has] - 1
-    prev = np.empty_like(tau)
-    prev[1:] = tau[:-1]
-    prev[first[has]] = 0.0
-    gap = tau - prev
-    free = np.concatenate(([0.0], np.cumsum(scale * np.sqrt(gap) * rng.standard_normal(tau.size))))
-    tail = length.astype(float)
-    tail[has] -= tau[last]
-    # How far each free walk ends from its pinned sum; 0 in rows without pinned points.
-    miss = np.zeros(n_rows)
-    miss[has] = free[last + 1] - free[first[has]] - total[has]
-    miss[has] += scale * np.sqrt(tail[has]) * rng.standard_normal(last.size)
-    walk = free[1:] - free[first][rows] - tau / length[rows] * miss[rows]
-
-    # The segments' mean sums add up to the trapezoid rule over the pinned points.
-    nxt = np.empty_like(tau)
-    nxt[:-1] = tau[1:]
-    nxt[last] = length[has]
-    span_sum = np.bincount(rows, walk * (nxt - prev) / 2, n_rows) + total * (tail + 1) / 2
-    span_var = np.bincount(rows, gap * (gap * gap - 1) / 12, n_rows) + tail * (tail * tail - 1) / 12
-    mean = (span_sum + scale * np.sqrt(span_var) * rng.standard_normal(n_rows)) / length
-    return mean, walk, rows
+    # Where each span's end, its first pinned point and each both-send
+    # window sit among the pinned points.
+    end_at = np.cumsum(n_both + 1) - 1
+    first_at = end_at - n_both
+    both_at = rows + np.arange(rows.size)
+    end = np.cumsum(length)
+    t = np.empty(end_at[-1] + 1)
+    t[end_at] = end
+    t[both_at] = (end - length)[rows] + pos + 1
+    gap = t.copy()
+    gap[1:] -= t[:-1]
+    free = np.cumsum(scale * np.sqrt(gap) * rng.standard_normal(t.size))
+    walk = free - t / end[-1] * (free[-1] - total)
+    prev = np.zeros_like(walk)
+    prev[1:] = walk[:-1]
+    span_sum = np.add.reduceat(gap * prev + (walk - prev) * (gap + 1) / 2, first_at)
+    span_var = np.add.reduceat(gap * (gap * gap - 1) / 12, first_at)
+    mean = (span_sum + scale * np.sqrt(span_var) * rng.standard_normal(len(length))) / length
+    return mean, walk[both_at], rows
 
 
 def _sparse_binomial(rng: np.random.Generator, pool: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -454,23 +433,22 @@ def _chunk_tallies(args):
     (params, model, seed, chunk_index, m, phi_offset, chunk_total, thresholds, mean_ref_counts,
      phase_free) = args
     rng = _chunk_rng(seed, chunk_index + 1)
-    length = _span_lengths(m)
+    # Only the session's last span can be short.
+    length = np.minimum(_SPAN, m - np.arange(0, m, _SPAN))
     n_spans = len(length)
     scale = model.drift_rad_per_window
     eps = params.epsilon
 
-    total = _pinned_sums(rng, length, chunk_total, scale)
     n_both = rng.binomial(length, eps * eps)
-    mean, both_offset, both_span = _bridge(rng, total, length, n_both, scale)
-    start = phi_offset + np.concatenate(([0.0], np.cumsum(total[:-1])))
+    mean, both_offset, both_span = _bridge(rng, chunk_total, length, n_both, scale)
 
-    lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(start + mean)
+    lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(phi_offset + mean)
     est = phasetrack.estimate_phase_batch(rng.poisson(lam))
     minor_est = minor_angle(est)
 
     counts = np.empty((n_spans, 4, 2, 3), dtype=np.int64)
     is_key = rng.random(both_span.size) >= params.p_t
-    p_left, p_right = click_probabilities(params, model, True, True, start[both_span] + both_offset)
+    p_left, p_right = click_probabilities(params, model, True, True, phi_offset + both_offset)
     left = rng.random(both_span.size) < p_left
     right = rng.random(both_span.size) < p_right
     cell = (both_span * 2 + is_key) * 3
@@ -533,9 +511,10 @@ def simulate_session(
     threshold's tallies are the same whatever others are requested.  The
     result is bit-identical for any ``workers`` value: the session is cut
     into fixed-size chunks with independent seeded streams, and partial
-    tallies are merged in chunk order.  Every chunk's start phase, the
-    initial phase plus the drift totals of the chunks before it, comes from
-    the session stream before any chunk runs.
+    tallies are merged in chunk order.  Every chunk's drift total and start
+    phase, the initial phase plus the totals of the chunks before it, come
+    from the session stream before any chunk runs; each chunk then pins its
+    walk to its total once, at its both-send windows and span ends.
 
     More workers are not always faster: starting the worker pool costs more
     than a few chunks' work, so ``workers=2`` ran a session of 8 chunks

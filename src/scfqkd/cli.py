@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, help="parallel worker processes (default 1)")
     p.add_argument("--out", required=True, help="raw tally output file")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--swap-detectors", action="store_true")
+    p.add_argument("--swap-detectors", action="store_true", help="map L=ch1, R=ch0 in the report")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="expected-value key rate versus distance")
@@ -328,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated thresholds in degrees for simulation mode")
     p.add_argument("--windows", type=float, help="windows in simulation mode (default 1e7)")
     p.add_argument("--seed", type=int, help="seed in simulation mode (default 1)")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--swap-detectors", action="store_true")
+    p.add_argument("--workers", type=int, help="worker processes in simulation mode (default 1)")
+    p.add_argument("--swap-detectors", action="store_true", help="map L=ch1, R=ch0")
     p.add_argument("--out", help="write the table here instead of stdout")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_qber_table)

@@ -133,7 +133,7 @@ def _parse_lines(text: str, source: str):
                 ) from None
         if key in values:
             raise ParseError(f"{source}: duplicate key {key!r}", key=key, line=lineno)
-        if key not in CELL_KEYS and key not in METADATA_KEYS:
+        if key not in CELL_INDEX and key not in METADATA_KEYS:
             warnings.warn(f"{source}: ignoring unknown key {key!r}", stacklevel=3)
             continue
         if not math.isfinite(value):
@@ -142,7 +142,7 @@ def _parse_lines(text: str, source: str):
                 key=key,
                 line=lineno,
             )
-        if key in CELL_KEYS and value < 0:
+        if key in CELL_INDEX and value < 0:
             raise ParseError(
                 f"{source}: negative count for {key!r}: {value}", key=key, line=lineno
             )
@@ -203,8 +203,10 @@ def load_raw_tallies(path, strict: bool = True) -> RawTallies:
             )
     _check_consistency(values, path)
 
-    # Python numbers, so each count keeps the exact value and type it has in the file.
-    counts = np.array([values.get(k, 0) for k in _KEYS_BY_INDEX], dtype=object).reshape(4, 8)
+    # int64 when every cell is an integer that fits it, else float64.
+    counts = np.array([values.get(k, 0) for k in _KEYS_BY_INDEX]).reshape(4, 8)
+    if counts.dtype == object:
+        counts = counts.astype(float)
     tallies = SessionTallies(
         n_windows=sum(counts[:, 0].tolist()),
         threshold=math.radians(values["Delta-Degrees"]) if "Delta-Degrees" in values else math.nan,

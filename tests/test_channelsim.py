@@ -284,57 +284,16 @@ def _sampler_cells(t):
     return np.array(cells + [t.effective_windows])
 
 
-def test_bridge_positions_and_span_mean_law():
-    rng = np.random.default_rng(3)
-    rows = 20_000
-    length = np.where(np.arange(rows) < 1000, 105, DEFAULT_SPAN_WINDOWS)
-    # Without noise the walk climbs by one per window: offsets are positions + 1.
-    n_both = rng.integers(1, 4, rows)
-    _mean, offset, row = channelsim._bridge(rng, length.astype(float), length, n_both, 0.0)
-    pos = np.rint(offset).astype(int) - 1
-    assert np.array_equal(row, np.repeat(np.arange(rows), n_both))
-    assert np.unique(row * DEFAULT_SPAN_WINDOWS + pos).size == pos.size
-    assert np.all((0 <= pos) & (pos < length[row]))
-    full = pos[length[row] == DEFAULT_SPAN_WINDOWS]
-    expect = full.size / DEFAULT_SPAN_WINDOWS
-    chi2 = float(np.sum((np.bincount(full, minlength=DEFAULT_SPAN_WINDOWS) - expect) ** 2) / expect)
-    dof = DEFAULT_SPAN_WINDOWS - 1
-    assert chi2 < dof + 5 * math.sqrt(2 * dof)
-
-    # A span without both-send windows has the span mean's closed-form law
-    # given its sum S: N(S (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L)).
-    total = np.full(rows, 3.0)
-    length = np.full(rows, DEFAULT_SPAN_WINDOWS)
-    length[:1000] = 105
-    scale = 0.02
+def _bridge_times(rng, total, length, n_both, scale):
+    """:func:`channelsim._bridge`'s span means, both-send offsets and spans,
+    plus each both-send window's time t in the chunk, read from a noiseless
+    replay of the same stream: with scale 0 and total m the walk climbs by
+    one per window, W_t = t."""
     twin = np.random.default_rng()
     twin.bit_generator.state = rng.bit_generator.state
-    mean, offset, _ = channelsim._bridge(rng, total, length, np.zeros(rows, dtype=int), scale)
-    assert offset.size == 0
-    # Such a span draws its span-mean normal and nothing else.
-    twin.standard_normal(rows)
-    assert rng.bit_generator.state == twin.bit_generator.state
-    for n in (105, DEFAULT_SPAN_WINDOWS):
-        res = mean[length == n] - 3.0 * (n + 1) / (2 * n)
-        assert max(_z_mean_var(res, scale**2 * (n + 1) * (n - 1) / (12 * n))) < 5
-
-
-def _bridge_law(rows, length, scale, seed):
-    """Draw ``rows`` spans of ``length`` windows holding one or two
-    both-send windows, each span with its own drift sum; returns the sums,
-    the span means, and per entry the row, position tau (1-based) and
-    offset."""
-    rng = np.random.default_rng(seed)
-    total = scale * math.sqrt(length) * rng.standard_normal(rows)
-    n_both = np.full(rows, 2)
-    n_both[: rows // 2] = 1
-    lengths = np.full(rows, length)
-    mean, offset, row = channelsim._bridge(rng, total, lengths, n_both, scale)
-    # A noiseless copy with the same stream recovers the positions.
-    rng = np.random.default_rng(seed)
-    rng.standard_normal(rows)
-    _, climb, _ = channelsim._bridge(rng, lengths.astype(float), lengths, n_both, 0.0)
-    return total, mean, row, np.rint(climb), offset
+    mean, offset, span = channelsim._bridge(rng, total, length, n_both, scale)
+    _, climb, _ = channelsim._bridge(twin, float(length.sum()), length, n_both, 0.0)
+    return mean, offset, span, np.rint(climb)
 
 
 def _z_mean_var(x, var):
@@ -344,92 +303,144 @@ def _z_mean_var(x, var):
     return abs(x.mean()) / math.sqrt(var / n), abs(x.var() / var - 1.0) / math.sqrt(2.0 / n)
 
 
+def test_bridge_positions_and_span_mean_law():
+    rng = np.random.default_rng(3)
+    spans = 20_000
+    length = np.where(np.arange(spans) < 1000, 105, DEFAULT_SPAN_WINDOWS)
+    start = np.cumsum(length) - length
+    n_both = rng.integers(0, 4, spans)
+    _, _, row, t = _bridge_times(rng, 0.0, length, n_both, 0.0)
+    pos = t.astype(int) - start[row] - 1
+    assert np.array_equal(row, np.repeat(np.arange(spans), n_both))
+    assert np.unique(row * DEFAULT_SPAN_WINDOWS + pos).size == pos.size
+    assert np.all((0 <= pos) & (pos < length[row]))
+    full = pos[length[row] == DEFAULT_SPAN_WINDOWS]
+    expect = full.size / DEFAULT_SPAN_WINDOWS
+    chi2 = float(np.sum((np.bincount(full, minlength=DEFAULT_SPAN_WINDOWS) - expect) ** 2) / expect)
+    dof = DEFAULT_SPAN_WINDOWS - 1
+    assert chi2 < dof + 5 * math.sqrt(2 * dof)
+    # On the noiseless climb W_t = t every span mean, quiet or busy, is the
+    # mean of its window times.
+    climb, _, _ = channelsim._bridge(rng, float(length.sum()), length, n_both, 0.0)
+    assert np.allclose(climb, start + (length + 1) / 2, rtol=1e-12, atol=0)
+
+    # A quiet span is one segment: alone in a chunk with total T, its mean
+    # is N(T (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L)).
+    scale = 0.02
+    quiet = np.zeros(1, dtype=int)
+    for n in (105, DEFAULT_SPAN_WINDOWS):
+        one = np.array([n])
+        mean = np.array([channelsim._bridge(rng, 3.0, one, quiet, scale)[0][0] for _ in range(4000)])
+        res = mean - 3.0 * (n + 1) / (2 * n)
+        assert max(_z_mean_var(res, scale**2 * (n + 1) * (n - 1) / (12 * n))) < 5, n
+
+    # A chunk without both-send windows draws two normals per span, one at
+    # its end and one for its mean, and nothing else.
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    _, offset, _ = channelsim._bridge(rng, 3.0, length, np.zeros(spans, dtype=int), scale)
+    assert offset.size == 0
+    twin.standard_normal(2 * spans)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_bridge_pinned_value_and_span_mean_law():
-    """Given the drift sum S of an L-window span, the walk at window tau has
-    mean S tau / L and variance sigma**2 tau (L - tau) / L, and covariance
-    sigma**2 / L**2 sum_j min(tau, j)(L - max(tau, j)) with the span mean,
-    whose own law given S is N(S (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L))."""
-    length, scale = 9, 0.3
-    total, mean, row, tau, offset = _bridge_law(120_000, length, scale, seed=31)
-    single = np.bincount(row) == 1
+    """In a chunk of one L-window span with drift total T, the walk at window
+    tau has mean T tau / L and variance sigma**2 tau (L - tau) / L, and
+    covariance sigma**2 / L**2 sum_j min(tau, j)(L - max(tau, j)) with the
+    span mean, whose own law given T is
+    N(T (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L))."""
+    length, scale, draws = 9, 0.3, 8000
+    rng = np.random.default_rng(31)
+    total = scale * math.sqrt(length) * rng.standard_normal(draws)
+    one = np.ones(1, dtype=int)
+    draw = [_bridge_times(rng, s, length * one, one, scale) for s in total]
+    mean, offset, tau = (np.array([d[i][0] for d in draw]) for i in (0, 1, 3))
     m_res = mean - total * (length + 1) / (2 * length)
     m_var = scale**2 * (length + 1) * (length - 1) / (12 * length)
     assert max(_z_mean_var(m_res, m_var)) < 5
-    one = single[row]
     j = np.arange(1, length + 1)
     for t in range(1, length + 1):
-        at = one & (tau == t)
-        res = offset[at] - total[row[at]] * t / length
+        at = tau == t
+        res = offset[at] - total[at] * t / length
         var = scale**2 * t * (length - t) / length
         if t == length:
             assert np.allclose(res, 0.0, atol=1e-12)
             continue
         assert max(_z_mean_var(res, var)) < 5, t
         cov = scale**2 * np.sum(np.minimum(t, j) * (length - np.maximum(t, j))) / length**2
-        prod = res * m_res[row[at]]
+        prod = res * m_res[at]
         se = math.sqrt((var * m_var + cov**2) / at.sum())
         assert abs(prod.mean() - cov) < 5 * se, t
 
 
 def test_bridge_second_pinned_value_given_first():
-    """With two both-send windows at tau1 < tau2, the second has mean
-    W1 + (S - W1)(tau2 - tau1) / (L - tau1) and variance
-    sigma**2 (tau2 - tau1)(L - tau2) / (L - tau1) given the first and S."""
-    length, scale = 12, 0.2
-    total, _, row, tau, offset = _bridge_law(120_000, length, scale, seed=32)
-    first = np.flatnonzero(np.bincount(row)[row] == 2)[::2]
-    t1, t2 = tau[first], tau[first + 1]
-    w1, w2, s = offset[first], offset[first + 1], total[row[first]]
-    assert np.all(t1 < t2)
-    res1 = w1 - s * t1 / length
-    assert max(_z_mean_var(res1 / np.sqrt(t1 * (length - t1) / length), scale**2)) < 5
-    end = t2 == length
-    assert np.allclose(w2[end], s[end], atol=1e-12)
-    mid = ~end
-    cond_mean = w1 + (s - w1) * (t2 - t1) / (length - t1)
-    cond_sd = np.sqrt((t2 - t1) * (length - t2) / (length - t1))
-    z = (w2 - cond_mean)[mid] / cond_sd[mid]
+    """The walk of a chunk given its total T is a Markov bridge, so each
+    both-send window's W_b, given the one before it, W_a (W_0 = 0 at the
+    chunk's start), has mean W_a + (T - W_a)(b - a) / (m - a) and variance
+    sigma**2 (b - a)(m - b) / (m - a), independently of the windows before,
+    across spans holding one or two."""
+    rng = np.random.default_rng(32)
+    spans, length, scale = 20_000, 12, 0.2
+    lengths = np.full(spans, length)
+    m = spans * length
+    total = scale * math.sqrt(m) * rng.standard_normal()
+    _, w, row, t = _bridge_times(rng, total, lengths, rng.integers(1, 3, spans), scale)
+    assert np.bincount(row).max() == 2
+    a, w_a = np.concatenate(([0.0], t[:-1])), np.concatenate(([0.0], w[:-1]))
+    end = t == m
+    assert np.allclose(w[end], total, rtol=0, atol=1e-12)
+    b, w_b, a, w_a = t[~end], w[~end], a[~end], w_a[~end]
+    cond_mean = w_a + (total - w_a) * (b - a) / (m - a)
+    z = (w_b - cond_mean) / np.sqrt((b - a) * (m - b) / (m - a))
     assert max(_z_mean_var(z, scale**2)) < 5
-    # Given W1 the residual carries no further dependence on it.
-    corr = np.corrcoef(z, res1[mid])[0, 1]
-    assert abs(corr) < 5 / math.sqrt(z.size)
+    # Given W_a the innovation carries no further dependence on it, nor on
+    # the innovation before it.
+    for x in (w_a[1:], z[:-1]):
+        assert abs(np.corrcoef(z[1:], x)[0, 1]) < 5 / math.sqrt(z.size)
+    second = np.flatnonzero(np.diff(row) == 0) + 1
+    assert max(_z_mean_var(z[second], scale**2)) < 5
 
 
 def test_bridge_positions_distinct_uniform_and_dense():
     rng = np.random.default_rng(33)
-    rows = 30_000
+    spans = 30_000
     # Two of five positions: every one of the ten pairs is equally likely.
-    length = np.full(rows, 5)
-    _, climb, row = channelsim._bridge(rng, length.astype(float), length, np.full(rows, 2), 0.0)
-    lo, hi = np.rint(climb[::2]).astype(int), np.rint(climb[1::2]).astype(int)
-    assert np.array_equal(row[::2], row[1::2]) and np.all(lo < hi) and np.all(hi <= 5)
+    length = np.full(spans, 5)
+    _, _, row, t = _bridge_times(rng, 0.0, length, np.full(spans, 2), 0.0)
+    lo, hi = (t[k::2].astype(int) - 5 * row[k::2] for k in (0, 1))
+    assert np.array_equal(row[::2], row[1::2])
+    assert np.all(1 <= lo) and np.all(lo < hi) and np.all(hi <= 5)
     pairs = np.bincount((lo - 1) * 5 + hi - 1, minlength=25).reshape(5, 5)[np.triu_indices(5, 1)]
-    expect = rows / 10
-    assert pairs.sum() == rows
+    expect = spans / 10
+    assert pairs.sum() == spans
     assert np.sum((pairs - expect) ** 2 / expect) < 9 + 5 * math.sqrt(18)
-    # Every window both-send (epsilon = 1), full and ragged spans: each
-    # position once, and the span mean is the mean of the pinned walk.
-    length = np.array([DEFAULT_SPAN_WINDOWS, 105, DEFAULT_SPAN_WINDOWS, 1])
-    total = rng.standard_normal(4)
-    mean, offset, row = channelsim._bridge(rng, total, length, length, 0.05)
-    _, climb, _ = channelsim._bridge(rng, length.astype(float), length, length, 0.0)
-    assert np.array_equal(np.rint(climb), np.concatenate([np.arange(1, n + 1) for n in length]))
-    last = np.cumsum(length) - 1
-    assert np.allclose(offset[last], total, rtol=0, atol=1e-12)
+    # Every window both-send (epsilon = 1), full spans, a ragged one and a
+    # one-window one: each position once, W at the chunk end is the total,
+    # and the span mean is the mean of the pinned walk.
+    length = np.array([DEFAULT_SPAN_WINDOWS, DEFAULT_SPAN_WINDOWS, 105, 1])
+    total = rng.standard_normal()
+    mean, offset, row, t = _bridge_times(rng, total, length, length, 0.05)
+    assert np.array_equal(t, np.arange(1, length.sum() + 1))
+    assert abs(offset[-1] - total) < 1e-12
     assert np.allclose(mean, np.bincount(row, offset) / length, rtol=0, atol=1e-12)
 
 
 def test_pinned_sums_add_up_and_have_the_free_law():
-    """Span sums pinned to a chunk total T ~ N(0, sigma**2 m) add up to T,
-    and each has variance sigma**2 L, the ragged last span too, with no
-    covariance between spans: the law of independent free sums."""
+    """The drift sums of a chunk's spans, pinned only through the chunk
+    total T ~ N(0, sigma**2 m), add up to T, and each has variance
+    sigma**2 L, the ragged last span too, with no covariance between
+    spans: the law of independent free sums."""
     rng = np.random.default_rng(36)
-    scale, m = 0.05, 5 * DEFAULT_SPAN_WINDOWS + 77
-    length = channelsim._span_lengths(m)
-    draws = 20_000
+    scale, length = 0.05, np.array([30, 30, 30, 13])
+    m = length.sum()
+    ends = np.cumsum(length) - 1
+    draws = 10_000
     totals = scale * math.sqrt(m) * rng.standard_normal(draws)
-    sums = np.array([channelsim._pinned_sums(rng, length, t, scale) for t in totals])
-    assert np.allclose(sums.sum(axis=1), totals, rtol=0, atol=1e-12)
+    # With every window both-send the walk is seen at each span's end.
+    walk = np.array([channelsim._bridge(rng, s, length, length, scale)[1][ends] for s in totals])
+    sums = np.diff(walk, axis=1, prepend=0.0)
+    assert np.allclose(walk[:, -1], totals, rtol=0, atol=1e-12)
     var = scale**2 * length
     for i in range(len(length)):
         assert max(_z_mean_var(sums[:, i], var[i])) < 5, i

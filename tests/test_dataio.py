@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from scfqkd import defaults
@@ -16,6 +17,7 @@ from scfqkd.dataio import (
     report_to_dict,
     write_raw_tallies,
 )
+from scfqkd.estimator import estimate, report
 from scfqkd.keyrate import analyze_tallies, sweep_distance
 
 
@@ -168,6 +170,30 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     path.write_text("# a comment\n\nSent-00\t5\n   \n# another\n")
     raw = load_raw_tallies(path, strict=False)
     assert raw.tallies.sent["00"] == 5
+
+
+def test_loaded_cells_stack_into_the_array_chain(tmp_path):
+    """A file loads as int64 counts when every cell is an integer and as
+    float64 when any is not; either way a two-row stack of its cells runs
+    through the array chain and gives :func:`analyze_tallies`' report bit
+    for bit."""
+    bundled = defaults.bundled_tally_path()
+    text = open(bundled, encoding="utf-8").read()
+    assert "Detected-SS11-ch1\t2647\n" in text
+    halved = tmp_path / "halved.tsv"
+    halved.write_text(text.replace("Detected-SS11-ch1\t2647\n", "Detected-SS11-ch1\t2647.5\n"))
+    params = defaults.reference_params()
+    for path, dtype in ((bundled, np.int64), (halved, np.float64)):
+        raw = load_raw_tallies(path)
+        assert raw.tallies.counts.dtype == dtype
+        u, v = raw.tally_sets()
+        want = analyze_tallies(u, v, params, n_total_pulses=raw.n_total_pulses)
+        test, key = (np.stack([t.cells] * 2, axis=-1) for t in (u, v))
+        values = estimate(test, key, params.mu, params.f_ec, raw.n_total_pulses)
+        for i in (0, 1):
+            row = {name: np.asarray(a)[..., i].tolist() for name, a in values.items()}
+            got = report(row, params.mu, params.f_ec, params.delta_threshold, raw.n_total_pulses)
+            assert got == want
 
 
 def test_report_roundtrip():

@@ -232,7 +232,7 @@ def test_underflowing_exp_mu_fails_alike_in_both_chains():
     with pytest.raises(EstimationError, match="got 800.0") as scalar:
         analyze_tallies(u, v, replace(params, mu=800.0), n_total_pulses=raw.n_total_pulses)
     mu = np.array([params.mu, 800.0])
-    test, key = (np.stack([t.cells] * 2, axis=-1).astype(float) for t in (u, v))
+    test, key = (np.stack([t.cells] * 2, axis=-1) for t in (u, v))
     values = estimate(test, key, mu, params.f_ec, raw.n_total_pulses)
     assert values["failed"].tolist() == [False, True]
     rows = [{name: np.asarray(a)[..., i].tolist() for name, a in values.items()} for i in (0, 1)]

@@ -69,13 +69,16 @@ def test_select_negative_phase_symmetric(monkeypatch):
 
 def test_select_threshold_validation():
     params = ProtocolParams()
-    for bad in (0.0, -0.1, 3.5, math.nan):
+    for bad in (0.0, -0.1, 3.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="thresholds"):
             simulate_session(params, ChannelModel(), 180, seed=1, thresholds=[bad])
         with pytest.raises(ValueError, match="thresholds"):
             expected_tallies(params, ChannelModel(), 1e6, thresholds=[bad])
         with pytest.raises(ValueError, match="delta_threshold"):
             ProtocolParams(delta_threshold=bad)
+    # The first bad threshold is named, after good ones too.
+    with pytest.raises(ValueError, match=r"^thresholds must lie in \(0, pi\], got nan$"):
+        simulate_session(params, ChannelModel(), 180, seed=1, thresholds=[0.5, math.nan, 0.0])
     out = expected_tallies(params, ChannelModel(), 1e6,
                            thresholds=[math.pi, params.delta_threshold])
     assert list(out) == [params.delta_threshold, math.pi]
