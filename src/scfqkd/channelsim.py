@@ -34,24 +34,23 @@ windows; a chunk starts at the initial phase plus the totals before it.
 Every chunk owns an independent, deterministically seeded stream and draws
 in this frozen order:
 
-1. the number of both-send windows per span, Binomial(L, epsilon**2) for a
-   span of L windows;
-2. the walk only where it is observed (see :func:`_bridge`): the both-send
-   windows' distinct uniform positions (one integer per span holding one,
-   then a row of uniforms per span holding more), one normal per pinned
-   point in chunk order (per span its both-send windows, then its end) for
-   a free Gaussian walk that is pinned to T once (a discrete Brownian
-   bridge), and one normal per span for the span mean given those points;
+1. the chunk's both-send windows: one Binomial(m, epsilon**2) total, spread
+   over the chunk's windows uniformly without replacement (:func:`_spread`);
+2. the walk only where it is observed (see :func:`_bridge`): one normal per
+   pinned point in chunk order (per span its both-send windows, then its
+   end) for a free Gaussian walk that is pinned to T once (a discrete
+   Brownian bridge), and one normal per span for the span mean given those
+   points;
 3. the four reference slot counts per span (Poisson at the span-mean
    phase), from which the span's phase is estimated;
 4. per both-send window a test-set uniform, then left and right click
    uniforms against the click probabilities at its phase;
-5. per span, chained binomials for the other windows: 01 and 10 counts,
-   then the test split per state; then the chunk's effective clicks on
-   channel 0, one binomial total per (state, subset) cell followed by a
-   draw without replacement that spreads each nonzero total over its
-   cell's windows, and likewise channel 1 among the windows without a
-   channel-0 click (see :func:`_sparse_binomial`).
+5. per span, one multinomial of its other windows over (00, 01, 10) x
+   (test, key);
+6. the chunk's effective clicks of those windows (see
+   :func:`_phase_free_clicks`): one binomial total per (state, subset)
+   cell, then per nonzero cell its effective windows by :func:`_spread`
+   and one channel uniform each.
 
 A span is kept at threshold delta when the minor angle of its estimated
 phase is below delta.  Chunk streams are keyed by (seed, chunk), so the
@@ -325,9 +324,9 @@ CHUNK_WINDOWS = CHUNK_SPANS * _SPAN
 
 def _threshold_list(params: ProtocolParams, thresholds: Sequence[float] | None) -> list:
     """The primary threshold followed by each distinct extra one (radians)."""
-    extra = list(thresholds or ())
-    _check_rows(thresholds=np.asarray(extra))
-    return list(dict.fromkeys([params.delta_threshold, *extra]))
+    extra = np.asarray([] if thresholds is None else thresholds, dtype=float)
+    _check_rows(thresholds=extra)
+    return list(dict.fromkeys([params.delta_threshold, *extra.tolist()]))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -335,96 +334,80 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
 
 
+def _spread(rng: np.random.Generator, pool: np.ndarray, k: int):
+    """Pick ``k`` of the windows of a per-span ``pool`` uniformly without
+    replacement.  Returns their sorted indices in the concatenated pool and
+    the span of each."""
+    ends = np.cumsum(pool)
+    picks = np.sort(rng.choice(ends[-1], k, replace=False, shuffle=False))
+    return picks, np.searchsorted(ends, picks, "right")
+
+
 def _bridge(
     rng: np.random.Generator,
     total: float,
     length: np.ndarray,
-    n_both: np.ndarray,
+    both: np.ndarray,
+    span: np.ndarray,
     scale: float,
 ):
     """Walk of a chunk, pinned at its drift total, drawn only where it is
     observed.
 
-    The chunk's spans have ``length`` windows and hold ``n_both`` both-send
-    windows each.  The walk W has W_0 = 0 at the chunk's start, W_t the
-    offset of its t-th window and W_m = ``total`` at its end.  Its pinned
-    points are, per span in order, the span's both-send windows and then
-    the span's end.  Draws, in this order: the both-send positions per
-    span, uniform and distinct (one integer in a span holding one, else the
-    smallest of a row of uniforms); a free Gaussian walk U at the pinned
-    points, so that W_t = U_t - (t / m)(U_m - total) has the law of the walk
-    given its total (the discrete Brownian bridge); and one normal per span
-    for the span mean given those points.  Between pinned points (a, W_a)
-    and (b, W_b), the first starting from (0, 0), n = b - a steps, the walk
-    is again a bridge, and its sum over windows a+1..b is Gaussian with mean
+    The chunk's spans have ``length`` windows; ``both`` holds the sorted
+    chunk indices (from 0) of its both-send windows and ``span`` the span of
+    each.  The walk W has W_0 = 0 at the chunk's start, W_t the offset of
+    its t-th window and W_m = ``total`` at its end.  Its pinned points are,
+    per span in order, the span's both-send windows and then the span's
+    end.  Draws, in this order, a free Gaussian walk U at the pinned points,
+    so that W_t = U_t - (t / m)(U_m - total) has the law of the walk given
+    its total (the discrete Brownian bridge), and one normal per span for
+    the span mean given those points.  Between pinned points (a, W_a) and
+    (b, W_b), the first starting from (0, 0), n = b - a steps, the walk is
+    again a bridge, and its sum over windows a+1..b is Gaussian with mean
     n W_a + (W_b - W_a)(n + 1) / 2 and variance scale**2 n (n**2 - 1) / 12;
-    a span's sum adds up its segments.  Returns the span-mean offsets, and
-    the offsets and span indices of the both-send windows, ordered by span
-    and position.
+    a span's sum adds up its segments.  Returns the span-mean offsets and
+    the both-send windows' offsets.
     """
-    rows = np.repeat(np.arange(len(length)), n_both)
-    one = n_both == 1
-    pos = np.empty(rows.size, dtype=np.int64)
-    pos[one[rows]] = rng.integers(0, length[one])
-    many = np.flatnonzero(n_both > 1)
-    if many.size:
-        cols = np.arange(_SPAN)
-        order = np.argsort(
-            np.where(cols < length[many, None], rng.random((many.size, _SPAN)), 2.0), axis=1
-        )
-        first_k = cols < n_both[many, None]
-        picked = np.zeros(order.shape, dtype=bool)
-        picked[np.nonzero(first_k)[0], order[first_k]] = True
-        pos[~one[rows]] = np.nonzero(picked)[1]
-
     # Where each span's end, its first pinned point and each both-send
     # window sit among the pinned points.
+    n_both = np.bincount(span, minlength=len(length))
     end_at = np.cumsum(n_both + 1) - 1
     first_at = end_at - n_both
-    both_at = rows + np.arange(rows.size)
+    both_at = span + np.arange(span.size)
     end = np.cumsum(length)
     t = np.empty(end_at[-1] + 1)
     t[end_at] = end
-    t[both_at] = (end - length)[rows] + pos + 1
-    gap = t.copy()
-    gap[1:] -= t[:-1]
+    t[both_at] = both + 1
+    gap = np.diff(t, prepend=0.0)
     free = np.cumsum(scale * np.sqrt(gap) * rng.standard_normal(t.size))
     walk = free - t / end[-1] * (free[-1] - total)
-    prev = np.zeros_like(walk)
-    prev[1:] = walk[:-1]
+    prev = np.concatenate(([0.0], walk[:-1]))
     span_sum = np.add.reduceat(gap * prev + (walk - prev) * (gap + 1) / 2, first_at)
     span_var = np.add.reduceat(gap * (gap * gap - 1) / 12, first_at)
     mean = (span_sum + scale * np.sqrt(span_var) * rng.standard_normal(len(length))) / length
-    return mean, walk[both_at], rows
-
-
-def _sparse_binomial(rng: np.random.Generator, pool: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Independent Binomial(pool[i, c], q[c]) counts for every span i and
-    cell c, drawn as one binomial total per cell spread over the cell's
-    windows by a uniform draw without replacement: exact in law, and cheap
-    when the totals are small."""
-    n = pool.sum(axis=0)
-    totals = rng.binomial(n, q)
-    out = np.zeros_like(pool)
-    for c in np.flatnonzero(totals):
-        picks = rng.choice(n[c], totals[c], replace=False, shuffle=False)
-        span = np.searchsorted(np.cumsum(pool[:, c]), picks, "right")
-        out[:, c] = np.bincount(span, minlength=len(pool))
-    return out
+    return mean, walk[both_at]
 
 
 def _phase_free_clicks(rng: np.random.Generator, pool: np.ndarray, q0: np.ndarray, q1: np.ndarray):
-    """Effective clicks on channel 0 and on channel 1 among ``pool`` windows
-    per (span, cell), with per-cell probabilities ``q0`` and ``q1``: channel
-    0 first, then channel 1 among the windows without a channel-0 click."""
-    ch0 = _sparse_binomial(rng, pool, q0)
-    # q0 can only reach 1 where q1 is 0.
-    q1_rest = np.minimum(1.0, np.divide(q1, 1.0 - q0, out=np.zeros_like(q1), where=q1 > 0))
-    return ch0, _sparse_binomial(rng, pool - ch0, q1_rest)
+    """Effective clicks on channel 0 and on channel 1, stacked, among
+    ``pool`` windows per (span, cell), with per-cell probabilities ``q0``
+    and ``q1``: one Binomial(windows, q0 + q1) total per cell, spread over
+    the cell's windows by :func:`_spread`, then per effective window a
+    uniform u that puts it on channel 1 when u (q0 + q1) >= q0.  This is
+    the trinomial law of each window, independently."""
+    q = q0 + q1
+    totals = rng.binomial(pool.sum(axis=0), np.minimum(q, 1.0))
+    clicks = np.zeros((2, *pool.shape), dtype=pool.dtype)
+    for c in np.flatnonzero(totals):
+        _, span = _spread(rng, pool[:, c], totals[c])
+        one = rng.random(span.size) * q[c] >= q0[c]
+        clicks[:, :, c] = np.bincount(2 * span + one, minlength=2 * len(pool)).reshape(-1, 2).T
+    return clicks
 
 
 def _chunk_tallies(args):
-    """Simulate one chunk span by span.
+    """Simulate one chunk span by span, in the module docstring's draw order.
 
     Returns the chunk's sent windows per state, its effective windows, and
     per threshold the kept spans' counts shaped (state, subset, cell) with
@@ -439,41 +422,37 @@ def _chunk_tallies(args):
     scale = model.drift_rad_per_window
     eps = params.epsilon
 
-    n_both = rng.binomial(length, eps * eps)
-    mean, both_offset, both_span = _bridge(rng, chunk_total, length, n_both, scale)
+    both, both_span = _spread(rng, length, rng.binomial(m, eps * eps))
+    mean, both_offset = _bridge(rng, chunk_total, length, both, both_span, scale)
 
     lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(phi_offset + mean)
     est = phasetrack.estimate_phase_batch(rng.poisson(lam))
     minor_est = minor_angle(est)
 
     counts = np.empty((n_spans, 4, 2, 3), dtype=np.int64)
-    is_key = rng.random(both_span.size) >= params.p_t
+    is_key = rng.random(both.size) >= params.p_t
     p_left, p_right = click_probabilities(params, model, True, True, phi_offset + both_offset)
-    left = rng.random(both_span.size) < p_left
-    right = rng.random(both_span.size) < p_right
+    left = rng.random(both.size) < p_left
+    right = rng.random(both.size) < p_right
     cell = (both_span * 2 + is_key) * 3
     eff = left != right
     counts[:, 3] = np.bincount(
         np.concatenate((cell, cell[eff] + 1 + right[eff])), minlength=n_spans * 6
     ).reshape(n_spans, 2, 3)
 
-    rest = length - n_both
-    n01 = rng.binomial(rest, eps / (1.0 + eps))
-    n10 = rng.binomial(rest - n01, eps)
-    sent = np.stack((rest - n01 - n10, n01, n10), axis=1)
-    test = rng.binomial(sent, params.p_t)
-    pool = np.stack((test, sent - test), axis=2)
+    p = np.outer(np.array([1.0 - eps, eps, eps]) / (1.0 + eps), [params.p_t, 1.0 - params.p_t])
+    pool = rng.multinomial(length - np.bincount(both_span, minlength=n_spans), p.ravel())
     q0, q1 = np.repeat(phase_free, 2, axis=0).T
-    ch0, ch1 = _phase_free_clicks(rng, pool.reshape(n_spans, 6), q0, q1)
-    counts[:, :3] = np.stack((pool, ch0.reshape(pool.shape), ch1.reshape(pool.shape)), axis=3)
+    clicks = _phase_free_clicks(rng, pool, q0, q1)
+    counts[:, :3] = np.stack((pool, *clicks), axis=2).reshape(n_spans, 3, 2, 3)
 
     # Float products are exact here (sums far below 2**53) and much faster
     # than integer matrix products.
     kept = (minor_est < thresholds[:, None]).astype(float)
     per_thr = (kept @ counts.reshape(n_spans, -1)).astype(np.int64)
     return (
-        np.append(sent.sum(axis=0), n_both.sum()),
-        int(eff.sum() + ch0.sum() + ch1.sum()),
+        counts[..., 0].sum(axis=(0, 2)),
+        int(eff.sum() + clicks.sum()),
         per_thr.reshape(len(thresholds), 4, 2, 3),
     )
 

@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import channelsim, estimator
-from .channelsim import ChannelModel, ProtocolParams
-from .channelsim import expected_tallies  # noqa: F401  (kept importable from this module)
+from .channelsim import ChannelModel, ProtocolParams, expected_tallies
 from .estimator import KeyRateReport, TallySet, key_length, key_rate  # noqa: F401  (kept importable)
 
 _log = logging.getLogger(__name__)
@@ -116,11 +115,13 @@ def analyze_expected(
     n_windows: float,
     delta_threshold: float | None = None,
 ) -> KeyRateReport:
-    """Analyse the expected-value tallies of the given configuration: the
-    single-row case of :func:`analyze_expected_batch`."""
-    thr = params.delta_threshold if delta_threshold is None else delta_threshold
-    batch = analyze_expected_batch(params, model, n_windows, [params.mu], [params.epsilon], [thr])
-    return batch.report(0)
+    """Analyse the expected-value tallies of the given configuration with
+    :func:`analyze_tallies`; equal bit for bit to the row of
+    :func:`analyze_expected_batch`."""
+    if delta_threshold is not None:
+        params = replace(params, delta_threshold=float(delta_threshold))
+    tallies = expected_tallies(params, model, n_windows)[params.delta_threshold]
+    return analyze_tallies(*estimator.tallies_to_sets(tallies), params, n_total_pulses=n_windows)
 
 
 def _both_send_qber(params: ProtocolParams, model: ChannelModel, visibility) -> np.ndarray:

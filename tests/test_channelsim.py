@@ -284,18 +284,6 @@ def _sampler_cells(t):
     return np.array(cells + [t.effective_windows])
 
 
-def _bridge_times(rng, total, length, n_both, scale):
-    """:func:`channelsim._bridge`'s span means, both-send offsets and spans,
-    plus each both-send window's time t in the chunk, read from a noiseless
-    replay of the same stream: with scale 0 and total m the walk climbs by
-    one per window, W_t = t."""
-    twin = np.random.default_rng()
-    twin.bit_generator.state = rng.bit_generator.state
-    mean, offset, span = channelsim._bridge(rng, total, length, n_both, scale)
-    _, climb, _ = channelsim._bridge(twin, float(length.sum()), length, n_both, 0.0)
-    return mean, offset, span, np.rint(climb)
-
-
 def _z_mean_var(x, var):
     """|z| of the sample mean of x against 0, and of its variance against
     ``var`` (x Gaussian)."""
@@ -303,34 +291,73 @@ def _z_mean_var(x, var):
     return abs(x.mean()) / math.sqrt(var / n), abs(x.var() / var - 1.0) / math.sqrt(2.0 / n)
 
 
-def test_bridge_positions_and_span_mean_law():
+def _every_window(length):
+    """Chunk indices and spans of every window of a chunk: all both-send."""
+    return np.arange(length.sum()), np.repeat(np.arange(len(length)), length)
+
+
+def test_spread_picks_distinct_sorted_uniform():
     rng = np.random.default_rng(3)
-    spans = 20_000
-    length = np.where(np.arange(spans) < 1000, 105, DEFAULT_SPAN_WINDOWS)
-    start = np.cumsum(length) - length
-    n_both = rng.integers(0, 4, spans)
-    _, _, row, t = _bridge_times(rng, 0.0, length, n_both, 0.0)
-    pos = t.astype(int) - start[row] - 1
-    assert np.array_equal(row, np.repeat(np.arange(spans), n_both))
-    assert np.unique(row * DEFAULT_SPAN_WINDOWS + pos).size == pos.size
-    assert np.all((0 <= pos) & (pos < length[row]))
-    full = pos[length[row] == DEFAULT_SPAN_WINDOWS]
+    # Ragged pools: 1,000 spans of 105 windows, then full ones and empty ones.
+    pool = np.concatenate((np.full(1000, 105), np.tile([DEFAULT_SPAN_WINDOWS, 0], 19_000)))
+    start = np.cumsum(pool) - pool
+    k = 40_000
+    picks, span = channelsim._spread(rng, pool, k)
+    assert picks.size == k and np.all(np.diff(picks) > 0)
+    assert 0 <= picks[0] and picks[-1] < pool.sum()
+    pos = picks - start[span]
+    assert np.all((0 <= pos) & (pos < pool[span]))
+    ragged = np.mean(span < 1000)
+    p = 105_000 / pool.sum()
+    assert abs(ragged - p) < 5 * math.sqrt(p * (1 - p) / k)
+    full = pos[pool[span] == DEFAULT_SPAN_WINDOWS]
     expect = full.size / DEFAULT_SPAN_WINDOWS
     chi2 = float(np.sum((np.bincount(full, minlength=DEFAULT_SPAN_WINDOWS) - expect) ** 2) / expect)
     dof = DEFAULT_SPAN_WINDOWS - 1
     assert chi2 < dof + 5 * math.sqrt(2 * dof)
-    # On the noiseless climb W_t = t every span mean, quiet or busy, is the
-    # mean of its window times.
-    climb, _, _ = channelsim._bridge(rng, float(length.sum()), length, n_both, 0.0)
+
+    # Two of five windows, in spans of 2, 0 and 3: every one of the ten
+    # pairs is equally likely.
+    draws = 20_000
+    drawn = np.array([channelsim._spread(rng, np.array([2, 0, 3]), 2) for _ in range(draws)])
+    pairs, spans = drawn[:, 0], drawn[:, 1]
+    lo, hi = pairs.T
+    assert np.all(0 <= lo) and np.all(lo < hi) and np.all(hi < 5)
+    assert np.array_equal(spans, np.where(pairs < 2, 0, 2))
+    counts = np.bincount(lo * 5 + hi, minlength=25).reshape(5, 5)[np.triu_indices(5, 1)]
+    expect = draws / 10
+    assert counts.sum() == draws
+    assert np.sum((counts - expect) ** 2 / expect) < 9 + 5 * math.sqrt(18)
+
+    # No picks, and every window of a ragged pool with empty spans.
+    pool = np.array([0, 3, 0, 0, 5, 1, 0])
+    picks, span = channelsim._spread(rng, pool, 0)
+    assert picks.size == 0 and span.size == 0
+    picks, span = channelsim._spread(rng, pool, 9)
+    assert np.array_equal(picks, np.arange(9))
+    assert np.array_equal(span, np.repeat(np.arange(7), pool))
+
+
+def test_bridge_positions_and_span_mean_law():
+    rng = np.random.default_rng(4)
+    spans = 20_000
+    length = np.where(np.arange(spans) < 1000, 105, DEFAULT_SPAN_WINDOWS)
+    start = np.cumsum(length) - length
+    both, span = channelsim._spread(rng, length, 30_000)
+    # On the noiseless climb W_t = t the walk sits at each given window's
+    # time, and every span mean, quiet or busy, is the mean of its window
+    # times.
+    climb, offset = channelsim._bridge(rng, float(length.sum()), length, both, span, 0.0)
+    assert np.allclose(offset, both + 1, rtol=1e-12, atol=0)
     assert np.allclose(climb, start + (length + 1) / 2, rtol=1e-12, atol=0)
 
     # A quiet span is one segment: alone in a chunk with total T, its mean
     # is N(T (L+1) / (2L), sigma**2 (L+1)(L-1) / (12L)).
     scale = 0.02
-    quiet = np.zeros(1, dtype=int)
+    none = np.zeros(0, dtype=int)
     for n in (105, DEFAULT_SPAN_WINDOWS):
         one = np.array([n])
-        mean = np.array([channelsim._bridge(rng, 3.0, one, quiet, scale)[0][0] for _ in range(4000)])
+        mean = np.array([channelsim._bridge(rng, 3.0, one, none, none, scale)[0][0] for _ in range(4000)])
         res = mean - 3.0 * (n + 1) / (2 * n)
         assert max(_z_mean_var(res, scale**2 * (n + 1) * (n - 1) / (12 * n))) < 5, n
 
@@ -338,10 +365,20 @@ def test_bridge_positions_and_span_mean_law():
     # its end and one for its mean, and nothing else.
     twin = np.random.default_rng()
     twin.bit_generator.state = rng.bit_generator.state
-    _, offset, _ = channelsim._bridge(rng, 3.0, length, np.zeros(spans, dtype=int), scale)
+    _, offset = channelsim._bridge(rng, 3.0, length, none, none, scale)
     assert offset.size == 0
     twin.standard_normal(2 * spans)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+    # Every window both-send (epsilon = 1), full spans, a ragged one and a
+    # one-window one: W at the chunk end is the total, and the span mean is
+    # the mean of the pinned walk.
+    length = np.array([DEFAULT_SPAN_WINDOWS, DEFAULT_SPAN_WINDOWS, 105, 1])
+    total = rng.standard_normal()
+    both, span = _every_window(length)
+    mean, offset = channelsim._bridge(rng, total, length, both, span, 0.05)
+    assert abs(offset[-1] - total) < 1e-12
+    assert np.allclose(mean, np.bincount(span, offset) / length, rtol=0, atol=1e-12)
 
 
 def test_bridge_pinned_value_and_span_mean_law():
@@ -353,9 +390,11 @@ def test_bridge_pinned_value_and_span_mean_law():
     length, scale, draws = 9, 0.3, 8000
     rng = np.random.default_rng(31)
     total = scale * math.sqrt(length) * rng.standard_normal(draws)
-    one = np.ones(1, dtype=int)
-    draw = [_bridge_times(rng, s, length * one, one, scale) for s in total]
-    mean, offset, tau = (np.array([d[i][0] for d in draw]) for i in (0, 1, 3))
+    tau = rng.integers(1, length + 1, draws)
+    span = np.zeros(1, dtype=int)
+    draw = [channelsim._bridge(rng, s, np.array([length]), np.array([t - 1]), span, scale)
+            for s, t in zip(total, tau)]
+    mean, offset = (np.array([d[i][0] for d in draw]) for i in (0, 1))
     m_res = mean - total * (length + 1) / (2 * length)
     m_var = scale**2 * (length + 1) * (length - 1) / (12 * length)
     assert max(_z_mean_var(m_res, m_var)) < 5
@@ -379,18 +418,19 @@ def test_bridge_second_pinned_value_given_first():
     both-send window's W_b, given the one before it, W_a (W_0 = 0 at the
     chunk's start), has mean W_a + (T - W_a)(b - a) / (m - a) and variance
     sigma**2 (b - a)(m - b) / (m - a), independently of the windows before,
-    across spans holding one or two."""
+    across spans holding one or more."""
     rng = np.random.default_rng(32)
     spans, length, scale = 20_000, 12, 0.2
     lengths = np.full(spans, length)
     m = spans * length
     total = scale * math.sqrt(m) * rng.standard_normal()
-    _, w, row, t = _bridge_times(rng, total, lengths, rng.integers(1, 3, spans), scale)
-    assert np.bincount(row).max() == 2
+    both, span = channelsim._spread(rng, lengths, 30_000)
+    _, w = channelsim._bridge(rng, total, lengths, both, span, scale)
+    t = both + 1.0
     a, w_a = np.concatenate(([0.0], t[:-1])), np.concatenate(([0.0], w[:-1]))
     end = t == m
     assert np.allclose(w[end], total, rtol=0, atol=1e-12)
-    b, w_b, a, w_a = t[~end], w[~end], a[~end], w_a[~end]
+    b, w_b, a, w_a, span = t[~end], w[~end], a[~end], w_a[~end], span[~end]
     cond_mean = w_a + (total - w_a) * (b - a) / (m - a)
     z = (w_b - cond_mean) / np.sqrt((b - a) * (m - b) / (m - a))
     assert max(_z_mean_var(z, scale**2)) < 5
@@ -398,32 +438,9 @@ def test_bridge_second_pinned_value_given_first():
     # the innovation before it.
     for x in (w_a[1:], z[:-1]):
         assert abs(np.corrcoef(z[1:], x)[0, 1]) < 5 / math.sqrt(z.size)
-    second = np.flatnonzero(np.diff(row) == 0) + 1
+    second = np.flatnonzero(np.diff(span) == 0) + 1
+    assert second.size > 1000
     assert max(_z_mean_var(z[second], scale**2)) < 5
-
-
-def test_bridge_positions_distinct_uniform_and_dense():
-    rng = np.random.default_rng(33)
-    spans = 30_000
-    # Two of five positions: every one of the ten pairs is equally likely.
-    length = np.full(spans, 5)
-    _, _, row, t = _bridge_times(rng, 0.0, length, np.full(spans, 2), 0.0)
-    lo, hi = (t[k::2].astype(int) - 5 * row[k::2] for k in (0, 1))
-    assert np.array_equal(row[::2], row[1::2])
-    assert np.all(1 <= lo) and np.all(lo < hi) and np.all(hi <= 5)
-    pairs = np.bincount((lo - 1) * 5 + hi - 1, minlength=25).reshape(5, 5)[np.triu_indices(5, 1)]
-    expect = spans / 10
-    assert pairs.sum() == spans
-    assert np.sum((pairs - expect) ** 2 / expect) < 9 + 5 * math.sqrt(18)
-    # Every window both-send (epsilon = 1), full spans, a ragged one and a
-    # one-window one: each position once, W at the chunk end is the total,
-    # and the span mean is the mean of the pinned walk.
-    length = np.array([DEFAULT_SPAN_WINDOWS, DEFAULT_SPAN_WINDOWS, 105, 1])
-    total = rng.standard_normal()
-    mean, offset, row, t = _bridge_times(rng, total, length, length, 0.05)
-    assert np.array_equal(t, np.arange(1, length.sum() + 1))
-    assert abs(offset[-1] - total) < 1e-12
-    assert np.allclose(mean, np.bincount(row, offset) / length, rtol=0, atol=1e-12)
 
 
 def test_pinned_sums_add_up_and_have_the_free_law():
@@ -438,7 +455,8 @@ def test_pinned_sums_add_up_and_have_the_free_law():
     draws = 10_000
     totals = scale * math.sqrt(m) * rng.standard_normal(draws)
     # With every window both-send the walk is seen at each span's end.
-    walk = np.array([channelsim._bridge(rng, s, length, length, scale)[1][ends] for s in totals])
+    both, span = _every_window(length)
+    walk = np.array([channelsim._bridge(rng, s, length, both, span, scale)[1][ends] for s in totals])
     sums = np.diff(walk, axis=1, prepend=0.0)
     assert np.allclose(walk[:, -1], totals, rtol=0, atol=1e-12)
     var = scale**2 * length
@@ -482,46 +500,62 @@ def test_chunk_start_phases_advance_by_chunk_totals(monkeypatch):
         assert start[k + 1] == start[k] + total[k]
 
 
-def test_sparse_binomial_matches_independent_binomials():
-    """Per (span, cell) mean, variance and probability of zero of the
-    spread totals against Binomial(pool, q), and no correlation between
-    spans of a cell."""
+def test_phase_free_clicks_trinomial_law():
+    """Per (span, cell) the effective clicks (ch0, ch1) of n windows follow
+    the trinomial law with probabilities (q0, q1): means n q0 and n q1,
+    binomial variances, covariance -n q0 q1 and the probabilities of no
+    click; spans are uncorrelated.  One call draws many copies of the same
+    spans, which are independent in law."""
     rng = np.random.default_rng(34)
-    pool = np.array([[0, 3, 40, 7], [1, 12, 0, 30], [5, 150, 9, 2], [25, 1, 60, 11]])
-    q = np.array([0.3, 0.02, 0.5, 0.004])
-    draws = np.array([channelsim._sparse_binomial(rng, pool, q) for _ in range(20_000)])
-    assert np.all((0 <= draws) & (draws <= pool))
-    mean, var = pool * q, pool * q * (1 - q)
-    live = var > 0
-    se = np.sqrt(var / len(draws))
-    assert np.all(np.abs(draws.mean(axis=0) - mean)[live] < 5 * se[live])
-    assert np.all(draws.std(axis=0)[~live] == 0)
-    fourth = var * (1 + 3 * (pool - 2) * q * (1 - q))  # the binomial's fourth central moment
-    var_se = np.sqrt((fourth - var**2) / len(draws))
-    assert np.all(np.abs(draws.var(axis=0) - var)[live] < 5 * var_se[live])
-    p0 = (1 - q) ** pool
-    p0_se = np.sqrt(p0 * (1 - p0) / len(draws))
-    assert np.all(np.abs((draws == 0).mean(axis=0) - p0) <= 5 * p0_se + 1e-12)
-    for c in range(pool.shape[1]):
-        a, b = draws[:, 1, c], draws[:, 3, c]
-        if a.std() > 0 and b.std() > 0:
-            assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(len(draws))
-
-
-def test_sparse_binomial_edge_probabilities():
-    rng = np.random.default_rng(35)
-    pool = np.array([[0, 4, 7], [9, 0, 2], [3, 5, 0]])
-    assert np.array_equal(channelsim._sparse_binomial(rng, pool, np.zeros(3)), np.zeros_like(pool))
-    assert np.array_equal(channelsim._sparse_binomial(rng, pool, np.ones(3)), pool)
-    empty = np.zeros_like(pool)
-    assert np.array_equal(channelsim._sparse_binomial(rng, empty, np.full(3, 0.5)), empty)
-    ch0, ch1 = channelsim._phase_free_clicks(
-        rng, pool, np.array([1.0, 0.0, 0.2]), np.array([0.0, 1.0, 0.8])
+    base = np.array([[0, 3, 40, 7], [1, 12, 0, 30], [5, 150, 9, 2], [25, 1, 60, 11]])
+    q0 = np.array([0.3, 0.02, 0.5, 0.004])
+    q1 = np.array([0.2, 0.01, 0.4, 0.003])
+    draws = 20_000
+    ch0, ch1 = (
+        c.reshape(draws, *base.shape)
+        for c in channelsim._phase_free_clicks(rng, np.tile(base, (draws, 1)), q0, q1)
     )
+    assert np.all((0 <= ch0) & (0 <= ch1) & (ch0 + ch1 <= base))
+
+    def z_ok(x, want, se, live):
+        return np.all(np.abs(x - want)[live] < 5 * se[live])
+
+    for c, q in ((ch0, q0), (ch1, q1)):
+        mean, var = base * q, base * q * (1 - q)
+        live = var > 0
+        assert z_ok(c.mean(axis=0), mean, np.sqrt(var / draws), live)
+        assert np.all(c.std(axis=0)[~live] == 0)
+        fourth = var * (1 + 3 * (base - 2) * q * (1 - q))  # the binomial's fourth central moment
+        assert z_ok(c.var(axis=0), var, np.sqrt((fourth - var**2) / draws), live)
+        p0 = (1 - q) ** base
+        assert np.all(np.abs((c == 0).mean(axis=0) - p0) <= 5 * np.sqrt(p0 * (1 - p0) / draws) + 1e-12)
+    prod = (ch0 - ch0.mean(axis=0)) * (ch1 - ch1.mean(axis=0))
+    live = base > 0
+    assert z_ok(prod.mean(axis=0), -base * q0 * q1, prod.std(axis=0) / math.sqrt(draws), live)
+    none = (1 - q0 - q1) ** base
+    got = ((ch0 == 0) & (ch1 == 0)).mean(axis=0)
+    assert np.all(np.abs(got - none) <= 5 * np.sqrt(none * (1 - none) / draws) + 1e-12)
+    for c in (ch0, ch1):
+        for cell in range(base.shape[1]):
+            a, b = c[:, 1, cell], c[:, 3, cell]
+            if a.std() > 0 and b.std() > 0:
+                assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(draws)
+
+
+def test_phase_free_clicks_edge_probabilities():
+    rng = np.random.default_rng(35)
+    pool = np.array([[0, 4, 7, 1], [9, 0, 2, 6], [3, 5, 0, 8]])
+    q0 = np.array([1.0, 0.0, 0.2, 0.0])
+    q1 = np.array([0.0, 1.0, 0.8, 0.0])
+    ch0, ch1 = channelsim._phase_free_clicks(rng, pool, q0, q1)
     assert np.array_equal(ch0[:, 0], pool[:, 0]) and np.all(ch1[:, 0] == 0)
     assert np.all(ch0[:, 1] == 0) and np.array_equal(ch1[:, 1], pool[:, 1])
     # q0 + q1 = 1: every window clicks on exactly one channel.
     assert np.array_equal(ch0[:, 2] + ch1[:, 2], pool[:, 2])
+    assert np.all(ch0[:, 3] == 0) and np.all(ch1[:, 3] == 0)
+    empty = np.zeros_like(pool)
+    ch0, ch1 = channelsim._phase_free_clicks(rng, empty, np.full(4, 0.3), np.full(4, 0.2))
+    assert np.array_equal(ch0, empty) and np.array_equal(ch1, empty)
 
 
 def test_span_sampler_matches_per_window_oracle():
@@ -586,10 +620,13 @@ def test_expected_tallies_dark_free_vacuum_is_zero():
 def test_expected_tallies_multiple_thresholds():
     params = ProtocolParams()
     thr = [math.radians(10), math.radians(30), math.radians(60)]
-    out = expected_tallies(params, ChannelModel(), 1e8, thresholds=thr)
-    assert set(out) == set(thr)
-    sel = [out[t].sent_selected["01"] for t in thr]
-    assert sel[0] < sel[1] < sel[2]
+    for given in (thr, np.array(thr)):
+        out = expected_tallies(params, ChannelModel(), 1e8, thresholds=given)
+        assert set(out) == set(thr)
+        sel = [out[t].sent_selected["01"] for t in thr]
+        assert sel[0] < sel[1] < sel[2]
+    res = simulate_session(params, ChannelModel(), 20_000, seed=2, thresholds=np.array(thr))
+    assert set(res.by_threshold) == set(thr)
 
 
 def _conditional_z(det_mc, det_ex, pool_mc, pool_ex):
