@@ -235,12 +235,10 @@ class SimulationResult:
     ``tallies`` is cut at the configured threshold; ``by_threshold`` holds
     one tally set per requested threshold (always including the primary one)
     so a single run can be re-analysed at several post-selection widths.
+    The session's inputs are not echoed here; ``tallies.n_windows`` holds
+    its window count.
     """
 
-    params: ProtocolParams
-    model: ChannelModel
-    n_windows: int
-    seed: int
     tallies: SessionTallies
     by_threshold: dict
 
@@ -535,14 +533,7 @@ def simulate_session(
         )
         t.check_conservation()
         by_threshold[thr] = t
-    return SimulationResult(
-        params=params,
-        model=model,
-        n_windows=n_windows,
-        seed=seed,
-        tallies=by_threshold[params.delta_threshold],
-        by_threshold=by_threshold,
-    )
+    return SimulationResult(tallies=by_threshold[params.delta_threshold], by_threshold=by_threshold)
 
 # ---------------------------------------------------------------------------
 # Expected-value model

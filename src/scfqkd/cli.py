@@ -1,16 +1,14 @@
-"""Command-line interface.
+"""Command-line interface: ``scfqkd analyze``, ``simulate``, ``sweep``,
+``optimize`` and ``qber-table``.
 
-Commands:
-
-* ``analyze``    run the estimation chain on a raw tally file.
-* ``simulate``   Monte Carlo session; writes a raw tally file and reports.
-* ``sweep``      key rate versus distance from the expected-value model.
-* ``optimize``   search (mu, epsilon, delta) for the best expected rate.
-* ``qber-table`` both-send QBER and detections per phase threshold.
-
-Configuration precedence is flags over config file over built-in defaults.
-The config file is JSON whose keys are the long flag names with dashes
-replaced by underscores (for example ``{"mu": 0.002, "distance_km": 50}``).
+Each subcommand and each of its options is declared once, in
+:data:`COMMANDS`, with its help and built-in default; ``--help`` shows each
+default. Options resolve as flags over config file over built-in defaults.
+The config file is a JSON object whose keys are the long flag names with
+dashes replaced by underscores (for example ``{"mu": 0.002, "distance_km":
+50, "no_calibrate": true}``). Every long flag is a config key; a value its
+flag would refuse is an error naming the key, and keys the subcommand does
+not take are ignored.
 """
 
 from __future__ import annotations
@@ -25,64 +23,77 @@ from . import __version__, dataio, defaults, estimator, keyrate
 from .channelsim import ChannelModel, ProtocolParams, simulate_session
 from .estimator import EstimationError
 
+_PARAMS = defaults.reference_params()
+_MODEL = defaults.reference_model()
+_BUNDLED = defaults.bundled_tally_path()
 
-class _Resolver:
-    """Flags > config file > built-in default, per option name."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.config = {}
-        path = self.args.get("config")
-        if path:
-            with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ValueError(f"config file {path} must contain a JSON object")
-            self.config = loaded
-
-    def get(self, name: str, default):
-        v = self.args.get(name)
-        if v is not None:
-            return v
-        if name in self.config:
-            return self.config[name]
-        return default
-
-
-def _build_params(r: _Resolver) -> ProtocolParams:
-    base = defaults.reference_params()
-    delta_deg = r.get("delta_deg", math.degrees(base.delta_threshold))
-    return replace(
-        base,
-        mu=float(r.get("mu", base.mu)),
-        epsilon=float(r.get("epsilon", base.epsilon)),
-        delta_threshold=math.radians(float(delta_deg)),
-        f_ec=float(r.get("f_ec", base.f_ec)),
-        p_t=float(r.get("pt", base.p_t)),
-    )
+# Option groups shared by several subcommands: config key -> (help, built-in
+# default, argparse keywords). The flag is the key with underscores as dashes.
+COMMON = {
+    "config": ("JSON config file (flags still win)", None, {}),
+    "out": ("write the output here instead of stdout", None, {}),
+    "mu": ("signal mean photon number", _PARAMS.mu, {"type": float}),
+    "epsilon": ("per-window send probability", _PARAMS.epsilon, {"type": float}),
+    "delta_deg": ("phase threshold in degrees", math.degrees(_PARAMS.delta_threshold), {"type": float}),
+    "pt": ("test-set fraction", _PARAMS.p_t, {"type": float}),
+    "f_ec": ("error-correction inefficiency", _PARAMS.f_ec, {"type": float}),
+}
+MODEL = {
+    "distance_km": ("total fibre length in km", 50.0, {"type": float}),
+    "visibility": ("interference visibility", _MODEL.visibility, {"type": float}),
+    "dark_prob": ("per-window dark-click probability", _MODEL.dark_prob, {"type": float}),
+}
+# ``windows`` has no argparse type: _windows() checks a flag and a config value alike.
+SESSION = {
+    "windows": ("signal windows to simulate", 1e8, {}),
+    "seed": ("random seed", 1, {"type": int}),
+    "workers": ("parallel worker processes", 1, {"type": int}),
+}
+EXPECTED = {"windows": ("windows per evaluation", 1e12, {})}
+REPORT = {
+    "format": ("report format", "table", {"choices": ("table", "json")}),
+    "swap_detectors": ("map L=ch1, R=ch0", False, {"action": "store_true"}),
+}
 
 
-def _build_model(r: _Resolver) -> ChannelModel:
-    model = defaults.reference_model(float(r.get("distance_km", 50.0)))
-    vis = r.get("visibility", None)
-    if vis is not None:
-        model = replace(model, visibility=float(vis))
-    dark = r.get("dark_prob", None)
-    if dark is not None:
-        model = replace(model, dark_prob=float(dark))
-    return model
+def _params(o: dict) -> ProtocolParams:
+    return ProtocolParams(mu=o["mu"], epsilon=o["epsilon"], f_ec=o["f_ec"], p_t=o["pt"],
+                          delta_threshold=math.radians(o["delta_deg"]))
 
 
-def _windows(r: _Resolver, default: float) -> int:
+def _model(o: dict) -> ChannelModel:
+    model = defaults.reference_model(o["distance_km"])
+    return replace(model, visibility=o["visibility"], dark_prob=o["dark_prob"])
+
+
+def _windows(value) -> int:
     """The ``windows`` option: a whole number of at least 1."""
-    value = r.get("windows", default)
     try:
         count = float(value)
-    except (TypeError, ValueError):
+    except ValueError:
         count = math.nan
     if not (math.isfinite(count) and count >= 1 and count.is_integer()):
         raise ValueError(f"windows must be a whole number of at least 1, got {value!r}")
     return int(count)
+
+
+def _session(o: dict, params: ProtocolParams, thresholds=None):
+    """Simulate the session the options describe: (windows, result)."""
+    model, n_windows = _model(o), _windows(o["windows"])
+    return n_windows, simulate_session(params, model, n_windows, o["seed"],
+                                       workers=o["workers"], thresholds=thresholds)
+
+
+def _analyse(o: dict, params: ProtocolParams, tallies, n_total, delta_threshold=None):
+    """The (test, key) tally sets of ``tallies`` and their key-rate report,
+    or the :class:`EstimationError` that stands in for the report."""
+    u, v = estimator.tallies_to_sets(tallies, swap_detectors=o["swap_detectors"])
+    try:
+        report = keyrate.analyze_tallies(u, v, params, n_total_pulses=n_total,
+                                         delta_threshold=delta_threshold)
+    except EstimationError as exc:
+        report = exc
+    return u, v, report
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -93,76 +104,56 @@ def _emit(text: str, path: str | None) -> None:
         print(text)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    params = _build_params(r)
-    path = args.infile or defaults.bundled_tally_path()
-    raw = dataio.load_raw_tallies(path, strict=True)
-    u, v = raw.tally_sets(swap_detectors=args.swap_detectors)
-    report = keyrate.analyze_tallies(
-        u, v, params, n_total_pulses=raw.n_total_pulses, delta_threshold=raw.delta_threshold
-    )
-    _emit(dataio.emit_report(report, fmt=args.format), args.out)
-    return 0
+def _cmd_analyze(o: dict) -> None:
+    params = _params(o)
+    raw = dataio.load_raw_tallies(o["in"], strict=True)
+    _, _, report = _analyse(o, params, raw.tallies, raw.n_total_pulses, raw.delta_threshold)
+    if isinstance(report, EstimationError):
+        raise report
+    _emit(dataio.emit_report(report, fmt=o["format"]), o["out"])
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    params = _build_params(r)
-    model = _build_model(r)
-    n_windows = _windows(r, 1e7)
-    seed = int(r.get("seed", 1))
-    workers = int(r.get("workers", 1))
-    result = simulate_session(params, model, n_windows, seed, workers=workers)
-    metadata = {
-        "Delta-Degrees": math.degrees(params.delta_threshold),
-        "Mu": params.mu,
-        "Epsilon": params.epsilon,
-        "Pt": params.p_t,
-        "F-EC": params.f_ec,
-        "Windows": n_windows,
-        "Seed": seed,
-    }
-    dataio.write_raw_tallies(args.out, result.tallies, metadata)
-    u, v = estimator.tallies_to_sets(result.tallies, swap_detectors=args.swap_detectors)
-    try:
-        report = keyrate.analyze_tallies(u, v, params, n_total_pulses=n_windows)
-        print(dataio.emit_report(report, fmt=args.format))
-    except EstimationError as exc:
-        print(f"tally file written; no key-rate report: {exc}")
-    return 0
+def _cmd_simulate(o: dict) -> None:
+    params = _params(o)
+    n_windows, result = _session(o, params)
+    dataio.write_raw_tallies(o["out"], result.tallies, {
+        "Delta-Degrees": math.degrees(params.delta_threshold), "Mu": params.mu,
+        "Epsilon": params.epsilon, "Pt": params.p_t, "F-EC": params.f_ec,
+        "Windows": n_windows, "Seed": o["seed"],
+    })
+    _, _, report = _analyse(o, params, result.tallies, n_windows)
+    if isinstance(report, EstimationError):
+        print(f"tally file written; no key-rate report: {report}")
+    else:
+        print(dataio.emit_report(report, fmt=o["format"]))
 
 
 def _parse_distances(text: str) -> list:
-    if ":" in text:
-        parts = [float(x) for x in text.split(":")]
-        if len(parts) != 3:
-            raise ValueError(f"distance range must be start:stop:step, got {text!r}")
-        start, stop, step = parts
-        if step <= 0:
-            raise ValueError("distance step must be positive")
-        out = []
+    ranged = ":" in text
+    values = [float(x) for x in text.split(":" if ranged else ",") if x.strip()]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"--distances must be finite, got {text!r}")
+    if ranged:
+        if len(values) != 3 or values[2] <= 0:
+            raise ValueError(f"--distances range must be start:stop:step, step > 0, got {text!r}")
+        start, stop, step = values
+        values = []
         d = start
         while d <= stop + 1e-9:
-            out.append(round(d, 9))
+            values.append(round(d, 9))
             d += step
-        return out
-    return [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError(f"--distances gives no distance, got {text!r}")
+    return values
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    params = _build_params(r)
-    model = _build_model(r)
-    distances = _parse_distances(r.get("distances", "0:80:5"))
-    target = None if args.no_calibrate else float(r.get("target_qber", defaults.REFERENCE_BOTH_SEND_QBER))
+def _cmd_sweep(o: dict) -> None:
     points = keyrate.sweep_distance(
-        params, model, distances,
-        n_windows=float(_windows(r, 1e12)),
-        target_qber=target,
+        _params(o), _model(o), _parse_distances(o["distances"]),
+        n_windows=float(_windows(o["windows"])),
+        target_qber=None if o["no_calibrate"] else o["target_qber"],
     )
-    _emit(dataio.emit_sweep_csv(points), args.out)
-    return 0
+    _emit(dataio.emit_sweep_csv(points), o["out"])
 
 
 def _parse_range(text: str, name: str):
@@ -175,18 +166,15 @@ def _parse_range(text: str, name: str):
     return lo, hi
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    params = _build_params(r)
-    model = _build_model(r)
-    d_lo, d_hi = _parse_range(r.get("delta_deg_range", "5:90"), "--delta-deg-range")
+def _cmd_optimize(o: dict) -> None:
+    params, model = _params(o), _model(o)
+    d_lo, d_hi = _parse_range(o["delta_deg_range"], "--delta-deg-range")
     result = keyrate.optimize_params(
-        model,
-        params,
-        mu_bounds=_parse_range(r.get("mu_range", "2e-4:2e-2"), "--mu-range"),
-        epsilon_bounds=_parse_range(r.get("epsilon_range", "2e-3:2e-1"), "--epsilon-range"),
+        model, params,
+        mu_bounds=_parse_range(o["mu_range"], "--mu-range"),
+        epsilon_bounds=_parse_range(o["epsilon_range"], "--epsilon-range"),
         delta_bounds=(math.radians(d_lo), math.radians(d_hi)),
-        n_windows=float(_windows(r, 1e12)),
+        n_windows=float(_windows(o["windows"])),
     )
     p = result.params
     lines = [
@@ -196,154 +184,133 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         f"rate per window  {result.rate_per_pulse:.6e}",
         f"evaluations      {result.evaluations}",
     ]
-    _emit("\n".join(lines), args.out)
-    return 0
+    _emit("\n".join(lines), o["out"])
 
 
-def _cmd_qber_table(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    params = _build_params(r)
-    # (threshold in degrees, tallies, total windows) per row, from one
-    # simulation or from the files.
+def _cmd_qber_table(o: dict) -> None:
+    params = _params(o)
+    # (threshold in degrees, tallies, total windows) per row, from a simulation or files.
     sources = []
-    if args.simulate:
-        deltas = [float(x) for x in str(r.get("delta_list", "2,5,8,10,12,15,30,45")).split(",")]
+    if o["simulate"]:
+        deltas = [float(x) for x in o["delta_list"].split(",")]
         thresholds = [math.radians(d) for d in deltas]
-        n_windows = _windows(r, 1e7)
-        result = simulate_session(
-            params, _build_model(r), n_windows, int(r.get("seed", 1)),
-            workers=int(r.get("workers", 1)), thresholds=thresholds,
-        )
+        n_windows, result = _session(o, params, thresholds)
         sources = [(deg, result.by_threshold[thr], n_windows) for deg, thr in zip(deltas, thresholds)]
     else:
-        for path in args.infile or [defaults.bundled_tally_path()]:
+        for path in o["in"]:
             raw = dataio.load_raw_tallies(path, strict=False)
             if raw.delta_threshold is None:
-                raise dataio.ParseError(
-                    f"{path}: missing Delta-Degrees metadata needed to label the row",
-                    key="Delta-Degrees",
-                )
+                raise dataio.ParseError(f"{path}: missing Delta-Degrees metadata needed to "
+                                        "label the row", key="Delta-Degrees")
             sources.append((math.degrees(raw.delta_threshold), raw.tallies, raw.n_total_pulses))
     rows = []
     for deg, tallies, n_total in sorted(sources, key=lambda source: source[0]):
-        u, v = estimator.tallies_to_sets(tallies, swap_detectors=args.swap_detectors)
-        try:
-            rate = keyrate.analyze_tallies(u, v, params, n_total_pulses=n_total).rate_per_pulse
-        except EstimationError:
-            rate = None
+        u, v, report = _analyse(o, params, tallies, n_total)
+        rate = None if isinstance(report, EstimationError) else report.rate_per_pulse
         rows.append((deg, estimator.qber_both_send(u, v), rate))
 
-    if args.format == "json":
-        payload = [
-            {
-                "delta_deg": deg,
-                "detections": stats.detections,
-                "qber": stats.qber,
-                "rate_per_pulse": rate,
-            }
-            for deg, stats, rate in rows
-        ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), args.out)
-        return 0
+    if o["format"] == "json":
+        payload = [{"delta_deg": deg, "detections": stats.detections, "qber": stats.qber,
+                    "rate_per_pulse": rate} for deg, stats, rate in rows]
+        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), o["out"])
+        return
     lines = [f"{'delta_deg':>9}  {'detections':>10}  {'qber':>8}  {'rate_per_pulse':>14}"]
     for deg, stats, rate in rows:
         qber = f"{stats.qber:.4%}" if stats.qber is not None else "n/a"
         rate_s = f"{rate:.4e}" if rate is not None else "n/a"
         lines.append(f"{deg:>9.4g}  {stats.detections:>10.0f}  {qber:>8}  {rate_s:>14}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    _emit("\n".join(lines), o["out"])
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", type=float, help="signal mean photon number")
-    p.add_argument("--epsilon", type=float, help="per-window send probability")
-    p.add_argument("--delta-deg", dest="delta_deg", type=float, help="phase threshold in degrees")
-    p.add_argument("--pt", type=float, help="test-set fraction")
-    p.add_argument("--f-ec", dest="f_ec", type=float, help="error-correction inefficiency")
-    p.add_argument("--config", help="JSON config file (flags still win)")
+# Subcommand -> (help, handler, options), options keyed as the groups above.
+COMMANDS = {
+    "analyze": ("analyse a raw tally file (bundled dataset by default)", _cmd_analyze, {
+        **COMMON, **REPORT, "in": ("raw tally file", _BUNDLED, {})}),
+    "simulate": ("Monte Carlo session; writes a raw tally file", _cmd_simulate, {
+        **COMMON, **MODEL, **SESSION, **REPORT,
+        "out": ("raw tally output file", None, {"required": True})}),
+    "sweep": ("expected-value key rate versus distance", _cmd_sweep, {
+        **COMMON, **MODEL, **EXPECTED,
+        "distances": ("start:stop:step in km, or comma list", "0:80:5", {}),
+        "target_qber": ("both-send QBER target for visibility calibration",
+                        defaults.REFERENCE_BOTH_SEND_QBER, {"type": float}),
+        "no_calibrate": ("keep the model's visibility, do not calibrate", False, {"action": "store_true"}),
+    }),
+    "optimize": ("search mu, epsilon, delta for the best rate", _cmd_optimize, {
+        **COMMON, **MODEL, **EXPECTED,
+        "mu_range": ("lo:hi", "2e-4:2e-2", {}),
+        "epsilon_range": ("lo:hi", "2e-3:2e-1", {}),
+        "delta_deg_range": ("lo:hi degrees", "5:90", {}),
+    }),
+    "qber-table": ("both-send QBER and detections per threshold", _cmd_qber_table, {
+        **COMMON, **MODEL, **SESSION, **REPORT,
+        "in": ("raw tally file; repeat for several thresholds", [_BUNDLED], {"action": "append"}),
+        "simulate": ("simulate instead of reading files", False, {"action": "store_true"}),
+        "delta_list": ("thresholds in degrees for --simulate", "2,5,8,10,12,15,30,45", {}),
+    }),
+}
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--distance-km", dest="distance_km", type=float, help="total fibre length")
-    p.add_argument("--visibility", type=float, help="interference visibility override")
-    p.add_argument("--dark-prob", dest="dark_prob", type=float, help="per-window dark-click probability")
+def _help(text: str, default) -> str:
+    if default is None or isinstance(default, bool):
+        return text
+    if isinstance(default, list):
+        default = ", ".join(default)
+    shown = f"{default:g}" if isinstance(default, float) else default
+    return f"{text} (default {shown})".replace("%", "%%")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scfqkd",
-        description="Simulate and analyse the sending-or-not-sending protocol with phase post-selection.",
-    )
+    parser = argparse.ArgumentParser(prog="scfqkd", description="Simulate and analyse the "
+                                     "sending-or-not-sending protocol with phase post-selection.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="analyse a raw tally file (bundled dataset by default)")
-    _add_param_flags(p)
-    p.add_argument("--in", dest="infile", help="raw tally file (default: bundled 50 km dataset)")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--swap-detectors", action="store_true", help="map L=ch1, R=ch0")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("simulate", help="Monte Carlo session; writes a raw tally file")
-    _add_param_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--windows", type=float, help="signal windows to simulate (default 1e7)")
-    p.add_argument("--seed", type=int, help="random seed (default 1)")
-    p.add_argument("--workers", type=int, help="parallel worker processes (default 1)")
-    p.add_argument("--out", required=True, help="raw tally output file")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--swap-detectors", action="store_true", help="map L=ch1, R=ch0 in the report")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="expected-value key rate versus distance")
-    _add_param_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--distances", help="start:stop:step in km, or comma list (default 0:80:5)")
-    p.add_argument("--windows", type=float, help="windows per evaluation (default 1e12)")
-    p.add_argument("--target-qber", dest="target_qber", type=float,
-                   help="both-send QBER target for visibility calibration")
-    p.add_argument("--no-calibrate", action="store_true",
-                   help="keep the model's visibility instead of calibrating")
-    p.add_argument("--out", help="CSV output file (default stdout)")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("optimize", help="search mu, epsilon, delta for the best rate")
-    _add_param_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--mu-range", dest="mu_range", help="lo:hi (default 2e-4:2e-2)")
-    p.add_argument("--epsilon-range", dest="epsilon_range", help="lo:hi (default 2e-3:2e-1)")
-    p.add_argument("--delta-deg-range", dest="delta_deg_range", help="lo:hi degrees (default 5:90)")
-    p.add_argument("--windows", type=float, help="windows per evaluation (default 1e12)")
-    p.add_argument("--out", help="write the result here instead of stdout")
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("qber-table", help="both-send QBER and detections per threshold")
-    _add_param_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--in", dest="infile", action="append",
-                   help="raw tally file; repeat for several thresholds")
-    p.add_argument("--simulate", action="store_true", help="simulate instead of reading files")
-    p.add_argument("--delta-list", dest="delta_list",
-                   help="comma-separated thresholds in degrees for simulation mode")
-    p.add_argument("--windows", type=float, help="windows in simulation mode (default 1e7)")
-    p.add_argument("--seed", type=int, help="seed in simulation mode (default 1)")
-    p.add_argument("--workers", type=int, help="worker processes in simulation mode (default 1)")
-    p.add_argument("--swap-detectors", action="store_true", help="map L=ch1, R=ch0")
-    p.add_argument("--out", help="write the table here instead of stdout")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=_cmd_qber_table)
+    for name, (text, _, options) in COMMANDS.items():
+        # Options not given stay out of the namespace, so that config values
+        # and built-in defaults can fill them in main().
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for key, (help_text, default, kwargs) in options.items():
+            p.add_argument("--" + key.replace("_", "-"), help=_help(help_text, default), **kwargs)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _config_value(key: str, value, kwargs: dict):
+    """A config file's ``key``, checked and converted as its flag would be."""
+    action = kwargs.get("action")
+    items = value if action == "append" and isinstance(value, list) else [value]
+    scalars = all(isinstance(x, (str, int, float)) and not isinstance(x, bool) for x in items)
     try:
-        return args.func(args)
+        if action == "store_true" and isinstance(value, bool):
+            return value
+        if action != "store_true" and scalars:
+            items = [kwargs.get("type", str)(str(x)) for x in items]
+            if all(x in kwargs.get("choices", (x,)) for x in items):
+                return items if action == "append" else items[0]
+    except ValueError:
+        pass
+    raise ValueError(f"config key {key!r}: its flag refuses the value {value!r}")
+
+
+def _load_config(path: str, options: dict) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config file {path} must contain a JSON object")
+    return {key: _config_value(key, value, options[key][2])
+            for key, value in loaded.items() if key in options}
+
+
+def main(argv=None) -> int:
+    given = vars(build_parser().parse_args(argv))
+    _, handler, options = COMMANDS[given.pop("command")]
+    try:
+        config = _load_config(given["config"], options) if "config" in given else {}
+        builtin = {key: default for key, (_, default, _) in options.items()}
+        handler({**builtin, **config, **given})
     except (dataio.ParseError, EstimationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

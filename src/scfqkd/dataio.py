@@ -91,7 +91,6 @@ class RawTallies:
 
     tallies: SessionTallies
     metadata: dict = field(default_factory=dict)
-    path: str | None = None
 
     @property
     def n_total_pulses(self) -> float:
@@ -213,7 +212,7 @@ def load_raw_tallies(path, strict: bool = True) -> RawTallies:
         counts=counts,
     )
     metadata = {k: values[k] for k in METADATA_KEYS if k in values}
-    return RawTallies(tallies=tallies, metadata=metadata, path=path)
+    return RawTallies(tallies=tallies, metadata=metadata)
 
 
 def _format_value(v) -> str:

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import pytest
 
 from scfqkd import dataio, defaults, keyrate
-from scfqkd.cli import main
+from scfqkd.cli import build_parser, main
 from scfqkd.keyrate import analyze_tallies
 
 
@@ -100,6 +101,56 @@ def test_config_file_precedence(tmp_path, capsys):
     assert json.loads(out)["mu"] == 0.002
 
 
+@pytest.mark.parametrize("config, argv, flags", [
+    ({"format": "json"}, ["analyze"], ["--format", "json"]),
+    ({"swap_detectors": True, "in": defaults.bundled_tally_path()}, ["analyze"],
+     ["--swap-detectors"]),
+    ({"no_calibrate": True}, ["sweep", "--distances", "50"], ["--no-calibrate"]),
+    ({"in": [defaults.bundled_tally_path()] * 2}, ["qber-table"],
+     ["--in", defaults.bundled_tally_path(), "--in", defaults.bundled_tally_path()]),
+])
+def test_every_long_flag_is_a_config_key(tmp_path, capsys, config, argv, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, from_config, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, err) == (0, "")
+    _, from_flags, _ = run(capsys, *argv, *flags)
+    _, from_defaults, _ = run(capsys, *argv)
+    assert from_config == from_flags != from_defaults
+
+
+@pytest.mark.parametrize("config", [
+    {"format": "xml"}, {"no_calibrate": "yes"}, {"no_calibrate": 1}, {"mu": True},
+    {"mu": "small"}, {"mu": [0.002]}, {"seed": 2.5}, {"windows": True}, {"in": ["a.tsv", None]},
+])
+def test_config_value_its_flag_refuses_is_rejected_by_name(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    [key] = config
+    command = {"no_calibrate": "sweep", "seed": "simulate", "windows": "simulate",
+               "in": "qber-table"}.get(key, "analyze")
+    target = tmp_path / "out.tsv"
+    code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: config key {key!r}")
+    assert not target.exists()
+
+
+def test_help_shows_each_default(capsys):
+    for argv, shown in [
+        (["simulate"], "signal windows to simulate (default 1e+08)"),
+        (["qber-table"], "signal windows to simulate (default 1e+08)"),
+        (["sweep"], "(default 0:80:5)"),
+        (["optimize"], "windows per evaluation (default 1e+12)"),
+        (["analyze"], "phase threshold in degrees (default 30)"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert shown in " ".join(capsys.readouterr().out.split())
+
+
 def test_simulate_writes_loadable_file(tmp_path, capsys):
     target = tmp_path / "sim.tsv"
     code, out, _ = run(capsys, "simulate", "--windows", "2e5", "--seed", "4",
@@ -166,6 +217,16 @@ def test_sweep_calibrated_out_file(tmp_path, capsys):
     line = target.read_text().strip().split("\n")[1]
     rate = float(line.split(",")[1])
     assert rate == pytest.approx(4.80e-7, rel=1.0)  # within factor 2
+
+
+@pytest.mark.parametrize("distances", [
+    "0:inf:5", "-inf:10:5", "0:10:nan", "80:0:5", ",", "0:10", "0:10:0", "inf",
+])
+def test_sweep_rejects_bad_distances_by_name(capsys, distances):
+    code, out, err = run(capsys, "sweep", f"--distances={distances}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --distances")
 
 
 def test_optimize_reports_best_point(capsys):
@@ -302,3 +363,186 @@ def test_sweep_default_stdout_is_unchanged(capsys):
     assert code == 0
     assert out == DEFAULT_SWEEP_STDOUT
     assert err == ""
+
+
+# `scfqkd analyze` with every default: the bundled 50 km file.
+DEFAULT_ANALYZE_STDOUT = (
+    "signal mean photon number     0.002\n"
+    "error-correction factor       1.1\n"
+    "phase threshold [deg]         30\n"
+    "total signal windows          6.039602e+11\n"
+    "test-set counting rate        1.163764e-05\n"
+    "test-set error rate           2.1209%\n"
+    "mismatched-send yield         2.767704e-04\n"
+    "raw key pool                  2,207,341.4\n"
+    "phase-flip upper bound        19.0562%\n"
+    "key-set bit error             2.1325%\n"
+    "key-set detections            2,248,625.0\n"
+    "asymptotic secure key length  288,267.8\n"
+    "key rate per window           4.772960e-07\n"
+)
+
+# `scfqkd analyze --format json` on the bundled file.
+DEFAULT_ANALYZE_JSON_STDOUT = (
+    "{\n"
+    '  "delta_threshold": 0.5235987755982988,\n'
+    '  "e_ph_flagged": false,\n'
+    '  "e_ph_upper": 0.1905615553530922,\n'
+    '  "e_u": 0.02120938988107108,\n'
+    '  "e_v": 0.021325031963977985,\n'
+    '  "f_ec": 1.1,\n'
+    '  "mu": 0.002,\n'
+    '  "n_f": 288267.7709396712,\n'
+    '  "n_f_raw": 288267.7709396712,\n'
+    '  "n_tilde_z": 2207341.4024429754,\n'
+    '  "n_total_pulses": 603960200000,\n'
+    '  "n_v": 2248625,\n'
+    '  "rate_per_pulse": 4.772959723830663e-07,\n'
+    '  "rates_u_by_cell": {\n'
+    '    "00/L": 7.2157843085827266e-09,\n'
+    '    "00/R": 6.101938408600158e-09,\n'
+    '    "01/L": 0.00013678448299515546,\n'
+    '    "01/R": 0.00013731638508754064,\n'
+    '    "10/L": 0.00014021431959972732,\n'
+    '    "10/R": 0.00013922570267494054,\n'
+    '    "11/L": 0.0004968220412450563,\n'
+    '    "11/R": 3.310045325553991e-05\n'
+    "  },\n"
+    '  "rates_u_by_state": {\n'
+    '    "00": 1.3317722717182885e-08,\n'
+    '    "01": 0.0002741008680826961,\n'
+    '    "10": 0.0002794400222746679,\n'
+    '    "11": 0.0005299224945005961\n'
+    "  },\n"
+    '  "s_tilde_z": 0.00027677044517868197,\n'
+    '  "s_u": 1.1637643929685553e-05,\n'
+    '  "x_lower_clamped": false,\n'
+    '  "x_lower_left": 0.00010121371275833878,\n'
+    '  "x_upper_right": 1.537036040371218e-05\n'
+    "}\n"
+)
+
+# `scfqkd optimize` with every default.
+DEFAULT_OPTIMIZE_STDOUT = (
+    "best mu          0.0034231\n"
+    "best epsilon     0.0256166\n"
+    "best delta [deg] 32.0685\n"
+    "rate per window  5.643970e-07\n"
+    "evaluations      553\n"
+)
+
+# `scfqkd qber-table` with every default: one row from the bundled file.
+DEFAULT_QBER_TABLE_STDOUT = (
+    "delta_deg  detections      qber  rate_per_pulse\n"
+    "       30       50490   5.8665%      4.7730e-07\n"
+)
+
+# `scfqkd simulate --windows 2e6 --seed 3 --out FILE`: stdout, then FILE.
+SIMULATE_2E6_SEED3_STDOUT = (
+    "signal mean photon number     0.002\n"
+    "error-correction factor       1.1\n"
+    "phase threshold [deg]         30\n"
+    "total signal windows          2.000000e+06\n"
+    "test-set counting rate        1.769066e-05\n"
+    "test-set error rate           0.0000%\n"
+    "mismatched-send yield         4.295533e-04\n"
+    "raw key pool                  9.0\n"
+    "phase-flip upper bound        0.2328%\n"
+    "key-set bit error             25.0000%\n"
+    "key-set detections            4.0\n"
+    "asymptotic secure key length  5.2\n"
+    "key rate per window           2.588332e-06\n"
+)
+
+SIMULATE_2E6_SEED3_FILE = (
+    "Delta-Degrees\t29.999999999999996\n"
+    "Mu\t0.002\n"
+    "Epsilon\t0.021\n"
+    "Pt\t0.1\n"
+    "F-EC\t1.1\n"
+    "Windows\t2000000\n"
+    "Seed\t3\n"
+    "Sent-00\t1916237\n"
+    "Sent-01\t41546\n"
+    "Sent-10\t41348\n"
+    "Sent-11\t869\n"
+    "Sent-00-Δ\t541493\n"
+    "Sent-01-Δ\t11683\n"
+    "Sent-10-Δ\t11592\n"
+    "Sent-11-Δ\t252\n"
+    "Sent-SS00-Δ\t487313\n"
+    "Sent-SS01-Δ\t10524\n"
+    "Sent-SS10-Δ\t10428\n"
+    "Sent-SS11-Δ\t228\n"
+    "Sent-TT00-Δ\t54180\n"
+    "Sent-TT01-Δ\t1159\n"
+    "Sent-TT10-Δ\t1164\n"
+    "Sent-TT11-Δ\t24\n"
+    "Detected-SS00-ch0\t0\n"
+    "Detected-SS00-ch1\t0\n"
+    "Detected-SS01-ch0\t1\n"
+    "Detected-SS01-ch1\t0\n"
+    "Detected-SS10-ch0\t1\n"
+    "Detected-SS10-ch1\t1\n"
+    "Detected-SS11-ch0\t1\n"
+    "Detected-SS11-ch1\t0\n"
+    "Detected-TT00-ch0\t0\n"
+    "Detected-TT00-ch1\t0\n"
+    "Detected-TT01-ch0\t0\n"
+    "Detected-TT01-ch1\t0\n"
+    "Detected-TT10-ch0\t0\n"
+    "Detected-TT10-ch1\t1\n"
+    "Detected-TT11-ch0\t0\n"
+    "Detected-TT11-ch1\t0\n"
+)
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["analyze"], DEFAULT_ANALYZE_STDOUT),
+    (["analyze", "--format", "json"], DEFAULT_ANALYZE_JSON_STDOUT),
+    (["optimize"], DEFAULT_OPTIMIZE_STDOUT),
+    (["qber-table"], DEFAULT_QBER_TABLE_STDOUT),
+])
+def test_default_stdout_is_unchanged(capsys, argv, stdout):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == stdout
+    assert err == ""
+
+
+def test_simulate_stdout_and_file_are_unchanged(tmp_path, capsys):
+    target = tmp_path / "sim.tsv"
+    code, out, err = run(capsys, "simulate", "--windows", "2e6", "--seed", "3", "--out", str(target))
+    assert code == 0
+    assert out == SIMULATE_2E6_SEED3_STDOUT
+    assert err == ""
+    assert target.read_bytes() == SIMULATE_2E6_SEED3_FILE.encode("utf-8")
+
+
+# Each subcommand's long flags; a trailing "!" marks a required one.
+CLI_FLAGS = {
+    "analyze": "--config --delta-deg --epsilon --f-ec --format --help --in --mu --out --pt "
+               "--swap-detectors",
+    "simulate": "--config --dark-prob --delta-deg --distance-km --epsilon --f-ec --format --help "
+                "--mu --out! --pt --seed --swap-detectors --visibility --windows --workers",
+    "sweep": "--config --dark-prob --delta-deg --distance-km --distances --epsilon --f-ec --help "
+             "--mu --no-calibrate --out --pt --target-qber --visibility --windows",
+    "optimize": "--config --dark-prob --delta-deg --delta-deg-range --distance-km --epsilon "
+                "--epsilon-range --f-ec --help --mu --mu-range --out --pt --visibility --windows",
+    "qber-table": "--config --dark-prob --delta-deg --delta-list --distance-km --epsilon --f-ec "
+                  "--format --help --in --mu --out --pt --seed --simulate --swap-detectors "
+                  "--visibility --windows --workers",
+}
+
+
+def test_subcommand_flags_are_unchanged():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    got = {
+        name: " ".join(sorted(
+            flag + ("!" if action.required else "")
+            for action in sub._actions for flag in action.option_strings if flag.startswith("--")
+        ))
+        for name, sub in commands.items()
+    }
+    assert got == CLI_FLAGS
