@@ -26,11 +26,12 @@ The Monte Carlo works per reference span rather than per window, which is
 exact for this model: only both-send ("11") windows, a fraction epsilon**2
 of all windows, click with a phase-dependent probability; post-selection
 looks only at the span-mean phase; and the 00/01/10 windows click
-independently of the phase, so their counts per span are binomial.  The
-session is cut into chunks of whole spans.  The session stream
-(:func:`_chunk_rng` index 0) draws the initial phase, uniform on [0, 2 pi),
-then each chunk's drift total T ~ N(0, sigma**2 m) for a chunk of m
-windows; a chunk starts at the initial phase plus the totals before it.
+independently of the phase, so they are counted per keep-level bin (see
+below) rather than per span.  The session is cut into chunks of whole
+spans.  The session stream (:func:`_chunk_rng` index 0) draws the initial
+phase, uniform on [0, 2 pi), then each chunk's drift total
+T ~ N(0, sigma**2 m) for a chunk of m windows; a chunk starts at the
+initial phase plus the totals before it.
 Every chunk owns an independent, deterministically seeded stream and draws
 in this frozen order:
 
@@ -45,17 +46,27 @@ in this frozen order:
    phase), from which the span's phase is estimated;
 4. per both-send window a test-set uniform, then left and right click
    uniforms against the click probabilities at its phase;
-5. per span, one multinomial of its other windows over (00, 01, 10) x
-   (test, key);
+5. per keep-level bin, one multinomial of its spans' other windows over
+   (00, 01, 10) x (test, key);
 6. the chunk's effective clicks of those windows (see
    :func:`_phase_free_clicks`): one binomial total per (state, subset)
-   cell, then per nonzero cell its effective windows by :func:`_spread`
-   and one channel uniform each.
+   cell, then per nonzero cell its effective windows over the bins by
+   :func:`_spread` and one channel uniform each.
 
-A span is kept at threshold delta when the minor angle of its estimated
-phase is below delta.  Chunk streams are keyed by (seed, chunk), so the
-chunks can run in any number of worker processes with bit-identical
-results.
+A span's keep level is the minor angle of its estimated phase, and a span
+is kept at threshold delta when its level is below delta.  The levels fall
+into fixed bins with edges at 1, 2, ..., 180 degrees; a sum of multinomials
+with one probability vector is multinomial, so step 5 is exact.  A
+threshold on an edge keeps whole bins, one row of a cumulative sum over
+bins.  A threshold between edges also keeps the spans of its own bin whose
+level lies below it: their 00/01/10 windows are a prefix of one uniformly
+random order of the bin's windows, labelled by (state, subset, click) and
+handed to the bin's spans in level order, which is the exact law given the
+bin's counts.  That order comes from a stream keyed by (seed, chunk, bin),
+and every threshold in the bin reads it, so a threshold's tallies do not
+depend on which others are requested.  Chunk streams are keyed by (seed,
+chunk), so the chunks can run in any number of worker processes with
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -318,6 +329,9 @@ def click_probabilities(
 
 _SPAN = phasetrack.DEFAULT_SPAN_WINDOWS
 CHUNK_WINDOWS = CHUNK_SPANS * _SPAN
+_KEEP_EDGES = np.radians(np.arange(1, 181))
+"""Edges of the keep-level bins, 1 to 180 degrees, each equal bit for bit to
+``math.radians`` of its degree."""
 
 
 def _threshold_list(params: ProtocolParams, thresholds: Sequence[float] | None) -> list:
@@ -327,15 +341,18 @@ def _threshold_list(params: ProtocolParams, thresholds: Sequence[float] | None) 
     return list(dict.fromkeys([params.delta_threshold, *extra.tolist()]))
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent random stream for one chunk; index 0 is the session stream."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk_index])))
+def _chunk_rng(seed: int, chunk_index: int, *key: int) -> np.random.Generator:
+    """Independent random stream for one chunk; index 0 is the session stream.
+    A ``key`` names a further stream of the chunk, such as a bin's split."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([seed, chunk_index], spawn_key=key))
+    )
 
 
 def _spread(rng: np.random.Generator, pool: np.ndarray, k: int):
-    """Pick ``k`` of the windows of a per-span ``pool`` uniformly without
-    replacement.  Returns their sorted indices in the concatenated pool and
-    the span of each."""
+    """Pick ``k`` of the windows of a ``pool`` counted per span (or per
+    bin) uniformly without replacement.  Returns their sorted indices in the
+    concatenated pool and the span (or bin) of each."""
     ends = np.cumsum(pool)
     picks = np.sort(rng.choice(ends[-1], k, replace=False, shuffle=False))
     return picks, np.searchsorted(ends, picks, "right")
@@ -389,7 +406,7 @@ def _bridge(
 
 def _phase_free_clicks(rng: np.random.Generator, pool: np.ndarray, q0: np.ndarray, q1: np.ndarray):
     """Effective clicks on channel 0 and on channel 1, stacked, among
-    ``pool`` windows per (span, cell), with per-cell probabilities ``q0``
+    ``pool`` windows per (bin, cell), with per-cell probabilities ``q0``
     and ``q1``: one Binomial(windows, q0 + q1) total per cell, spread over
     the cell's windows by :func:`_spread`, then per effective window a
     uniform u that puts it on channel 1 when u (q0 + q1) >= q0.  This is
@@ -404,8 +421,19 @@ def _phase_free_clicks(rng: np.random.Generator, pool: np.ndarray, q0: np.ndarra
     return clicks
 
 
+def _bin_prefix(rng: np.random.Generator, cells: np.ndarray, k: int) -> np.ndarray:
+    """Cells of the first ``k`` windows of a uniformly random order of the
+    windows that ``cells``, shaped (..., (windows, on ch0, on ch1)), counts."""
+    flat = cells.reshape(-1, 3)
+    labels = np.column_stack((flat[:, 0] - flat[:, 1] - flat[:, 2], flat[:, 1:])).ravel()
+    order = rng.permutation(np.repeat(np.arange(labels.size), labels))
+    got = np.bincount(order[:k], minlength=labels.size).reshape(-1, 3)
+    return np.column_stack((got.sum(axis=1), got[:, 1:])).reshape(cells.shape)
+
+
 def _chunk_tallies(args):
-    """Simulate one chunk span by span, in the module docstring's draw order.
+    """Simulate one chunk, in the module docstring's draw order, with its
+    counts gathered per keep-level bin.
 
     Returns the chunk's sent windows per state, its effective windows, and
     per threshold the kept spans' counts shaped (state, subset, cell) with
@@ -424,35 +452,46 @@ def _chunk_tallies(args):
     mean, both_offset = _bridge(rng, chunk_total, length, both, both_span, scale)
 
     lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(phi_offset + mean)
-    est = phasetrack.estimate_phase_batch(rng.poisson(lam))
-    minor_est = minor_angle(est)
+    level = minor_angle(phasetrack.estimate_phase_batch(rng.poisson(lam)))
+    span_bin = np.searchsorted(_KEEP_EDGES, level, "right")
+    n_bins = _KEEP_EDGES.size + 1
 
-    counts = np.empty((n_spans, 4, 2, 3), dtype=np.int64)
+    counts = np.empty((n_bins, 4, 2, 3), dtype=np.int64)
     is_key = rng.random(both.size) >= params.p_t
     p_left, p_right = click_probabilities(params, model, True, True, phi_offset + both_offset)
     left = rng.random(both.size) < p_left
     right = rng.random(both.size) < p_right
-    cell = (both_span * 2 + is_key) * 3
     eff = left != right
+    # One entry per both-send window and one per effective click: its span
+    # and its (subset, cell) index.
+    entry_span = np.concatenate((both_span, both_span[eff]))
+    entry_cell = np.concatenate((3 * is_key, 3 * is_key[eff] + 1 + right[eff]))
     counts[:, 3] = np.bincount(
-        np.concatenate((cell, cell[eff] + 1 + right[eff])), minlength=n_spans * 6
-    ).reshape(n_spans, 2, 3)
+        span_bin[entry_span] * 6 + entry_cell, minlength=n_bins * 6
+    ).reshape(n_bins, 2, 3)
 
+    other = length - np.bincount(both_span, minlength=n_spans)
     p = np.outer(np.array([1.0 - eps, eps, eps]) / (1.0 + eps), [params.p_t, 1.0 - params.p_t])
-    pool = rng.multinomial(length - np.bincount(both_span, minlength=n_spans), p.ravel())
+    pool = rng.multinomial(np.bincount(span_bin, other, n_bins).astype(np.int64), p.ravel())
     q0, q1 = np.repeat(phase_free, 2, axis=0).T
     clicks = _phase_free_clicks(rng, pool, q0, q1)
-    counts[:, :3] = np.stack((pool, *clicks), axis=2).reshape(n_spans, 3, 2, 3)
+    counts[:, :3] = np.stack((pool, *clicks), axis=2).reshape(n_bins, 3, 2, 3)
 
-    # Float products are exact here (sums far below 2**53) and much faster
-    # than integer matrix products.
-    kept = (minor_est < thresholds[:, None]).astype(float)
-    per_thr = (kept @ counts.reshape(n_spans, -1)).astype(np.int64)
-    return (
-        counts[..., 0].sum(axis=(0, 2)),
-        int(eff.sum() + clicks.sum()),
-        per_thr.reshape(len(thresholds), 4, 2, 3),
-    )
+    # Row j holds the counts of the bins below bin j.
+    below = np.concatenate((np.zeros((1, 4, 2, 3), np.int64), counts.cumsum(axis=0)))
+    at = np.searchsorted(_KEEP_EDGES, thresholds, "right")
+    per_thr = below[at]
+    for t, (thr, b) in enumerate(zip(thresholds.tolist(), at.tolist())):
+        if b and _KEEP_EDGES[b - 1] == thr:
+            continue
+        # Off the grid: the spans of bin b below thr, the first in level order.
+        kept = (span_bin == b) & (level < thr)
+        if kept.any():
+            split = _chunk_rng(seed, chunk_index + 1, b)
+            per_thr[t, :3] += _bin_prefix(split, counts[b, :3], other[kept].sum())
+            entry = kept[entry_span]
+            per_thr[t, 3] += np.bincount(entry_cell[entry], minlength=6).reshape(2, 3)
+    return below[-1, ..., 0].sum(axis=1), int(eff.sum() + clicks.sum()), per_thr
 
 
 def _run_chunks(tasks, workers: int):
@@ -495,7 +534,7 @@ def simulate_session(
 
     More workers are not always faster: starting the worker pool costs more
     than a few chunks' work, so ``workers=2`` ran a session of 8 chunks
-    (1,474,560 windows) at 0.65-0.73 times the speed of ``workers=1`` on a
+    (1,474,560 windows) at 0.49-0.52 times the speed of ``workers=1`` on a
     2-core host.
     """
     n_windows = int(n_windows)

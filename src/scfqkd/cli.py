@@ -128,6 +128,9 @@ def _cmd_simulate(o: dict) -> None:
         print(dataio.emit_report(report, fmt=o["format"]))
 
 
+_MAX_DISTANCES = 10**6
+
+
 def _parse_distances(text: str) -> list:
     ranged = ":" in text
     values = [float(x) for x in text.split(":" if ranged else ",") if x.strip()]
@@ -137,11 +140,13 @@ def _parse_distances(text: str) -> list:
         if len(values) != 3 or values[2] <= 0:
             raise ValueError(f"--distances range must be start:stop:step, step > 0, got {text!r}")
         start, stop, step = values
-        values = []
-        d = start
-        while d <= stop + 1e-9:
-            values.append(round(d, 9))
-            d += step
+        steps = (stop + 1e-9 - start) / step
+        if start + step == start or not steps < _MAX_DISTANCES:
+            raise ValueError(
+                f"--distances range must advance by its step and give at most "
+                f"{_MAX_DISTANCES} distances, got {text!r}"
+            )
+        values = [round(start + k * step, 9) for k in range(math.floor(steps) + 1)]
     if not values:
         raise ValueError(f"--distances gives no distance, got {text!r}")
     return values

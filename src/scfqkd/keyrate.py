@@ -137,15 +137,6 @@ def _both_send_qber(params: ProtocolParams, model: ChannelModel, visibility) -> 
     return np.divide(p_ch1, total, out=np.full_like(total, np.nan), where=total > 0.0)
 
 
-def model_both_send_qber(
-    params: ProtocolParams, model: ChannelModel, delta_threshold: float | None = None
-) -> float:
-    """Expected wrong-port fraction of kept both-send windows."""
-    if delta_threshold is not None:
-        params = replace(params, delta_threshold=delta_threshold)
-    return _checked_qber(_both_send_qber(params, model, [model.visibility]).item())
-
-
 def _checked_qber(q: float) -> float:
     """``q``, or ValueError where :func:`_both_send_qber` found no detections."""
     if math.isnan(q):

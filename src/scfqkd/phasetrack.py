@@ -96,20 +96,6 @@ def estimate_phase_batch(counts: np.ndarray) -> np.ndarray:
     return np.arctan2(c[:, 3] - c[:, 1], c[:, 0] - c[:, 2])
 
 
-def fit_error(counts, phase: Angle) -> float:
-    """Residual sum of squares between normalised counts and the slot model.
-
-    This is the objective whose exact minimiser :func:`estimate_phase`
-    returns; it is exposed for diagnostics and cross-checks.
-    """
-    c = np.asarray(counts, dtype=float)
-    total = c.sum()
-    if total <= 0.0:
-        raise ValueError("cannot evaluate the fit for all-zero counts")
-    p = 2.0 * c / total
-    return float(np.sum((p - slot_probabilities(phase)) ** 2))
-
-
 @dataclass(frozen=True)
 class ErrorProfile:
     """Monte Carlo summary of the phase-estimation error.

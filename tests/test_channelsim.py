@@ -231,6 +231,71 @@ def test_threshold_tallies_do_not_depend_on_other_thresholds():
     together = simulate_session(params, model, n, seed=21, thresholds=extra)
     assert alone.by_threshold[extra[1]] == together.by_threshold[extra[1]]
     assert alone.tallies == together.tallies
+    # Two thresholds off the keep-level grid, inside one bin (28 to 29
+    # degrees) whose spans they split: each reads a prefix of the bin's split.
+    pair = [0.492, 0.494]
+    together = simulate_session(params, model, n, seed=21, thresholds=extra + pair)
+    for thr in pair:
+        alone = simulate_session(params, model, n, seed=21, thresholds=[thr])
+        assert alone.by_threshold[thr] == together.by_threshold[thr]
+    kept = [together.by_threshold[t].counts[:, 1].sum() for t in pair]
+    edges = simulate_session(params, model, n, seed=21, thresholds=np.radians([28, 29]))
+    assert edges.by_threshold[math.radians(28)].counts[:, 1].sum() < kept[0]
+    assert kept[0] < kept[1] < edges.by_threshold[math.radians(29)].counts[:, 1].sum()
+
+
+def test_keep_level_edges_are_whole_degrees():
+    edges = channelsim._KEEP_EDGES.tolist()
+    assert [e.hex() for e in edges] == [math.radians(k).hex() for k in range(1, 181)]
+    assert edges[-1] == math.pi
+
+
+def test_bin_prefix_draws_windows_without_replacement():
+    """A prefix of k of a bin's N windows has the hypergeometric mean k/N of
+    every (cell, click) label; prefixes of one order are nested, and the
+    whole order gives the bin's cells back."""
+    cells = np.array([[[40, 3, 5], [7, 1, 0]], [[0, 0, 0], [12, 4, 6]], [[25, 0, 9], [2, 2, 0]]])
+    n = cells[..., 0].sum()
+
+    def labels(c):
+        """(no click, on ch0, on ch1) per cell."""
+        return np.concatenate((c[..., :1] - c[..., 1:2] - c[..., 2:], c[..., 1:]), axis=-1)
+
+    draws = 4000
+    got = np.array([
+        [labels(channelsim._bin_prefix(np.random.default_rng([36, i]), cells, k)) for k in (20, 55)]
+        for i in range(draws)
+    ])
+    assert np.all(got[:, 0] <= got[:, 1])
+    for j, k in enumerate((20, 55)):
+        assert np.all(got[:, j].sum(axis=(1, 2, 3)) == k)
+        want = labels(cells) * k / n
+        var = k * (labels(cells) / n) * (1 - labels(cells) / n) * (n - k) / (n - 1)
+        live = var > 0
+        assert np.all(got[:, j].std(axis=0)[~live] == 0)
+        z = (got[:, j].mean(axis=0) - want)[live] / np.sqrt(var[live] / draws)
+        assert np.abs(z).max() < 5
+    rng = np.random.default_rng(37)
+    assert np.array_equal(channelsim._bin_prefix(rng, cells, n), cells)
+    assert not channelsim._bin_prefix(rng, cells, 0).any()
+
+
+@pytest.mark.parametrize("level", [math.radians(10), 0.5])
+def test_span_at_a_threshold_is_discarded(monkeypatch, level):
+    """Every span's keep level equals a threshold, on the grid or off it:
+    none is kept there, and all are kept at the next float above it."""
+    monkeypatch.setattr(phasetrack, "estimate_phase_batch",
+                        lambda counts: np.full(len(counts), level))
+    params = ProtocolParams(mu=0.5, epsilon=0.3)
+    model = ChannelModel(dark_prob=1e-3, visibility=0.9)
+    phase_free = channelsim._effective_probs(params, model)[0]
+    thresholds = np.array([level, np.nextafter(level, 4.0), math.pi])
+    m = 5 * DEFAULT_SPAN_WINDOWS + 77
+    _, _, (at, above, widest) = channelsim._chunk_tallies(
+        (params, model, 9, 0, m, 0.3, -0.2, thresholds, 45.0, phase_free)
+    )
+    assert not at.any()
+    assert np.array_equal(above, widest) and widest[..., 1:].sum() > 0
 
 
 def test_ragged_final_span_with_every_window_both_send():
@@ -563,7 +628,8 @@ def test_span_sampler_matches_per_window_oracle():
     per-window oracle over many short sessions, at high click rates and
     visibility below 1.  In the second configuration the phase drifts by
     about 1.3 rad per span and the reference estimate is precise, so the
-    both-send windows' spread around the span mean shows in the cells."""
+    both-send windows' spread around the span mean shows in the cells; the
+    third keeps its windows at a threshold between keep-level edges."""
     configs = [
         (ProtocolParams(mu=0.2, epsilon=0.4, p_t=0.3),
          ChannelModel(fiber_km_a=2, fiber_km_b=3, dark_prob=2e-3, visibility=0.9,
@@ -573,6 +639,10 @@ def test_span_sampler_matches_per_window_oracle():
          ChannelModel(fiber_km_a=1, fiber_km_b=1, dark_prob=2e-3, visibility=0.8,
                       drift_rad_per_window=0.1),
          100 * DEFAULT_SPAN_WINDOWS + 77, 1000.0),
+        # A threshold off the keep-level grid splits the bin it falls in.
+        (ProtocolParams(mu=0.2, epsilon=0.4, p_t=0.3, delta_threshold=0.5),
+         ChannelModel(fiber_km_a=2, fiber_km_b=3, dark_prob=2e-3, visibility=0.9),
+         100 * DEFAULT_SPAN_WINDOWS, 45.0),
     ]
     sessions = 400
     worst = 0.0

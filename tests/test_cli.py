@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from scfqkd import dataio, defaults, keyrate
+from scfqkd import channelsim, cli, dataio, defaults, keyrate
 from scfqkd.cli import build_parser, main
 from scfqkd.keyrate import analyze_tallies
 
@@ -221,6 +221,7 @@ def test_sweep_calibrated_out_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("distances", [
     "0:inf:5", "-inf:10:5", "0:10:nan", "80:0:5", ",", "0:10", "0:10:0", "inf",
+    "1e20:1e20:1", "0:1e15:1e-3", "-1e308:1e308:1",
 ])
 def test_sweep_rejects_bad_distances_by_name(capsys, distances):
     code, out, err = run(capsys, "sweep", f"--distances={distances}")
@@ -439,19 +440,7 @@ DEFAULT_QBER_TABLE_STDOUT = (
 
 # `scfqkd simulate --windows 2e6 --seed 3 --out FILE`: stdout, then FILE.
 SIMULATE_2E6_SEED3_STDOUT = (
-    "signal mean photon number     0.002\n"
-    "error-correction factor       1.1\n"
-    "phase threshold [deg]         30\n"
-    "total signal windows          2.000000e+06\n"
-    "test-set counting rate        1.769066e-05\n"
-    "test-set error rate           0.0000%\n"
-    "mismatched-send yield         4.295533e-04\n"
-    "raw key pool                  9.0\n"
-    "phase-flip upper bound        0.2328%\n"
-    "key-set bit error             25.0000%\n"
-    "key-set detections            4.0\n"
-    "asymptotic secure key length  5.2\n"
-    "key rate per window           2.588332e-06\n"
+    "tally file written; no key-rate report: mismatched-send yield is zero; no key material\n"
 )
 
 SIMULATE_2E6_SEED3_FILE = (
@@ -462,27 +451,27 @@ SIMULATE_2E6_SEED3_FILE = (
     "F-EC\t1.1\n"
     "Windows\t2000000\n"
     "Seed\t3\n"
-    "Sent-00\t1916237\n"
-    "Sent-01\t41546\n"
-    "Sent-10\t41348\n"
+    "Sent-00\t1916801\n"
+    "Sent-01\t41151\n"
+    "Sent-10\t41179\n"
     "Sent-11\t869\n"
-    "Sent-00-Δ\t541493\n"
-    "Sent-01-Δ\t11683\n"
-    "Sent-10-Δ\t11592\n"
+    "Sent-00-Δ\t541544\n"
+    "Sent-01-Δ\t11574\n"
+    "Sent-10-Δ\t11650\n"
     "Sent-11-Δ\t252\n"
-    "Sent-SS00-Δ\t487313\n"
-    "Sent-SS01-Δ\t10524\n"
-    "Sent-SS10-Δ\t10428\n"
+    "Sent-SS00-Δ\t487338\n"
+    "Sent-SS01-Δ\t10391\n"
+    "Sent-SS10-Δ\t10520\n"
     "Sent-SS11-Δ\t228\n"
-    "Sent-TT00-Δ\t54180\n"
-    "Sent-TT01-Δ\t1159\n"
-    "Sent-TT10-Δ\t1164\n"
+    "Sent-TT00-Δ\t54206\n"
+    "Sent-TT01-Δ\t1183\n"
+    "Sent-TT10-Δ\t1130\n"
     "Sent-TT11-Δ\t24\n"
     "Detected-SS00-ch0\t0\n"
     "Detected-SS00-ch1\t0\n"
     "Detected-SS01-ch0\t1\n"
     "Detected-SS01-ch1\t0\n"
-    "Detected-SS10-ch0\t1\n"
+    "Detected-SS10-ch0\t0\n"
     "Detected-SS10-ch1\t1\n"
     "Detected-SS11-ch0\t1\n"
     "Detected-SS11-ch1\t0\n"
@@ -491,7 +480,7 @@ SIMULATE_2E6_SEED3_FILE = (
     "Detected-TT01-ch0\t0\n"
     "Detected-TT01-ch1\t0\n"
     "Detected-TT10-ch0\t0\n"
-    "Detected-TT10-ch1\t1\n"
+    "Detected-TT10-ch1\t0\n"
     "Detected-TT11-ch0\t0\n"
     "Detected-TT11-ch1\t0\n"
 )
@@ -508,6 +497,25 @@ def test_default_stdout_is_unchanged(capsys, argv, stdout):
     assert code == 0
     assert out == stdout
     assert err == ""
+
+
+def test_simulated_thresholds_lie_on_keep_level_edges(tmp_path, capsys, monkeypatch):
+    """The thresholds the command line simulates by default and for whole
+    degrees are edges of the simulator's keep-level bins, where a threshold
+    needs no split of a bin."""
+    seen = []
+
+    def spy(params, model, n_windows, seed, workers=1, thresholds=None):
+        seen.extend([params.delta_threshold, *(thresholds or [])])
+        return channelsim.simulate_session(params, model, n_windows, seed, workers, thresholds)
+
+    monkeypatch.setattr(cli, "simulate_session", spy)
+    degrees = ",".join(str(k) for k in range(1, 181))
+    for argv in (["simulate", "--out", str(tmp_path / "sim.tsv")], ["qber-table", "--simulate"],
+                 ["qber-table", "--simulate", "--delta-list", degrees]):
+        assert run(capsys, *argv, "--windows", "2000")[0] == 0
+    assert len(seen) == 1 + 9 + 181
+    assert set(seen) <= set(channelsim._KEEP_EDGES.tolist())
 
 
 def test_simulate_stdout_and_file_are_unchanged(tmp_path, capsys):

@@ -22,7 +22,6 @@ from scfqkd.keyrate import (
     calibrate_visibility,
     key_length,
     key_rate,
-    model_both_send_qber,
     optimize_params,
     sweep_distance,
 )
@@ -121,6 +120,14 @@ def test_analyze_expected_deterministic():
     assert a.e_ph_upper == b.e_ph_upper
     assert a.e_v == b.e_v
     assert a.rate_per_pulse == b.rate_per_pulse
+
+
+def model_both_send_qber(params, model, delta_threshold=None):
+    """Wrong-port fraction of the model's kept both-send key windows, read
+    from the expected tallies' key cells of state 11."""
+    thr = params.delta_threshold if delta_threshold is None else delta_threshold
+    key = expected_tallies(params, model, 1e12, thresholds=[thr])[thr].detected_key
+    return key[("11", 1)] / (key[("11", 0)] + key[("11", 1)])
 
 
 def test_model_both_send_qber_monotone_in_visibility():
@@ -358,16 +365,19 @@ def test_model_both_send_qber_matches_expected_tallies(deg):
     model = replace(defaults.reference_model(50.0), visibility=0.93)
     thr = math.radians(deg)
     u, v = tallies_to_sets(expected_tallies(params, model, 1e12, thresholds=[thr])[thr])
-    assert model_both_send_qber(params, model, thr) == pytest.approx(
-        qber_both_send(u, v).qber, rel=1e-13)
+    q = model_both_send_qber(params, model, thr)
+    assert q == pytest.approx(qber_both_send(u, v).qber, rel=1e-13)
+    calibrated = keyrate._both_send_qber(replace(params, delta_threshold=thr), model, [0.93])
+    assert q == pytest.approx(calibrated.item(), rel=1e-13)
 
 
 def test_model_both_send_qber_without_detections_fails():
     params = ProtocolParams(mu=0.0)
+    model = ChannelModel(dark_prob=0.0)
+    key = expected_tallies(params, model, 1e12)[params.delta_threshold].detected_key
+    assert key[("11", 0)] == key[("11", 1)] == 0.0
     with pytest.raises(ValueError):
-        model_both_send_qber(params, ChannelModel(dark_prob=0.0))
-    with pytest.raises(ValueError):
-        model_both_send_qber(defaults.reference_params(), ChannelModel(), 0.0)
+        replace(defaults.reference_params(), delta_threshold=0.0)
 
 
 def _scalar_chain(params, model, n_windows):

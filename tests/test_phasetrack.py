@@ -13,7 +13,6 @@ from scfqkd.phasetrack import (
     estimate_phase,
     estimate_phase_batch,
     estimation_error_profile,
-    fit_error,
     slot_probabilities,
 )
 
@@ -108,6 +107,12 @@ def test_estimate_phase_validation():
 
 
 def test_fit_error_minimal_at_estimate():
+    """estimate_phase minimises the residual sum of squares between the
+    normalised counts and the slot model."""
+
+    def fit_error(counts, phase):
+        return np.sum((2.0 * counts / counts.sum() - slot_probabilities(phase)) ** 2)
+
     rng = np.random.default_rng(13)
     for _ in range(20):
         phi = rng.uniform(0, 2 * math.pi)
