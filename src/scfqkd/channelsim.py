@@ -65,8 +65,9 @@ handed to the bin's spans in level order, which is the exact law given the
 bin's counts.  That order comes from a stream keyed by (seed, chunk, bin),
 and every threshold in the bin reads it, so a threshold's tallies do not
 depend on which others are requested.  Chunk streams are keyed by (seed,
-chunk), so the chunks can run in any number of worker processes with
-bit-identical results.
+chunk), and a session adds up its chunks' int64 counts, whose sum does not
+depend on the order, so the chunks can run in any number of worker
+processes with bit-identical results.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from .phasecore import interfere, minor_angle
 STATE_LABELS = ("00", "01", "10", "11")
 """Joint send states, A's digit first, 1 = sent a pulse."""
 
-CHUNK_SPANS = 1024
+CHUNK_SPANS = 4096
 """Reference spans per simulation chunk."""
 
 
@@ -494,21 +495,54 @@ def _chunk_tallies(args):
     return below[-1, ..., 0].sum(axis=1), int(eff.sum() + clicks.sum()), per_thr
 
 
-def _run_chunks(tasks, workers: int):
-    """Chunk results in chunk order.
+def _chunk_sum(tasks):
+    """The results of :func:`_chunk_tallies` over ``tasks``, added up part by part."""
+    return functools.reduce(lambda a, b: [x + y for x, y in zip(a, b)], map(_chunk_tallies, tasks))
 
-    Uses at most one worker per chunk, and none beside this process for a
-    single chunk; the worker pool is shut down when the iteration ends or a
-    chunk raises.
+
+def _run_chunks(tasks, workers: int):
+    """The chunk results of ``tasks``, added up by ``workers`` processes,
+    this one included, and by this one alone for a single chunk.  A pool of
+    ``workers - 1`` helpers takes batches of chunks from the front of the
+    list, at most 1024 batches; meanwhile this process computes, from the
+    back, the batches the pool has not yet started, and raises a helper's
+    error as soon as it sees it.  The pool is shut down, its queued batches
+    cancelled, when the work ends or a chunk raises.
     """
     if workers > 1:
         tasks = list(tasks)
         workers = min(workers, len(tasks))
     if workers == 1:
-        yield from map(_chunk_tallies, tasks)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_chunk_tallies, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        return _chunk_sum(tasks)
+    size = -(-len(tasks) // 1024)
+    batches = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    pool = ProcessPoolExecutor(max_workers=workers - 1)
+    try:
+        futures = [pool.submit(_chunk_sum, batch) for batch in batches]
+        parts, done = [], 0
+        for j in reversed(range(len(futures))):
+            while done < j and futures[done].done():
+                parts.append(futures[done].result())  # a helper's error is raised here
+                done += 1
+            if not futures[j].cancel():
+                break
+            parts.append(_chunk_sum(batches[j]))
+        parts += [f.result() for f in futures[done:] if not f.cancelled()]
+        return [sum(part) for part in zip(*parts)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def window_count(value, name: str = "n_windows") -> int:
+    """``value`` as a number of windows: a whole number of at least 1, such
+    as ``1e8``; anything else raises a ValueError that names ``name``."""
+    try:
+        count = float(value)
+    except (TypeError, ValueError):
+        count = math.nan
+    if not (math.isfinite(count) and count >= 1 and count.is_integer()):
+        raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
+    return int(value) if isinstance(value, (int, np.integer)) else int(count)
 
 
 def simulate_session(
@@ -526,22 +560,21 @@ def simulate_session(
     (radians) to tally alongside ``params.delta_threshold``; each
     threshold's tallies are the same whatever others are requested.  The
     result is bit-identical for any ``workers`` value: the session is cut
-    into fixed-size chunks with independent seeded streams, and partial
-    tallies are merged in chunk order.  Every chunk's drift total and start
-    phase, the initial phase plus the totals of the chunks before it, come
-    from the session stream before any chunk runs; each chunk then pins its
-    walk to its total once, at its both-send windows and span ends.
+    into chunks with independent seeded streams, whose int64 tallies add up
+    in any order.  Every chunk's drift total and start phase, the initial
+    phase plus the totals of the chunks before it, come from the session
+    stream before any chunk runs; each chunk then pins its walk to its
+    total once, at its both-send windows and span ends.
 
-    More workers are not always faster: starting the worker pool costs more
-    than a few chunks' work, so ``workers=2`` ran a session of 8 chunks
-    (1,474,560 windows) at 0.49-0.52 times the speed of ``workers=1`` on a
-    2-core host.
+    ``n_windows`` is a whole number of at least 1, such as ``1e8``.
+    ``workers`` counts the processes that compute chunks, this one included,
+    so ``workers=2`` starts one helper.  Starting and stopping it costs more
+    than a chunk's work: ``workers=2`` ran a session of 2 chunks (1,474,560
+    windows) at 0.51-0.54 times the speed of ``workers=1`` on a 2-core host.
     """
-    n_windows = int(n_windows)
-    if n_windows < 1:
-        raise ValueError("n_windows must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    n_windows = window_count(n_windows)
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     thr_list = _threshold_list(params, thresholds)
     thr_arr = np.array(thr_list)
 
@@ -555,14 +588,7 @@ def simulate_session(
         (params, model, seed, k, m, starts[k], totals[k], thr_arr, mean_ref_counts, phase_free)
         for k, m in enumerate(sizes)
     )
-
-    sent_total = np.zeros(4, dtype=np.int64)
-    eff_total = 0
-    acc = np.zeros((len(thr_list), 4, 2, 3), dtype=np.int64)
-    for chunk_sent, chunk_eff, per_thr in _run_chunks(tasks, workers):
-        sent_total += chunk_sent
-        eff_total += chunk_eff
-        acc += per_thr
+    sent_total, eff_total, acc = _run_chunks(tasks, workers)
 
     by_threshold = {}
     for thr, cells in zip(thr_list, acc):

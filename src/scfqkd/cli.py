@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__, dataio, defaults, estimator, keyrate
-from .channelsim import ChannelModel, ProtocolParams, simulate_session
+from .channelsim import ChannelModel, ProtocolParams, simulate_session, window_count
 from .estimator import EstimationError
 
 _PARAMS = defaults.reference_params()
@@ -43,11 +43,11 @@ MODEL = {
     "visibility": ("interference visibility", _MODEL.visibility, {"type": float}),
     "dark_prob": ("per-window dark-click probability", _MODEL.dark_prob, {"type": float}),
 }
-# ``windows`` has no argparse type: _windows() checks a flag and a config value alike.
+# ``windows`` has no argparse type: window_count() checks a flag and a config value alike.
 SESSION = {
     "windows": ("signal windows to simulate", 1e8, {}),
     "seed": ("random seed", 1, {"type": int}),
-    "workers": ("parallel worker processes", 1, {"type": int}),
+    "workers": ("processes that compute chunks, this one included", 1, {"type": int}),
 }
 EXPECTED = {"windows": ("windows per evaluation", 1e12, {})}
 REPORT = {
@@ -66,20 +66,9 @@ def _model(o: dict) -> ChannelModel:
     return replace(model, visibility=o["visibility"], dark_prob=o["dark_prob"])
 
 
-def _windows(value) -> int:
-    """The ``windows`` option: a whole number of at least 1."""
-    try:
-        count = float(value)
-    except ValueError:
-        count = math.nan
-    if not (math.isfinite(count) and count >= 1 and count.is_integer()):
-        raise ValueError(f"windows must be a whole number of at least 1, got {value!r}")
-    return int(count)
-
-
 def _session(o: dict, params: ProtocolParams, thresholds=None):
     """Simulate the session the options describe: (windows, result)."""
-    model, n_windows = _model(o), _windows(o["windows"])
+    model, n_windows = _model(o), window_count(o["windows"], "windows")
     return n_windows, simulate_session(params, model, n_windows, o["seed"],
                                        workers=o["workers"], thresholds=thresholds)
 
@@ -155,7 +144,7 @@ def _parse_distances(text: str) -> list:
 def _cmd_sweep(o: dict) -> None:
     points = keyrate.sweep_distance(
         _params(o), _model(o), _parse_distances(o["distances"]),
-        n_windows=float(_windows(o["windows"])),
+        n_windows=float(window_count(o["windows"], "windows")),
         target_qber=None if o["no_calibrate"] else o["target_qber"],
     )
     _emit(dataio.emit_sweep_csv(points), o["out"])
@@ -179,7 +168,7 @@ def _cmd_optimize(o: dict) -> None:
         mu_bounds=_parse_range(o["mu_range"], "--mu-range"),
         epsilon_bounds=_parse_range(o["epsilon_range"], "--epsilon-range"),
         delta_bounds=(math.radians(d_lo), math.radians(d_hi)),
-        n_windows=float(_windows(o["windows"])),
+        n_windows=float(window_count(o["windows"], "windows")),
     )
     p = result.params
     lines = [

@@ -1,5 +1,7 @@
 import math
 import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import mpmath as mp
@@ -194,15 +196,66 @@ def test_phase_tracking_error_is_small():
     assert prof.rms_error < 0.1
 
 
-def _failing_chunk(args):
-    raise RuntimeError("chunk failed")
+def test_worker_pool_released_on_error(monkeypatch, tmp_path):
+    """A chunk fails in the helper (the first chunk) or in this process (the
+    last): the error reaches the caller at once, no process is left
+    running, and the helper does not go on with the queued chunks."""
+    n_chunks = 16
+    for bad in (0, n_chunks - 1):
+        log = tmp_path / str(bad)
+        log.mkdir()
+
+        def chunk(args):
+            k = args[3]
+            (log / f"{k}-{os.getpid()}").touch()
+            if k == bad:
+                raise RuntimeError(f"chunk {k} failed")
+            time.sleep(0.05)
+            return np.zeros(4, np.int64), 0, np.zeros((1, 4, 2, 3), np.int64)
+
+        monkeypatch.setattr(channelsim, "_chunk_tallies", chunk)
+        with pytest.raises(RuntimeError, match=f"chunk {bad} failed"):
+            simulate_session(ProtocolParams(), ChannelModel(), n_chunks * CHUNK_WINDOWS, seed=1, workers=2)
+        assert multiprocessing.active_children() == []
+        ran = dict(path.name.split("-") for path in log.iterdir())
+        assert ran["0"] != str(os.getpid()) and ran[str(n_chunks - 1)] == str(os.getpid())
+        assert len(ran) <= n_chunks // 2, sorted(ran)
 
 
-def test_worker_pool_released_on_error(monkeypatch):
-    monkeypatch.setattr(channelsim, "_chunk_tallies", _failing_chunk)
-    with pytest.raises(RuntimeError, match="chunk failed"):
-        simulate_session(ProtocolParams(), ChannelModel(), 2 * CHUNK_WINDOWS, seed=1, workers=2)
+def test_two_workers_start_one_helper(monkeypatch):
+    """workers counts this process, so a 2-worker session forks one helper."""
+    sizes, real_pool = [], channelsim.ProcessPoolExecutor
+
+    def pool_spy(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(channelsim, "ProcessPoolExecutor", pool_spy)
+    simulate_session(ProtocolParams(), ChannelModel(), 3 * CHUNK_WINDOWS, seed=5, workers=2)
+    assert sizes == [1]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_windows": 1000.7}, "n_windows must be a whole number of at least 1, got 1000.7"),
+    ({"n_windows": math.nan}, "n_windows must be a whole number of at least 1, got nan"),
+    ({"n_windows": math.inf}, "n_windows must be a whole number of at least 1, got inf"),
+    ({"n_windows": 0}, "n_windows must be a whole number of at least 1, got 0"),
+    ({"n_windows": None}, "n_windows must be a whole number of at least 1, got None"),
+    ({"workers": 2.0}, "workers must be a positive integer, got 2.0"),
+    ({"workers": 0}, "workers must be a positive integer, got 0"),
+])
+def test_simulate_session_rejects_bad_counts_by_name(kwargs, message):
+    args = {"n_windows": 1000, "workers": 1, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate_session(ProtocolParams(), ChannelModel(), seed=1, **args)
+
+
+def test_simulate_session_takes_whole_float_windows():
+    params, model = ProtocolParams(mu=0.1, epsilon=0.3), ChannelModel(dark_prob=1e-4)
+    res = simulate_session(params, model, 2e4, seed=3)
+    assert type(res.tallies.n_windows) is int
+    assert res.tallies == simulate_session(params, model, 20_000, seed=3).tallies
 
 
 def test_single_chunk_session_starts_no_pool(tmp_path, monkeypatch):

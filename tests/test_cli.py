@@ -451,29 +451,29 @@ SIMULATE_2E6_SEED3_FILE = (
     "F-EC\t1.1\n"
     "Windows\t2000000\n"
     "Seed\t3\n"
-    "Sent-00\t1916801\n"
-    "Sent-01\t41151\n"
-    "Sent-10\t41179\n"
-    "Sent-11\t869\n"
-    "Sent-00-Δ\t541544\n"
-    "Sent-01-Δ\t11574\n"
-    "Sent-10-Δ\t11650\n"
-    "Sent-11-Δ\t252\n"
-    "Sent-SS00-Δ\t487338\n"
-    "Sent-SS01-Δ\t10391\n"
-    "Sent-SS10-Δ\t10520\n"
-    "Sent-SS11-Δ\t228\n"
-    "Sent-TT00-Δ\t54206\n"
-    "Sent-TT01-Δ\t1183\n"
-    "Sent-TT10-Δ\t1130\n"
-    "Sent-TT11-Δ\t24\n"
+    "Sent-00\t1917013\n"
+    "Sent-01\t41232\n"
+    "Sent-10\t40904\n"
+    "Sent-11\t851\n"
+    "Sent-00-Δ\t163973\n"
+    "Sent-01-Δ\t3623\n"
+    "Sent-10-Δ\t3508\n"
+    "Sent-11-Δ\t76\n"
+    "Sent-SS00-Δ\t147589\n"
+    "Sent-SS01-Δ\t3277\n"
+    "Sent-SS10-Δ\t3154\n"
+    "Sent-SS11-Δ\t69\n"
+    "Sent-TT00-Δ\t16384\n"
+    "Sent-TT01-Δ\t346\n"
+    "Sent-TT10-Δ\t354\n"
+    "Sent-TT11-Δ\t7\n"
     "Detected-SS00-ch0\t0\n"
     "Detected-SS00-ch1\t0\n"
-    "Detected-SS01-ch0\t1\n"
-    "Detected-SS01-ch1\t0\n"
+    "Detected-SS01-ch0\t0\n"
+    "Detected-SS01-ch1\t1\n"
     "Detected-SS10-ch0\t0\n"
     "Detected-SS10-ch1\t1\n"
-    "Detected-SS11-ch0\t1\n"
+    "Detected-SS11-ch0\t0\n"
     "Detected-SS11-ch1\t0\n"
     "Detected-TT00-ch0\t0\n"
     "Detected-TT00-ch1\t0\n"
