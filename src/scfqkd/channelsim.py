@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -495,42 +494,106 @@ def _chunk_tallies(args):
     return below[-1, ..., 0].sum(axis=1), int(eff.sum() + clicks.sum()), per_thr
 
 
-def _chunk_sum(tasks):
-    """The results of :func:`_chunk_tallies` over ``tasks``, added up part by part."""
-    return functools.reduce(lambda a, b: [x + y for x, y in zip(a, b)], map(_chunk_tallies, tasks))
+def _chunk_args(session: tuple, k: int) -> tuple:
+    """The argument of :func:`_chunk_tallies` for chunk ``k`` of a
+    ``session`` of (params, model, seed, n_windows, every chunk's start
+    phase, every chunk's drift total, thresholds, mean reference counts,
+    phase-free click probabilities)."""
+    params, model, seed, n_windows, starts, totals, *shared = session
+    m = min(CHUNK_WINDOWS, n_windows - k * CHUNK_WINDOWS)
+    return (params, model, seed, k, m, starts[k], totals[k], *shared)
 
 
-def _run_chunks(tasks, workers: int):
-    """The chunk results of ``tasks``, added up by ``workers`` processes,
-    this one included, and by this one alone for a single chunk.  A pool of
-    ``workers - 1`` helpers takes batches of chunks from the front of the
-    list, at most 1024 batches; meanwhile this process computes, from the
-    back, the batches the pool has not yet started, and raises a helper's
-    error as soon as it sees it.  The pool is shut down, its queued batches
-    cancelled, when the work ends or a chunk raises.
-    """
-    if workers > 1:
-        tasks = list(tasks)
-        workers = min(workers, len(tasks))
-    if workers == 1:
-        return _chunk_sum(tasks)
-    size = -(-len(tasks) // 1024)
-    batches = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-    pool = ProcessPoolExecutor(max_workers=workers - 1)
+MIN_CHUNKS_PER_PROCESS = 3
+"""Chunks per process below which a session starts fewer helpers: on a
+2-core host, 2 workers took 1.02-1.04 times the wall time of 1 at 5 chunks
+and 0.86-0.88 times at 6."""
+
+
+def _sum_chunks(session: tuple, chunks):
+    """The results of :func:`_chunk_tallies` over the chunk indices
+    ``chunks``, added up part by part; None for no chunk."""
+    total = None
+    for k in chunks:
+        part = _chunk_tallies(_chunk_args(session, k))
+        total = part if total is None else [a + b for a, b in zip(total, part)]
+    return total
+
+
+def _claims(counter, n_chunks: int):
+    """Chunk indices claimed one at a time from the shared ``counter``
+    until it reaches ``n_chunks``."""
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= n_chunks:
+            return
+        yield k
+
+
+def _helper(session: tuple, n_chunks: int, counter, conn) -> None:
+    """Body of a helper process: send the sum of the chunks it claims, or
+    the exception a chunk raised, after which no process claims another."""
     try:
-        futures = [pool.submit(_chunk_sum, batch) for batch in batches]
-        parts, done = [], 0
-        for j in reversed(range(len(futures))):
-            while done < j and futures[done].done():
-                parts.append(futures[done].result())  # a helper's error is raised here
-                done += 1
-            if not futures[j].cancel():
-                break
-            parts.append(_chunk_sum(batches[j]))
-        parts += [f.result() for f in futures[done:] if not f.cancelled()]
-        return [sum(part) for part in zip(*parts)]
+        conn.send(_sum_chunks(session, _claims(counter, n_chunks)))
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = n_chunks
+        conn.send(exc)
+
+
+def _start_helper(ctx, session: tuple, n_chunks: int, counter):
+    """Start one helper process; return it and the end of the pipe it sends on."""
+    receiver, sender = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_helper, args=(session, n_chunks, counter, sender), daemon=True)
+    proc.start()
+    sender.close()
+    return proc, receiver
+
+
+def _run_chunks(session: tuple, n_chunks: int, workers: int):
+    """The chunk results of a session, added up by at most ``workers``
+    processes, this one included.  Each process has at least
+    ``MIN_CHUNKS_PER_PROCESS`` chunks, so a short session runs here alone.
+    Otherwise ``workers - 1`` helpers start, and every process takes the
+    next chunk index from one shared counter, so none holds a chunk it has
+    not started, and sends its sum once.  A chunk error in a helper moves
+    the counter to the end, so the others stop after their current chunk,
+    and is raised here, as is the exit of a helper that sent nothing.  After
+    any error the helpers are terminated; they are always joined.
+    """
+    workers = max(1, min(workers, n_chunks // MIN_CHUNKS_PER_PROCESS))
+    if workers == 1:
+        return _sum_chunks(session, range(n_chunks))
+    import multiprocessing
+
+    ctx = multiprocessing.get_context()
+    counter = ctx.Value("q", 0)
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helpers.append(_start_helper(ctx, session, n_chunks, counter))
+        parts = [_sum_chunks(session, _claims(counter, n_chunks))]
+        for proc, receiver in helpers:
+            try:
+                part = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a Monte Carlo helper exited with code {proc.exitcode} "
+                                   "without sending its chunks") from None
+            if isinstance(part, BaseException):
+                raise part
+            parts.append(part)
+    except BaseException:
+        for proc, _ in helpers:
+            proc.terminate()
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for proc, receiver in helpers:
+            proc.join()
+            receiver.close()
+    return [sum(part) for part in zip(*(p for p in parts if p is not None))]
 
 
 def window_count(value, name: str = "n_windows") -> int:
@@ -567,10 +630,14 @@ def simulate_session(
     total once, at its both-send windows and span ends.
 
     ``n_windows`` is a whole number of at least 1, such as ``1e8``.
-    ``workers`` counts the processes that compute chunks, this one included,
-    so ``workers=2`` starts one helper.  Starting and stopping it costs more
-    than a chunk's work: ``workers=2`` ran a session of 2 chunks (1,474,560
-    windows) at 0.51-0.54 times the speed of ``workers=1`` on a 2-core host.
+    ``workers`` caps the processes that compute chunks, this one included;
+    each takes the next chunk from a shared counter.  At most one process
+    runs per ``MIN_CHUNKS_PER_PROCESS`` (3) chunks, because starting a helper
+    costs about as much as a chunk's work, so a session of fewer than 6
+    chunks (a chunk is 737,280 windows) runs in this process alone.  On a
+    2-core host, ``workers=2`` took 43 ms for 10**7 windows against 59 ms
+    with ``workers=1``, and 0.31-0.33 s for 10**8 windows against
+    0.53-0.63 s.
     """
     n_windows = window_count(n_windows)
     if not isinstance(workers, (int, np.integer)) or workers < 1:
@@ -578,17 +645,15 @@ def simulate_session(
     thr_list = _threshold_list(params, thresholds)
     thr_arr = np.array(thr_list)
 
-    sizes = [min(CHUNK_WINDOWS, n_windows - start) for start in range(0, n_windows, CHUNK_WINDOWS)]
-    session = _chunk_rng(seed, 0)
-    phi0 = session.uniform(0.0, 2.0 * math.pi)
-    totals = model.drift_rad_per_window * np.sqrt(sizes) * session.standard_normal(len(sizes))
+    n_chunks = -(-n_windows // CHUNK_WINDOWS)
+    sizes = np.minimum(CHUNK_WINDOWS, n_windows - CHUNK_WINDOWS * np.arange(n_chunks))
+    stream = _chunk_rng(seed, 0)
+    phi0 = stream.uniform(0.0, 2.0 * math.pi)
+    totals = model.drift_rad_per_window * np.sqrt(sizes) * stream.standard_normal(n_chunks)
     starts = np.cumsum(np.concatenate(([phi0], totals[:-1])))
-    phase_free = _effective_probs(params, model)[0]
-    tasks = (
-        (params, model, seed, k, m, starts[k], totals[k], thr_arr, mean_ref_counts, phase_free)
-        for k, m in enumerate(sizes)
-    )
-    sent_total, eff_total, acc = _run_chunks(tasks, workers)
+    session = (params, model, seed, n_windows, starts, totals, thr_arr, mean_ref_counts,
+               _effective_probs(params, model)[0])
+    sent_total, eff_total, acc = _run_chunks(session, n_chunks, workers)
 
     by_threshold = {}
     for thr, cells in zip(thr_list, acc):

@@ -47,7 +47,8 @@ MODEL = {
 SESSION = {
     "windows": ("signal windows to simulate", 1e8, {}),
     "seed": ("random seed", 1, {"type": int}),
-    "workers": ("processes that compute chunks, this one included", 1, {"type": int}),
+    "workers": ("processes that compute chunks, this one included, at most one per 3 chunks",
+                1, {"type": int}),
 }
 EXPECTED = {"windows": ("windows per evaluation", 1e12, {})}
 REPORT = {

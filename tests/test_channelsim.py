@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import signal
 import time
 from dataclasses import replace
 
@@ -180,13 +181,36 @@ def test_mismatched_send_fraction_binomial():
     assert abs(frac - p) < 3 * math.sqrt(p * (1 - p) / n)
 
 
-def test_worker_count_does_not_change_tallies():
+def _spy_helpers(monkeypatch):
+    """Count the helper processes that sessions start from now on."""
+    started, real = [], channelsim._start_helper
+
+    def spy(*args):
+        started.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(channelsim, "_start_helper", spy)
+    return started
+
+
+def _empty_chunk(args):
+    """A chunk result for the one threshold of ``ProtocolParams()``: every
+    window sent in state 00, none kept and none effective."""
+    return np.array([args[4], 0, 0, 0]), 0, np.zeros((1, 4, 2, 3), np.int64)
+
+
+def test_worker_count_does_not_change_tallies(monkeypatch):
+    """Sessions long enough that 2 and 3 workers start helpers, with an
+    uneven last chunk, give the tallies of one worker."""
     params = ProtocolParams(mu=0.05, epsilon=0.25)
     model = ChannelModel(fiber_km_a=4.0, fiber_km_b=4.0, dark_prob=1e-5)
-    n = CHUNK_WINDOWS * 2 + 12345  # force an uneven chunk split
+    n = CHUNK_WINDOWS * 3 * channelsim.MIN_CHUNKS_PER_PROCESS + 12345
     base = simulate_session(params, model, n, seed=77, workers=1).tallies
+    started = _spy_helpers(monkeypatch)
     for workers in (2, 3):
+        started.clear()
         other = simulate_session(params, model, n, seed=77, workers=workers).tallies
+        assert len(started) == workers - 1
         assert other == base
 
 
@@ -197,42 +221,83 @@ def test_phase_tracking_error_is_small():
 
 
 def test_worker_pool_released_on_error(monkeypatch, tmp_path):
-    """A chunk fails in the helper (the first chunk) or in this process (the
-    last): the error reaches the caller at once, no process is left
-    running, and the helper does not go on with the queued chunks."""
-    n_chunks = 16
-    for bad in (0, n_chunks - 1):
-        log = tmp_path / str(bad)
+    """A chunk fails in a helper or in this process: that error reaches the
+    caller, no process is left running, and the others stop claiming chunks."""
+    n_chunks, here = 16, os.getpid()
+    started = _spy_helpers(monkeypatch)
+    for in_helper in (True, False):
+        log = tmp_path / str(in_helper)
         log.mkdir()
 
         def chunk(args):
-            k = args[3]
-            (log / f"{k}-{os.getpid()}").touch()
-            if k == bad:
-                raise RuntimeError(f"chunk {k} failed")
+            (log / f"{args[3]}-{os.getpid()}").touch()
+            if (os.getpid() != here) == in_helper:
+                raise RuntimeError(f"chunk failed in {os.getpid()}")
             time.sleep(0.05)
-            return np.zeros(4, np.int64), 0, np.zeros((1, 4, 2, 3), np.int64)
+            return _empty_chunk(args)
 
         monkeypatch.setattr(channelsim, "_chunk_tallies", chunk)
-        with pytest.raises(RuntimeError, match=f"chunk {bad} failed"):
+        with pytest.raises(RuntimeError, match="chunk failed in") as info:
             simulate_session(ProtocolParams(), ChannelModel(), n_chunks * CHUNK_WINDOWS, seed=1, workers=2)
         assert multiprocessing.active_children() == []
-        ran = dict(path.name.split("-") for path in log.iterdir())
-        assert ran["0"] != str(os.getpid()) and ran[str(n_chunks - 1)] == str(os.getpid())
+        assert (str(here) not in str(info.value)) == in_helper
+        ran = [path.name for path in log.iterdir()]
         assert len(ran) <= n_chunks // 2, sorted(ran)
+    assert len(started) == 2
+
+
+def test_helper_exit_without_result_raises(monkeypatch):
+    """A helper that dies without sending its sum is an error, not a hang."""
+    here = os.getpid()
+
+    def chunk(args):
+        if os.getpid() != here:
+            os._exit(3)
+        time.sleep(0.01)
+        return _empty_chunk(args)
+
+    def hung(*_):
+        pytest.fail("the session still waits for the dead helper")
+
+    monkeypatch.setattr(channelsim, "_chunk_tallies", chunk)
+    n = 2 * channelsim.MIN_CHUNKS_PER_PROCESS * CHUNK_WINDOWS
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            simulate_session(ProtocolParams(), ChannelModel(), n, seed=1, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n_chunks, workers, helpers", [(5, 2, 0), (8, 3, 1), (9, 8, 2)])
+def test_helpers_start_only_above_the_cap(monkeypatch, n_chunks, workers, helpers):
+    """Each process gets at least MIN_CHUNKS_PER_PROCESS chunks, so a short
+    session starts fewer helpers than workers - 1, or none."""
+    assert channelsim.MIN_CHUNKS_PER_PROCESS == 3
+    started = _spy_helpers(monkeypatch)
+    claimed = []
+
+    def chunk(args):
+        claimed.append(args[3])
+        return _empty_chunk(args)
+
+    monkeypatch.setattr(channelsim, "_chunk_tallies", chunk)
+    simulate_session(ProtocolParams(), ChannelModel(), n_chunks * CHUNK_WINDOWS, seed=1, workers=workers)
+    assert len(started) == helpers
+    assert multiprocessing.active_children() == []
+    if not helpers:
+        assert claimed == list(range(n_chunks))
 
 
 def test_two_workers_start_one_helper(monkeypatch):
-    """workers counts this process, so a 2-worker session forks one helper."""
-    sizes, real_pool = [], channelsim.ProcessPoolExecutor
-
-    def pool_spy(max_workers):
-        sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(channelsim, "ProcessPoolExecutor", pool_spy)
-    simulate_session(ProtocolParams(), ChannelModel(), 3 * CHUNK_WINDOWS, seed=5, workers=2)
-    assert sizes == [1]
+    """workers counts this process, so a 2-worker session starts one helper."""
+    started = _spy_helpers(monkeypatch)
+    n = 2 * channelsim.MIN_CHUNKS_PER_PROCESS * CHUNK_WINDOWS
+    simulate_session(ProtocolParams(), ChannelModel(), n, seed=5, workers=2)
+    assert len(started) == 1
     assert multiprocessing.active_children() == []
 
 
@@ -260,13 +325,13 @@ def test_simulate_session_takes_whole_float_windows():
 
 def test_single_chunk_session_starts_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-chunk session started a worker pool")
+        raise AssertionError("a one-chunk session started a helper")
 
     params = ProtocolParams(mu=0.1, epsilon=0.3)
     model = ChannelModel(dark_prob=1e-4, visibility=0.9)
     thresholds = [math.radians(10)]
     one = simulate_session(params, model, 50_000, seed=6, thresholds=thresholds)
-    monkeypatch.setattr(channelsim, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(channelsim, "_start_helper", no_pool)
     two = simulate_session(params, model, 50_000, seed=6, workers=2, thresholds=thresholds)
     for name, res in (("one", one), ("two", two)):
         for thr, t in res.by_threshold.items():
