@@ -46,28 +46,26 @@ in this frozen order:
    phase), from which the span's phase is estimated;
 4. per both-send window a test-set uniform, then left and right click
    uniforms against the click probabilities at its phase;
-5. per keep-level bin, one multinomial of its spans' other windows over
-   (00, 01, 10) x (test, key);
-6. the chunk's effective clicks of those windows (see
-   :func:`_phase_free_clicks`): one binomial total per (state, subset)
-   cell, then per nonzero cell its effective windows over the bins by
-   :func:`_spread` and one channel uniform each.
+5. per keep-level bin, one multinomial of its spans' other windows over 18
+   labels, (00, 01, 10) x (test, key) x (no effective click, effective on
+   ch0, effective on ch1).
 
 A span's keep level is the minor angle of its estimated phase, and a span
 is kept at threshold delta when its level is below delta.  The levels fall
-into fixed bins with edges at 1, 2, ..., 180 degrees; a sum of multinomials
-with one probability vector is multinomial, so step 5 is exact.  A
-threshold on an edge keeps whole bins, one row of a cumulative sum over
-bins.  A threshold between edges also keeps the spans of its own bin whose
-level lies below it: their 00/01/10 windows are a prefix of one uniformly
-random order of the bin's windows, labelled by (state, subset, click) and
-handed to the bin's spans in level order, which is the exact law given the
-bin's counts.  That order comes from a stream keyed by (seed, chunk, bin),
-and every threshold in the bin reads it, so a threshold's tallies do not
-depend on which others are requested.  Chunk streams are keyed by (seed,
-chunk), and a session adds up its chunks' int64 counts, whose sum does not
-depend on the order, so the chunks can run in any number of worker
-processes with bit-identical results.
+into fixed bins with edges at 1, 2, ..., 180 degrees.  Each 00/01/10
+window takes its state, subset and click outcome independently of the
+phase, and a sum of multinomials with one probability vector is
+multinomial, so step 5 is exact.  A threshold on an edge keeps whole bins,
+one row of a cumulative sum over bins.  A threshold between edges also
+keeps the spans of its own bin whose level lies below it: their 00/01/10
+windows are a prefix of one uniformly random order of the bin's windows,
+labelled as in step 5 and handed to the bin's spans in level order, which
+is the exact law given the bin's counts.  That order comes from a stream
+keyed by (seed, chunk, bin), and every threshold in the bin reads it, so a
+threshold's tallies do not depend on which others are requested.  Chunk
+streams are keyed by (seed, chunk), and a session adds up its chunks' int64
+counts, whose sum does not depend on the order, so the chunks can run in
+any number of worker processes with bit-identical results.
 """
 
 from __future__ import annotations
@@ -404,78 +402,54 @@ def _bridge(
     return mean, walk[both_at]
 
 
-def _phase_free_clicks(rng: np.random.Generator, pool: np.ndarray, q0: np.ndarray, q1: np.ndarray):
-    """Effective clicks on channel 0 and on channel 1, stacked, among
-    ``pool`` windows per (bin, cell), with per-cell probabilities ``q0``
-    and ``q1``: one Binomial(windows, q0 + q1) total per cell, spread over
-    the cell's windows by :func:`_spread`, then per effective window a
-    uniform u that puts it on channel 1 when u (q0 + q1) >= q0.  This is
-    the trinomial law of each window, independently."""
-    q = q0 + q1
-    totals = rng.binomial(pool.sum(axis=0), np.minimum(q, 1.0))
-    clicks = np.zeros((2, *pool.shape), dtype=pool.dtype)
-    for c in np.flatnonzero(totals):
-        _, span = _spread(rng, pool[:, c], totals[c])
-        one = rng.random(span.size) * q[c] >= q0[c]
-        clicks[:, :, c] = np.bincount(2 * span + one, minlength=2 * len(pool)).reshape(-1, 2).T
-    return clicks
+def _bin_prefix(rng: np.random.Generator, labels: np.ndarray, k: int) -> np.ndarray:
+    """Label counts of the first ``k`` windows of a uniformly random order
+    of the windows that ``labels`` counts per label."""
+    order = rng.permutation(np.repeat(np.arange(labels.size), labels.ravel()))
+    return np.bincount(order[:k], minlength=labels.size).reshape(labels.shape)
 
 
-def _bin_prefix(rng: np.random.Generator, cells: np.ndarray, k: int) -> np.ndarray:
-    """Cells of the first ``k`` windows of a uniformly random order of the
-    windows that ``cells``, shaped (..., (windows, on ch0, on ch1)), counts."""
-    flat = cells.reshape(-1, 3)
-    labels = np.column_stack((flat[:, 0] - flat[:, 1] - flat[:, 2], flat[:, 1:])).ravel()
-    order = rng.permutation(np.repeat(np.arange(labels.size), labels))
-    got = np.bincount(order[:k], minlength=labels.size).reshape(-1, 3)
-    return np.column_stack((got.sum(axis=1), got[:, 1:])).reshape(cells.shape)
-
-
-def _chunk_tallies(args):
-    """Simulate one chunk, in the module docstring's draw order, with its
-    counts gathered per keep-level bin.
+def _chunk_tallies(session: tuple, k: int):
+    """Simulate chunk ``k`` of a ``session`` of (params, model, seed,
+    n_windows, every chunk's start phase, every chunk's drift total,
+    thresholds, mean reference counts, the 00/01/10 label probabilities),
+    in the module docstring's draw order, with its counts gathered per
+    keep-level bin.
 
     Returns the chunk's sent windows per state, its effective windows, and
     per threshold the kept spans' counts shaped (state, subset, cell) with
     subset (test, key) and cell (windows, effective on ch0, on ch1).
     """
-    (params, model, seed, chunk_index, m, phi_offset, chunk_total, thresholds, mean_ref_counts,
-     phase_free) = args
-    rng = _chunk_rng(seed, chunk_index + 1)
+    params, model, seed, n_windows, starts, totals, thresholds, mean_ref_counts, label_p = session
+    m = min(CHUNK_WINDOWS, n_windows - k * CHUNK_WINDOWS)
+    rng = _chunk_rng(seed, k + 1)
     # Only the session's last span can be short.
     length = np.minimum(_SPAN, m - np.arange(0, m, _SPAN))
     n_spans = len(length)
-    scale = model.drift_rad_per_window
-    eps = params.epsilon
 
-    both, both_span = _spread(rng, length, rng.binomial(m, eps * eps))
-    mean, both_offset = _bridge(rng, chunk_total, length, both, both_span, scale)
+    both, both_span = _spread(rng, length, rng.binomial(m, params.epsilon**2))
+    mean, both_offset = _bridge(rng, totals[k], length, both, both_span, model.drift_rad_per_window)
 
-    lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(phi_offset + mean)
+    lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(starts[k] + mean)
     level = minor_angle(phasetrack.estimate_phase_batch(rng.poisson(lam)))
     span_bin = np.searchsorted(_KEEP_EDGES, level, "right")
     n_bins = _KEEP_EDGES.size + 1
 
+    # Counts per bin and (state, subset, label), a window's label being no
+    # effective click, effective on ch0 or effective on ch1.
     counts = np.empty((n_bins, 4, 2, 3), dtype=np.int64)
     is_key = rng.random(both.size) >= params.p_t
-    p_left, p_right = click_probabilities(params, model, True, True, phi_offset + both_offset)
+    p_left, p_right = click_probabilities(params, model, True, True, starts[k] + both_offset)
     left = rng.random(both.size) < p_left
     right = rng.random(both.size) < p_right
-    eff = left != right
-    # One entry per both-send window and one per effective click: its span
-    # and its (subset, cell) index.
-    entry_span = np.concatenate((both_span, both_span[eff]))
-    entry_cell = np.concatenate((3 * is_key, 3 * is_key[eff] + 1 + right[eff]))
+    both_label = 3 * is_key + (left != right) * (1 + right)
     counts[:, 3] = np.bincount(
-        span_bin[entry_span] * 6 + entry_cell, minlength=n_bins * 6
+        span_bin[both_span] * 6 + both_label, minlength=n_bins * 6
     ).reshape(n_bins, 2, 3)
 
     other = length - np.bincount(both_span, minlength=n_spans)
-    p = np.outer(np.array([1.0 - eps, eps, eps]) / (1.0 + eps), [params.p_t, 1.0 - params.p_t])
-    pool = rng.multinomial(np.bincount(span_bin, other, n_bins).astype(np.int64), p.ravel())
-    q0, q1 = np.repeat(phase_free, 2, axis=0).T
-    clicks = _phase_free_clicks(rng, pool, q0, q1)
-    counts[:, :3] = np.stack((pool, *clicks), axis=2).reshape(n_bins, 3, 2, 3)
+    pool = np.bincount(span_bin, other, n_bins).astype(np.int64)
+    counts[:, :3] = rng.multinomial(pool, label_p).reshape(n_bins, 3, 2, 3)
 
     # Row j holds the counts of the bins below bin j.
     below = np.concatenate((np.zeros((1, 4, 2, 3), np.int64), counts.cumsum(axis=0)))
@@ -487,21 +461,11 @@ def _chunk_tallies(args):
         # Off the grid: the spans of bin b below thr, the first in level order.
         kept = (span_bin == b) & (level < thr)
         if kept.any():
-            split = _chunk_rng(seed, chunk_index + 1, b)
+            split = _chunk_rng(seed, k + 1, b)
             per_thr[t, :3] += _bin_prefix(split, counts[b, :3], other[kept].sum())
-            entry = kept[entry_span]
-            per_thr[t, 3] += np.bincount(entry_cell[entry], minlength=6).reshape(2, 3)
-    return below[-1, ..., 0].sum(axis=1), int(eff.sum() + clicks.sum()), per_thr
-
-
-def _chunk_args(session: tuple, k: int) -> tuple:
-    """The argument of :func:`_chunk_tallies` for chunk ``k`` of a
-    ``session`` of (params, model, seed, n_windows, every chunk's start
-    phase, every chunk's drift total, thresholds, mean reference counts,
-    phase-free click probabilities)."""
-    params, model, seed, n_windows, starts, totals, *shared = session
-    m = min(CHUNK_WINDOWS, n_windows - k * CHUNK_WINDOWS)
-    return (params, model, seed, k, m, starts[k], totals[k], *shared)
+            per_thr[t, 3] += np.bincount(both_label[kept[both_span]], minlength=6).reshape(2, 3)
+    cells = np.concatenate((per_thr.sum(axis=3, keepdims=True), per_thr[..., 1:]), axis=3)
+    return below[-1].sum(axis=(1, 2)), int(below[-1, ..., 1:].sum()), cells
 
 
 MIN_CHUNKS_PER_PROCESS = 3
@@ -515,7 +479,7 @@ def _sum_chunks(session: tuple, chunks):
     ``chunks``, added up part by part; None for no chunk."""
     total = None
     for k in chunks:
-        part = _chunk_tallies(_chunk_args(session, k))
+        part = _chunk_tallies(session, k)
         total = part if total is None else [a + b for a, b in zip(total, part)]
     return total
 
@@ -651,8 +615,13 @@ def simulate_session(
     phi0 = stream.uniform(0.0, 2.0 * math.pi)
     totals = model.drift_rad_per_window * np.sqrt(sizes) * stream.standard_normal(n_chunks)
     starts = np.cumsum(np.concatenate(([phi0], totals[:-1])))
+    # The 00/01/10 windows' (state, subset, label) probabilities.
+    eps, p_t = params.epsilon, params.p_t
+    q = _effective_probs(params, model)[0]
+    click = np.column_stack((np.maximum(1.0 - q.sum(axis=1), 0.0), q))
+    cell = np.outer(np.array([1.0 - eps, eps, eps]) / (1.0 + eps), [p_t, 1.0 - p_t])
     session = (params, model, seed, n_windows, starts, totals, thr_arr, mean_ref_counts,
-               _effective_probs(params, model)[0])
+               (cell[:, :, None] * click[:, None, :]).ravel())
     sent_total, eff_total, acc = _run_chunks(session, n_chunks, workers)
 
     by_threshold = {}

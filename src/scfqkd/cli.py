@@ -121,9 +121,21 @@ def _cmd_simulate(o: dict) -> None:
 _MAX_DISTANCES = 10**6
 
 
+def _numbers(text: str, flag: str, sep: str = ",") -> list:
+    """The numbers of ``text`` between ``sep``, blank items skipped; a
+    non-number or none at all raises a ValueError naming ``flag``."""
+    try:
+        values = [float(x) for x in text.split(sep) if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"{flag} must list numbers separated by {sep!r}, got {text!r}")
+    return values
+
+
 def _parse_distances(text: str) -> list:
     ranged = ":" in text
-    values = [float(x) for x in text.split(":" if ranged else ",") if x.strip()]
+    values = _numbers(text, "--distances", ":" if ranged else ",")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"--distances must be finite, got {text!r}")
     if ranged:
@@ -152,10 +164,10 @@ def _cmd_sweep(o: dict) -> None:
 
 
 def _parse_range(text: str, name: str):
-    parts = text.split(":")
-    if len(parts) != 2:
+    values = _numbers(text, name, ":")
+    if len(values) != 2 or text.count(":") != 1:
         raise ValueError(f"{name} must be lo:hi, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = values
     if not 0 < lo < hi:
         raise ValueError(f"{name} must satisfy 0 < lo < hi, got {text!r}")
     return lo, hi
@@ -187,7 +199,7 @@ def _cmd_qber_table(o: dict) -> None:
     # (threshold in degrees, tallies, total windows) per row, from a simulation or files.
     sources = []
     if o["simulate"]:
-        deltas = [float(x) for x in o["delta_list"].split(",")]
+        deltas = _numbers(o["delta_list"], "--delta-list")
         thresholds = [math.radians(d) for d in deltas]
         n_windows, result = _session(o, params, thresholds)
         sources = [(deg, result.by_threshold[thr], n_windows) for deg, thr in zip(deltas, thresholds)]
@@ -255,7 +267,9 @@ def _help(text: str, default) -> str:
     return f"{text} (default {shown})".replace("%", "%%")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Only the subcommand ``command`` gets its
+    options when it names one; otherwise every subcommand does."""
     parser = argparse.ArgumentParser(prog="scfqkd", description="Simulate and analyse the "
                                      "sending-or-not-sending protocol with phase post-selection.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -264,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         # Options not given stay out of the namespace, so that config values
         # and built-in defaults can fill them in main().
         p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
-        for key, (help_text, default, kwargs) in options.items():
+        for key, (help_text, default, kwargs) in options.items() if command in (None, name) else ():
             p.add_argument("--" + key.replace("_", "-"), help=_help(help_text, default), **kwargs)
     return parser
 
@@ -296,7 +310,9 @@ def _load_config(path: str, options: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    given = vars(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    given = vars(build_parser(command).parse_args(argv))
     _, handler, options = COMMANDS[given.pop("command")]
     try:
         config = _load_config(given["config"], options) if "config" in given else {}

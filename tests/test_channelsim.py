@@ -193,10 +193,24 @@ def _spy_helpers(monkeypatch):
     return started
 
 
-def _empty_chunk(args):
+def _empty_chunk(session, k):
     """A chunk result for the one threshold of ``ProtocolParams()``: every
     window sent in state 00, none kept and none effective."""
-    return np.array([args[4], 0, 0, 0]), 0, np.zeros((1, 4, 2, 3), np.int64)
+    m = min(CHUNK_WINDOWS, session[3] - k * CHUNK_WINDOWS)
+    return np.array([m, 0, 0, 0]), 0, np.zeros((1, 4, 2, 3), np.int64)
+
+
+def _one_chunk(params, model, m, thresholds):
+    """The session argument of ``_chunk_tallies`` for one chunk of ``m``
+    windows at seed 9, starting at phase 0.3 with drift total -0.2, 45 mean
+    reference counts and the 00/01/10 windows' label probabilities:
+    (state, subset) prior times (no effective click, on ch0, on ch1)."""
+    eps, p_t = params.epsilon, params.p_t
+    prior = np.outer([1 - eps, eps, eps], [p_t, 1 - p_t]) / (1 + eps)
+    q0, q1 = channelsim._effective_probs(params, model)[0].T
+    click = np.stack((1 - q0 - q1, q0, q1), axis=1)
+    label_p = (prior[:, :, None] * click[:, None, :]).ravel()
+    return params, model, 9, m, [0.3], [-0.2], np.asarray(thresholds), 45.0, label_p
 
 
 def test_worker_count_does_not_change_tallies(monkeypatch):
@@ -229,12 +243,12 @@ def test_worker_pool_released_on_error(monkeypatch, tmp_path):
         log = tmp_path / str(in_helper)
         log.mkdir()
 
-        def chunk(args):
-            (log / f"{args[3]}-{os.getpid()}").touch()
+        def chunk(session, k):
+            (log / f"{k}-{os.getpid()}").touch()
             if (os.getpid() != here) == in_helper:
                 raise RuntimeError(f"chunk failed in {os.getpid()}")
             time.sleep(0.05)
-            return _empty_chunk(args)
+            return _empty_chunk(session, k)
 
         monkeypatch.setattr(channelsim, "_chunk_tallies", chunk)
         with pytest.raises(RuntimeError, match="chunk failed in") as info:
@@ -250,11 +264,11 @@ def test_helper_exit_without_result_raises(monkeypatch):
     """A helper that dies without sending its sum is an error, not a hang."""
     here = os.getpid()
 
-    def chunk(args):
+    def chunk(session, k):
         if os.getpid() != here:
             os._exit(3)
         time.sleep(0.01)
-        return _empty_chunk(args)
+        return _empty_chunk(session, k)
 
     def hung(*_):
         pytest.fail("the session still waits for the dead helper")
@@ -280,9 +294,9 @@ def test_helpers_start_only_above_the_cap(monkeypatch, n_chunks, workers, helper
     started = _spy_helpers(monkeypatch)
     claimed = []
 
-    def chunk(args):
-        claimed.append(args[3])
-        return _empty_chunk(args)
+    def chunk(session, k):
+        claimed.append(k)
+        return _empty_chunk(session, k)
 
     monkeypatch.setattr(channelsim, "_chunk_tallies", chunk)
     simulate_session(ProtocolParams(), ChannelModel(), n_chunks * CHUNK_WINDOWS, seed=1, workers=workers)
@@ -370,32 +384,28 @@ def test_keep_level_edges_are_whole_degrees():
 
 def test_bin_prefix_draws_windows_without_replacement():
     """A prefix of k of a bin's N windows has the hypergeometric mean k/N of
-    every (cell, click) label; prefixes of one order are nested, and the
-    whole order gives the bin's cells back."""
-    cells = np.array([[[40, 3, 5], [7, 1, 0]], [[0, 0, 0], [12, 4, 6]], [[25, 0, 9], [2, 2, 0]]])
-    n = cells[..., 0].sum()
-
-    def labels(c):
-        """(no click, on ch0, on ch1) per cell."""
-        return np.concatenate((c[..., :1] - c[..., 1:2] - c[..., 2:], c[..., 1:]), axis=-1)
+    every (state, subset, click) label; prefixes of one order are nested,
+    and the whole order gives the bin's label counts back."""
+    labels = np.array([[[32, 3, 5], [6, 1, 0]], [[0, 0, 0], [2, 4, 6]], [[16, 0, 9], [0, 2, 0]]])
+    n = labels.sum()
 
     draws = 4000
     got = np.array([
-        [labels(channelsim._bin_prefix(np.random.default_rng([36, i]), cells, k)) for k in (20, 55)]
+        [channelsim._bin_prefix(np.random.default_rng([36, i]), labels, k) for k in (20, 55)]
         for i in range(draws)
     ])
     assert np.all(got[:, 0] <= got[:, 1])
     for j, k in enumerate((20, 55)):
         assert np.all(got[:, j].sum(axis=(1, 2, 3)) == k)
-        want = labels(cells) * k / n
-        var = k * (labels(cells) / n) * (1 - labels(cells) / n) * (n - k) / (n - 1)
+        want = labels * k / n
+        var = k * (labels / n) * (1 - labels / n) * (n - k) / (n - 1)
         live = var > 0
         assert np.all(got[:, j].std(axis=0)[~live] == 0)
         z = (got[:, j].mean(axis=0) - want)[live] / np.sqrt(var[live] / draws)
         assert np.abs(z).max() < 5
     rng = np.random.default_rng(37)
-    assert np.array_equal(channelsim._bin_prefix(rng, cells, n), cells)
-    assert not channelsim._bin_prefix(rng, cells, 0).any()
+    assert np.array_equal(channelsim._bin_prefix(rng, labels, n), labels)
+    assert not channelsim._bin_prefix(rng, labels, 0).any()
 
 
 @pytest.mark.parametrize("level", [math.radians(10), 0.5])
@@ -406,12 +416,9 @@ def test_span_at_a_threshold_is_discarded(monkeypatch, level):
                         lambda counts: np.full(len(counts), level))
     params = ProtocolParams(mu=0.5, epsilon=0.3)
     model = ChannelModel(dark_prob=1e-3, visibility=0.9)
-    phase_free = channelsim._effective_probs(params, model)[0]
     thresholds = np.array([level, np.nextafter(level, 4.0), math.pi])
     m = 5 * DEFAULT_SPAN_WINDOWS + 77
-    _, _, (at, above, widest) = channelsim._chunk_tallies(
-        (params, model, 9, 0, m, 0.3, -0.2, thresholds, 45.0, phase_free)
-    )
+    _, _, (at, above, widest) = channelsim._chunk_tallies(_one_chunk(params, model, m, thresholds), 0)
     assert not at.any()
     assert np.array_equal(above, widest) and widest[..., 1:].sum() > 0
 
@@ -661,10 +668,10 @@ def test_chunk_start_phases_advance_by_chunk_totals(monkeypatch):
         events.append(("rng", index))
         return real_rng(seed, index)
 
-    def chunk_spy(args):
-        events.append(("chunk", args[3]))
-        tasks.append(args)
-        return real_chunk(args)
+    def chunk_spy(session, k):
+        events.append(("chunk", k))
+        tasks.append((session, k))
+        return real_chunk(session, k)
 
     monkeypatch.setattr(channelsim, "_chunk_rng", rng_spy)
     monkeypatch.setattr(channelsim, "_chunk_tallies", chunk_spy)
@@ -673,72 +680,14 @@ def test_chunk_start_phases_advance_by_chunk_totals(monkeypatch):
     simulate_session(ProtocolParams(mu=0.1, epsilon=0.3), model, n, seed=4)
     assert events[:3] == [("rng", 0), ("chunk", 0), ("rng", 1)]
     assert [e for e in events if e[0] == "rng"] == [("rng", k) for k in range(4)]
-    start = [args[5] for args in tasks]
-    total = [args[6] for args in tasks]
+    start = [s[4][k] for s, k in tasks]
+    total = [s[5][k] for s, k in tasks]
     session = real_rng(4, 0)
     assert start[0] == session.uniform(0.0, 2.0 * math.pi)
     sizes = np.array([CHUNK_WINDOWS, CHUNK_WINDOWS, 5000])
     assert np.array_equal(total, 0.01 * np.sqrt(sizes) * session.standard_normal(3))
     for k in range(2):
         assert start[k + 1] == start[k] + total[k]
-
-
-def test_phase_free_clicks_trinomial_law():
-    """Per (span, cell) the effective clicks (ch0, ch1) of n windows follow
-    the trinomial law with probabilities (q0, q1): means n q0 and n q1,
-    binomial variances, covariance -n q0 q1 and the probabilities of no
-    click; spans are uncorrelated.  One call draws many copies of the same
-    spans, which are independent in law."""
-    rng = np.random.default_rng(34)
-    base = np.array([[0, 3, 40, 7], [1, 12, 0, 30], [5, 150, 9, 2], [25, 1, 60, 11]])
-    q0 = np.array([0.3, 0.02, 0.5, 0.004])
-    q1 = np.array([0.2, 0.01, 0.4, 0.003])
-    draws = 20_000
-    ch0, ch1 = (
-        c.reshape(draws, *base.shape)
-        for c in channelsim._phase_free_clicks(rng, np.tile(base, (draws, 1)), q0, q1)
-    )
-    assert np.all((0 <= ch0) & (0 <= ch1) & (ch0 + ch1 <= base))
-
-    def z_ok(x, want, se, live):
-        return np.all(np.abs(x - want)[live] < 5 * se[live])
-
-    for c, q in ((ch0, q0), (ch1, q1)):
-        mean, var = base * q, base * q * (1 - q)
-        live = var > 0
-        assert z_ok(c.mean(axis=0), mean, np.sqrt(var / draws), live)
-        assert np.all(c.std(axis=0)[~live] == 0)
-        fourth = var * (1 + 3 * (base - 2) * q * (1 - q))  # the binomial's fourth central moment
-        assert z_ok(c.var(axis=0), var, np.sqrt((fourth - var**2) / draws), live)
-        p0 = (1 - q) ** base
-        assert np.all(np.abs((c == 0).mean(axis=0) - p0) <= 5 * np.sqrt(p0 * (1 - p0) / draws) + 1e-12)
-    prod = (ch0 - ch0.mean(axis=0)) * (ch1 - ch1.mean(axis=0))
-    live = base > 0
-    assert z_ok(prod.mean(axis=0), -base * q0 * q1, prod.std(axis=0) / math.sqrt(draws), live)
-    none = (1 - q0 - q1) ** base
-    got = ((ch0 == 0) & (ch1 == 0)).mean(axis=0)
-    assert np.all(np.abs(got - none) <= 5 * np.sqrt(none * (1 - none) / draws) + 1e-12)
-    for c in (ch0, ch1):
-        for cell in range(base.shape[1]):
-            a, b = c[:, 1, cell], c[:, 3, cell]
-            if a.std() > 0 and b.std() > 0:
-                assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(draws)
-
-
-def test_phase_free_clicks_edge_probabilities():
-    rng = np.random.default_rng(35)
-    pool = np.array([[0, 4, 7, 1], [9, 0, 2, 6], [3, 5, 0, 8]])
-    q0 = np.array([1.0, 0.0, 0.2, 0.0])
-    q1 = np.array([0.0, 1.0, 0.8, 0.0])
-    ch0, ch1 = channelsim._phase_free_clicks(rng, pool, q0, q1)
-    assert np.array_equal(ch0[:, 0], pool[:, 0]) and np.all(ch1[:, 0] == 0)
-    assert np.all(ch0[:, 1] == 0) and np.array_equal(ch1[:, 1], pool[:, 1])
-    # q0 + q1 = 1: every window clicks on exactly one channel.
-    assert np.array_equal(ch0[:, 2] + ch1[:, 2], pool[:, 2])
-    assert np.all(ch0[:, 3] == 0) and np.all(ch1[:, 3] == 0)
-    empty = np.zeros_like(pool)
-    ch0, ch1 = channelsim._phase_free_clicks(rng, empty, np.full(4, 0.3), np.full(4, 0.2))
-    assert np.array_equal(ch0, empty) and np.array_equal(ch1, empty)
 
 
 def test_span_sampler_matches_per_window_oracle():
@@ -1031,9 +980,8 @@ def test_chunk_totals_equal_sums_over_span_counts(monkeypatch, p_t, m):
     monkeypatch.setattr(phasetrack, "estimate_phase_batch", lambda counts: np.zeros(len(counts)))
     params = ProtocolParams(mu=0.5, epsilon=0.3, p_t=p_t)
     model = ChannelModel(fiber_km_a=1.0, fiber_km_b=2.0, dark_prob=1e-3, visibility=0.9)
-    phase_free = channelsim._effective_probs(params, model)[0]
     sent, effective, per_thr = channelsim._chunk_tallies(
-        (params, model, 9, 0, m, 0.3, -0.2, np.array([math.pi]), 45.0, phase_free)
+        _one_chunk(params, model, m, np.array([math.pi])), 0
     )
     (cells,) = per_thr
     assert sent.tolist() == cells[..., 0].sum(axis=1).tolist()

@@ -230,6 +230,23 @@ def test_sweep_rejects_bad_distances_by_name(capsys, distances):
     assert err.startswith("error: --distances")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--distances", "1,x"], "--distances"),
+    (["sweep", "--distances", "0:y:5"], "--distances"),
+    (["optimize", "--mu-range", "1e-3:x"], "--mu-range"),
+    (["optimize", "--epsilon-range", "a:0.1"], "--epsilon-range"),
+    (["optimize", "--delta-deg-range", "5:ninety"], "--delta-deg-range"),
+    (["optimize", "--mu-range", "1e-3::4e-3"], "--mu-range"),
+    (["qber-table", "--simulate", "--windows", "2000", "--delta-list", "5,x"], "--delta-list"),
+    (["qber-table", "--simulate", "--windows", "2000", "--delta-list", ""], "--delta-list"),
+])
+def test_number_lists_name_their_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ") and repr(argv[-1]) in err
+
+
 def test_optimize_reports_best_point(capsys):
     code, out, _ = run(capsys, "optimize",
                        "--mu-range", "1e-3:4e-3",
@@ -440,7 +457,19 @@ DEFAULT_QBER_TABLE_STDOUT = (
 
 # `scfqkd simulate --windows 2e6 --seed 3 --out FILE`: stdout, then FILE.
 SIMULATE_2E6_SEED3_STDOUT = (
-    "tally file written; no key-rate report: mismatched-send yield is zero; no key material\n"
+    "signal mean photon number     0.002\n"
+    "error-correction factor       1.1\n"
+    "phase threshold [deg]         30\n"
+    "total signal windows          2.000000e+06\n"
+    "test-set counting rate        5.847269e-05\n"
+    "test-set error rate           0.0000%\n"
+    "mismatched-send yield         1.453488e-03\n"
+    "raw key pool                  9.1\n"
+    "phase-flip upper bound        0.0688%\n"
+    "key-set bit error             0.0000%\n"
+    "key-set detections            3.0\n"
+    "asymptotic secure key length  9.1\n"
+    "key rate per window           4.532204e-06\n"
 )
 
 SIMULATE_2E6_SEED3_FILE = (
@@ -451,34 +480,34 @@ SIMULATE_2E6_SEED3_FILE = (
     "F-EC\t1.1\n"
     "Windows\t2000000\n"
     "Seed\t3\n"
-    "Sent-00\t1917013\n"
-    "Sent-01\t41232\n"
-    "Sent-10\t40904\n"
+    "Sent-00\t1916969\n"
+    "Sent-01\t41115\n"
+    "Sent-10\t41065\n"
     "Sent-11\t851\n"
-    "Sent-00-Δ\t163973\n"
-    "Sent-01-Δ\t3623\n"
-    "Sent-10-Δ\t3508\n"
+    "Sent-00-Δ\t164118\n"
+    "Sent-01-Δ\t3488\n"
+    "Sent-10-Δ\t3498\n"
     "Sent-11-Δ\t76\n"
-    "Sent-SS00-Δ\t147589\n"
-    "Sent-SS01-Δ\t3277\n"
-    "Sent-SS10-Δ\t3154\n"
+    "Sent-SS00-Δ\t147721\n"
+    "Sent-SS01-Δ\t3144\n"
+    "Sent-SS10-Δ\t3144\n"
     "Sent-SS11-Δ\t69\n"
-    "Sent-TT00-Δ\t16384\n"
-    "Sent-TT01-Δ\t346\n"
+    "Sent-TT00-Δ\t16397\n"
+    "Sent-TT01-Δ\t344\n"
     "Sent-TT10-Δ\t354\n"
     "Sent-TT11-Δ\t7\n"
     "Detected-SS00-ch0\t0\n"
     "Detected-SS00-ch1\t0\n"
-    "Detected-SS01-ch0\t0\n"
-    "Detected-SS01-ch1\t1\n"
-    "Detected-SS10-ch0\t0\n"
+    "Detected-SS01-ch0\t1\n"
+    "Detected-SS01-ch1\t0\n"
+    "Detected-SS10-ch0\t1\n"
     "Detected-SS10-ch1\t1\n"
     "Detected-SS11-ch0\t0\n"
     "Detected-SS11-ch1\t0\n"
     "Detected-TT00-ch0\t0\n"
     "Detected-TT00-ch1\t0\n"
     "Detected-TT01-ch0\t0\n"
-    "Detected-TT01-ch1\t0\n"
+    "Detected-TT01-ch1\t1\n"
     "Detected-TT10-ch0\t0\n"
     "Detected-TT10-ch1\t0\n"
     "Detected-TT11-ch0\t0\n"
@@ -543,14 +572,23 @@ CLI_FLAGS = {
 }
 
 
-def test_subcommand_flags_are_unchanged():
-    parser = build_parser()
+def _flags(parser):
+    """Each subcommand's long flags, as in CLI_FLAGS."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-    got = {
+    return {
         name: " ".join(sorted(
             flag + ("!" if action.required else "")
             for action in sub._actions for flag in action.option_strings if flag.startswith("--")
         ))
         for name, sub in commands.items()
     }
-    assert got == CLI_FLAGS
+
+
+def test_subcommand_flags_are_unchanged():
+    assert _flags(build_parser()) == CLI_FLAGS
+
+
+@pytest.mark.parametrize("command", list(CLI_FLAGS))
+def test_parser_for_one_subcommand_adds_only_its_options(command):
+    got = _flags(build_parser(command))
+    assert got == {name: flags if name == command else "--help" for name, flags in CLI_FLAGS.items()}
