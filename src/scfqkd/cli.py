@@ -57,9 +57,20 @@ REPORT = {
 }
 
 
+def _radians(degrees: list, flag: str, text: str) -> list:
+    """``degrees`` in radians; a ValueError naming ``flag`` and the value as
+    typed, ``text``, unless each lies in (0, 180]."""
+    if not all(0 < d <= 180 for d in degrees):
+        raise ValueError(f"{flag} must lie in (0, 180] degrees, got {text}")
+    return [math.radians(d) for d in degrees]
+
+
 def _params(o: dict) -> ProtocolParams:
+    if not 0 <= o["pt"] <= 1:
+        raise ValueError(f"--pt must lie in [0, 1], got {o['pt']:g}")
+    (delta,) = _radians([o["delta_deg"]], "--delta-deg", f"{o['delta_deg']:g}")
     return ProtocolParams(mu=o["mu"], epsilon=o["epsilon"], f_ec=o["f_ec"], p_t=o["pt"],
-                          delta_threshold=math.radians(o["delta_deg"]))
+                          delta_threshold=delta)
 
 
 def _model(o: dict) -> ChannelModel:
@@ -175,12 +186,13 @@ def _parse_range(text: str, name: str):
 
 def _cmd_optimize(o: dict) -> None:
     params, model = _params(o), _model(o)
-    d_lo, d_hi = _parse_range(o["delta_deg_range"], "--delta-deg-range")
+    text = o["delta_deg_range"]
     result = keyrate.optimize_params(
         model, params,
         mu_bounds=_parse_range(o["mu_range"], "--mu-range"),
         epsilon_bounds=_parse_range(o["epsilon_range"], "--epsilon-range"),
-        delta_bounds=(math.radians(d_lo), math.radians(d_hi)),
+        delta_bounds=tuple(_radians(_parse_range(text, "--delta-deg-range"),
+                                    "--delta-deg-range", repr(text))),
         n_windows=float(window_count(o["windows"], "windows")),
     )
     p = result.params
@@ -200,7 +212,7 @@ def _cmd_qber_table(o: dict) -> None:
     sources = []
     if o["simulate"]:
         deltas = _numbers(o["delta_list"], "--delta-list")
-        thresholds = [math.radians(d) for d in deltas]
+        thresholds = _radians(deltas, "--delta-list", repr(o["delta_list"]))
         n_windows, result = _session(o, params, thresholds)
         sources = [(deg, result.by_threshold[thr], n_windows) for deg, thr in zip(deltas, thresholds)]
     else:

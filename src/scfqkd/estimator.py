@@ -260,7 +260,8 @@ class KeyRateReport:
     ``n_f_raw`` is the key-length formula value; ``n_f`` clamps it at zero
     and feeds ``rate_per_pulse``.  ``e_ph_upper`` may exceed 0.5 (then
     ``e_ph_flagged`` is set and the key length is evaluated at the capped
-    value, which yields zero key anyway).
+    value, which yields zero key anyway) or lie below 0 (then the key
+    length is evaluated at 0).
     """
 
     mu: float

@@ -39,17 +39,22 @@ def analyze_tallies(
     """Run the estimation chain on a (test, key) tally pair.
 
     Raises :class:`~scfqkd.estimator.EstimationError` when the test set
-    lacks the cells the phase-flip bound needs.  ``delta_threshold`` is
-    carried into the report for bookkeeping only.
+    lacks the cells the phase-flip bound needs, and logs a WARNING when the
+    bound lies below 0, where the key length takes e_ph = 0.
+    ``delta_threshold`` is carried into the report for bookkeeping only.
     """
     values = estimator.estimate(
         u.cells.tolist(), v.cells.tolist(), params.mu, params.f_ec, n_total_pulses or math.nan
     )
-    return estimator.report(
+    rep = estimator.report(
         values, params.mu, params.f_ec,
         params.delta_threshold if delta_threshold is None else delta_threshold,
         n_total_pulses,
     )
+    if rep.e_ph_upper < 0.0:
+        _log.warning("phase-flip upper bound %.6g lies below 0; the key length takes e_ph = 0",
+                     rep.e_ph_upper)
+    return rep
 
 
 class ExpectedReports:
@@ -137,35 +142,6 @@ def _both_send_qber(params: ProtocolParams, model: ChannelModel, visibility) -> 
     return np.divide(p_ch1, total, out=np.full_like(total, np.nan), where=total > 0.0)
 
 
-def _checked_qber(q: float) -> float:
-    """``q``, or ValueError where :func:`_both_send_qber` found no detections."""
-    if math.isnan(q):
-        raise ValueError("model predicts no both-send detections")
-    return q
-
-
-# Halvings covered by one batched model call in calibrate_visibility.  A
-# call costs about 0.1-0.17 ms plus 2-3.5 us per row on a 2-core host, and
-# covering k halvings takes 2**k - 1 rows; the default tol needs 34
-# halvings, so ceil(34 / k) calls.  k = 4 (9 calls, about 125 rows) and
-# k = 5 (7 calls, about 200 rows) cost least, k = 6 (6 calls, about 330
-# rows) a little more; 5 keeps a calibration within 8 calls.
-_CALIBRATION_LEVELS = 5
-
-
-def _bisection_midpoints(lo: float, hi: float, tol: float) -> list:
-    """Every midpoint that bisection of [lo, hi] down to width ``tol`` can
-    visit in its next ``_CALIBRATION_LEVELS`` halvings, in increasing order,
-    each computed as bisection computes it, 0.5 * (lo + hi)."""
-    edges, width = [lo, hi], hi - lo
-    for _ in range(_CALIBRATION_LEVELS):
-        if not width > tol:
-            break
-        edges = [x for a, b in zip(edges, edges[1:]) for x in (a, 0.5 * (a + b))] + [hi]
-        width *= 0.5
-    return edges[1:-1]
-
-
 def calibrate_visibility(
     params: ProtocolParams,
     model: ChannelModel,
@@ -181,51 +157,48 @@ def calibrate_visibility(
     reachable range the nearer endpoint of [0, 1] is returned and a WARNING
     naming the target and the range is logged.
 
-    The search is bisection of [0, 1] down to width ``tol``, run against
-    batches of model values: one batched call evaluates every midpoint the
-    bisection can visit in its next five halvings, 31 points, and the first
-    call also the endpoints 1 and 0.  The midpoints are dyadic rationals
-    computed with bisection's own arithmetic, and the loop makes bisection's
-    own comparisons, so the result equals plain one-point-per-step
-    bisection bit for bit, whether or not the model's QBER is monotone in
-    floating point.  The default ``tol`` takes 34 halvings, so 7 model
-    calls instead of 36.  ``tol`` must be finite and positive; bisection
-    also stops once the midpoint rounds to an end of the interval, so a
-    ``tol`` below the spacing of floats ends there.
+    The search keeps a bracket [lo, hi] of [0, 1] with QBER(lo) > target >=
+    QBER(hi) and cuts it into 2**k equal parts per batched model call, k
+    being the halvings still needed to reach width ``tol``, at most 5; the
+    first call also evaluates visibilities 1 and 0.  The new bracket is the
+    first part whose right end has QBER <= target.  The cut points are the
+    midpoints bisection of [0, 1] computes, so wherever the QBER is
+    monotone in floating point the result equals plain bisection's bit for
+    bit; elsewhere it is still the midpoint of a bracket of width <= ``tol``
+    on which the QBER crosses the target.  The default ``tol`` takes 34
+    halvings, so 7 model calls.  ``tol`` must be finite and positive; the
+    search also stops once the bracket stops narrowing, so a ``tol`` below
+    the spacing of floats ends there.
     """
     if not 0.0 < target_qber < 0.5:
         raise ValueError(f"target_qber must lie in (0, 0.5), got {target_qber!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    lo, hi = 0.0, 1.0
-    known = {}
-
-    def qber(v: float) -> float:
-        if v not in known:
-            points = ([] if known else [hi, lo]) + _bisection_midpoints(lo, hi, tol)
-            known.update(zip(points, _both_send_qber(params, model, points).tolist()))
-        return _checked_qber(known[v])
-
-    def unreachable(v: float) -> float:
-        _log.warning(
-            "target both-send QBER %.6g lies outside the reachable range [%.6g, %.6g] "
-            "of visibilities 1 to 0; returning visibility %g",
-            target_qber, known[1.0], known[0.0], v,
-        )
-        return v
-
-    if qber(hi) >= target_qber:
-        return unreachable(hi)
-    if qber(lo) <= target_qber:
-        return unreachable(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+    lo, hi, ends = 0.0, 1.0, [1.0, 0.0]
+    while ends or hi - lo > tol:
+        k, width = 0, hi - lo
+        while k < 5 and width > tol:
+            k, width = k + 1, 0.5 * width
+        cuts = (lo + (hi - lo) * np.arange(1, 2**k) / 2**k).tolist()
+        q = _both_send_qber(params, model, ends + cuts)
+        if np.isnan(q).any():
+            raise ValueError("model predicts no both-send detections")
+        if ends:
+            (q_one, q_zero), q = q[:2], q[2:]
+            if q_one >= target_qber or q_zero <= target_qber:
+                v = 1.0 if q_one >= target_qber else 0.0
+                _log.warning(
+                    "target both-send QBER %.6g lies outside the reachable range [%.6g, %.6g] "
+                    "of visibilities 1 to 0; returning visibility %g",
+                    target_qber, q_one, q_zero, v,
+                )
+                return v
+            ends = []
+        i = int(np.argmax(np.append(q <= target_qber, True)))
+        bracket = ([lo] + cuts + [hi])[i:i + 2]
+        if bracket == [lo, hi]:
             break
-        if qber(mid) > target_qber:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 
@@ -255,14 +228,14 @@ def sweep_distance(
     the first distance without a phase-flip bound raises its
     EstimationError.
     """
+    for d in distances_km:
+        if not d >= 0:
+            raise ValueError(f"distance must be non-negative, got {d!r}")
     vis = (
         calibrate_visibility(params, model, target_qber)
         if target_qber is not None
         else model.visibility
     )
-    for d in distances_km:
-        if not d >= 0:
-            raise ValueError(f"distance must be non-negative, got {d!r}")
     n = len(distances_km)
     batch = analyze_expected_batch(
         params, replace(model, visibility=vis), n_windows,
@@ -302,11 +275,11 @@ def optimize_params(
     A coarse log/linear grid seeds a coordinate-descent refinement that
     repeatedly rescans a shrinking bracket around the incumbent on each
     coordinate in a fixed order.  Points are evaluated in batches with
-    :func:`analyze_expected_batch`: the coarse grid one mu-plane
-    (``grid**2`` points) per call, and each coordinate scan (``grid``
-    points) in one call.  Points are visited in a fixed order, a point
-    without a phase-flip bound counts as rate 0, and the incumbent changes
-    only on a strictly greater rate, so the first maximum wins.
+    :func:`analyze_expected_batch`: the whole coarse grid (``grid**3``
+    points) in one call, and each coordinate scan (``grid`` points) in one
+    call.  Points are visited in a fixed order, a point without a
+    phase-flip bound counts as rate 0, and the incumbent changes only on a
+    strictly greater rate, so the first maximum wins.
     ``evaluations`` counts points, not calls: ``grid**3 + 3 * grid *
     refine_rounds``, 553 with the defaults.  No randomness is involved, so
     equal inputs give equal results.
@@ -325,15 +298,11 @@ def optimize_params(
     def lin_grid(lo: float, hi: float, n: int):
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
-    best = None
-    eps_delta = [(eps, delta) for eps in log_grid(*epsilon_bounds, grid)
-                 for delta in lin_grid(*delta_bounds, grid)]
-    for mu in log_grid(*mu_bounds, grid):
-        plane = [[mu, eps, delta] for eps, delta in eps_delta]
-        for r, trial in zip(rates_at(plane), plane):
-            if best is None or r > best[0]:
-                best = (r, trial)
-    best_rate, point = best
+    coarse = [[mu, eps, delta] for mu in log_grid(*mu_bounds, grid)
+              for eps in log_grid(*epsilon_bounds, grid)
+              for delta in lin_grid(*delta_bounds, grid)]
+    # max() keeps the first of equal rates.
+    best_rate, point = max(zip(rates_at(coarse), coarse), key=lambda pair: pair[0])
 
     spans = [
         (mu_bounds[1] - mu_bounds[0]) / grid,

@@ -247,6 +247,21 @@ def test_number_lists_name_their_flag(capsys, argv, flag):
     assert err.startswith(f"error: {flag} ") and repr(argv[-1]) in err
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["analyze", "--pt", "1.5"], "1.5"),
+    (["analyze", "--pt", "-0.1"], "-0.1"),
+    (["analyze", "--delta-deg", "200"], "200"),
+    (["analyze", "--delta-deg", "0"], "0"),
+    (["optimize", "--delta-deg-range", "5:200"], "'5:200'"),
+    (["qber-table", "--simulate", "--windows", "2000", "--delta-list", "0,30"], "'0,30'"),
+])
+def test_out_of_range_options_name_their_flag(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {argv[-2]} must lie in ") and err.endswith(f", got {value}\n")
+
+
 def test_optimize_reports_best_point(capsys):
     code, out, _ = run(capsys, "optimize",
                        "--mu-range", "1e-3:4e-3",

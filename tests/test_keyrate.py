@@ -218,27 +218,39 @@ def test_calibrate_visibility_rejects_bad_tol(tol):
 
 def test_calibrate_visibility_ends_below_float_spacing(monkeypatch):
     """A tol below the spacing of floats near the answer ends where the
-    midpoint rounds to an end of the interval, after a bounded number of
-    model calls and bisection steps."""
-    def limited(name, real, bound):
-        calls = []
+    bracket stops narrowing, after a bounded number of model calls."""
+    calls = []
+    real = channelsim.click_probabilities
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            if len(calls) > bound:
-                raise RuntimeError(f"calibration made more than {bound} {name}")
-            return real(*args, **kwargs)
-        return counted
+    def limited(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 60:
+            raise RuntimeError("calibration made more than 60 model calls")
+        return real(*args, **kwargs)
 
     params, model = defaults.reference_params(), defaults.reference_model(50.0)
     target = defaults.REFERENCE_BOTH_SEND_QBER
     coarse = calibrate_visibility(params, model, target)
-    monkeypatch.setattr(channelsim, "click_probabilities",
-                        limited("model calls", channelsim.click_probabilities, 60))
-    # Halving [0, 1] reaches adjacent floats within about 1,075 steps.
-    monkeypatch.setattr(keyrate, "_checked_qber", limited("steps", keyrate._checked_qber, 1100))
+    monkeypatch.setattr(channelsim, "click_probabilities", limited)
     for tol in (1e-20, 5e-324):
         assert abs(calibrate_visibility(params, model, target, tol=tol) - coarse) <= 1e-10
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+def test_calibrate_visibility_brackets_a_crossing_of_a_non_monotone_qber(monkeypatch, tol):
+    """Where the QBER is not monotone, the result still lies within tol of
+    a point where it falls from above the target to at or below it."""
+    target, crossings = 0.1, (0.3, 0.7)
+
+    def stub(params, model, visibility):
+        v = np.asarray(visibility, dtype=float)
+        # Above the target on [0, 0.3) and [0.5, 0.7), at or below elsewhere.
+        return np.where((v < 0.3) | ((0.5 <= v) & (v < 0.7)), 0.4, 0.01)
+
+    monkeypatch.setattr(keyrate, "_both_send_qber", stub)
+    vis = calibrate_visibility(defaults.reference_params(), defaults.reference_model(50.0),
+                               target, tol=tol)
+    assert min(abs(vis - c) for c in crossings) <= tol
 
 
 def test_calibrated_sweep_makes_few_model_calls(monkeypatch):
@@ -290,6 +302,38 @@ def test_calibrate_visibility_warns_when_target_unreachable(caplog):
     with caplog.at_level(logging.DEBUG, logger="scfqkd.keyrate"):
         calibrate_visibility(params, model, 0.2)
     assert caplog.records == []
+
+
+def test_negative_phase_flip_bound_logs_a_warning(caplog):
+    """The bundled key set with the test set's mismatched-send detections
+    thinned to a fifth gives a phase-flip bound below 0."""
+    raw = dataio.load_raw_tallies(defaults.bundled_tally_path())
+    u, v = tallies_to_sets(raw.tallies)
+    thinned = np.array(u.cells, dtype=float)
+    thinned[1:3, 1:] = np.round(thinned[1:3, 1:] / 5)
+    params = defaults.reference_params()
+    with caplog.at_level(logging.DEBUG, logger="scfqkd.keyrate"):
+        rep = analyze_tallies(TallySet(thinned), v, params, raw.n_total_pulses)
+    assert rep.e_ph_upper < 0.0 and not rep.e_ph_flagged
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == (f"phase-flip upper bound {rep.e_ph_upper:.6g} lies below 0; "
+                                   "the key length takes e_ph = 0")
+
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="scfqkd.keyrate"):
+        assert analyze_tallies(u, v, params, raw.n_total_pulses).e_ph_upper > 0.0
+    assert caplog.records == []
+
+
+def test_sweep_distance_checks_distances_before_calibrating(monkeypatch):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before checking the distances")
+
+    monkeypatch.setattr(keyrate, "calibrate_visibility", no_calibration)
+    with pytest.raises(ValueError, match="distance must be non-negative, got -1.0"):
+        sweep_distance(defaults.reference_params(), defaults.reference_model(50.0),
+                       [10.0, -1.0], target_qber=defaults.REFERENCE_BOTH_SEND_QBER)
 
 
 def test_sweep_distance_shape_and_monotonicity():
@@ -483,8 +527,8 @@ def test_default_optimize_batches_click_evaluations(monkeypatch):
     monkeypatch.setattr(channelsim, "click_probabilities", counting)
     res = optimize_params(defaults.reference_model(50.0), defaults.reference_params())
     assert res.evaluations == 553
-    # 7 mu-planes of the coarse grid plus 3 coordinate scans per round.
-    assert len(calls) == 37
+    # 1 coarse-grid call plus 3 scans per round.
+    assert len(calls) == 31
     assert sum(shape[0] for shape in calls) == 553
 
 
