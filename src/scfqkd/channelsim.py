@@ -17,10 +17,10 @@ perfectly correlated bits.  State labels are two digits, A first, each digit
 Every count lives in one tally layout, :class:`SessionTallies`: per joint
 state the windows sent and selected, then a (subset, cell) table with
 subset (test, key) and cell (windows, effective on ch0, effective on
-ch1).  The Monte Carlo chunks and the batched expected-value model produce
-that (state, subset, cell) table directly, the raw files of
-:mod:`scfqkd.dataio` name its entries, and the estimator reads one subset
-of it as a :class:`~scfqkd.estimator.TallySet`.
+ch1).  The Monte Carlo chunks produce that (state, subset, cell) table, the
+batched expected-value model whole rows per configuration and threshold,
+the raw files of :mod:`scfqkd.dataio` name its entries, and the estimator
+reads one subset of it as a :class:`~scfqkd.estimator.TallySet`.
 
 The Monte Carlo works per reference span rather than per window, which is
 exact for this model: only both-send ("11") windows, a fraction epsilon**2
@@ -593,19 +593,21 @@ def simulate_session(
     stream before any chunk runs; each chunk then pins its walk to its
     total once, at its both-send windows and span ends.
 
-    ``n_windows`` is a whole number of at least 1, such as ``1e8``.
-    ``workers`` caps the processes that compute chunks, this one included;
-    each takes the next chunk from a shared counter.  At most one process
-    runs per ``MIN_CHUNKS_PER_PROCESS`` (3) chunks, because starting a helper
-    costs about as much as a chunk's work, so a session of fewer than 6
-    chunks (a chunk is 737,280 windows) runs in this process alone.  On a
-    2-core host, ``workers=2`` took 43 ms for 10**7 windows against 59 ms
-    with ``workers=1``, and 0.31-0.33 s for 10**8 windows against
-    0.53-0.63 s.
+    ``n_windows`` is a whole number of at least 1, such as ``1e8``, and
+    ``seed`` a non-negative integer.  ``workers`` caps the processes that
+    compute chunks, this one included; each takes the next chunk from a
+    shared counter.  At most one process runs per ``MIN_CHUNKS_PER_PROCESS``
+    (3) chunks, because starting a helper costs about as much as a chunk's
+    work, so a session of fewer than 6 chunks (a chunk is 737,280 windows)
+    runs in this process alone.  On a 2-core host, ``workers=2`` took 43 ms
+    for 10**7 windows against 59 ms with ``workers=1``, and 0.31-0.33 s for
+    10**8 windows against 0.53-0.63 s.
     """
     n_windows = window_count(n_windows)
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     thr_list = _threshold_list(params, thresholds)
     thr_arr = np.array(thr_list)
 
@@ -690,39 +692,35 @@ def _effective_probs(
     return np.stack((effective(p_left, p_right), effective(p_right, p_left)), axis=2)
 
 
-def _expected_cells(
-    params: ProtocolParams,
-    model: ChannelModel,
-    n_windows: float,
-    mu,
-    epsilon,
-    thresholds,
-    fiber_km=None,
-):
-    """Expected-value cells of a batch of configurations, one row each.
+def _expected_counts(
+    params: ProtocolParams, model: ChannelModel, n_windows: float, mu, epsilon, thresholds, fiber_km=None
+) -> np.ndarray:
+    """Expected-value counts of a batch of configurations, one row each.
 
     ``mu`` and ``epsilon`` hold one value per row, ``thresholds`` has shape
     (rows, k), and ``fiber_km`` optionally gives each row's (arm a, arm b)
     fibre lengths; everything else comes from ``params`` and ``model``.
-    Returns the probabilities of :func:`_effective_probs`, the joint-state
-    priors, shape (rows, 4), the expected kept windows per threshold and
-    state, shape (rows, k, 4), and the cells, shape (rows, k, state,
-    subset, cell) with subset (test, key) and cell (windows, effective on
-    ch0, effective on ch1): the simulator's tally layout.
+    Returns shape (rows, k, state, 8): per threshold the rows of
+    :attr:`SessionTallies.counts`, the windows sent and selected, then
+    (test, key) x (windows, effective on ch0, effective on ch1).
     """
     if n_windows <= 0:
         raise ValueError("n_windows must be positive")
     eps = np.asarray(epsilon, dtype=float)[:, None]
     thr = np.asarray(thresholds, dtype=float)
     eff = _effective_probs(params, model, thr, _arm_intensities(model, mu, fiber_km))
-    prior = np.hstack(((1.0 - eps) ** 2, (1.0 - eps) * eps, eps * (1.0 - eps), eps * eps))
-    selected = (n_windows * prior)[:, None, :] * (thr / math.pi)[..., None]
-    pool = np.stack((selected * params.p_t, selected * (1.0 - params.p_t)), axis=3)
-    p_eff = np.concatenate(
-        (np.broadcast_to(eff[:, None, :3], (*thr.shape, 3, 2)), eff[:, 3:, None]), axis=2
-    )
-    cells = np.concatenate((pool[..., None], pool[..., None] * p_eff[:, :, :, None, :]), axis=4)
-    return eff, prior, selected, cells
+    sent = n_windows * np.hstack(((1.0 - eps) ** 2, (1.0 - eps) * eps, eps * (1.0 - eps), eps**2))
+    counts = np.empty((*thr.shape, 4, 8))
+    counts[..., 0] = sent[:, None]
+    counts[..., 1] = sent[:, None] * (thr / math.pi)[..., None]
+    pool = counts[..., 1:2] * [params.p_t, 1.0 - params.p_t]
+    # Writes through this view fill the (subset, cell) columns; the 00/01/10
+    # windows click alike at every threshold, the 11 ones per threshold.
+    cells = counts[..., 2:].reshape(*thr.shape, 4, 2, 3)
+    cells[..., 0] = pool
+    cells[..., :3, :, 1:] = pool[..., :3, :, None] * eff[:, None, :3, None, :]
+    cells[..., 3, :, 1:] = pool[..., 3, :, None] * eff[:, 3:, None, :]
+    return counts
 
 
 def expected_tallies(
@@ -749,23 +747,13 @@ def expected_tallies(
     :func:`scfqkd.keyrate.analyze_expected_batch`.
 
     Returns ``{threshold: SessionTallies}`` with float-valued cells,
-    covering ``params.delta_threshold`` and any extra ``thresholds``.
+    covering ``params.delta_threshold`` and any extra ``thresholds``.  Their
+    ``effective_windows`` is the sum of the detections at threshold pi,
+    which keeps every window.
     """
     thr_list = _threshold_list(params, thresholds)
-    eff, prior, selected, cells = (
-        a[0]
-        for a in _expected_cells(
-            params, model, n_windows, [params.mu], [params.epsilon], [thr_list + [math.pi]]
-        )
-    )
-    p, e = prior.tolist(), eff.tolist()
-    effective = n_windows * (
-        sum(p_s * (p0 + p1) for p_s, (p0, p1) in zip(p, e[:3])) + p[3] * (e[-1][0] + e[-1][1])
-    )
-    sent = n_windows * prior
-    return {
-        thr: SessionTallies(
-            float(n_windows), thr, np.column_stack((sent, sel, c.reshape(4, 6))), effective
-        )
-        for thr, sel, c in zip(thr_list, selected, cells)
-    }
+    *rows, whole = _expected_counts(
+        params, model, n_windows, [params.mu], [params.epsilon], [thr_list + [math.pi]]
+    )[0]
+    effective = float(whole[:, [3, 4, 6, 7]].sum())
+    return {thr: SessionTallies(float(n_windows), thr, c, effective) for thr, c in zip(thr_list, rows)}

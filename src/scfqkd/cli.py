@@ -66,8 +66,6 @@ def _radians(degrees: list, flag: str, text: str) -> list:
 
 
 def _params(o: dict) -> ProtocolParams:
-    if not 0 <= o["pt"] <= 1:
-        raise ValueError(f"--pt must lie in [0, 1], got {o['pt']:g}")
     (delta,) = _radians([o["delta_deg"]], "--delta-deg", f"{o['delta_deg']:g}")
     return ProtocolParams(mu=o["mu"], epsilon=o["epsilon"], f_ec=o["f_ec"], p_t=o["pt"],
                           delta_threshold=delta)
@@ -321,6 +319,10 @@ def _load_config(path: str, options: dict) -> dict:
             for key, value in loaded.items() if key in options}
 
 
+# Library parameters whose flag is named otherwise.
+_KEY_OF = {"p_t": "pt", "total_km": "distance_km", "distance": "distances"}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
@@ -331,6 +333,11 @@ def main(argv=None) -> int:
         builtin = {key: default for key, (_, default, _) in options.items()}
         handler({**builtin, **config, **given})
     except (dataio.ParseError, EstimationError, ValueError, OSError) as exc:
+        # A library error starts with its parameter's name; print the flag's instead.
+        name, _, rest = str(exc).partition(" ")
+        key = _KEY_OF.get(name, name)
+        if key in options and rest.startswith("must "):
+            exc = f"--{key.replace('_', '-')} {rest}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

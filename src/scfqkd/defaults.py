@@ -74,7 +74,7 @@ def reference_model(total_km: float = 50.0) -> ChannelModel:
     evenly between the arms.
     """
     if total_km < 0:
-        raise ValueError("total_km must be non-negative")
+        raise ValueError(f"total_km must be non-negative, got {total_km!r}")
     return ChannelModel(
         fiber_km_a=0.5 * total_km,
         fiber_km_b=0.5 * total_km,

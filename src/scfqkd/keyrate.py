@@ -105,9 +105,9 @@ def analyze_expected_batch(
     """
     mu, eps, delta = (np.asarray(a, dtype=float) for a in (mu, epsilon, delta_threshold))
     channelsim._check_rows(mu=mu, epsilon=eps, delta_threshold=delta)
-    cells = channelsim._expected_cells(params, model, n_windows, mu, eps, delta[:, None], fiber_km)[3]
+    counts = channelsim._expected_counts(params, model, n_windows, mu, eps, delta[:, None], fiber_km)
     # (state, subset, cell, row) of the one threshold; sides L, R are ch0, ch1.
-    leaves = cells[:, 0].transpose(1, 2, 3, 0).copy()
+    leaves = counts[:, 0, :, 2:].reshape(-1, 4, 2, 3).transpose(1, 2, 3, 0).copy()
     values = estimator.estimate(leaves[:, 0], leaves[:, 1], mu, params.f_ec, n_windows)
     for name in ("rates_u_by_state", "rates_u_by_cell"):
         values[name] = np.array(values[name])

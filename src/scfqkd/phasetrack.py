@@ -71,7 +71,8 @@ def estimate_phase(counts) -> Angle:
 
     ``counts`` is a sequence of four non-negative numbers with positive sum.
     The closed form atan2(p_4 - p_2, p_1 - p_3) is the exact minimiser of
-    the residual sum of squares (see module docstring); the result lies in
+    the residual sum of squares (see module docstring), evaluated by
+    :func:`estimate_phase_batch` on the raw counts; the result lies in
     (-pi, pi].  A perfectly ambiguous pattern (all slots equal) returns 0.0.
     """
     c = np.asarray(counts, dtype=float)
@@ -79,11 +80,9 @@ def estimate_phase(counts) -> Angle:
         raise ValueError(f"expected exactly 4 slot counts, got shape {c.shape}")
     if not np.all(np.isfinite(c)) or np.any(c < 0.0):
         raise ValueError("slot counts must be finite and non-negative")
-    total = c.sum()
-    if total <= 0.0:
+    if c.sum() <= 0.0:
         raise ValueError("cannot estimate a phase from all-zero reference counts")
-    p = 2.0 * c / total
-    return math.atan2(p[3] - p[1], p[0] - p[2])
+    return float(estimate_phase_batch(c[None])[0])
 
 
 def estimate_phase_batch(counts: np.ndarray) -> np.ndarray:

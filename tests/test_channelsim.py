@@ -323,11 +323,14 @@ def test_two_workers_start_one_helper(monkeypatch):
     ({"n_windows": None}, "n_windows must be a whole number of at least 1, got None"),
     ({"workers": 2.0}, "workers must be a positive integer, got 2.0"),
     ({"workers": 0}, "workers must be a positive integer, got 0"),
+    ({"seed": -3}, "seed must be a non-negative integer, got -3"),
+    ({"seed": 1.0}, "seed must be a non-negative integer, got 1.0"),
+    ({"seed": None}, "seed must be a non-negative integer, got None"),
 ])
 def test_simulate_session_rejects_bad_counts_by_name(kwargs, message):
-    args = {"n_windows": 1000, "workers": 1, **kwargs}
+    args = {"n_windows": 1000, "workers": 1, "seed": 1, **kwargs}
     with pytest.raises(ValueError, match=f"^{message}$"):
-        simulate_session(ProtocolParams(), ChannelModel(), seed=1, **args)
+        simulate_session(ProtocolParams(), ChannelModel(), **args)
 
 
 def test_simulate_session_takes_whole_float_windows():
@@ -743,6 +746,11 @@ def test_expected_tallies_priors_and_structure():
         assert e.sent_selected[s] == pytest.approx(e.sent[s] * keep, rel=1e-12)
         assert e.sent_test[s] == pytest.approx(e.sent_selected[s] * params.p_t, rel=1e-12)
         assert e.sent_key[s] + e.sent_test[s] == pytest.approx(e.sent_selected[s], rel=1e-12)
+    # Every window is kept at pi, so its detections are all the effective windows.
+    whole = expected_tallies(params, model, n, thresholds=[math.pi])[math.pi]
+    detected = sum(whole.detected_test.values()) + sum(whole.detected_key.values())
+    assert e.effective_windows > 0
+    assert e.effective_windows == pytest.approx(detected, rel=1e-12)
 
 
 def test_expected_tallies_dark_free_vacuum_is_zero():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 
 import pytest
 
@@ -88,7 +89,7 @@ def test_analyze_rejects_unusable_mu(capsys, mu, message):
     code, out, err = run(capsys, "analyze", "--mu", mu)
     assert code == 2
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: --{message}\n"
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -254,12 +255,19 @@ def test_number_lists_name_their_flag(capsys, argv, flag):
     (["analyze", "--delta-deg", "0"], "0"),
     (["optimize", "--delta-deg-range", "5:200"], "'5:200'"),
     (["qber-table", "--simulate", "--windows", "2000", "--delta-list", "0,30"], "'0,30'"),
+    (["analyze", "--f-ec", "0.5"], "0.5"),
+    (["sweep", "--dark-prob", "-1"], "-1.0"),
+    (["sweep", "--target-qber", "0.7"], "0.7"),
+    (["sweep", "--distance-km", "-5"], "-5.0"),
+    (["sweep", "--distances", "-5"], "-5.0"),
+    (["simulate", "--out", os.devnull, "--seed", "-3"], "-3"),
 ])
 def test_out_of_range_options_name_their_flag(capsys, argv, value):
+    """Range errors, the library's included, name the flag and the value."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {argv[-2]} must lie in ") and err.endswith(f", got {value}\n")
+    assert err.startswith(f"error: {argv[-2]} must ") and err.endswith(f", got {value}\n")
 
 
 def test_optimize_reports_best_point(capsys):
@@ -347,7 +355,7 @@ def test_bad_windows_rejected_by_name(tmp_path, capsys, command, windows):
     code, out, err = run(capsys, *command, f"--windows={windows}", "--out", str(target))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: windows must be a whole number")
+    assert err.startswith("error: --windows must be a whole number")
     assert not target.exists()
 
 

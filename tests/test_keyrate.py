@@ -544,15 +544,14 @@ def test_optimizer_keeps_the_first_of_equal_rates():
 
 
 def test_batched_rate_outside_unit_interval_raises(monkeypatch):
-    real = channelsim._expected_cells
+    real = channelsim._expected_counts
 
     def inflated(*args, **kwargs):
-        eff, prior, selected, cells = real(*args, **kwargs)
-        cells = cells.copy()
-        cells[1, :, 2, 0, 1:] *= 1e9  # row 1, state 10, test set: detections
-        return eff, prior, selected, cells
+        counts = real(*args, **kwargs)
+        counts[1, :, 2, 3:5] *= 1e9  # row 1, state 10, test set: detections
+        return counts
 
-    monkeypatch.setattr(channelsim, "_expected_cells", inflated)
+    monkeypatch.setattr(channelsim, "_expected_counts", inflated)
     params = defaults.reference_params()
     with pytest.raises(ValueError, match=r"counting rate out of \[0, 1\] for state 10"):
         analyze_expected_batch(params, defaults.reference_model(50.0), 1e12,
