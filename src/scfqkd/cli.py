@@ -3,12 +3,14 @@
 
 Each subcommand and each of its options is declared once, in
 :data:`COMMANDS`, with its help and built-in default; ``--help`` shows each
-default. Options resolve as flags over config file over built-in defaults.
-The config file is a JSON object whose keys are the long flag names with
-dashes replaced by underscores (for example ``{"mu": 0.002, "distance_km":
-50, "no_calibrate": true}``). Every long flag is a config key; a value its
-flag would refuse is an error naming the key, and keys the subcommand does
-not take are ignored.
+default. A call that names a subcommand builds that subcommand's parser
+only; any other call (``--help``, ``--version``, a missing or unknown
+subcommand) builds all five. Options resolve as flags over config file over
+built-in defaults. The config file is a JSON object whose keys are the long
+flag names with dashes replaced by underscores (for example ``{"mu": 0.002,
+"distance_km": 50, "no_calibrate": true}``). Every long flag is a config
+key; a value its flag would refuse, or one out of range, is an error naming
+the key, and keys the subcommand does not take are ignored.
 """
 
 from __future__ import annotations
@@ -278,17 +280,21 @@ def _help(text: str, default) -> str:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Only the subcommand ``command`` gets its
-    options when it names one; otherwise every subcommand does."""
+    """The command-line parser.  When ``command`` names a subcommand, only
+    that subcommand's parser is built; otherwise every subcommand's is, for
+    the top-level help and the errors that list the subcommands."""
     parser = argparse.ArgumentParser(prog="scfqkd", description="Simulate and analyse the "
                                      "sending-or-not-sending protocol with phase post-selection.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    chosen = {command: COMMANDS[command]} if command in COMMANDS else COMMANDS
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, options) in COMMANDS.items():
+    if chosen is not COMMANDS:  # the usage line a stray argument prints lists them all
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name, (text, _, options) in chosen.items():
         # Options not given stay out of the namespace, so that config values
         # and built-in defaults can fill them in main().
         p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
-        for key, (help_text, default, kwargs) in options.items() if command in (None, name) else ():
+        for key, (help_text, default, kwargs) in options.items():
             p.add_argument("--" + key.replace("_", "-"), help=_help(help_text, default), **kwargs)
     return parser
 
@@ -325,19 +331,22 @@ _KEY_OF = {"p_t": "pt", "total_km": "distance_km", "distance": "distances"}
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    given = vars(build_parser(command).parse_args(argv))
+    given = vars(build_parser(argv[0] if argv else None).parse_args(argv))
     _, handler, options = COMMANDS[given.pop("command")]
+    config = {}
     try:
-        config = _load_config(given["config"], options) if "config" in given else {}
+        if "config" in given:
+            config = _load_config(given["config"], options)
         builtin = {key: default for key, (_, default, _) in options.items()}
         handler({**builtin, **config, **given})
     except (dataio.ParseError, EstimationError, ValueError, OSError) as exc:
-        # A library error starts with its parameter's name; print the flag's instead.
+        # A range error starts with its parameter's name or flag; print the
+        # flag, or the config key when the value came from the config file.
         name, _, rest = str(exc).partition(" ")
-        key = _KEY_OF.get(name, name)
+        key = _KEY_OF.get(name, name.removeprefix("--").replace("-", "_"))
         if key in options and rest.startswith("must "):
-            exc = f"--{key.replace('_', '-')} {rest}"
+            exc = (f"config key {key!r}: {key}" if key in config.keys() - given.keys()
+                   else "--" + key.replace("_", "-")) + " " + rest
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

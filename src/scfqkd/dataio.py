@@ -60,6 +60,10 @@ file order."""
 
 CELL_KEYS = tuple(CELL_INDEX)
 _KEYS_BY_INDEX = sorted(CELL_INDEX, key=CELL_INDEX.get)
+# Each name a file may give -> its key: the cells, the metadata keys and the
+# ``-Delta`` spelling of each cell named with ``-Δ``.
+_NAMES = {name: name for name in (*CELL_INDEX, *METADATA_KEYS)}
+_NAMES.update({name.replace(_DELTA, "Delta"): name for name in CELL_INDEX if _DELTA in name})
 
 SPLIT_TOLERANCE = 0.005
 """Allowed relative mismatch between SS + TT and the selected total,
@@ -77,12 +81,6 @@ class ParseError(ValueError):
 
 class ConsistencyError(ParseError):
     """A raw tally file parsed but its counts contradict each other."""
-
-
-def _canonical(key: str) -> str:
-    if key.endswith("-Delta"):
-        return key[: -len("-Delta")] + f"-{_DELTA}"
-    return key
 
 
 @dataclass
@@ -110,73 +108,61 @@ class RawTallies:
 def _parse_lines(text: str, source: str):
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise ParseError(
-                f"{source}:{lineno}: expected 'name value', got {raw!r}", line=lineno
-            )
-        key = _canonical(parts[0])
+            raise ParseError(f"{source}:{lineno}: expected 'name value', got {raw!r}", line=lineno)
+        key = _NAMES.get(parts[0])
+        name = key or (parts[0][:-6] + "-" + _DELTA if parts[0].endswith("-Delta") else parts[0])
         try:
             value = int(parts[1])
         except ValueError:
             try:
                 value = float(parts[1])
             except ValueError:
-                raise ParseError(
-                    f"{source}:{lineno}: value of {key!r} is not a number: {parts[1]!r}",
-                    key=key,
-                    line=lineno,
-                ) from None
+                raise ParseError(f"{source}:{lineno}: value of {name!r} is not a number: "
+                                 f"{parts[1]!r}", key=name, line=lineno) from None
+        if key is None:
+            warnings.warn(f"{source}: ignoring unknown key {name!r}", stacklevel=3)
+            continue
         if key in values:
             raise ParseError(f"{source}: duplicate key {key!r}", key=key, line=lineno)
-        if key not in CELL_INDEX and key not in METADATA_KEYS:
-            warnings.warn(f"{source}: ignoring unknown key {key!r}", stacklevel=3)
-            continue
-        if not math.isfinite(value):
-            raise ParseError(
-                f"{source}:{lineno}: value of {key!r} is not finite: {parts[1]!r}",
-                key=key,
-                line=lineno,
-            )
-        if key in CELL_INDEX and value < 0:
-            raise ParseError(
-                f"{source}: negative count for {key!r}: {value}", key=key, line=lineno
-            )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParseError(f"{source}:{lineno}: value of {key!r} is not finite: {parts[1]!r}",
+                             key=key, line=lineno)
+        if value < 0 and key in CELL_INDEX:
+            raise ParseError(f"{source}: negative count for {key!r}: {value}", key=key, line=lineno)
         if key == "Delta-Degrees" and not 0 < value <= 180:
-            raise ParseError(
-                f"{source}:{lineno}: {key!r} must lie in (0, 180], got {value}",
-                key=key,
-                line=lineno,
-            )
+            raise ParseError(f"{source}:{lineno}: {key!r} must lie in (0, 180], got {value}",
+                             key=key, line=lineno)
         values[key] = value
     return values
 
 
-def _check_consistency(values: Mapping, source: str) -> None:
+def _check_consistency(cells: Sequence, source: str) -> None:
+    """Check the parsed cells, in ``_KEYS_BY_INDEX`` order, None where absent."""
     for i, cd in enumerate(STATE_LABELS):
-        sent, selected, tt, tt0, tt1, ss, ss0, ss1 = _KEYS_BY_INDEX[8 * i:8 * i + 8]
-        n_sent, n_sel, n_ss, n_tt = (values.get(k) for k in (sent, selected, ss, tt))
-        if n_sent is not None and n_sel is not None and n_sel > n_sent:
+        row, names = cells[8 * i:8 * i + 8], _KEYS_BY_INDEX[8 * i:8 * i + 8]
+        n_sent, n_sel, n_tt, _, _, n_ss, _, _ = row
+        if None not in (n_sent, n_sel) and n_sel > n_sent:
             raise ConsistencyError(
-                f"{source}: {selected} = {n_sel} exceeds {sent} = {n_sent}", key=selected
+                f"{source}: {names[1]} = {n_sel} exceeds {names[0]} = {n_sent}", key=names[1]
             )
-        if n_sel is not None and n_ss is not None and n_tt is not None:
-            if abs(n_ss + n_tt - n_sel) > max(SPLIT_TOLERANCE * n_sel, 1.0):
+        if None not in (n_sel, n_ss, n_tt) and abs(n_ss + n_tt - n_sel) > max(
+                SPLIT_TOLERANCE * n_sel, 1.0):
+            raise ConsistencyError(
+                f"{source}: SS + TT = {n_ss + n_tt} is not the selected total "
+                f"{n_sel} for state {cd} (tolerance {SPLIT_TOLERANCE:.1%})",
+                key=names[5],
+            )
+        for pool in (5, 2):  # the key and test windows, then their two channels
+            present = [c for c in row[pool + 1:pool + 3] if c is not None]
+            if row[pool] is not None and present and sum(present) > row[pool]:
                 raise ConsistencyError(
-                    f"{source}: SS + TT = {n_ss + n_tt} is not the selected total "
-                    f"{n_sel} for state {cd} (tolerance {SPLIT_TOLERANCE:.1%})",
-                    key=ss,
-                )
-        for pool_key, ch0, ch1 in ((ss, ss0, ss1), (tt, tt0, tt1)):
-            pool = values.get(pool_key)
-            present = [values[k] for k in (ch0, ch1) if k in values]
-            if pool is not None and present and sum(present) > pool:
-                raise ConsistencyError(
-                    f"{source}: {ch0[:-4]} total {sum(present)} exceeds {pool_key} = {pool}",
-                    key=ch0,
+                    f"{source}: {names[pool + 1][:-4]} total {sum(present)} exceeds "
+                    f"{names[pool]} = {row[pool]}",
+                    key=names[pool + 1],
                 )
 
 
@@ -200,10 +186,11 @@ def load_raw_tallies(path, strict: bool = True) -> RawTallies:
                 f"{path}: missing {len(missing)} required cells: {', '.join(missing)}",
                 key=missing[0],
             )
-    _check_consistency(values, path)
+    cells = [values.get(k) for k in _KEYS_BY_INDEX]
+    _check_consistency(cells, path)
 
     # int64 when every cell is an integer that fits it, else float64.
-    counts = np.array([values.get(k, 0) for k in _KEYS_BY_INDEX]).reshape(4, 8)
+    counts = np.array([0 if c is None else c for c in cells]).reshape(4, 8)
     if counts.dtype == object:
         counts = counts.astype(float)
     tallies = SessionTallies(

@@ -92,6 +92,22 @@ def test_analyze_rejects_unusable_mu(capsys, mu, message):
     assert err == f"error: --{message}\n"
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["analyze"], {"f_ec": 0.5}, "config key 'f_ec': f_ec must be at least 1, got 0.5"),
+    (["analyze"], {"delta_deg": 200},
+     "config key 'delta_deg': delta_deg must lie in (0, 180] degrees, got 200"),
+    (["sweep"], {"distance_km": -5},
+     "config key 'distance_km': distance_km must be non-negative, got -5.0"),
+    (["analyze", "--f-ec", "0.5"], {"f_ec": 2}, "--f-ec must be at least 1, got 0.5"),
+], ids=["library-check", "cli-check", "model-check", "flag-overrides"])
+def test_config_value_out_of_range_names_its_key(tmp_path, capsys, argv, config, message):
+    """A config value refused for its range is named by its config key, a
+    flag that overrides it by the flag."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(capsys, *argv, "--config", str(cfg)) == (2, "", f"error: {message}\n")
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mu": 0.5}))
@@ -613,5 +629,28 @@ def test_subcommand_flags_are_unchanged():
 
 @pytest.mark.parametrize("command", list(CLI_FLAGS))
 def test_parser_for_one_subcommand_adds_only_its_options(command):
-    got = _flags(build_parser(command))
-    assert got == {name: flags if name == command else "--help" for name, flags in CLI_FLAGS.items()}
+    """The parser for one subcommand holds that subcommand alone, with all of
+    its options."""
+    assert _flags(build_parser(command)) == {command: CLI_FLAGS[command]}
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["analyze", "--in", defaults.bundled_tally_path()], 2),
+    (["--help"], 6),
+])
+def test_main_builds_only_the_parsers_it_needs(monkeypatch, capsys, argv, built):
+    """A subcommand's call builds the top-level parser and its own; the
+    top-level help builds all five subcommands' too."""
+    init, calls = argparse.ArgumentParser.__init__, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert len(calls) == built

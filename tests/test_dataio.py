@@ -249,3 +249,40 @@ def test_sweep_csv_layout():
 
 def test_sweep_csv_empty():
     assert emit_sweep_csv([]).strip().count("\n") == 0
+
+
+@pytest.mark.parametrize("text, message, key, line", [
+    ("Sent-00\t5\nUnknown-Key\tmany\n",
+     ":2: value of 'Unknown-Key' is not a number: 'many'", "Unknown-Key", 2),
+    ("Sent-00-Δ\t5\nSent-00-Delta\t5\n", ": duplicate key 'Sent-00-Δ'", "Sent-00-Δ", 2),
+    ("Sent-01\t7\nSent-00\tinf\n", ":2: value of 'Sent-00' is not finite: 'inf'", "Sent-00", 2),
+    ("Sent-00\t-1.5\n", ": negative count for 'Sent-00': -1.5", "Sent-00", 1),
+    ("Sent-00\t5\nDelta-Degrees\t0\n",
+     ":2: 'Delta-Degrees' must lie in (0, 180], got 0", "Delta-Degrees", 2),
+    ("Sent-00\t5\nSent-00 5 6\n", ":2: expected 'name value', got 'Sent-00 5 6'", None, 2),
+], ids=["unknown-not-a-number", "delta-spellings-duplicate", "inf-cell", "negative-float",
+        "zero-threshold", "three-fields"])
+def test_parse_error_names_key_and_line(tmp_path, text, message, key, line):
+    """Which check fails first, and what its error says, for lines that
+    break more than one rule or sit where one rule ends and another starts."""
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_raw_tallies(path, strict=False)
+    assert (str(exc.value), exc.value.key, exc.value.line) == (f"{path}{message}", key, line)
+
+
+def test_unknown_key_is_ignored_before_its_value_is_checked(tmp_path):
+    path = tmp_path / "extra.tsv"
+    path.write_text("Sent-00\t5\nUnknown-Key\tnan\n")
+    with pytest.warns(UserWarning, match="ignoring unknown key 'Unknown-Key'"):
+        raw = load_raw_tallies(path, strict=False)
+    assert raw.tallies.sent["00"] == 5 and raw.metadata == {}
+
+
+def test_tabs_spaces_and_indented_comments(tmp_path):
+    path = tmp_path / "mixed.tsv"
+    path.write_text("  # a b c\nSent-00\t5\n  Sent-01   7  \nDelta-Degrees 30.0\n")
+    raw = load_raw_tallies(path, strict=False)
+    assert raw.tallies.sent == {"00": 5, "01": 7, "10": 0, "11": 0}
+    assert raw.metadata == {"Delta-Degrees": 30.0}
