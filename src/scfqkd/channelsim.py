@@ -17,10 +17,12 @@ perfectly correlated bits.  State labels are two digits, A first, each digit
 Every count lives in one tally layout, :class:`SessionTallies`: per joint
 state the windows sent and selected, then a (subset, cell) table with
 subset (test, key) and cell (windows, effective on ch0, effective on
-ch1).  The Monte Carlo chunks produce that (state, subset, cell) table, the
-batched expected-value model whole rows per configuration and threshold,
-the raw files of :mod:`scfqkd.dataio` name its entries, and the estimator
-reads one subset of it as a :class:`~scfqkd.estimator.TallySet`.
+ch1).  The Monte Carlo chunks and the batched expected-value model produce
+its rows per threshold; a session and :func:`expected_tallies` add rows
+that keep every window (threshold pi for the model), whose detections are
+the effective windows.  The raw files of :mod:`scfqkd.dataio` name its
+entries, and the estimator reads one subset of it as a
+:class:`~scfqkd.estimator.TallySet`.
 
 The Monte Carlo works per reference span rather than per window, which is
 exact for this model: only both-send ("11") windows, a fraction epsilon**2
@@ -90,11 +92,18 @@ CHUNK_SPANS = 4096
 
 _ROW_RANGES = {
     "mu": ("be finite and non-negative", lambda v: (0.0 <= v) & (v < math.inf)),
-    "epsilon": ("lie in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0)),
     "delta_threshold": ("lie in (0, pi]", lambda v: (0.0 < v) & (v <= math.pi)),
+    "f_ec": ("be at least 1", lambda v: v >= 1.0),
+    "dark_prob": ("lie in [0, 1)", lambda v: (0.0 <= v) & (v < 1.0)),
+    "gate_fraction": ("lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
+    **dict.fromkeys(("epsilon", "p_t", "det_eff_left", "det_eff_right", "visibility"),
+                    ("lie in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0))),
+    **dict.fromkeys(("fiber_km_a", "fiber_km_b", "atten_db_per_km", "comp_loss_db_a",
+                     "comp_loss_db_b", "drift_rad_per_window"), ("be non-negative", lambda v: v >= 0.0)),
 }
-"""Range rules of the protocol parameters that batched analyses vary per
-row, and of the extra post-selection thresholds of a session."""
+"""Range rules of every field of :class:`ProtocolParams` and
+:class:`ChannelModel`, and of the extra post-selection thresholds of a
+session.  A rule holds for a Python scalar or elementwise for an array."""
 _ROW_RANGES["thresholds"] = _ROW_RANGES["delta_threshold"]
 
 
@@ -106,6 +115,15 @@ def _check_rows(**values: np.ndarray) -> None:
         good = ok(v)
         if not good.all():
             raise ValueError(f"{name} must {rule}, got {v[~good][0].item()!r}")
+
+
+def _check_fields(self) -> None:
+    """Apply the range rules to each field of a parameter dataclass, with
+    Python-scalar comparisons."""
+    for name, value in vars(self).items():
+        rule, ok = _ROW_RANGES[name]
+        if not ok(value):
+            raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,16 +143,7 @@ class ProtocolParams:
     f_ec: float = 1.1
     p_t: float = 0.1
 
-    def __post_init__(self) -> None:
-        for name in ("mu", "epsilon", "delta_threshold"):
-            rule, ok = _ROW_RANGES[name]
-            value = getattr(self, name)
-            if not ok(value):
-                raise ValueError(f"{name} must {rule}, got {value!r}")
-        if not self.f_ec >= 1.0:
-            raise ValueError(f"f_ec must be at least 1, got {self.f_ec!r}")
-        if not 0.0 <= self.p_t <= 1.0:
-            raise ValueError(f"p_t must lie in [0, 1], got {self.p_t!r}")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -161,21 +170,7 @@ class ChannelModel:
     visibility: float = 1.0
     gate_fraction: float = 1.0
 
-    def __post_init__(self) -> None:
-        for name in ("fiber_km_a", "fiber_km_b", "atten_db_per_km", "comp_loss_db_a", "comp_loss_db_b"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("det_eff_left", "det_eff_right"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ValueError(f"dark_prob must lie in [0, 1), got {self.dark_prob!r}")
-        if not self.drift_rad_per_window >= 0.0:
-            raise ValueError("drift_rad_per_window must be non-negative")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility!r}")
-        if not 0.0 < self.gate_fraction <= 1.0:
-            raise ValueError(f"gate_fraction must lie in (0, 1], got {self.gate_fraction!r}")
+    __post_init__ = _check_fields
 
 
 _STATE_CHANNELS = tuple((s, ch) for s in STATE_LABELS for ch in (0, 1))
@@ -416,9 +411,10 @@ def _chunk_tallies(session: tuple, k: int):
     in the module docstring's draw order, with its counts gathered per
     keep-level bin.
 
-    Returns the chunk's sent windows per state, its effective windows, and
-    per threshold the kept spans' counts shaped (state, subset, cell) with
-    subset (test, key) and cell (windows, effective on ch0, on ch1).
+    Returns the chunk's :attr:`SessionTallies.counts` rows, int64 of shape
+    (thresholds + 1, state, 8): one set per threshold, then one that keeps
+    every window, whose detections are the chunk's effective windows, as
+    in the expected-value model's rows at threshold pi.
     """
     params, model, seed, n_windows, starts, totals, thresholds, mean_ref_counts, label_p = session
     m = min(CHUNK_WINDOWS, n_windows - k * CHUNK_WINDOWS)
@@ -453,9 +449,9 @@ def _chunk_tallies(session: tuple, k: int):
 
     # Row j holds the counts of the bins below bin j.
     below = np.concatenate((np.zeros((1, 4, 2, 3), np.int64), counts.cumsum(axis=0)))
-    at = np.searchsorted(_KEEP_EDGES, thresholds, "right")
-    per_thr = below[at]
-    for t, (thr, b) in enumerate(zip(thresholds.tolist(), at.tolist())):
+    at = np.searchsorted(_KEEP_EDGES, thresholds, "right").tolist()
+    per_thr = below[[*at, -1]]
+    for t, (thr, b) in enumerate(zip(thresholds.tolist(), at)):
         if b and _KEEP_EDGES[b - 1] == thr:
             continue
         # Off the grid: the spans of bin b below thr, the first in level order.
@@ -465,7 +461,8 @@ def _chunk_tallies(session: tuple, k: int):
             per_thr[t, :3] += _bin_prefix(split, counts[b, :3], other[kept].sum())
             per_thr[t, 3] += np.bincount(both_label[kept[both_span]], minlength=6).reshape(2, 3)
     cells = np.concatenate((per_thr.sum(axis=3, keepdims=True), per_thr[..., 1:]), axis=3)
-    return below[-1].sum(axis=(1, 2)), int(below[-1, ..., 1:].sum()), cells
+    selected = cells[..., 0].sum(axis=2)
+    return np.dstack((np.broadcast_to(selected[-1], selected.shape), selected, cells.reshape(-1, 4, 6)))
 
 
 MIN_CHUNKS_PER_PROCESS = 3
@@ -475,13 +472,9 @@ and 0.86-0.88 times at 6."""
 
 
 def _sum_chunks(session: tuple, chunks):
-    """The results of :func:`_chunk_tallies` over the chunk indices
-    ``chunks``, added up part by part; None for no chunk."""
-    total = None
-    for k in chunks:
-        part = _chunk_tallies(session, k)
-        total = part if total is None else [a + b for a, b in zip(total, part)]
-    return total
+    """The sum of the :func:`_chunk_tallies` rows of the chunk indices
+    ``chunks``; 0 for no chunk."""
+    return sum(_chunk_tallies(session, k) for k in chunks)
 
 
 def _claims(counter, n_chunks: int):
@@ -517,7 +510,7 @@ def _start_helper(ctx, session: tuple, n_chunks: int, counter):
 
 
 def _run_chunks(session: tuple, n_chunks: int, workers: int):
-    """The chunk results of a session, added up by at most ``workers``
+    """The sum of a session's chunk rows, added up by at most ``workers``
     processes, this one included.  Each process has at least
     ``MIN_CHUNKS_PER_PROCESS`` chunks, so a short session runs here alone.
     Otherwise ``workers - 1`` helpers start, and every process takes the
@@ -557,7 +550,7 @@ def _run_chunks(session: tuple, n_chunks: int, workers: int):
         for proc, receiver in helpers:
             proc.join()
             receiver.close()
-    return [sum(part) for part in zip(*(p for p in parts if p is not None))]
+    return sum(parts)
 
 
 def window_count(value, name: str = "n_windows") -> int:
@@ -624,16 +617,11 @@ def simulate_session(
     cell = np.outer(np.array([1.0 - eps, eps, eps]) / (1.0 + eps), [p_t, 1.0 - p_t])
     session = (params, model, seed, n_windows, starts, totals, thr_arr, mean_ref_counts,
                (cell[:, :, None] * click[:, None, :]).ravel())
-    sent_total, eff_total, acc = _run_chunks(session, n_chunks, workers)
-
-    by_threshold = {}
-    for thr, cells in zip(thr_list, acc):
-        selected = cells[:, :, 0].sum(axis=1)
-        t = SessionTallies(
-            n_windows, thr, np.column_stack((sent_total, selected, cells.reshape(4, 6))), eff_total
-        )
+    *rows, whole = _run_chunks(session, n_chunks, workers)
+    effective = int(whole[:, [3, 4, 6, 7]].sum())
+    by_threshold = {thr: SessionTallies(n_windows, thr, c, effective) for thr, c in zip(thr_list, rows)}
+    for t in by_threshold.values():
         t.check_conservation()
-        by_threshold[thr] = t
     return SimulationResult(tallies=by_threshold[params.delta_threshold], by_threshold=by_threshold)
 
 # ---------------------------------------------------------------------------

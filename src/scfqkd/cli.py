@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__, dataio, defaults, estimator, keyrate
-from .channelsim import ChannelModel, ProtocolParams, simulate_session, window_count
+from .channelsim import _ROW_RANGES, ChannelModel, ProtocolParams, simulate_session, window_count
 from .estimator import EstimationError
 
 _PARAMS = defaults.reference_params()
@@ -174,13 +174,19 @@ def _cmd_sweep(o: dict) -> None:
     _emit(dataio.emit_sweep_csv(points), o["out"])
 
 
-def _parse_range(text: str, name: str):
+def _parse_range(text: str, name: str, param: str | None = None):
+    """The (lo, hi) of ``text``; a ValueError naming the flag ``name``
+    unless 0 < lo < hi and both ends obey the range rule of ``param``."""
     values = _numbers(text, name, ":")
     if len(values) != 2 or text.count(":") != 1:
         raise ValueError(f"{name} must be lo:hi, got {text!r}")
     lo, hi = values
     if not 0 < lo < hi:
         raise ValueError(f"{name} must satisfy 0 < lo < hi, got {text!r}")
+    if param is not None:
+        rule, ok = _ROW_RANGES[param]
+        if not (ok(lo) and ok(hi)):
+            raise ValueError(f"{name} must {rule}, got {text!r}")
     return lo, hi
 
 
@@ -189,8 +195,8 @@ def _cmd_optimize(o: dict) -> None:
     text = o["delta_deg_range"]
     result = keyrate.optimize_params(
         model, params,
-        mu_bounds=_parse_range(o["mu_range"], "--mu-range"),
-        epsilon_bounds=_parse_range(o["epsilon_range"], "--epsilon-range"),
+        mu_bounds=_parse_range(o["mu_range"], "--mu-range", "mu"),
+        epsilon_bounds=_parse_range(o["epsilon_range"], "--epsilon-range", "epsilon"),
         delta_bounds=tuple(_radians(_parse_range(text, "--delta-deg-range"),
                                     "--delta-deg-range", repr(text))),
         n_windows=float(window_count(o["windows"], "windows")),

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
@@ -133,6 +134,9 @@ def _parse_lines(text: str, source: str):
                              key=key, line=lineno)
         if value < 0 and key in CELL_INDEX:
             raise ParseError(f"{source}: negative count for {key!r}: {value}", key=key, line=lineno)
+        if value > sys.float_info.max and key in CELL_INDEX:
+            raise ParseError(f"{source}:{lineno}: count for {key!r} is too large for a float: "
+                             f"{parts[1]!r}", key=key, line=lineno)
         if key == "Delta-Degrees" and not 0 < value <= 180:
             raise ParseError(f"{source}:{lineno}: {key!r} must lie in (0, 180], got {value}",
                              key=key, line=lineno)

@@ -3,7 +3,7 @@ import multiprocessing
 import os
 import signal
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -54,6 +54,35 @@ def test_channel_model_validation():
         ChannelModel(dark_prob=1.5)
     with pytest.raises(ValueError):
         ChannelModel(visibility=-0.1)
+
+
+@pytest.mark.parametrize("cls, name, bad, message", [
+    (ProtocolParams, "mu", -0.1, "mu must be finite and non-negative, got -0.1"),
+    (ProtocolParams, "epsilon", 1.5, r"epsilon must lie in \[0, 1\], got 1.5"),
+    (ProtocolParams, "delta_threshold", 0.0, r"delta_threshold must lie in \(0, pi\], got 0.0"),
+    (ProtocolParams, "f_ec", 0.9, "f_ec must be at least 1, got 0.9"),
+    (ProtocolParams, "p_t", -0.5, r"p_t must lie in \[0, 1\], got -0.5"),
+    (ChannelModel, "fiber_km_a", -1.0, "fiber_km_a must be non-negative, got -1.0"),
+    (ChannelModel, "fiber_km_b", -2.0, "fiber_km_b must be non-negative, got -2.0"),
+    (ChannelModel, "atten_db_per_km", -0.2, "atten_db_per_km must be non-negative, got -0.2"),
+    (ChannelModel, "comp_loss_db_a", -3.0, "comp_loss_db_a must be non-negative, got -3.0"),
+    (ChannelModel, "comp_loss_db_b", -4.0, "comp_loss_db_b must be non-negative, got -4.0"),
+    (ChannelModel, "det_eff_left", 1.2, r"det_eff_left must lie in \[0, 1\], got 1.2"),
+    (ChannelModel, "det_eff_right", -0.1, r"det_eff_right must lie in \[0, 1\], got -0.1"),
+    (ChannelModel, "dark_prob", 1.0, r"dark_prob must lie in \[0, 1\), got 1.0"),
+    (ChannelModel, "drift_rad_per_window", -1e-3,
+     "drift_rad_per_window must be non-negative, got -0.001"),
+    (ChannelModel, "visibility", -0.1, r"visibility must lie in \[0, 1\], got -0.1"),
+    (ChannelModel, "gate_fraction", 0.0, r"gate_fraction must lie in \(0, 1\], got 0.0"),
+])
+def test_every_field_has_a_range_rule_that_names_the_value(cls, name, bad, message):
+    """One range-rule table checks every field, and each message gives the
+    refused value; NaN is refused too."""
+    assert {f.name for f in fields(cls)} <= channelsim._ROW_RANGES.keys()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(**{name: bad})
+    with pytest.raises(ValueError, match=f"^{name} must .*, got nan$"):
+        cls(**{name: math.nan})
 
 
 def test_arm_transmittance_known_values():
@@ -194,10 +223,13 @@ def _spy_helpers(monkeypatch):
 
 
 def _empty_chunk(session, k):
-    """A chunk result for the one threshold of ``ProtocolParams()``: every
-    window sent in state 00, none kept and none effective."""
+    """Chunk rows for the one threshold of ``ProtocolParams()``, then the
+    rows that keep every window: every window sent in state 00, none kept
+    at the threshold and none effective."""
     m = min(CHUNK_WINDOWS, session[3] - k * CHUNK_WINDOWS)
-    return np.array([m, 0, 0, 0]), 0, np.zeros((1, 4, 2, 3), np.int64)
+    rows = np.zeros((2, 4, 8), np.int64)
+    rows[:, 0, 0] = rows[1, 0, 1] = rows[1, 0, 5] = m
+    return rows
 
 
 def _one_chunk(params, model, m, thresholds):
@@ -215,17 +247,25 @@ def _one_chunk(params, model, m, thresholds):
 
 def test_worker_count_does_not_change_tallies(monkeypatch):
     """Sessions long enough that 2 and 3 workers start helpers, with an
-    uneven last chunk, give the tallies of one worker."""
+    uneven last chunk, give the tallies of one worker at every threshold,
+    on the keep-level grid (30 degrees) and off it, effective windows
+    included."""
     params = ProtocolParams(mu=0.05, epsilon=0.25)
     model = ChannelModel(fiber_km_a=4.0, fiber_km_b=4.0, dark_prob=1e-5)
     n = CHUNK_WINDOWS * 3 * channelsim.MIN_CHUNKS_PER_PROCESS + 12345
-    base = simulate_session(params, model, n, seed=77, workers=1).tallies
+    thresholds = [math.radians(12.5), math.radians(30.25)]
+    base = simulate_session(params, model, n, seed=77, workers=1, thresholds=thresholds).by_threshold
+    assert len(base) == 3
+    for t in base.values():
+        assert type(t.effective_windows) is int and t.effective_windows > 0
     started = _spy_helpers(monkeypatch)
     for workers in (2, 3):
         started.clear()
-        other = simulate_session(params, model, n, seed=77, workers=workers).tallies
+        other = simulate_session(params, model, n, seed=77, workers=workers, thresholds=thresholds)
         assert len(started) == workers - 1
-        assert other == base
+        assert list(other.by_threshold) == list(base)
+        for thr, t in other.by_threshold.items():
+            assert t == base[thr] and type(t.effective_windows) is int
 
 
 def test_phase_tracking_error_is_small():
@@ -421,9 +461,10 @@ def test_span_at_a_threshold_is_discarded(monkeypatch, level):
     model = ChannelModel(dark_prob=1e-3, visibility=0.9)
     thresholds = np.array([level, np.nextafter(level, 4.0), math.pi])
     m = 5 * DEFAULT_SPAN_WINDOWS + 77
-    _, _, (at, above, widest) = channelsim._chunk_tallies(_one_chunk(params, model, m, thresholds), 0)
-    assert not at.any()
-    assert np.array_equal(above, widest) and widest[..., 1:].sum() > 0
+    at, above, widest, every = channelsim._chunk_tallies(_one_chunk(params, model, m, thresholds), 0)
+    assert not at[:, 1:].any() and np.array_equal(at[:, 0], every[:, 0])
+    assert np.array_equal(above, every) and np.array_equal(widest, every)
+    assert every[:, [3, 4, 6, 7]].sum() > 0
 
 
 def test_ragged_final_span_with_every_window_both_send():
@@ -982,21 +1023,20 @@ def test_effective_probs_rejects_bad_row_visibility(bad):
 @pytest.mark.parametrize("p_t", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("m", [5 * DEFAULT_SPAN_WINDOWS + 77, CHUNK_WINDOWS])
 def test_chunk_totals_equal_sums_over_span_counts(monkeypatch, p_t, m):
-    """A chunk's sent windows per state and its effective windows equal the
-    sums over its per-span counts, read here through a threshold that keeps
-    every span."""
+    """The sent and effective columns of a chunk's all-windows rows equal
+    the sums over its per-span counts, read here through a threshold that
+    keeps every span."""
     monkeypatch.setattr(phasetrack, "estimate_phase_batch", lambda counts: np.zeros(len(counts)))
     params = ProtocolParams(mu=0.5, epsilon=0.3, p_t=p_t)
     model = ChannelModel(fiber_km_a=1.0, fiber_km_b=2.0, dark_prob=1e-3, visibility=0.9)
-    sent, effective, per_thr = channelsim._chunk_tallies(
-        _one_chunk(params, model, m, np.array([math.pi])), 0
-    )
-    (cells,) = per_thr
-    assert sent.tolist() == cells[..., 0].sum(axis=1).tolist()
-    assert sent.sum() == m
-    assert type(effective) is int
-    assert effective == cells[..., 1:].sum() > 0
-    test_windows, key_windows = cells[..., 0].sum(axis=0)
+    rows = channelsim._chunk_tallies(_one_chunk(params, model, m, np.array([math.pi])), 0)
+    assert rows.dtype == np.int64 and rows.shape == (2, 4, 8)
+    widest, every = rows
+    assert every[:, 0].tolist() == (widest[:, 2] + widest[:, 5]).tolist()
+    assert every[:, 0].sum() == m
+    effective = every[:, [3, 4, 6, 7]]
+    assert np.array_equal(effective, widest[:, [3, 4, 6, 7]]) and effective.sum() > 0
+    test_windows, key_windows = widest[:, [2, 5]].sum(axis=0)
     assert (test_windows == 0) == (p_t == 0.0)
     assert (key_windows == 0) == (p_t == 1.0)
 

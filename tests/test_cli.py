@@ -81,6 +81,20 @@ def test_analyze_rejects_bad_values(tmp_path, capsys, line, bad):
     assert bad.split("\t")[0] in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "qber-table"])
+def test_count_too_large_for_a_float_exits_2(tmp_path, capsys, command):
+    """A cell of 401 digits is a parse error naming its key and line, not
+    an OverflowError."""
+    text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
+    line = next(x for x in text.splitlines() if x.startswith("Sent-00\t"))
+    path = tmp_path / "huge.tsv"
+    path.write_text(text.replace(line, "Sent-00\t1" + "0" * 400), encoding="utf-8")
+    lineno = text.splitlines().index(line) + 1
+    code, out, err = run(capsys, command, "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:{lineno}: count for 'Sent-00' is too large for a float: ")
+
+
 @pytest.mark.parametrize("mu, message", [
     ("800", "mu must be small enough that exp(-mu) > 0, got 800.0"),
     ("inf", "mu must be finite and non-negative, got inf"),
@@ -99,7 +113,14 @@ def test_analyze_rejects_unusable_mu(capsys, mu, message):
     (["sweep"], {"distance_km": -5},
      "config key 'distance_km': distance_km must be non-negative, got -5.0"),
     (["analyze", "--f-ec", "0.5"], {"f_ec": 2}, "--f-ec must be at least 1, got 0.5"),
-], ids=["library-check", "cli-check", "model-check", "flag-overrides"])
+    (["optimize"], {"epsilon_range": "0.1:2"},
+     "config key 'epsilon_range': epsilon_range must lie in [0, 1], got '0.1:2'"),
+    (["optimize"], {"mu_range": "1e-3:1e400"},
+     "config key 'mu_range': mu_range must be finite and non-negative, got '1e-3:1e400'"),
+    (["optimize", "--epsilon-range", "0.1:2"], {"epsilon_range": "0.1:0.2"},
+     "--epsilon-range must lie in [0, 1], got '0.1:2'"),
+], ids=["library-check", "cli-check", "model-check", "flag-overrides", "range-key", "range-key-inf",
+        "range-flag"])
 def test_config_value_out_of_range_names_its_key(tmp_path, capsys, argv, config, message):
     """A config value refused for its range is named by its config key, a
     flag that overrides it by the flag."""
@@ -277,6 +298,8 @@ def test_number_lists_name_their_flag(capsys, argv, flag):
     (["sweep", "--distance-km", "-5"], "-5.0"),
     (["sweep", "--distances", "-5"], "-5.0"),
     (["simulate", "--out", os.devnull, "--seed", "-3"], "-3"),
+    (["optimize", "--epsilon-range", "0.1:2"], "'0.1:2'"),
+    (["optimize", "--mu-range", "1e-3:1e400"], "'1e-3:1e400'"),
 ])
 def test_out_of_range_options_name_their_flag(capsys, argv, value):
     """Range errors, the library's included, name the flag and the value."""

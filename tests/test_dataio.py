@@ -260,8 +260,10 @@ def test_sweep_csv_empty():
     ("Sent-00\t5\nDelta-Degrees\t0\n",
      ":2: 'Delta-Degrees' must lie in (0, 180], got 0", "Delta-Degrees", 2),
     ("Sent-00\t5\nSent-00 5 6\n", ":2: expected 'name value', got 'Sent-00 5 6'", None, 2),
+    ("Sent-01\t7\nSent-00\t1" + "0" * 400 + "\n",
+     ":2: count for 'Sent-00' is too large for a float: '1" + "0" * 400 + "'", "Sent-00", 2),
 ], ids=["unknown-not-a-number", "delta-spellings-duplicate", "inf-cell", "negative-float",
-        "zero-threshold", "three-fields"])
+        "zero-threshold", "three-fields", "int-above-float-range"])
 def test_parse_error_names_key_and_line(tmp_path, text, message, key, line):
     """Which check fails first, and what its error says, for lines that
     break more than one rule or sit where one rule ends and another starts."""
@@ -270,6 +272,16 @@ def test_parse_error_names_key_and_line(tmp_path, text, message, key, line):
     with pytest.raises(ParseError) as exc:
         load_raw_tallies(path, strict=False)
     assert (str(exc.value), exc.value.key, exc.value.line) == (f"{path}{message}", key, line)
+
+
+def test_huge_metadata_integer_stays_as_written(tmp_path):
+    """Only counts must fit a float; a metadata integer is kept exact."""
+    path = tmp_path / "seed.tsv"
+    seed = 10**400 + 7
+    path.write_text(f"Seed\t{seed}\nSent-00\t{2**70}\n")
+    raw = load_raw_tallies(path, strict=False)
+    assert raw.metadata == {"Seed": seed}
+    assert raw.tallies.counts.dtype == float and raw.tallies.sent["00"] == 2.0**70
 
 
 def test_unknown_key_is_ignored_before_its_value_is_checked(tmp_path):
