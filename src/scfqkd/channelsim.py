@@ -44,8 +44,9 @@ in this frozen order:
    end) for a free Gaussian walk that is pinned to T once (a discrete
    Brownian bridge), and one normal per span for the span mean given those
    points;
-3. the four reference slot counts per span (Poisson at the span-mean
-   phase), from which the span's phase is estimated;
+3. the four reference slot counts n1..n4 per span (Poisson at the
+   span-mean phase), whose differences D1 = n1 - n3 and D2 = n4 - n2 give
+   the span's keep level;
 4. per both-send window a test-set uniform, then left and right click
    uniforms against the click probabilities at its phase;
 5. per keep-level bin, one multinomial of its spans' other windows over 18
@@ -54,20 +55,26 @@ in this frozen order:
 
 A span's keep level is the minor angle of its estimated phase, and a span
 is kept at threshold delta when its level is below delta.  The levels fall
-into fixed bins with edges at 1, 2, ..., 180 degrees.  Each 00/01/10
-window takes its state, subset and click outcome independently of the
-phase, and a sum of multinomials with one probability vector is
-multinomial, so step 5 is exact.  A threshold on an edge keeps whole bins,
-one row of a cumulative sum over bins.  A threshold between edges also
-keeps the spans of its own bin whose level lies below it: their 00/01/10
-windows are a prefix of one uniformly random order of the bin's windows,
-labelled as in step 5 and handed to the bin's spans in level order, which
-is the exact law given the bin's counts.  That order comes from a stream
-keyed by (seed, chunk, bin), and every threshold in the bin reads it, so a
-threshold's tallies do not depend on which others are requested.  Chunk
-streams are keyed by (seed, chunk), and a session adds up its chunks' int64
-counts, whose sum does not depend on the order, so the chunks can run in
-any number of worker processes with bit-identical results.
+into fixed bins with edges at 1, 2, ..., 180 degrees.  The estimate,
+:func:`scfqkd.phasetrack.estimate_phase_batch`, is arctan2(D2, D1) of
+exact float differences, so a span's bin depends only on (D1, D2): a chunk
+reads it from a table over [-80, 80]**2 built with that same expression.
+Only a chunk with a difference off the table (probability below 3e-17 at
+45 mean reference counts) or a threshold between edges computes the float
+levels.  Each 00/01/10 window takes its state, subset and click outcome
+independently of the phase, and a sum of multinomials with one probability
+vector is multinomial, so step 5 is exact.  A threshold on an edge keeps
+whole bins, one row of a cumulative sum over bins.  A threshold between
+edges also keeps the spans of its own bin whose level lies below it: their
+00/01/10 windows are a prefix of one uniformly random order of the bin's
+windows, labelled as in step 5 and handed to the bin's spans in level
+order, which is the exact law given the bin's counts.  That order comes
+from a stream keyed by (seed, chunk, bin), and every threshold in the bin
+reads it, so a threshold's tallies do not depend on which others are
+requested.  Chunk streams are keyed by (seed, chunk), and a session adds up
+its chunks' int64 counts, whose sum does not depend on the order, so the
+chunks can run in any number of worker processes with bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -102,9 +109,11 @@ _ROW_RANGES = {
                      "comp_loss_db_b", "drift_rad_per_window"), ("be non-negative", lambda v: v >= 0.0)),
 }
 """Range rules of every field of :class:`ProtocolParams` and
-:class:`ChannelModel`, and of the extra post-selection thresholds of a
-session.  A rule holds for a Python scalar or elementwise for an array."""
+:class:`ChannelModel`, and of the extra post-selection thresholds and the
+mean reference counts of a session.  A rule holds for a Python scalar or
+elementwise for an array."""
 _ROW_RANGES["thresholds"] = _ROW_RANGES["delta_threshold"]
+_ROW_RANGES["mean_ref_counts"] = _ROW_RANGES["mu"]
 
 
 def _check_rows(**values: np.ndarray) -> None:
@@ -117,13 +126,22 @@ def _check_rows(**values: np.ndarray) -> None:
             raise ValueError(f"{name} must {rule}, got {v[~good][0].item()!r}")
 
 
+def _check_value(name: str, value) -> None:
+    """Apply the range rule of ``name`` to one scalar; a value the rule
+    cannot compare, such as a string, breaks it too."""
+    rule, ok = _ROW_RANGES[name]
+    try:
+        good = ok(value)
+    except TypeError:
+        good = False
+    if not good:
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
 def _check_fields(self) -> None:
-    """Apply the range rules to each field of a parameter dataclass, with
-    Python-scalar comparisons."""
+    """Apply the range rules to each field of a parameter dataclass."""
     for name, value in vars(self).items():
-        rule, ok = _ROW_RANGES[name]
-        if not ok(value):
-            raise ValueError(f"{name} must {rule}, got {value!r}")
+        _check_value(name, value)
 
 
 @dataclass(frozen=True)
@@ -325,6 +343,32 @@ CHUNK_WINDOWS = CHUNK_SPANS * _SPAN
 _KEEP_EDGES = np.radians(np.arange(1, 181))
 """Edges of the keep-level bins, 1 to 180 degrees, each equal bit for bit to
 ``math.radians`` of its degree."""
+_TABLE_RADIUS = 80
+"""Largest |D1| and |D2| in the keep-level table; at 45 mean reference
+counts a slot's count passes 80 with probability at most 1.4e-21."""
+
+
+@functools.cache
+def _keep_table() -> np.ndarray:
+    """Keep-level bin of every (D1, D2) in [-80, 80]**2, indexed from
+    (-80, -80), built on first use with the chunk's fallback expression on
+    floats of the same integers, so bit for bit the same.  int16, because a
+    bin times 6 must not wrap."""
+    d = np.arange(-_TABLE_RADIUS, _TABLE_RADIUS + 1, dtype=float)
+    level = minor_angle(np.arctan2(d[None, :], d[:, None]))
+    return np.searchsorted(_KEEP_EDGES, level, "right").astype(np.int16)
+
+
+def _table_bins(counts: np.ndarray):
+    """Keep-level bins of spans read from :func:`_keep_table` by their
+    reference counts' D1 = n1 - n3 and D2 = n4 - n2, or None when a
+    difference lies off the table."""
+    d1 = counts[:, 0] - counts[:, 2]
+    d2 = counts[:, 3] - counts[:, 1]
+    if max(np.abs(d1).max(), np.abs(d2).max()) > _TABLE_RADIUS:
+        return None
+    # take on the flat index costs less than indexing by the pair.
+    return _keep_table().take((d1 + _TABLE_RADIUS) * (2 * _TABLE_RADIUS + 1) + d2 + _TABLE_RADIUS)
 
 
 def _threshold_list(params: ProtocolParams, thresholds: Sequence[float] | None) -> list:
@@ -409,7 +453,9 @@ def _chunk_tallies(session: tuple, k: int):
     n_windows, every chunk's start phase, every chunk's drift total,
     thresholds, mean reference counts, the 00/01/10 label probabilities),
     in the module docstring's draw order, with its counts gathered per
-    keep-level bin.
+    keep-level bin.  The spans' bins come from :func:`_table_bins`, or,
+    off the table, from ``phasetrack.estimate_phase_batch``, which also
+    gives the float levels that a threshold between edges needs.
 
     Returns the chunk's :attr:`SessionTallies.counts` rows, int64 of shape
     (thresholds + 1, state, 8): one set per threshold, then one that keeps
@@ -427,8 +473,12 @@ def _chunk_tallies(session: tuple, k: int):
     mean, both_offset = _bridge(rng, totals[k], length, both, both_span, model.drift_rad_per_window)
 
     lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(starts[k] + mean)
-    level = minor_angle(phasetrack.estimate_phase_batch(rng.poisson(lam)))
-    span_bin = np.searchsorted(_KEEP_EDGES, level, "right")
+    ref = rng.poisson(lam)
+    span_bin = _table_bins(ref)
+    level = None
+    if span_bin is None:
+        level = minor_angle(phasetrack.estimate_phase_batch(ref))
+        span_bin = np.searchsorted(_KEEP_EDGES, level, "right")
     n_bins = _KEEP_EDGES.size + 1
 
     # Counts per bin and (state, subset, label), a window's label being no
@@ -455,6 +505,8 @@ def _chunk_tallies(session: tuple, k: int):
         if b and _KEEP_EDGES[b - 1] == thr:
             continue
         # Off the grid: the spans of bin b below thr, the first in level order.
+        if level is None:
+            level = minor_angle(phasetrack.estimate_phase_batch(ref))
         kept = (span_bin == b) & (level < thr)
         if kept.any():
             split = _chunk_rng(seed, k + 1, b)
@@ -593,14 +645,15 @@ def simulate_session(
     (3) chunks, because starting a helper costs about as much as a chunk's
     work, so a session of fewer than 6 chunks (a chunk is 737,280 windows)
     runs in this process alone.  On a 2-core host, ``workers=2`` took 43 ms
-    for 10**7 windows against 59 ms with ``workers=1``, and 0.31-0.33 s for
-    10**8 windows against 0.53-0.63 s.
+    for 10**7 windows against 56 ms with ``workers=1``, and 0.30-0.39 s for
+    10**8 windows against 0.56-0.59 s (medians and quartiles).
     """
     n_windows = window_count(n_windows)
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_value("mean_ref_counts", mean_ref_counts)
     thr_list = _threshold_list(params, thresholds)
     thr_arr = np.array(thr_list)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import os
@@ -451,10 +452,18 @@ def test_bin_prefix_draws_windows_without_replacement():
     assert not channelsim._bin_prefix(rng, labels, 0).any()
 
 
+def _off_table(counts):
+    """A stand-in for :func:`channelsim._table_bins` that sends every chunk
+    to the estimator fallback, so that tests can inject phase estimates
+    through ``phasetrack.estimate_phase_batch``."""
+    return None
+
+
 @pytest.mark.parametrize("level", [math.radians(10), 0.5])
 def test_span_at_a_threshold_is_discarded(monkeypatch, level):
     """Every span's keep level equals a threshold, on the grid or off it:
     none is kept there, and all are kept at the next float above it."""
+    monkeypatch.setattr(channelsim, "_table_bins", _off_table)
     monkeypatch.setattr(phasetrack, "estimate_phase_batch",
                         lambda counts: np.full(len(counts), level))
     params = ProtocolParams(mu=0.5, epsilon=0.3)
@@ -1026,6 +1035,7 @@ def test_chunk_totals_equal_sums_over_span_counts(monkeypatch, p_t, m):
     """The sent and effective columns of a chunk's all-windows rows equal
     the sums over its per-span counts, read here through a threshold that
     keeps every span."""
+    monkeypatch.setattr(channelsim, "_table_bins", _off_table)
     monkeypatch.setattr(phasetrack, "estimate_phase_batch", lambda counts: np.zeros(len(counts)))
     params = ProtocolParams(mu=0.5, epsilon=0.3, p_t=p_t)
     model = ChannelModel(fiber_km_a=1.0, fiber_km_b=2.0, dark_prob=1e-3, visibility=0.9)
@@ -1071,3 +1081,109 @@ def test_simulation_never_builds_quadrature(monkeypatch):
     simulate_session(ProtocolParams(mu=0.1, epsilon=0.3), ChannelModel(), 20_000, seed=4,
                      thresholds=[math.radians(10)])
     assert calls == []
+
+
+def test_model_never_builds_keep_table():
+    channelsim._keep_table.cache_clear()
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    expected_tallies(params, model, 1e12, thresholds=[math.radians(12.5)])
+    keyrate.calibrate_visibility(params, model, defaults.REFERENCE_BOTH_SEND_QBER)
+    assert channelsim._keep_table.cache_info().currsize == 0
+    simulate_session(params, model, 20_000, seed=4)
+    assert channelsim._keep_table.cache_info().currsize == 1
+
+
+def test_keep_table_holds_the_estimator_bin_of_every_pair():
+    """Each of the 161**2 cells is the bin that the estimator, the minor
+    angle and the edge search give a span with that (D1, D2), and the
+    chunk's lookup reads it from any counts with those differences."""
+    r = channelsim._TABLE_RADIUS
+    table = channelsim._keep_table()
+    assert table.size == 25_921 and table.shape == (2 * r + 1, 2 * r + 1)
+    d1, d2 = (d.ravel() for d in np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij"))
+    counts = np.stack((np.maximum(d1, 0), np.maximum(-d2, 0), np.maximum(-d1, 0), np.maximum(d2, 0)), axis=1)
+    want = np.searchsorted(channelsim._KEEP_EDGES, minor_angle(estimate_phase_batch(counts)), "right")
+    assert np.array_equal(table.ravel(), want)
+    assert np.array_equal(channelsim._table_bins(counts + 7), want)
+    for edge in ([r, 0, 0, 0], [0, r, 0, 0], [0, 0, r, 0], [0, 0, 0, r]):
+        assert channelsim._table_bins(np.array([edge])) is not None
+        assert channelsim._table_bins(np.array([edge]) * (r + 1) // r) is None
+
+
+def _estimator_calls(monkeypatch):
+    """The span count of each ``phasetrack.estimate_phase_batch`` call from now on."""
+    calls = []
+    real = phasetrack.estimate_phase_batch
+
+    def spy(counts):
+        calls.append(len(counts))
+        return real(counts)
+
+    monkeypatch.setattr(phasetrack, "estimate_phase_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("degrees, table_calls", [
+    ((30.0,), []),
+    ((2.0, 45.0, 180.0), []),
+    ((12.5, 30.25), [4096, 6]),
+])
+def test_estimator_fallback_gives_the_table_tallies(monkeypatch, degrees, table_calls):
+    """A session whose chunks read the keep-level table has the tallies of
+    one whose chunks all take the estimator; with the table, the estimator
+    runs only for a threshold between edges, once per chunk."""
+    params = ProtocolParams(mu=0.05, epsilon=0.25)
+    model = ChannelModel(dark_prob=1e-5, visibility=0.95)
+    thresholds = [math.radians(d) for d in degrees]
+    n = CHUNK_WINDOWS + 5 * DEFAULT_SPAN_WINDOWS + 77
+    calls = _estimator_calls(monkeypatch)
+    table = simulate_session(params, model, n, seed=13, thresholds=thresholds)
+    assert calls == table_calls
+    monkeypatch.setattr(channelsim, "_table_bins", _off_table)
+    fallback = simulate_session(params, model, n, seed=13, thresholds=thresholds)
+    assert calls[len(table_calls):] == [4096, 6]
+    assert fallback.by_threshold == table.by_threshold
+
+
+def test_counts_off_the_table_take_the_estimator(monkeypatch):
+    params = ProtocolParams(mu=0.05, epsilon=0.25)
+    n = 5 * DEFAULT_SPAN_WINDOWS + 77
+    calls = _estimator_calls(monkeypatch)
+    simulate_session(params, ChannelModel(), n, seed=2, mean_ref_counts=45.0)
+    assert calls == []
+    simulate_session(params, ChannelModel(), n, seed=2, mean_ref_counts=2000.0)
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (3, "9ccb980219d94a5c7a6d620360bf9c0d7ac1d7118c8801a531897d48dcff1dca"),
+    (11, "e65fba7470333b7aa7fed5f7b7f9a2ab6272b178c532c9beaf30aed9fcc5f8a7"),
+])
+def test_session_files_keep_their_pinned_digest(tmp_path, seed, digest):
+    """Tally files of a 7-chunk session at the reference point, on the
+    keep-level grid and off it, with 1 and 2 workers, hash to the values
+    that the estimator-per-span sampler wrote (numpy 2.4).  A sampler
+    change that moves them changes every seed's tallies."""
+    n = 6 * CHUNK_WINDOWS + 12_345
+    thresholds = [math.radians(d) for d in (2.0, 12.5, 30.25, 45.0)] + [math.pi]
+    for workers in (1, 2):
+        res = simulate_session(defaults.reference_params(), defaults.reference_model(50.0), n, seed,
+                               workers=workers, thresholds=thresholds)
+        h = hashlib.sha256()
+        for t in res.by_threshold.values():
+            dataio.write_raw_tallies(tmp_path / "t.tsv", t, {"Windows": t.n_windows, "Seed": seed})
+            h.update((tmp_path / "t.tsv").read_bytes())
+        h.update(repr(res.tallies.effective_windows).encode())
+        assert type(res.tallies.effective_windows) is int
+        assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, "45"])
+def test_bad_mean_ref_counts_is_named_before_any_draw(monkeypatch, bad):
+    def no_draw(*args):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(channelsim, "_chunk_rng", no_draw)
+    with pytest.raises(ValueError, match=rf"^mean_ref_counts must be finite and non-negative, got {bad!r}$"):
+        simulate_session(ProtocolParams(), ChannelModel(), 1000, seed=1, mean_ref_counts=bad)

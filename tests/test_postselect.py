@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scfqkd import dataio, defaults, phasetrack
+from scfqkd import channelsim, dataio, defaults, phasetrack
 from scfqkd.channelsim import (
     CHUNK_WINDOWS,
     ChannelModel,
@@ -16,9 +16,10 @@ from scfqkd.phasetrack import DEFAULT_SPAN_WINDOWS
 from scfqkd.postselect import StateCoefficients, posterior_state
 
 # The simulator keeps or discards whole reference spans by the strict test
-# minor_angle(estimate) < threshold.  The selection tests below replace the
-# span phase estimator with fixed estimates, one per span in span order, and
-# read the kept windows from the session tallies.
+# minor_angle(estimate) < threshold.  The selection tests below route the
+# chunk past the keep-level table to the span phase estimator, replace that
+# with fixed estimates, one per span in span order, and read the kept windows
+# from the session tallies.
 
 
 def _kept_per_span(monkeypatch, estimates, threshold, seed=4):
@@ -26,6 +27,7 @@ def _kept_per_span(monkeypatch, estimates, threshold, seed=4):
     estimates = np.asarray(estimates, dtype=float)
     n = len(estimates) * DEFAULT_SPAN_WINDOWS
     assert n <= CHUNK_WINDOWS  # one chunk, so one estimator call
+    monkeypatch.setattr(channelsim, "_table_bins", lambda counts: None)
     monkeypatch.setattr(phasetrack, "estimate_phase_batch",
                         lambda counts: estimates[: len(counts)])
     params = ProtocolParams(mu=0.05, epsilon=0.3, delta_threshold=threshold)
