@@ -124,7 +124,9 @@ def _cmd_simulate(o: dict) -> None:
     })
     _, _, report = _analyse(o, params, result.tallies, n_windows)
     if isinstance(report, EstimationError):
-        print(f"tally file written; no key-rate report: {report}")
+        # JSON stdout holds a report or nothing, so the notice goes to stderr there.
+        print(f"tally file written; no key-rate report: {report}",
+              file=sys.stderr if o["format"] == "json" else sys.stdout)
     else:
         print(dataio.emit_report(report, fmt=o["format"]))
 

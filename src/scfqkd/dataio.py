@@ -27,11 +27,11 @@ warning, never a failure.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -249,14 +249,40 @@ def report_to_dict(report: KeyRateReport) -> dict:
     return d
 
 
+def _json_object(d: dict, indent: str = "\n") -> str:
+    """``d`` as ``json.dumps(d, indent=2, sort_keys=True, allow_nan=False)``
+    writes it, ``indent`` being the line break before its closing brace, for
+    str keys and float, int, bool, None or dict values. As there, a
+    non-finite float raises ValueError and any other value TypeError."""
+    inner, items = indent + "  ", []
+    for key in sorted(d):
+        v = d[key]
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+            text = float.__repr__(v)
+        elif isinstance(v, dict):
+            text = _json_object(v, inner)
+        elif v is None or isinstance(v, bool):
+            text = "null" if v is None else "true" if v else "false"
+        elif isinstance(v, int):
+            text = int.__repr__(v)
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        items.append(f"{inner}{encode_basestring_ascii(key)}: {text}")
+    return "{" + ",".join(items) + indent + "}" if items else "{}"
+
+
 def emit_report(report: KeyRateReport, fmt: str = "table") -> str:
     """Render an analysis report as an aligned table or as JSON.
 
-    The JSON form is machine readable and NaN-free: undefined values are
-    null and clamping/flag states are explicit booleans.
+    The JSON form is machine readable and NaN-free: one object, keys sorted
+    at both levels and indented by 2 spaces per level, undefined values
+    null and clamping/flag states explicit booleans. Its bytes are those of
+    ``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``.
     """
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False)
+        return _json_object(report_to_dict(report))
     if fmt != "table":
         raise ValueError(f"unknown report format {fmt!r}")
     rows = [

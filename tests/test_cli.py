@@ -219,6 +219,18 @@ def test_simulate_epsilon_zero_has_no_key(tmp_path, capsys):
     assert raw.tallies.sent["10"] == 0
 
 
+def test_simulate_json_without_report_keeps_stdout_empty(tmp_path, capsys):
+    """A JSON reader of stdout gets a report or nothing; the notice that no
+    report exists goes to stderr, and the tally file is still written."""
+    target = tmp_path / "eps0.tsv"
+    code, out, err = run(capsys, "simulate", "--windows", "1e5", "--seed", "1",
+                         "--epsilon", "0", "--format", "json", "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert err.startswith("tally file written; no key-rate report: ")
+    assert dataio.load_raw_tallies(target).tallies.sent["01"] == 0
+
+
 def test_simulate_then_analyze_roundtrip(tmp_path, capsys):
     """Integration: a simulated session file feeds the analysis chain.
 

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from scfqkd.dataio import (
     report_to_dict,
     write_raw_tallies,
 )
-from scfqkd.estimator import estimate, report
+from scfqkd.estimator import estimate, report, tallies_to_sets
 from scfqkd.keyrate import analyze_tallies, sweep_distance
 
 
@@ -221,6 +223,95 @@ def test_report_json_has_no_nan():
     text = emit_report(rep, fmt="json")
     assert "NaN" not in text
     json.loads(text)  # must be strictly valid
+
+
+def _json_dumps_report(rep) -> str:
+    return json.dumps(report_to_dict(rep), indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_report_json_bytes_equal_json_dumps_on_generated_files(tmp_path, monkeypatch):
+    """The benchmark's own kind of input: files redrawn from the bundled one."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tallygen
+
+    base = tallygen.read_cells(defaults.bundled_tally_path())
+    params = defaults.reference_params()
+    for path, _n_v in tallygen.write_files(base, tmp_path, 2024, 200):
+        raw = load_raw_tallies(path)
+        u, v = raw.tally_sets()
+        rep = analyze_tallies(u, v, params, n_total_pulses=raw.n_total_pulses,
+                              delta_threshold=raw.delta_threshold)
+        assert emit_report(rep, fmt="json") == _json_dumps_report(rep)
+
+
+def test_report_json_bytes_equal_json_dumps_on_model_and_simulated_reports():
+    """Batched expected-value rows (calibrated sweep) and a simulated session."""
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    reports = [p.report for p in sweep_distance(params, model, [0.0, 20.0, 50.0, 80.0],
+                                                target_qber=0.05)]
+    fast = replace(params, mu=0.02)  # enough mismatched-send detections for a report
+    sim = simulate_session(fast, model, 10**7, 2)
+    u, v = tallies_to_sets(sim.tallies)
+    reports.append(analyze_tallies(u, v, fast, n_total_pulses=10**7))
+    for rep in reports:
+        assert emit_report(rep, fmt="json") == _json_dumps_report(rep)
+
+
+# ``emit_report(fmt="json")`` of the bundled file without its ``Delta-Degrees``
+# line, analysed with ``n_total_pulses=None`` (so the window total and rate
+# are null, and the threshold is the parameters'), as ``json.dumps(indent=2,
+# sort_keys=True)`` wrote it.
+NULL_FIELDS_REPORT_JSON = (
+    '{\n'
+    '  "delta_threshold": 0.5235987755982988,\n'
+    '  "e_ph_flagged": false,\n'
+    '  "e_ph_upper": 0.1905615553530922,\n'
+    '  "e_u": 0.02120938988107108,\n'
+    '  "e_v": 0.021325031963977985,\n'
+    '  "f_ec": 1.1,\n'
+    '  "mu": 0.002,\n'
+    '  "n_f": 288267.7709396712,\n'
+    '  "n_f_raw": 288267.7709396712,\n'
+    '  "n_tilde_z": 2207341.4024429754,\n'
+    '  "n_total_pulses": null,\n'
+    '  "n_v": 2248625,\n'
+    '  "rate_per_pulse": null,\n'
+    '  "rates_u_by_cell": {\n'
+    '    "00/L": 7.2157843085827266e-09,\n'
+    '    "00/R": 6.101938408600158e-09,\n'
+    '    "01/L": 0.00013678448299515546,\n'
+    '    "01/R": 0.00013731638508754064,\n'
+    '    "10/L": 0.00014021431959972732,\n'
+    '    "10/R": 0.00013922570267494054,\n'
+    '    "11/L": 0.0004968220412450563,\n'
+    '    "11/R": 3.310045325553991e-05\n'
+    '  },\n'
+    '  "rates_u_by_state": {\n'
+    '    "00": 1.3317722717182885e-08,\n'
+    '    "01": 0.0002741008680826961,\n'
+    '    "10": 0.0002794400222746679,\n'
+    '    "11": 0.0005299224945005961\n'
+    '  },\n'
+    '  "s_tilde_z": 0.00027677044517868197,\n'
+    '  "s_u": 1.1637643929685553e-05,\n'
+    '  "x_lower_clamped": false,\n'
+    '  "x_lower_left": 0.00010121371275833878,\n'
+    '  "x_upper_right": 1.537036040371218e-05\n'
+    '}'
+)
+
+
+def test_report_json_with_null_fields_is_pinned(tmp_path):
+    text = Path(defaults.bundled_tally_path()).read_text(encoding="utf-8")
+    target = tmp_path / "nodelta.tsv"
+    target.write_text("".join(line for line in text.splitlines(keepends=True)
+                              if not line.startswith("Delta-Degrees")), encoding="utf-8")
+    raw = load_raw_tallies(target)
+    u, v = raw.tally_sets()
+    rep = analyze_tallies(u, v, defaults.reference_params(), n_total_pulses=None,
+                          delta_threshold=raw.delta_threshold)
+    assert emit_report(rep, fmt="json") == NULL_FIELDS_REPORT_JSON
 
 
 def test_report_table_mentions_headline_values():

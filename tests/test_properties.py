@@ -1,6 +1,7 @@
-"""Property tests of the expected-value model, the tally file format and
-the estimator over random valid inputs."""
+"""Property tests of the expected-value model, the tally file format, the
+JSON report layout and the estimator over random valid inputs."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfqkd import defaults
+from scfqkd import dataio, defaults
 from scfqkd.channelsim import STATE_LABELS, ProtocolParams, SessionTallies, expected_tallies
 from scfqkd.dataio import ParseError, load_raw_tallies, write_raw_tallies
 from scfqkd.estimator import EstimationError, counting_rates, estimate, report, tallies_to_sets
@@ -170,3 +171,62 @@ def test_batch_of_tallies_equals_each_analysis(stack, swap, mu, n_total):
             assert str(got.value) == str(exc)
             continue
         assert report(row, mu, params.f_ec, params.delta_threshold, n_total) == want
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, -1e16, 0.1]
+json_scalars = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(),
+    st.integers(2**63, 2**70),
+    st.booleans(),
+    st.none(),
+)
+# Keys as the report has them (field names, state and cell labels) and any text.
+json_keys = st.one_of(st.text("abcdefghijklmnopqrstuvwxyz_0123456789/LR", min_size=1, max_size=16),
+                      st.text(max_size=6))
+
+
+def _json_dumps(d) -> str:
+    return json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(json_keys, st.one_of(json_scalars,
+                                            st.dictionaries(json_keys, json_scalars, max_size=8)),
+                       max_size=20))
+def test_report_json_renderer_equals_json_dumps(d):
+    """Report-shaped dicts (scalars and one level of nested dicts, empty
+    ones included) render to the bytes ``json.dumps`` writes."""
+    assert dataio._json_object(d) == _json_dumps(d)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+def test_report_json_renderer_rejects_non_finite_floats_as_json_does(bad):
+    for d in ({"x": bad}, {"a": 1.0, "rates": {"00": bad}}):
+        with pytest.raises(ValueError) as want:
+            _json_dumps(d)
+        with pytest.raises(ValueError) as got:
+            dataio._json_object(d)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bad", ["text", [1.0], (1,), np.int64(3), np.bool_(True), object()])
+def test_report_json_renderer_rejects_other_types(bad):
+    """A value outside the report's types raises TypeError; where json also
+    refuses it, the message is json's."""
+    with pytest.raises(TypeError) as got:
+        dataio._json_object({"a": 0.5, "b": {"c": bad}})
+    try:
+        _json_dumps({"b": {"c": bad}})
+    except TypeError as want:
+        assert str(got.value) == str(want)
+
+
+def test_report_json_renderer_writes_empty_dicts_as_json_does():
+    assert dataio._json_object({}) == "{}" == _json_dumps({})
+    d = {"rates_u_by_cell": {}, "mu": 0.002}
+    assert dataio._json_object(d) == _json_dumps(d)
+    assert '"rates_u_by_cell": {}' in dataio._json_object(d)
