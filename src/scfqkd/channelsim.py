@@ -88,60 +88,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import phasetrack
-from .phasecore import interfere, minor_angle
+from .phasecore import check, check_fields, interfere, minor_angle
 
 STATE_LABELS = ("00", "01", "10", "11")
 """Joint send states, A's digit first, 1 = sent a pulse."""
 
 CHUNK_SPANS = 4096
 """Reference spans per simulation chunk."""
-
-
-_ROW_RANGES = {
-    "mu": ("be finite and non-negative", lambda v: (0.0 <= v) & (v < math.inf)),
-    "delta_threshold": ("lie in (0, pi]", lambda v: (0.0 < v) & (v <= math.pi)),
-    "f_ec": ("be at least 1", lambda v: v >= 1.0),
-    "dark_prob": ("lie in [0, 1)", lambda v: (0.0 <= v) & (v < 1.0)),
-    "gate_fraction": ("lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
-    **dict.fromkeys(("epsilon", "p_t", "det_eff_left", "det_eff_right", "visibility"),
-                    ("lie in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0))),
-    **dict.fromkeys(("fiber_km_a", "fiber_km_b", "atten_db_per_km", "comp_loss_db_a",
-                     "comp_loss_db_b", "drift_rad_per_window"), ("be non-negative", lambda v: v >= 0.0)),
-}
-"""Range rules of every field of :class:`ProtocolParams` and
-:class:`ChannelModel`, and of the extra post-selection thresholds and the
-mean reference counts of a session.  A rule holds for a Python scalar or
-elementwise for an array."""
-_ROW_RANGES["thresholds"] = _ROW_RANGES["delta_threshold"]
-_ROW_RANGES["mean_ref_counts"] = _ROW_RANGES["mu"]
-
-
-def _check_rows(**values: np.ndarray) -> None:
-    """Apply the range rules and their messages to arrays of values, one
-    per row or per threshold; the first offending value is reported."""
-    for name, v in values.items():
-        rule, ok = _ROW_RANGES[name]
-        good = ok(v)
-        if not good.all():
-            raise ValueError(f"{name} must {rule}, got {v[~good][0].item()!r}")
-
-
-def _check_value(name: str, value) -> None:
-    """Apply the range rule of ``name`` to one scalar; a value the rule
-    cannot compare, such as a string, breaks it too."""
-    rule, ok = _ROW_RANGES[name]
-    try:
-        good = ok(value)
-    except TypeError:
-        good = False
-    if not good:
-        raise ValueError(f"{name} must {rule}, got {value!r}")
-
-
-def _check_fields(self) -> None:
-    """Apply the range rules to each field of a parameter dataclass."""
-    for name, value in vars(self).items():
-        _check_value(name, value)
 
 
 @dataclass(frozen=True)
@@ -161,7 +114,7 @@ class ProtocolParams:
     f_ec: float = 1.1
     p_t: float = 0.1
 
-    __post_init__ = _check_fields
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -188,7 +141,7 @@ class ChannelModel:
     visibility: float = 1.0
     gate_fraction: float = 1.0
 
-    __post_init__ = _check_fields
+    __post_init__ = check_fields
 
 
 _STATE_CHANNELS = tuple((s, ch) for s in STATE_LABELS for ch in (0, 1))
@@ -279,7 +232,10 @@ def arm_transmittance(model: ChannelModel, arm: str, fiber_km: float | None = No
         length, comp = model.fiber_km_b, model.comp_loss_db_b
     else:
         raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
-    loss_db = (length if fiber_km is None else fiber_km) * model.atten_db_per_km + comp
+    if fiber_km is not None:
+        check(**{"fiber_km_" + key: fiber_km})
+        length = fiber_km
+    loss_db = length * model.atten_db_per_km + comp
     return 10.0 ** (-loss_db / 10.0)
 
 
@@ -374,7 +330,7 @@ def _table_bins(counts: np.ndarray):
 def _threshold_list(params: ProtocolParams, thresholds: Sequence[float] | None) -> list:
     """The primary threshold followed by each distinct extra one (radians)."""
     extra = np.asarray([] if thresholds is None else thresholds, dtype=float)
-    _check_rows(thresholds=extra)
+    check(thresholds=extra)
     return list(dict.fromkeys([params.delta_threshold, *extra.tolist()]))
 
 
@@ -649,11 +605,7 @@ def simulate_session(
     10**8 windows against 0.56-0.59 s (medians and quartiles).
     """
     n_windows = window_count(n_windows)
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    _check_value("mean_ref_counts", mean_ref_counts)
+    check(workers=workers, seed=seed, mean_ref_counts=mean_ref_counts)
     thr_list = _threshold_list(params, thresholds)
     thr_arr = np.array(thr_list)
 
@@ -745,8 +697,7 @@ def _expected_counts(
     :attr:`SessionTallies.counts`, the windows sent and selected, then
     (test, key) x (windows, effective on ch0, effective on ch1).
     """
-    if n_windows <= 0:
-        raise ValueError("n_windows must be positive")
+    check(n_windows=n_windows)
     eps = np.asarray(epsilon, dtype=float)[:, None]
     thr = np.asarray(thresholds, dtype=float)
     eff = _effective_probs(params, model, thr, _arm_intensities(model, mu, fiber_km))

@@ -21,8 +21,8 @@ import math
 import sys
 from dataclasses import replace
 
-from . import __version__, dataio, defaults, estimator, keyrate
-from .channelsim import _ROW_RANGES, ChannelModel, ProtocolParams, simulate_session, window_count
+from . import __version__, dataio, defaults, estimator, keyrate, phasecore
+from .channelsim import ChannelModel, ProtocolParams, simulate_session, window_count
 from .estimator import EstimationError
 
 _PARAMS = defaults.reference_params()
@@ -186,7 +186,7 @@ def _parse_range(text: str, name: str, param: str | None = None):
     if not 0 < lo < hi:
         raise ValueError(f"{name} must satisfy 0 < lo < hi, got {text!r}")
     if param is not None:
-        rule, ok = _ROW_RANGES[param]
+        rule, ok = phasecore.RANGES[param]
         if not (ok(lo) and ok(hi)):
             raise ValueError(f"{name} must {rule}, got {text!r}")
     return lo, hi

@@ -19,6 +19,7 @@ import math
 from importlib import resources
 
 from .channelsim import ChannelModel, ProtocolParams
+from .phasecore import check
 
 # Measured characterization of the reference arms (power efficiencies).
 FIBER_EFF_A = 0.316
@@ -73,8 +74,7 @@ def reference_model(total_km: float = 50.0) -> ChannelModel:
     the characterized 50 km values; only the fibre length scales, split
     evenly between the arms.
     """
-    if total_km < 0:
-        raise ValueError(f"total_km must be non-negative, got {total_km!r}")
+    check(total_km=total_km)
     return ChannelModel(
         fiber_km_a=0.5 * total_km,
         fiber_km_b=0.5 * total_km,

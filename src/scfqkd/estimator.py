@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channelsim import STATE_LABELS, SessionTallies, _view
-from .phasecore import binary_entropy
+from .phasecore import binary_entropy, check
 
 DETECTORS = ("L", "R")
 _STATE_SIDES = tuple((s, d) for s in STATE_LABELS for d in DETECTORS)
@@ -169,9 +169,8 @@ def _bit_flips(cells):
 
 def key_rate(n_f, n_total_pulses):
     """Secure bits per signal window; negative key lengths count as zero.
-    Elementwise over arrays."""
-    if _any(n_total_pulses <= 0.0):
-        raise ValueError("n_total_pulses must be positive")
+    Elementwise over arrays; a NaN total, unknown, gives NaN."""
+    check(n_total_pulses=n_total_pulses)
     return _clip(n_f, 0.0) / n_total_pulses
 
 
@@ -179,12 +178,9 @@ def key_length(n_z, e_ph, n_v, e_v, f_ec):
     """Asymptotic key-length formula; may be negative for lossy sessions.
 
     Negative values mean no secure key; callers clamp at zero for rates and
-    keep the raw value for diagnostics.  Elementwise over arrays.
+    keep the raw value for diagnostics.  Elementwise over arrays; NaN pools pass.
     """
-    if _any((n_z < 0.0) | (n_v < 0.0)):
-        raise ValueError("pool sizes must be non-negative")
-    if _any(f_ec < 0.0):
-        raise ValueError("f_ec must be non-negative")
+    check(n_z=n_z, n_v=n_v, f_ec=f_ec)
     return n_z * (1.0 - binary_entropy(e_ph)) - f_ec * n_v * binary_entropy(e_v)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from . import channelsim, estimator
 from .channelsim import ChannelModel, ProtocolParams, expected_tallies
 from .estimator import KeyRateReport, TallySet, key_length, key_rate  # noqa: F401  (kept importable)
+from .phasecore import check
 
 _log = logging.getLogger(__name__)
 
@@ -104,7 +105,7 @@ def analyze_expected_batch(
     marked ``failed`` instead.
     """
     mu, eps, delta = (np.asarray(a, dtype=float) for a in (mu, epsilon, delta_threshold))
-    channelsim._check_rows(mu=mu, epsilon=eps, delta_threshold=delta)
+    check(mu=mu, epsilon=eps, delta_threshold=delta)
     counts = channelsim._expected_counts(params, model, n_windows, mu, eps, delta[:, None], fiber_km)
     # (state, subset, cell, row) of the one threshold; sides L, R are ch0, ch1.
     leaves = counts[:, 0, :, 2:].reshape(-1, 4, 2, 3).transpose(1, 2, 3, 0).copy()
@@ -170,10 +171,7 @@ def calibrate_visibility(
     search also stops once the bracket stops narrowing, so a ``tol`` below
     the spacing of floats ends there.
     """
-    if not 0.0 < target_qber < 0.5:
-        raise ValueError(f"target_qber must lie in (0, 0.5), got {target_qber!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check(target_qber=target_qber, tol=tol)
     lo, hi, ends = 0.0, 1.0, [1.0, 0.0]
     while ends or hi - lo > tol:
         k, width = 0, hi - lo
@@ -229,8 +227,7 @@ def sweep_distance(
     EstimationError.
     """
     for d in distances_km:
-        if not d >= 0:
-            raise ValueError(f"distance must be non-negative, got {d!r}")
+        check(distance=d)
     vis = (
         calibrate_visibility(params, model, target_qber)
         if target_qber is not None

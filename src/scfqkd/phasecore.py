@@ -11,6 +11,11 @@ Conventions used across the package:
 * Interference is modelled on a lossless symmetric beam splitter.  Port
   intensities always sum to the input intensity; imperfect mode overlap is
   captured by a single visibility factor in [0, 1].
+* Every range-checked number of the package, a parameter field or a
+  function argument, has one rule in :data:`RANGES`, which :func:`check`
+  applies.  A refusal is a ValueError reading ``<name> must <rule>, got
+  <value>``, and the command line reads that name to name a flag or a
+  config key.
 """
 
 from __future__ import annotations
@@ -27,6 +32,58 @@ Angle = float
 _TWO_PI = 2.0 * math.pi
 
 ArrayLike = Union[float, np.ndarray]
+
+RANGES = {
+    "f_ec": ("be finite and at least 1", lambda v: (1.0 <= v) & (v < math.inf)),
+    "dark_prob": ("lie in [0, 1)", lambda v: (0.0 <= v) & (v < 1.0)),
+    "gate_fraction": ("lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
+    "target_qber": ("lie in (0, 0.5)", lambda v: (0.0 < v) & (v < 0.5)),
+    "seed": ("be a non-negative integer", lambda v: isinstance(v, (int, np.integer)) & (v >= 0)),
+    "minor_angle argument": ("be finite", lambda v: abs(v) < math.inf),
+    # NaN passes these two rules: an unknown total, the pools of a failed batch row.
+    "n_total_pulses": ("be positive", lambda v: (v > 0.0) | (v != v)),
+    **dict.fromkeys(("n_z", "n_v"), ("be non-negative", lambda v: (v >= 0.0) | (v != v))),
+    **dict.fromkeys(("delta_threshold", "thresholds"),
+                    ("lie in (0, pi]", lambda v: (0.0 < v) & (v <= math.pi))),
+    **dict.fromkeys(("mu", "mean_ref_counts", "fiber_km_a", "fiber_km_b", "atten_db_per_km",
+                     "comp_loss_db_a", "comp_loss_db_b", "drift_rad_per_window", "total_km",
+                     "distance", "rms_per_span", "intensity_a", "intensity_b"),
+                    ("be finite and non-negative", lambda v: (0.0 <= v) & (v < math.inf))),
+    **dict.fromkeys(("epsilon", "p_t", "det_eff_left", "det_eff_right", "visibility",
+                     "binary_entropy argument"), ("lie in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0))),
+    **dict.fromkeys(("n_windows", "tol"), ("be finite and positive", lambda v: (0.0 < v) & (v < math.inf))),
+    **dict.fromkeys(("workers", "span_windows", "n_trials"),
+                    ("be a positive integer", lambda v: isinstance(v, (int, np.integer)) & (v >= 1))),
+}
+"""Range rules by name, each (its wording in a refusal, its test), of every
+parameter field, extra threshold and argument the package checks.  A test
+holds for a Python scalar or elementwise for an array."""
+
+
+def check(**values) -> None:
+    """Apply the rule of :data:`RANGES` that each keyword names to its
+    value, a Python scalar (without numpy) or an ndarray (elementwise); a
+    scalar the rule cannot compare, such as a string or None, breaks it.
+    The first value that breaks its rule raises ValueError."""
+    for name, value in values.items():
+        rule, ok = RANGES[name]
+        try:
+            good = ok(value)
+        except TypeError:
+            good = False
+        # A Python scalar's test gives a bool, the others a numpy bool or array.
+        if good is True or good is not False and good.all():
+            continue
+        if isinstance(value, np.ndarray):
+            value = value[~good].flat[0]
+        if isinstance(value, np.generic):
+            value = value.item()
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
+def check_fields(self) -> None:
+    """A parameter dataclass's ``__post_init__``: :func:`check` every field."""
+    check(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -57,17 +114,13 @@ def minor_angle(x: ArrayLike) -> ArrayLike:
     >>> round(minor_angle(-15 * math.pi / 8), 12) == round(math.pi / 8, 12)
     True
     """
+    check(**{"minor_angle argument": x})
     if isinstance(x, np.ndarray):
-        if not np.all(np.isfinite(x)):
-            raise ValueError("minor_angle requires finite input")
         # fmod and the reflection 2*pi - r (Sterbenz) are exact, so the
         # result equals the scalar path bit for bit.
         r = np.fmod(np.abs(x), _TWO_PI)
         return np.where(r > math.pi, _TWO_PI - r, r)
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("minor_angle requires finite input")
-    return abs(math.remainder(x, _TWO_PI))
+    return abs(math.remainder(float(x), _TWO_PI))
 
 
 def binary_entropy(x: ArrayLike) -> ArrayLike:
@@ -77,18 +130,12 @@ def binary_entropy(x: ArrayLike) -> ArrayLike:
     [0, 1].  Both paths evaluate the same formula with numpy's log2, so a
     scalar and an array element give the same float.
     """
+    check(**{"binary_entropy argument": x})
     if isinstance(x, np.ndarray):
-        inside = (x >= 0.0) & (x <= 1.0)
-        if not inside.all():
-            raise ValueError(
-                f"binary_entropy argument must lie in [0, 1], got {x[~inside][0].item()!r}"
-            )
         # At x = 0 or 1 the log of the smallest float, times 0, gives H = 0.
         tiny = 5e-324
         return -x * np.log2(np.fmax(x, tiny)) - (1.0 - x) * np.log2(np.fmax(1.0 - x, tiny))
     x = float(x)
-    if math.isnan(x) or x < 0.0 or x > 1.0:
-        raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x!r}")
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
@@ -116,16 +163,9 @@ def interfere(
     arguments broadcast in the usual numpy way; ``visibility`` may be an
     ndarray too, such as one value per batch row with shape (rows, 1).
     """
-    if isinstance(visibility, np.ndarray):
-        inside = (visibility >= 0.0) & (visibility <= 1.0)
-        if not inside.all():
-            raise ValueError(f"visibility must lie in [0, 1], got {visibility[~inside][0].item()!r}")
-    elif not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
     a = np.asarray(intensity_a, dtype=float)
     b = np.asarray(intensity_b, dtype=float)
-    if np.any(a < 0.0) or np.any(b < 0.0) or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("intensities must be finite and non-negative")
+    check(visibility=visibility, intensity_a=a, intensity_b=b)
     cross = np.sqrt(a * b) * visibility * np.cos(phase_diff)
     half = 0.5 * (a + b)
     left = half + cross

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasecore import Angle
+from .phasecore import Angle, check
 
 REF_SLOT_OFFSETS = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
 """Programmed phase offsets dtheta_i of the four reference slots."""
@@ -48,10 +48,7 @@ def drift_scale_per_window(
     The drift is modelled as independent Gaussian increments per signal
     window; ``span_windows`` increments then accumulate to the given RMS.
     """
-    if rms_per_span < 0.0:
-        raise ValueError("rms_per_span must be non-negative")
-    if span_windows < 1:
-        raise ValueError("span_windows must be a positive integer")
+    check(rms_per_span=rms_per_span, span_windows=span_windows)
     return rms_per_span / math.sqrt(span_windows)
 
 
@@ -125,8 +122,7 @@ def estimation_error_profile(
     span-mean phase, and the estimate is compared against the true phase at
     a uniformly chosen signal window of the span.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
+    check(n_trials=n_trials)
     rng = np.random.default_rng(seed)
     scale = drift_scale_per_window(drift_rms_per_span, span_windows)
     phi0 = rng.uniform(-math.pi, math.pi, size=n_trials)

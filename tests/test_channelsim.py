@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from scfqkd import channelsim, dataio, defaults, keyrate, phasetrack
+from scfqkd import channelsim, dataio, defaults, keyrate, phasecore, phasetrack
 from scfqkd.channelsim import (
     CHUNK_WINDOWS,
     STATE_LABELS,
@@ -61,25 +61,25 @@ def test_channel_model_validation():
     (ProtocolParams, "mu", -0.1, "mu must be finite and non-negative, got -0.1"),
     (ProtocolParams, "epsilon", 1.5, r"epsilon must lie in \[0, 1\], got 1.5"),
     (ProtocolParams, "delta_threshold", 0.0, r"delta_threshold must lie in \(0, pi\], got 0.0"),
-    (ProtocolParams, "f_ec", 0.9, "f_ec must be at least 1, got 0.9"),
+    (ProtocolParams, "f_ec", 0.9, "f_ec must be finite and at least 1, got 0.9"),
     (ProtocolParams, "p_t", -0.5, r"p_t must lie in \[0, 1\], got -0.5"),
-    (ChannelModel, "fiber_km_a", -1.0, "fiber_km_a must be non-negative, got -1.0"),
-    (ChannelModel, "fiber_km_b", -2.0, "fiber_km_b must be non-negative, got -2.0"),
-    (ChannelModel, "atten_db_per_km", -0.2, "atten_db_per_km must be non-negative, got -0.2"),
-    (ChannelModel, "comp_loss_db_a", -3.0, "comp_loss_db_a must be non-negative, got -3.0"),
-    (ChannelModel, "comp_loss_db_b", -4.0, "comp_loss_db_b must be non-negative, got -4.0"),
+    (ChannelModel, "fiber_km_a", -1.0, "fiber_km_a must be finite and non-negative, got -1.0"),
+    (ChannelModel, "fiber_km_b", -2.0, "fiber_km_b must be finite and non-negative, got -2.0"),
+    (ChannelModel, "atten_db_per_km", -0.2, "atten_db_per_km must be finite and non-negative, got -0.2"),
+    (ChannelModel, "comp_loss_db_a", -3.0, "comp_loss_db_a must be finite and non-negative, got -3.0"),
+    (ChannelModel, "comp_loss_db_b", -4.0, "comp_loss_db_b must be finite and non-negative, got -4.0"),
     (ChannelModel, "det_eff_left", 1.2, r"det_eff_left must lie in \[0, 1\], got 1.2"),
     (ChannelModel, "det_eff_right", -0.1, r"det_eff_right must lie in \[0, 1\], got -0.1"),
     (ChannelModel, "dark_prob", 1.0, r"dark_prob must lie in \[0, 1\), got 1.0"),
     (ChannelModel, "drift_rad_per_window", -1e-3,
-     "drift_rad_per_window must be non-negative, got -0.001"),
+     "drift_rad_per_window must be finite and non-negative, got -0.001"),
     (ChannelModel, "visibility", -0.1, r"visibility must lie in \[0, 1\], got -0.1"),
     (ChannelModel, "gate_fraction", 0.0, r"gate_fraction must lie in \(0, 1\], got 0.0"),
 ])
 def test_every_field_has_a_range_rule_that_names_the_value(cls, name, bad, message):
     """One range-rule table checks every field, and each message gives the
     refused value; NaN is refused too."""
-    assert {f.name for f in fields(cls)} <= channelsim._ROW_RANGES.keys()
+    assert {f.name for f in fields(cls)} <= phasecore.RANGES.keys()
     with pytest.raises(ValueError, match=f"^{message}$"):
         cls(**{name: bad})
     with pytest.raises(ValueError, match=f"^{name} must .*, got nan$"):

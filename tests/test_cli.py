@@ -107,12 +107,12 @@ def test_analyze_rejects_unusable_mu(capsys, mu, message):
 
 
 @pytest.mark.parametrize("argv, config, message", [
-    (["analyze"], {"f_ec": 0.5}, "config key 'f_ec': f_ec must be at least 1, got 0.5"),
+    (["analyze"], {"f_ec": 0.5}, "config key 'f_ec': f_ec must be finite and at least 1, got 0.5"),
     (["analyze"], {"delta_deg": 200},
      "config key 'delta_deg': delta_deg must lie in (0, 180] degrees, got 200"),
     (["sweep"], {"distance_km": -5},
-     "config key 'distance_km': distance_km must be non-negative, got -5.0"),
-    (["analyze", "--f-ec", "0.5"], {"f_ec": 2}, "--f-ec must be at least 1, got 0.5"),
+     "config key 'distance_km': distance_km must be finite and non-negative, got -5.0"),
+    (["analyze", "--f-ec", "0.5"], {"f_ec": 2}, "--f-ec must be finite and at least 1, got 0.5"),
     (["optimize"], {"epsilon_range": "0.1:2"},
      "config key 'epsilon_range': epsilon_range must lie in [0, 1], got '0.1:2'"),
     (["optimize"], {"mu_range": "1e-3:1e400"},
@@ -689,3 +689,26 @@ def test_main_builds_only_the_parsers_it_needs(monkeypatch, capsys, argv, built)
         pass
     capsys.readouterr()
     assert len(calls) == built
+
+
+# Each subcommand run in a mode that reads every one of its float options.
+_FLOAT_RUNS = {
+    "analyze": [],
+    "simulate": ["--out", os.devnull, "--windows", "2000"],
+    "sweep": [],
+    "optimize": [],
+    "qber-table": ["--simulate", "--windows", "2000"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", [
+    (command, "--" + key.replace("_", "-"))
+    for command, extra in _FLOAT_RUNS.items()
+    for key, (_, _, kwargs) in cli.COMMANDS[command][2].items() if kwargs.get("type") is float
+])
+def test_non_finite_float_options_name_their_flag(capsys, command, flag, value):
+    """NaN or infinity in any float option is refused by the option's name."""
+    code, out, err = run(capsys, command, *_FLOAT_RUNS[command], flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} ") and err.endswith(f", got {value}\n")

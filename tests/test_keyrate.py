@@ -331,7 +331,7 @@ def test_sweep_distance_checks_distances_before_calibrating(monkeypatch):
         raise AssertionError("calibrated before checking the distances")
 
     monkeypatch.setattr(keyrate, "calibrate_visibility", no_calibration)
-    with pytest.raises(ValueError, match="distance must be non-negative, got -1.0"):
+    with pytest.raises(ValueError, match="distance must be finite and non-negative, got -1.0"):
         sweep_distance(defaults.reference_params(), defaults.reference_model(50.0),
                        [10.0, -1.0], target_qber=defaults.REFERENCE_BOTH_SEND_QBER)
 
