@@ -14,7 +14,7 @@ from .channelsim import (
 )
 from .dataio import RawTallies, load_raw_tallies, write_raw_tallies
 from .defaults import bundled_tally_path, reference_model, reference_params
-from .estimator import KeyRateReport, TallySet
+from .estimator import KeyRateReport
 from .keyrate import OptimizeResult, SweepPoint, analyze_tallies, key_length, key_rate
 from .phasecore import binary_entropy, interfere, minor_angle
 from .postselect import StateCoefficients, posterior_state
@@ -31,7 +31,6 @@ __all__ = [
     "SimulationResult",
     "StateCoefficients",
     "SweepPoint",
-    "TallySet",
     "analyze_tallies",
     "arm_transmittance",
     "binary_entropy",

@@ -21,8 +21,8 @@ ch1).  The Monte Carlo chunks and the batched expected-value model produce
 its rows per threshold; a session and :func:`expected_tallies` add rows
 that keep every window (threshold pi for the model), whose detections are
 the effective windows.  The raw files of :mod:`scfqkd.dataio` name its
-entries, and the estimator reads one subset of it as a
-:class:`~scfqkd.estimator.TallySet`.
+entries, and the estimator reads its test and key subsets as the (state,
+cell) arrays ``cells[:, 0]`` and ``cells[:, 1]``.
 
 The Monte Carlo works per reference span rather than per window, which is
 exact for this model: only both-send ("11") windows, a fraction epsilon**2
@@ -191,14 +191,17 @@ class SessionTallies:
 
     def check_conservation(self) -> None:
         """Raise ValueError if the tally structure is internally inconsistent."""
-        sent, selected, test, _, _, key, _, _ = self.counts.T.tolist()
-        if sum(sent) != self.n_windows:
+        rows = self.counts.tolist()
+        if sum(row[0] for row in rows) != self.n_windows:
             raise ValueError("sent counts do not sum to the number of windows")
-        for s, n_sent, n_sel, n_test, n_key in zip(STATE_LABELS, sent, selected, test, key):
+        for s, (n_sent, n_sel, n_test, t0, t1, n_key, k0, k1) in zip(STATE_LABELS, rows):
             if n_sel > n_sent:
                 raise ValueError(f"selected count exceeds sent count for state {s}")
             if n_test + n_key != n_sel:
                 raise ValueError(f"test/key split does not partition state {s}")
+            for subset, n, det in (("test", n_test, t0 + t1), ("key", n_key, k0 + k1)):
+                if det > n:
+                    raise ValueError(f"{subset} detections {det} exceed the {n} {subset} windows of state {s}")
         if (self.counts < 0).any():
             raise ValueError("negative count in the tallies")
 
@@ -208,10 +211,10 @@ class SimulationResult:
     """Outcome of :func:`simulate_session`.
 
     ``tallies`` is cut at the configured threshold; ``by_threshold`` holds
-    one tally set per requested threshold (always including the primary one)
-    so a single run can be re-analysed at several post-selection widths.
-    The session's inputs are not echoed here; ``tallies.n_windows`` holds
-    its window count.
+    one :class:`SessionTallies` per requested threshold (always including
+    the primary one) so a single run can be re-analysed at several
+    post-selection widths.  The session's inputs are not echoed here;
+    ``tallies.n_windows`` holds its window count.
     """
 
     tallies: SessionTallies

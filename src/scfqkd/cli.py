@@ -86,7 +86,7 @@ def _session(o: dict, params: ProtocolParams, thresholds=None):
 
 
 def _analyse(o: dict, params: ProtocolParams, tallies, n_total, delta_threshold=None):
-    """The (test, key) tally sets of ``tallies`` and their key-rate report,
+    """The (test, key) arrays of ``tallies`` and their key-rate report,
     or the :class:`EstimationError` that stands in for the report."""
     u, v = estimator.tallies_to_sets(tallies, swap_detectors=o["swap_detectors"])
     try:

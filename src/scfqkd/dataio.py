@@ -102,7 +102,7 @@ class RawTallies:
         return math.radians(deg) if deg is not None else None
 
     def tally_sets(self, swap_detectors: bool = False):
-        """Build the (test, key) estimator tally sets."""
+        """:func:`~scfqkd.estimator.tallies_to_sets` of these tallies."""
         return tallies_to_sets(self.tallies, swap_detectors=swap_detectors)
 
 

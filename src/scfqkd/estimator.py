@@ -6,14 +6,15 @@ phase-flip upper bound of the virtual X basis, and the measured bit-flip
 error of the key set.  Detector sides are logical: ``L`` is the output port
 that interferes brightly at zero phase difference, ``R`` the dark one.
 
-A :class:`TallySet` is one subset of the package's one tally layout (see
-:class:`~scfqkd.channelsim.SessionTallies`): per state, (announced
-windows, detections on L, on R), with L = ch0 unless ``swap_detectors``
-reverses the channel axis.  :func:`estimate` is the whole chain, written
-once as elementwise arithmetic over such (state, cell) leaves: Python
-numbers for one analysis, arrays over rows for a batch, with the same
-operations in the same order, so a batch row equals its single analysis
-bit for bit.  Failures are per-row flags that :func:`report` raises.
+A test or key subset is a (state, cell) array of the package's one tally
+type (see :attr:`~scfqkd.channelsim.SessionTallies.cells`): per state,
+(announced windows, detections on L, on R), with L = ch0 unless
+``swap_detectors`` reverses the channel axis.  :func:`estimate` is the
+whole chain, written once as elementwise arithmetic over such leaves:
+Python numbers for one analysis, arrays over rows for a batch, with the
+same operations in the same order, so a batch row equals its single
+analysis bit for bit.  Failures are per-row flags that :func:`report`
+raises.
 
 Counting-rate notation: for a subset (test or key) and joint state ab, the
 rate is detections / announced windows of that state in the subset.  The
@@ -41,42 +42,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channelsim import STATE_LABELS, SessionTallies, _view
+from .channelsim import STATE_LABELS, SessionTallies
 from .phasecore import binary_entropy, check
 
 DETECTORS = ("L", "R")
-_STATE_SIDES = tuple((s, d) for s in STATE_LABELS for d in DETECTORS)
 
 _TEST_CELLS = ("01", "10", ("00", "L"), ("00", "R"), ("11", "L"), ("11", "R"), ("01", "L"), ("10", "L"))
 """Test-set counting rates the phase-flip bound needs."""
 
 
 class EstimationError(ValueError):
-    """Raised when a tally set lacks the cells an estimate needs."""
-
-
-@dataclass(eq=False)
-class TallySet:
-    """Announced windows and detections of one subset (test or key).
-
-    ``cells`` has shape (state, cell), states in ``STATE_LABELS`` order and
-    cell (announced windows, detections on side L, on side R).  ``sent``
-    and ``detected`` are read-only views keyed by state and by (state,
-    side).  Values may be floats for expected-value analyses.
-    """
-
-    cells: np.ndarray
-
-    sent = property(lambda self: _view(STATE_LABELS, self.cells[:, 0]))
-    detected = property(lambda self: _view(_STATE_SIDES, self.cells[:, 1:]))
+    """Raised when a test set lacks the cells an estimate needs."""
 
 
 def tallies_to_sets(tallies: SessionTallies, swap_detectors: bool = False):
-    """Split session tallies into (test, key) tally sets; by default channel
-    0 is the bright-port detector L, and ``swap_detectors=True`` reverses
-    the channel axis for the opposite wiring."""
+    """The (test, key) pair of (state, cell) arrays of (announced windows, L,
+    R): views of ``tallies.counts`` with L = ch0, or with ``swap_detectors``
+    copies whose channel axis is reversed for the opposite wiring."""
     cells = tallies.cells[..., [0, 2, 1]] if swap_detectors else tallies.cells
-    return TallySet(cells[:, 0]), TallySet(cells[:, 1])
+    return cells[:, 0], cells[:, 1]
 
 
 def _any(flags) -> bool:
@@ -302,13 +286,13 @@ def report(values: dict, mu: float, f_ec: float, delta_threshold, n_total_pulses
     )
 
 
-def counting_rates(t: TallySet) -> dict:
-    """Counting rates of one tally set: ``by_state[s]`` and ``by_cell[(s,
-    d)]``, NaN for a state without announced windows; ``total``; and
-    ``error_rate``, the matched-decision ("00" and "11") fraction of the
-    detections, None without detections.  Raises ValueError for a rate
-    outside [0, 1]."""
-    by_state, by_cell, total, error_rate = _rates(t.cells.tolist())
+def counting_rates(t: np.ndarray) -> dict:
+    """Counting rates of one subset's (state, cell) array of (announced
+    windows, L, R): ``by_state[s]`` and ``by_cell[(s, d)]``, NaN for a state
+    without announced windows; ``total``; and ``error_rate``, the
+    matched-decision ("00" and "11") fraction of the detections, None
+    without detections.  Raises ValueError for a rate outside [0, 1]."""
+    by_state, by_cell, total, error_rate = _rates(t.tolist())
     return {
         "by_state": dict(zip(STATE_LABELS, by_state)),
         "by_cell": {(s, d): r for s, pair in zip(STATE_LABELS, by_cell) for d, r in zip(DETECTORS, pair)},
@@ -364,14 +348,15 @@ def phase_flip_upper(
     )
 
 
-def bit_flip_error_v(t_key: TallySet):
-    """Measured bit-flip error of the key set.
+def bit_flip_error_v(t_key: np.ndarray):
+    """Measured bit-flip error of the key set, a (state, cell) array of
+    (announced windows, L, R).
 
     Returns ``(e_v, n_v)`` where ``n_v`` is the number of effective key-set
     windows and ``e_v`` the fraction of them coming from matched-decision
     states.  ``e_v`` is None when the key set has no detections.
     """
-    n_v, e_v = _bit_flips(t_key.cells.tolist())
+    n_v, e_v = _bit_flips(t_key.tolist())
     return (e_v if n_v > 0 else None), n_v
 
 
@@ -384,13 +369,14 @@ class BothSendStats:
     qber: float | None
 
 
-def qber_both_send(u: TallySet, v: TallySet) -> BothSendStats:
+def qber_both_send(u: np.ndarray, v: np.ndarray) -> BothSendStats:
     """Detections and wrong-port fraction of the both-send windows.
 
-    Pools the test and key subsets.  Kept windows sit near zero phase
+    Pools the test and key subsets ``u`` and ``v``, each a (state, cell)
+    array of (announced windows, L, R).  Kept windows sit near zero phase
     difference, so the dark-port detector R marks the errors.
     """
-    (_, u_left, u_right), (_, v_left, v_right) = u.cells[3].tolist(), v.cells[3].tolist()
+    (_, u_left, u_right), (_, v_left, v_right) = u[3].tolist(), v[3].tolist()
     detections = (u_left + u_right) + (v_left + v_right)
     wrong = u_right + v_right
     qber = wrong / detections if detections > 0 else None

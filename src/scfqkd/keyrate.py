@@ -24,29 +24,28 @@ import numpy as np
 
 from . import channelsim, estimator
 from .channelsim import ChannelModel, ProtocolParams, expected_tallies
-from .estimator import KeyRateReport, TallySet, key_length, key_rate  # noqa: F401  (kept importable)
+from .estimator import KeyRateReport, key_length, key_rate  # noqa: F401  (kept importable)
 from .phasecore import check
 
 _log = logging.getLogger(__name__)
 
 
 def analyze_tallies(
-    u: TallySet,
-    v: TallySet,
+    u: np.ndarray,
+    v: np.ndarray,
     params: ProtocolParams,
     n_total_pulses: float | None = None,
     delta_threshold: float | None = None,
 ) -> KeyRateReport:
-    """Run the estimation chain on a (test, key) tally pair.
+    """Run the estimation chain on a (test, key) pair of (state, cell)
+    arrays of (announced windows, L, R).
 
     Raises :class:`~scfqkd.estimator.EstimationError` when the test set
     lacks the cells the phase-flip bound needs, and logs a WARNING when the
     bound lies below 0, where the key length takes e_ph = 0.
     ``delta_threshold`` is carried into the report for bookkeeping only.
     """
-    values = estimator.estimate(
-        u.cells.tolist(), v.cells.tolist(), params.mu, params.f_ec, n_total_pulses or math.nan
-    )
+    values = estimator.estimate(u.tolist(), v.tolist(), params.mu, params.f_ec, n_total_pulses or math.nan)
     rep = estimator.report(
         values, params.mu, params.f_ec,
         params.delta_threshold if delta_threshold is None else delta_threshold,

@@ -122,7 +122,7 @@ def estimation_error_profile(
     span-mean phase, and the estimate is compared against the true phase at
     a uniformly chosen signal window of the span.
     """
-    check(n_trials=n_trials)
+    check(mean_total=mean_total, drift_rms_per_span=drift_rms_per_span, n_trials=n_trials)
     rng = np.random.default_rng(seed)
     scale = drift_scale_per_window(drift_rms_per_span, span_windows)
     phi0 = rng.uniform(-math.pi, math.pi, size=n_trials)

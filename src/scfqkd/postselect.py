@@ -13,6 +13,7 @@ send state: if ``a_i`` windows of state i were produced in total and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -51,13 +52,15 @@ def posterior_state(
 
     ``sent`` counts all produced windows by state label and ``sent_selected``
     the surviving ones; the coefficient of state i is its share of the
-    surviving pool.  Raises ValueError when a selected count exceeds its
-    sent count or when nothing survived.
+    surviving pool.  Raises ValueError for a non-finite or negative count,
+    a selected count above its sent count, or an empty surviving pool.
     """
     kept = {}
     for s in STATE_LABELS:
         a = float(sent.get(s, 0))
         k = float(sent_selected.get(s, 0))
+        if not (math.isfinite(a) and math.isfinite(k)):
+            raise ValueError(f"non-finite count for state {s}")
         if a < 0 or k < 0:
             raise ValueError(f"negative count for state {s}")
         if k > a:

@@ -190,7 +190,7 @@ def test_loaded_cells_stack_into_the_array_chain(tmp_path):
         assert raw.tallies.counts.dtype == dtype
         u, v = raw.tally_sets()
         want = analyze_tallies(u, v, params, n_total_pulses=raw.n_total_pulses)
-        test, key = (np.stack([t.cells] * 2, axis=-1) for t in (u, v))
+        test, key = (np.stack([t] * 2, axis=-1) for t in (u, v))
         values = estimate(test, key, params.mu, params.f_ec, raw.n_total_pulses)
         for i in (0, 1):
             row = {name: np.asarray(a)[..., i].tolist() for name, a in values.items()}

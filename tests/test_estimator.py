@@ -9,7 +9,6 @@ from scfqkd import dataio, defaults
 from scfqkd.channelsim import STATE_LABELS, SessionTallies
 from scfqkd.estimator import (
     EstimationError,
-    TallySet,
     bit_flip_error_v,
     counting_rates,
     estimate,
@@ -59,11 +58,11 @@ def mp_phase_flip(s00_l, s00_r, s11_l, s11_r, s01_l, s10_l, mu, s_z):
 
 
 def tally_set(sent, detected):
-    """A tally set from counts keyed by state and by (state, side); absent
-    cells are 0."""
-    return TallySet(np.array([
+    """A subset's (state, cell) array of (announced windows, L, R) from
+    counts keyed by state and by (state, side); absent cells are 0."""
+    return np.array([
         [sent.get(s, 0), detected.get((s, "L"), 0), detected.get((s, "R"), 0)] for s in STATE_LABELS
-    ]))
+    ])
 
 
 def sample_tally_set():
@@ -85,9 +84,8 @@ def test_swap_detectors_reverses_channel_axis():
     t = SessionTallies(n_windows=0, threshold=math.nan, counts=counts)
     for swap, (left, right) in ((False, (1, 2)), (True, (2, 1))):
         for subset in tallies_to_sets(t, swap_detectors=swap):
-            assert subset.sent == dict.fromkeys(STATE_LABELS, 100)
-            assert subset.detected[("01", "L")] == left
-            assert subset.detected[("01", "R")] == right
+            assert subset[:, 0].tolist() == [100] * 4
+            assert subset[1, 1:].tolist() == [left, right]  # state 01: (L, R)
 
 
 def test_counting_rates_basic():
@@ -95,7 +93,7 @@ def test_counting_rates_basic():
     r = counting_rates(t)
     assert r["by_cell"][("01", "L")] == pytest.approx(110 / 400_000)
     assert r["by_state"]["01"] == pytest.approx(218 / 400_000)
-    assert r["total"] == pytest.approx(485 / sum(t.sent.values()))
+    assert r["total"] == pytest.approx(485 / t[:, 0].sum())
     # matched-decision detections are errors
     assert r["error_rate"] == pytest.approx((3 + 2 + 4 + 52) / 485)
     assert all(math.isfinite(v) for v in [*r["by_state"].values(), *r["by_cell"].values()])
@@ -232,7 +230,7 @@ def test_underflowing_exp_mu_fails_alike_in_both_chains():
     with pytest.raises(EstimationError, match="got 800.0") as scalar:
         analyze_tallies(u, v, replace(params, mu=800.0), n_total_pulses=raw.n_total_pulses)
     mu = np.array([params.mu, 800.0])
-    test, key = (np.stack([t.cells] * 2, axis=-1) for t in (u, v))
+    test, key = (np.stack([t] * 2, axis=-1) for t in (u, v))
     values = estimate(test, key, mu, params.f_ec, raw.n_total_pulses)
     assert values["failed"].tolist() == [False, True]
     rows = [{name: np.asarray(a)[..., i].tolist() for name, a in values.items()} for i in (0, 1)]
@@ -282,13 +280,27 @@ def test_reference_dataset_both_send_stats():
 def test_tallies_to_sets_bundled_pools():
     raw = dataio.load_raw_tallies(defaults.bundled_tally_path())
     u, v = raw.tally_sets()
-    assert u.sent["00"] == 20_649_175_977
-    assert u.sent["01"] == 443_690_678
-    assert u.sent["10"] == 443_043_194
-    assert u.sent["11"] == 9_516_486
-    assert v.sent["01"] == 3_993_295_035
-    # detector mapping: L is channel 0 unless swapped
-    assert u.detected[("11", "L")] == 4728
-    assert u.detected[("11", "R")] == 315
+    assert u[:, 0].tolist() == [20_649_175_977, 443_690_678, 443_043_194, 9_516_486]
+    assert v[1, 0] == 3_993_295_035  # key windows of state 01
+    # detector mapping: L is channel 0 unless swapped; state 11's (L, R)
+    assert u[3, 1:].tolist() == [4728, 315]
     u2, _ = raw.tally_sets(swap_detectors=True)
-    assert u2.detected[("11", "L")] == 315
+    assert u2[3, 1] == 315
+
+
+def test_tallies_to_sets_are_the_subsets_of_the_one_tally():
+    """The test and key subsets are the two halves of ``cells``: views of
+    ``counts`` unless the channel axis is reversed, which copies."""
+    raw = dataio.load_raw_tallies(defaults.bundled_tally_path())
+    t = raw.tallies
+    u, v = tallies_to_sets(t)
+    assert np.array_equal(u, t.cells[:, 0]) and np.array_equal(v, t.cells[:, 1])
+    assert np.shares_memory(u, t.counts) and np.shares_memory(v, t.counts)
+    for got, want in zip(raw.tally_sets(), (u, v)):
+        assert np.array_equal(got, want)
+    swapped = tallies_to_sets(t, swap_detectors=True)
+    for got, want in zip(swapped, (u, v)):
+        assert not np.shares_memory(got, t.counts)
+        assert np.array_equal(got, want[:, [0, 2, 1]])
+    for got, want in zip(raw.tally_sets(swap_detectors=True), swapped):
+        assert np.array_equal(got, want)

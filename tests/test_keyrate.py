@@ -11,7 +11,6 @@ from scfqkd.channelsim import ChannelModel, ProtocolParams, expected_tallies
 from scfqkd.estimator import (
     EstimationError,
     KeyRateReport,
-    TallySet,
     qber_both_send,
     tallies_to_sets,
 )
@@ -95,7 +94,7 @@ def test_analyze_tallies_reference_dataset():
 
 
 def test_analyze_tallies_requires_yield():
-    u = TallySet(np.array([[1000, 0, 0]] * 4))
+    u = np.array([[1000, 0, 0]] * 4)
     with pytest.raises(EstimationError, match="mismatched-send yield is zero"):
         analyze_tallies(u, u, defaults.reference_params())
 
@@ -103,9 +102,9 @@ def test_analyze_tallies_requires_yield():
 def test_analyze_tallies_clamps_entropy_argument():
     # sparse left-heavy counts drive the raw bound negative; the report keeps
     # the raw value while the key-length evaluation clamps it
-    u = TallySet(np.array([
+    u = np.array([
         [10_000_000, 0, 0], [500_000, 70, 70], [500_000, 70, 70], [10_000, 40, 0]
-    ]))
+    ])
     rep = analyze_tallies(u, u, defaults.reference_params())
     assert rep.e_ph_upper < 0.0
     assert rep.n_f >= 0.0
@@ -309,11 +308,11 @@ def test_negative_phase_flip_bound_logs_a_warning(caplog):
     thinned to a fifth gives a phase-flip bound below 0."""
     raw = dataio.load_raw_tallies(defaults.bundled_tally_path())
     u, v = tallies_to_sets(raw.tallies)
-    thinned = np.array(u.cells, dtype=float)
+    thinned = np.array(u, dtype=float)
     thinned[1:3, 1:] = np.round(thinned[1:3, 1:] / 5)
     params = defaults.reference_params()
     with caplog.at_level(logging.DEBUG, logger="scfqkd.keyrate"):
-        rep = analyze_tallies(TallySet(thinned), v, params, raw.n_total_pulses)
+        rep = analyze_tallies(thinned, v, params, raw.n_total_pulses)
     assert rep.e_ph_upper < 0.0 and not rep.e_ph_flagged
     (record,) = caplog.records
     assert record.levelno == logging.WARNING

@@ -8,6 +8,7 @@ from scfqkd.channelsim import (
     CHUNK_WINDOWS,
     ChannelModel,
     ProtocolParams,
+    SessionTallies,
     expected_tallies,
     simulate_session,
 )
@@ -99,6 +100,34 @@ def test_split_test_set_partition():
     assert n_test == pytest.approx(n_sel * params.p_t, abs=4 * sd)
 
 
+# Per state: 100 windows sent, 10 kept, 2 in the test subset with one
+# detection on each channel, 8 in the key subset with 3 on ch0 and 5 on ch1,
+# so each subset's detections equal its windows.
+_CONSERVED_ROW = [100, 10, 2, 1, 1, 8, 3, 5]
+
+
+@pytest.mark.parametrize("cell, value, n_windows, message", [
+    (None, None, 400, None),
+    ((0, 4), -1, 400, "negative count in the tallies"),
+    ((1, 1), 101, 400, "selected count exceeds sent count for state 01"),
+    ((2, 5), 9, 400, "test/key split does not partition state 10"),
+    (None, None, 401, "sent counts do not sum to the number of windows"),
+    ((1, 3), 7, 400, "test detections 8 exceed the 2 test windows of state 01"),
+    ((3, 7), 6, 400, "key detections 9 exceed the 8 key windows of state 11"),
+])
+def test_check_conservation_refuses_each_broken_rule(cell, value, n_windows, message):
+    counts = np.array([_CONSERVED_ROW] * 4)
+    if cell is not None:
+        counts[cell] = value
+    t = SessionTallies(n_windows, math.radians(30.0), counts)
+    if message is None:
+        t.check_conservation()
+        return
+    with pytest.raises(ValueError) as exc:
+        t.check_conservation()
+    assert str(exc.value) == message
+
+
 def test_split_test_set_degenerate_fractions():
     model = ChannelModel(dark_prob=1e-3)
     n = 20 * DEFAULT_SPAN_WINDOWS
@@ -146,6 +175,17 @@ def test_posterior_state_validation():
         posterior_state(sent, bad)
     with pytest.raises(ValueError):
         posterior_state({s: 0 for s in sent}, {s: 0 for s in sent})
+
+
+@pytest.mark.parametrize("mapping", ["sent", "selected"])
+@pytest.mark.parametrize("state, bad", [("10", math.nan), ("11", math.inf), ("00", -math.inf)])
+def test_posterior_state_refuses_non_finite_counts(mapping, state, bad):
+    sent = {"00": 10, "01": 5, "10": 5, "11": 1}
+    selected = dict.fromkeys(sent, 1)
+    (sent if mapping == "sent" else selected)[state] = bad
+    with pytest.raises(ValueError) as exc:
+        posterior_state(sent, selected)
+    assert str(exc.value) == f"non-finite count for state {state}"
 
 
 def test_posterior_state_reference_dataset():

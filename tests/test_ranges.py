@@ -52,6 +52,12 @@ def _batch(**row):
     (lambda n: phasetrack.drift_scale_per_window(0.073, n), 2.5, "span_windows must be a positive integer, got 2.5"),
     (lambda n: phasetrack.drift_scale_per_window(0.073, n), 0, "span_windows must be a positive integer, got 0"),
     (lambda n: phasetrack.estimation_error_profile(n_trials=n), 0, "n_trials must be a positive integer, got 0"),
+    (lambda m: phasetrack.estimation_error_profile(mean_total=m, n_trials=10), -1.0,
+     "mean_total must be finite and non-negative, got -1.0"),
+    (lambda m: phasetrack.estimation_error_profile(mean_total=m, n_trials=10), math.nan,
+     "mean_total must be finite and non-negative, got nan"),
+    (lambda r: phasetrack.estimation_error_profile(drift_rms_per_span=r, n_trials=10), -1.0,
+     "drift_rms_per_span must be finite and non-negative, got -1.0"),
     (lambda n: key_rate(1.0, n), 0.0, "n_total_pulses must be positive, got 0.0"),
     (lambda n: key_rate(np.array([1.0, 2.0]), np.array([1e6, n])), -1.0,
      "n_total_pulses must be positive, got -1.0"),
