@@ -190,20 +190,39 @@ class SessionTallies:
         ) and np.array_equal(self.counts, other.counts)
 
     def check_conservation(self) -> None:
-        """Raise ValueError if the tally structure is internally inconsistent."""
-        rows = self.counts.tolist()
-        if sum(row[0] for row in rows) != self.n_windows:
+        """Raise ValueError unless the sent counts sum to ``n_windows``, the
+        counts keep the rules of :func:`broken_tally_rule` with the test/key
+        split exact (a raw tally file's may miss by ``dataio.SPLIT_TOLERANCE``,
+        as recorded data are rounded), and no count is negative."""
+        flat = self.counts.ravel().tolist()
+        if sum(flat[::8]) != self.n_windows:
             raise ValueError("sent counts do not sum to the number of windows")
-        for s, (n_sent, n_sel, n_test, t0, t1, n_key, k0, k1) in zip(STATE_LABELS, rows):
-            if n_sel > n_sent:
-                raise ValueError(f"selected count exceeds sent count for state {s}")
-            if n_test + n_key != n_sel:
-                raise ValueError(f"test/key split does not partition state {s}")
-            for subset, n, det in (("test", n_test, t0 + t1), ("key", n_key, k0 + k1)):
-                if det > n:
-                    raise ValueError(f"{subset} detections {det} exceed the {n} {subset} windows of state {s}")
+        if broken := broken_tally_rule(flat):
+            raise ValueError(broken[1])
         if (self.counts < 0).any():
             raise ValueError("negative count in the tallies")
+
+
+def broken_tally_rule(flat: Sequence, split_tolerance: float = 0.0):
+    """The first rule that ``flat``, a ``counts.ravel()`` of Python numbers
+    with None for an absent cell, breaks, as (cell index, message), or None.
+    Per state: selected <= sent; test + key = selected, exactly or within
+    max(``split_tolerance`` * selected, 1); detections <= windows, test
+    subset first.  A rule on an absent windows, sent or selected cell holds,
+    an absent detection channel counts as 0, and a NaN breaks any rule it
+    enters."""
+    for i, s in enumerate(STATE_LABELS):
+        n_sent, n_sel, n_test, t0, t1, n_key, k0, k1 = flat[8 * i:8 * i + 8]
+        if n_sel is not None and n_sent is not None and not n_sel <= n_sent:
+            return 8 * i + 1, f"selected count exceeds sent count for state {s} ({n_sel} > {n_sent})"
+        if n_sel is not None and n_test is not None and n_key is not None:
+            split, allowance = n_test + n_key, max(split_tolerance * n_sel, 1.0) if split_tolerance else 0
+            if not abs(split - n_sel) <= allowance:
+                return 8 * i + 5, f"test/key split does not partition state {s} ({n_test} + {n_key} != {n_sel})"
+        for j, subset, n, c0, c1 in ((2, "test", n_test, t0, t1), (5, "key", n_key, k0, k1)):
+            det = (0 if c0 is None else c0) + (0 if c1 is None else c1)
+            if n is not None and not det <= n:
+                return 8 * i + j + 1, f"{subset} detections {det} exceed the {n} {subset} windows of state {s}"
 
 
 @dataclass

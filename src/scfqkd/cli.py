@@ -61,9 +61,10 @@ REPORT = {
 
 def _radians(degrees: list, flag: str, text: str) -> list:
     """``degrees`` in radians; a ValueError naming ``flag`` and the value as
-    typed, ``text``, unless each lies in (0, 180]."""
-    if not all(0 < d <= 180 for d in degrees):
-        raise ValueError(f"{flag} must lie in (0, 180] degrees, got {text}")
+    typed, ``text``, unless each obeys the ``delta_deg`` range rule."""
+    rule, ok = phasecore.RANGES["delta_deg"]
+    if not all(ok(d) for d in degrees):
+        raise ValueError(f"{flag} must {rule}, got {text}")
     return [math.radians(d) for d in degrees]
 
 
@@ -194,13 +195,12 @@ def _parse_range(text: str, name: str, param: str | None = None):
 
 def _cmd_optimize(o: dict) -> None:
     params, model = _params(o), _model(o)
-    text = o["delta_deg_range"]
     result = keyrate.optimize_params(
         model, params,
         mu_bounds=_parse_range(o["mu_range"], "--mu-range", "mu"),
         epsilon_bounds=_parse_range(o["epsilon_range"], "--epsilon-range", "epsilon"),
-        delta_bounds=tuple(_radians(_parse_range(text, "--delta-deg-range"),
-                                    "--delta-deg-range", repr(text))),
+        delta_bounds=tuple(map(math.radians, _parse_range(o["delta_deg_range"], "--delta-deg-range",
+                                                          "delta_deg"))),
         n_windows=float(window_count(o["windows"], "windows")),
     )
     p = result.params

@@ -20,6 +20,12 @@ each name to its flat index there; reading and writing both go through
 that table.  Physical channels are kept as recorded: the estimator reads
 channel 0 as detector side L unless told to swap.
 
+A file's counts obey the tally rules, per state selected <= sent, SS + TT =
+selected and detections <= windows, except that SS + TT may miss by
+max(:data:`SPLIT_TOLERANCE` * selected, 1) windows, as recorded data are
+rounded (:func:`~scfqkd.channelsim.broken_tally_rule`).  A rule on an absent
+windows, sent or selected cell holds; an absent detection channel counts as 0.
+
 Metadata keys (``Delta-Degrees``, ``Mu``, ``Epsilon``, ``Pt``, ``F-EC``,
 ``Windows``, ``Seed``) may precede the cells.  Unknown keys produce a
 warning, never a failure.
@@ -36,8 +42,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channelsim import STATE_LABELS, SessionTallies
+from .channelsim import STATE_LABELS, SessionTallies, broken_tally_rule
 from .estimator import KeyRateReport, tallies_to_sets
+from .phasecore import RANGES
 
 _DELTA = "Δ"
 
@@ -137,37 +144,11 @@ def _parse_lines(text: str, source: str):
         if value > sys.float_info.max and key in CELL_INDEX:
             raise ParseError(f"{source}:{lineno}: count for {key!r} is too large for a float: "
                              f"{parts[1]!r}", key=key, line=lineno)
-        if key == "Delta-Degrees" and not 0 < value <= 180:
-            raise ParseError(f"{source}:{lineno}: {key!r} must lie in (0, 180], got {value}",
+        if key == "Delta-Degrees" and not RANGES["delta_deg"][1](value):
+            raise ParseError(f"{source}:{lineno}: {key!r} must {RANGES['delta_deg'][0]}, got {value}",
                              key=key, line=lineno)
         values[key] = value
     return values
-
-
-def _check_consistency(cells: Sequence, source: str) -> None:
-    """Check the parsed cells, in ``_KEYS_BY_INDEX`` order, None where absent."""
-    for i, cd in enumerate(STATE_LABELS):
-        row, names = cells[8 * i:8 * i + 8], _KEYS_BY_INDEX[8 * i:8 * i + 8]
-        n_sent, n_sel, n_tt, _, _, n_ss, _, _ = row
-        if None not in (n_sent, n_sel) and n_sel > n_sent:
-            raise ConsistencyError(
-                f"{source}: {names[1]} = {n_sel} exceeds {names[0]} = {n_sent}", key=names[1]
-            )
-        if None not in (n_sel, n_ss, n_tt) and abs(n_ss + n_tt - n_sel) > max(
-                SPLIT_TOLERANCE * n_sel, 1.0):
-            raise ConsistencyError(
-                f"{source}: SS + TT = {n_ss + n_tt} is not the selected total "
-                f"{n_sel} for state {cd} (tolerance {SPLIT_TOLERANCE:.1%})",
-                key=names[5],
-            )
-        for pool in (5, 2):  # the key and test windows, then their two channels
-            present = [c for c in row[pool + 1:pool + 3] if c is not None]
-            if row[pool] is not None and present and sum(present) > row[pool]:
-                raise ConsistencyError(
-                    f"{source}: {names[pool + 1][:-4]} total {sum(present)} exceeds "
-                    f"{names[pool]} = {row[pool]}",
-                    key=names[pool + 1],
-                )
 
 
 def load_raw_tallies(path, strict: bool = True) -> RawTallies:
@@ -176,8 +157,8 @@ def load_raw_tallies(path, strict: bool = True) -> RawTallies:
     With ``strict=True`` every cell of the full table must be present;
     missing keys raise a :class:`ParseError` that lists all of them.  With
     ``strict=False`` any subset of cells is accepted (partial tables still
-    support the both-send QBER summaries).  Consistency between cells is
-    checked in both modes.
+    support the both-send QBER summaries).  Both modes apply the tally
+    rules of the module docstring, with its split allowance.
     """
     path = str(path)
     with open(path, encoding="utf-8") as fh:
@@ -191,7 +172,9 @@ def load_raw_tallies(path, strict: bool = True) -> RawTallies:
                 key=missing[0],
             )
     cells = [values.get(k) for k in _KEYS_BY_INDEX]
-    _check_consistency(cells, path)
+    if broken := broken_tally_rule(cells, SPLIT_TOLERANCE):
+        key = _KEYS_BY_INDEX[broken[0]]
+        raise ConsistencyError(f"{path}: {key}: {broken[1]}", key=key)
 
     # int64 when every cell is an integer that fits it, else float64.
     counts = np.array([0 if c is None else c for c in cells]).reshape(4, 8)
@@ -321,10 +304,6 @@ def emit_sweep_csv(points: Sequence) -> str:
     """Render sweep points as CSV with full-precision floats."""
     lines = [",".join(SWEEP_CSV_COLUMNS)]
     for p in points:
-        r = p.report
-        row = (
-            p.distance_km, p.rate_per_pulse, r.s_tilde_z, r.n_tilde_z,
-            r.e_ph_upper, r.e_v, r.n_v, r.n_f,
-        )
+        row = (p.distance_km, p.rate_per_pulse, *(getattr(p.report, c) for c in SWEEP_CSV_COLUMNS[2:]))
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"

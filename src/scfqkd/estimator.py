@@ -63,6 +63,14 @@ def tallies_to_sets(tallies: SessionTallies, swap_detectors: bool = False):
     return cells[:, 0], cells[:, 1]
 
 
+def subset_leaves(subset, name: str) -> list:
+    """``subset`` as nested lists; a ValueError naming it, ``name``, unless it is a (4, 3) array."""
+    if getattr(subset, "shape", None) != (4, 3):
+        got = f"shape {subset.shape}" if hasattr(subset, "shape") else type(subset).__name__
+        raise ValueError(f"{name} must be a (4, 3) array of (announced windows, L, R) per state, got {got}")
+    return subset.tolist()
+
+
 def _any(flags) -> bool:
     """Whether any of an array's flags is set, or the Python bool itself."""
     return flags.any() if isinstance(flags, np.ndarray) else flags
@@ -273,10 +281,7 @@ def report(values: dict, mu: float, f_ec: float, delta_threshold, n_total_pulses
     v = dict(values)
     if v.pop("failed"):
         raise _failure(v["rates_u_by_state"], v["s_tilde_z"], mu)
-    if math.isnan(v["e_u"]):
-        v["e_u"] = None
-    if math.isnan(v["rate_per_pulse"]):
-        v["rate_per_pulse"] = None
+    v.update({name: None for name in ("e_u", "rate_per_pulse") if math.isnan(v[name])})
     v["rates_u_by_state"] = dict(zip(STATE_LABELS, v["rates_u_by_state"]))
     v["rates_u_by_cell"] = {
         f"{s}/{d}": r for s, pair in zip(STATE_LABELS, v["rates_u_by_cell"]) for d, r in zip(DETECTORS, pair)
@@ -292,7 +297,7 @@ def counting_rates(t: np.ndarray) -> dict:
     without announced windows; ``total``; and ``error_rate``, the
     matched-decision ("00" and "11") fraction of the detections, None
     without detections.  Raises ValueError for a rate outside [0, 1]."""
-    by_state, by_cell, total, error_rate = _rates(t.tolist())
+    by_state, by_cell, total, error_rate = _rates(subset_leaves(t, "t"))
     return {
         "by_state": dict(zip(STATE_LABELS, by_state)),
         "by_cell": {(s, d): r for s, pair in zip(STATE_LABELS, by_cell) for d, r in zip(DETECTORS, pair)},
@@ -356,7 +361,7 @@ def bit_flip_error_v(t_key: np.ndarray):
     windows and ``e_v`` the fraction of them coming from matched-decision
     states.  ``e_v`` is None when the key set has no detections.
     """
-    n_v, e_v = _bit_flips(t_key.tolist())
+    n_v, e_v = _bit_flips(subset_leaves(t_key, "t_key"))
     return (e_v if n_v > 0 else None), n_v
 
 
@@ -376,7 +381,7 @@ def qber_both_send(u: np.ndarray, v: np.ndarray) -> BothSendStats:
     array of (announced windows, L, R).  Kept windows sit near zero phase
     difference, so the dark-port detector R marks the errors.
     """
-    (_, u_left, u_right), (_, v_left, v_right) = u[3].tolist(), v[3].tolist()
+    (_, u_left, u_right), (_, v_left, v_right) = subset_leaves(u, "u")[3], subset_leaves(v, "v")[3]
     detections = (u_left + u_right) + (v_left + v_right)
     wrong = u_right + v_right
     qber = wrong / detections if detections > 0 else None

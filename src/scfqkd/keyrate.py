@@ -40,12 +40,14 @@ def analyze_tallies(
     """Run the estimation chain on a (test, key) pair of (state, cell)
     arrays of (announced windows, L, R).
 
-    Raises :class:`~scfqkd.estimator.EstimationError` when the test set
-    lacks the cells the phase-flip bound needs, and logs a WARNING when the
+    Raises ValueError naming ``u`` or ``v`` for an array of another shape,
+    :class:`~scfqkd.estimator.EstimationError` when the test set lacks the
+    cells the phase-flip bound needs, and logs a WARNING when the
     bound lies below 0, where the key length takes e_ph = 0.
     ``delta_threshold`` is carried into the report for bookkeeping only.
     """
-    values = estimator.estimate(u.tolist(), v.tolist(), params.mu, params.f_ec, n_total_pulses or math.nan)
+    values = estimator.estimate(estimator.subset_leaves(u, "u"), estimator.subset_leaves(v, "v"),
+                                params.mu, params.f_ec, n_total_pulses or math.nan)
     rep = estimator.report(
         values, params.mu, params.f_ec,
         params.delta_threshold if delta_threshold is None else delta_threshold,
@@ -300,12 +302,8 @@ def optimize_params(
     # max() keeps the first of equal rates.
     best_rate, point = max(zip(rates_at(coarse), coarse), key=lambda pair: pair[0])
 
-    spans = [
-        (mu_bounds[1] - mu_bounds[0]) / grid,
-        (epsilon_bounds[1] - epsilon_bounds[0]) / grid,
-        (delta_bounds[1] - delta_bounds[0]) / grid,
-    ]
     bounds = [mu_bounds, epsilon_bounds, delta_bounds]
+    spans = [(hi - lo) / grid for lo, hi in bounds]
     for _ in range(refine_rounds):
         for axis in range(3):
             lo = max(bounds[axis][0], point[axis] - spans[axis])

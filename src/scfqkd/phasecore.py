@@ -45,6 +45,7 @@ RANGES = {
     **dict.fromkeys(("n_z", "n_v"), ("be non-negative", lambda v: (v >= 0.0) | (v != v))),
     **dict.fromkeys(("delta_threshold", "thresholds"),
                     ("lie in (0, pi]", lambda v: (0.0 < v) & (v <= math.pi))),
+    "delta_deg": ("lie in (0, 180] degrees", lambda v: (0.0 < v) & (v <= 180.0)),
     **dict.fromkeys(("mu", "mean_ref_counts", "mean_total", "fiber_km_a", "fiber_km_b", "atten_db_per_km",
                      "comp_loss_db_a", "comp_loss_db_b", "drift_rad_per_window", "total_km", "distance",
                      "rms_per_span", "drift_rms_per_span", "intensity_a", "intensity_b"),

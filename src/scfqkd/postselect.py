@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .channelsim import STATE_LABELS
+from .channelsim import STATE_LABELS, broken_tally_rule
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,7 @@ class StateCoefficients:
     vacuum: float
 
     def as_dict(self) -> dict:
-        return {
-            "11": self.both,
-            "10": self.alice_only,
-            "01": self.bob_only,
-            "00": self.vacuum,
-        }
+        return dict(zip(("11", "10", "01", "00"), self.as_tuple()))
 
     def as_tuple(self) -> tuple:
         return (self.both, self.alice_only, self.bob_only, self.vacuum)
@@ -53,9 +48,10 @@ def posterior_state(
     ``sent`` counts all produced windows by state label and ``sent_selected``
     the surviving ones; the coefficient of state i is its share of the
     surviving pool.  Raises ValueError for a non-finite or negative count,
-    a selected count above its sent count, or an empty surviving pool.
+    an empty surviving pool, or counts that break the selected <= sent rule
+    of :func:`~scfqkd.channelsim.broken_tally_rule`.
     """
-    kept = {}
+    counts = []
     for s in STATE_LABELS:
         a = float(sent.get(s, 0))
         k = float(sent_selected.get(s, 0))
@@ -63,11 +59,10 @@ def posterior_state(
             raise ValueError(f"non-finite count for state {s}")
         if a < 0 or k < 0:
             raise ValueError(f"negative count for state {s}")
-        if k > a:
-            raise ValueError(
-                f"selected count {k} exceeds sent count {a} for state {s}"
-            )
-        kept[s] = k
+        counts += [a, k] + [None] * 6
+    if broken := broken_tally_rule(counts):
+        raise ValueError(broken[1])
+    kept = dict(zip(STATE_LABELS, counts[1::8]))
     total = sum(kept.values())
     if total <= 0:
         raise ValueError("no windows survived post-selection")

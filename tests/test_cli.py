@@ -81,6 +81,18 @@ def test_analyze_rejects_bad_values(tmp_path, capsys, line, bad):
     assert bad.split("\t")[0] in err
 
 
+def test_analyze_refuses_an_inconsistent_file_by_key_and_rule(tmp_path, capsys):
+    text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
+    assert "Sent-01-Δ\t4436985713\n" in text
+    path = tmp_path / "inconsistent.tsv"
+    path.write_text(text.replace("Sent-01-Δ\t4436985713\n", "Sent-01-Δ\t12438400001\n"),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: Sent-01-Δ: selected count exceeds sent count for state 01 "
+                   "(12438400001 > 12438400000)\n")
+
+
 @pytest.mark.parametrize("command", ["analyze", "qber-table"])
 def test_count_too_large_for_a_float_exits_2(tmp_path, capsys, command):
     """A cell of 401 digits is a parse error naming its key and line, not

@@ -349,7 +349,7 @@ def test_sweep_csv_empty():
     ("Sent-01\t7\nSent-00\tinf\n", ":2: value of 'Sent-00' is not finite: 'inf'", "Sent-00", 2),
     ("Sent-00\t-1.5\n", ": negative count for 'Sent-00': -1.5", "Sent-00", 1),
     ("Sent-00\t5\nDelta-Degrees\t0\n",
-     ":2: 'Delta-Degrees' must lie in (0, 180], got 0", "Delta-Degrees", 2),
+     ":2: 'Delta-Degrees' must lie in (0, 180] degrees, got 0", "Delta-Degrees", 2),
     ("Sent-00\t5\nSent-00 5 6\n", ":2: expected 'name value', got 'Sent-00 5 6'", None, 2),
     ("Sent-01\t7\nSent-00\t1" + "0" * 400 + "\n",
      ":2: count for 'Sent-00' is too large for a float: '1" + "0" * 400 + "'", "Sent-00", 2),

@@ -304,3 +304,26 @@ def test_tallies_to_sets_are_the_subsets_of_the_one_tally():
         assert np.array_equal(got, want[:, [0, 2, 1]])
     for got, want in zip(raw.tally_sets(swap_detectors=True), swapped):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mangle, got", [
+    (lambda a: a[:, :2], "shape (4, 2)"),
+    (lambda a: a[:3], "shape (3, 3)"),
+    (lambda a: a.tolist(), "list"),
+], ids=["two-cells", "three-states", "nested-list"])
+def test_a_mis_shaped_subset_is_refused_by_name(mangle, got):
+    u, v = dataio.load_raw_tallies(defaults.bundled_tally_path()).tally_sets()
+    bad = mangle(u)
+    params = defaults.reference_params()
+    for name, call in (
+        ("u", lambda: analyze_tallies(bad, v, params)),
+        ("v", lambda: analyze_tallies(u, bad, params)),
+        ("t", lambda: counting_rates(bad)),
+        ("t_key", lambda: bit_flip_error_v(bad)),
+        ("u", lambda: qber_both_send(bad, v)),
+        ("v", lambda: qber_both_send(u, bad)),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == (
+            f"{name} must be a (4, 3) array of (announced windows, L, R) per state, got {got}")

@@ -109,8 +109,8 @@ _CONSERVED_ROW = [100, 10, 2, 1, 1, 8, 3, 5]
 @pytest.mark.parametrize("cell, value, n_windows, message", [
     (None, None, 400, None),
     ((0, 4), -1, 400, "negative count in the tallies"),
-    ((1, 1), 101, 400, "selected count exceeds sent count for state 01"),
-    ((2, 5), 9, 400, "test/key split does not partition state 10"),
+    ((1, 1), 101, 400, "selected count exceeds sent count for state 01 (101 > 100)"),
+    ((2, 5), 9, 400, "test/key split does not partition state 10 (2 + 9 != 10)"),
     (None, None, 401, "sent counts do not sum to the number of windows"),
     ((1, 3), 7, 400, "test detections 8 exceed the 2 test windows of state 01"),
     ((3, 7), 6, 400, "key detections 9 exceed the 8 key windows of state 11"),
