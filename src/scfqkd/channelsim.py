@@ -105,7 +105,9 @@ class ProtocolParams:
     per-window send probability of each party, ``delta_threshold`` the
     post-selection bound on the minor angle of the estimated phase (radians),
     ``f_ec`` the error-correction inefficiency and ``p_t`` the fraction of
-    kept windows sacrificed as the test set.
+    kept windows sacrificed as the test set.  In a batch of the
+    expected-value model, ``mu``, ``epsilon`` and ``delta_threshold`` may
+    hold (rows, 1) arrays, one value per configuration.
     """
 
     mu: float = 0.002
@@ -126,7 +128,8 @@ class ChannelModel:
     is the per-window dark-click probability of each detector.
     ``drift_rad_per_window`` is the standard deviation of the Gaussian phase
     increment per signal window.  ``gate_fraction`` scales the effective
-    signal intensity for detector gating narrower than the pulse.
+    signal intensity for detector gating narrower than the pulse.  In a
+    batch of the expected-value model, any field may hold a (rows, 1) array.
     """
 
     fiber_km_a: float = 25.0
@@ -240,12 +243,12 @@ class SimulationResult:
     by_threshold: dict
 
 
-def arm_transmittance(model: ChannelModel, arm: str, fiber_km: float | None = None) -> float:
+def arm_transmittance(model: ChannelModel, arm: str):
     """Power transmittance of one arm from source to beam splitter.
 
     ``arm`` is "a" or "b" (case-insensitive).  Combines fibre attenuation
     with the lumped component loss of that arm; detector efficiency is not
-    included.  ``fiber_km`` replaces the model's fibre length of the arm.
+    included.  Works elementwise on a batch, whose fields are arrays.
     """
     key = arm.lower() if isinstance(arm, str) else arm
     if key == "a":
@@ -254,35 +257,15 @@ def arm_transmittance(model: ChannelModel, arm: str, fiber_km: float | None = No
         length, comp = model.fiber_km_b, model.comp_loss_db_b
     else:
         raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
-    if fiber_km is not None:
-        check(**{"fiber_km_" + key: fiber_km})
-        length = fiber_km
-    loss_db = length * model.atten_db_per_km + comp
-    return 10.0 ** (-loss_db / 10.0)
+    exponent = -(length * model.atten_db_per_km + comp) / 10.0
+    if isinstance(exponent, np.ndarray):
+        # numpy's vectorised power can differ from Python's in the last bit,
+        # so a batch row takes Python's pow, as a single configuration does.
+        return (10.0 ** exponent.astype(object)).astype(float)
+    return 10.0 ** exponent
 
 
-def _arm_intensities(model: ChannelModel, mu, fiber_km=None) -> np.ndarray:
-    """Signal intensities of arms a and b at the beam splitter, shape (rows, 2).
-
-    ``mu`` holds one source intensity per row; ``fiber_km`` optionally
-    gives each row's (arm a, arm b) fibre lengths in place of the model's.
-    """
-    if fiber_km is None:
-        trans = [arm_transmittance(model, "a"), arm_transmittance(model, "b")]
-    else:
-        trans = [[arm_transmittance(model, arm, f) for arm, f in zip("ab", row)] for row in fiber_km]
-    return np.asarray(mu, dtype=float)[:, None] * model.gate_fraction * np.reshape(trans, (-1, 2))
-
-
-def click_probabilities(
-    params: ProtocolParams,
-    model: ChannelModel,
-    alice_sent,
-    bob_sent,
-    phase_diff,
-    intensity=None,
-    visibility=None,
-):
+def click_probabilities(params: ProtocolParams, model: ChannelModel, alice_sent, bob_sent, phase_diff):
     """Per-window click probabilities of the two detectors.
 
     A sending party contributes ``mu * gate_fraction * arm_transmittance``
@@ -291,18 +274,16 @@ def click_probabilities(
     probability d clicks with probability 1 - (1 - d) * exp(-I * eta); the
     two detectors sample independently.  Returns ``(p_left, p_right)``
     where left watches the port that is bright at zero phase difference.
-    Accepts scalars or broadcastable arrays.  ``intensity`` optionally
-    replaces the sending intensities of arms a and b by a pair of arrays
-    that broadcast against the other arguments, such as one per batch row,
-    and ``visibility`` likewise replaces the model's visibility, for
-    example by a per-row array of shape (rows, 1).
+    Accepts scalars or broadcastable arrays, and a batch: ``params`` and
+    ``model`` fields of shape (rows, 1), such as ``mu`` or ``visibility``,
+    broadcast against the windows on the last axis.
     """
-    mu_a, mu_b = _arm_intensities(model, [params.mu])[0] if intensity is None else intensity
+    intensity = params.mu * model.gate_fraction
     ports = interfere(
-        np.where(alice_sent, mu_a, 0.0),
-        np.where(bob_sent, mu_b, 0.0),
+        np.where(alice_sent, intensity * arm_transmittance(model, "a"), 0.0),
+        np.where(bob_sent, intensity * arm_transmittance(model, "b"), 0.0),
         phase_diff,
-        model.visibility if visibility is None else visibility,
+        model.visibility,
     )
     d = model.dark_prob
     p_left = d - (1.0 - d) * np.expm1(-np.asarray(ports.left) * model.det_eff_left)
@@ -606,8 +587,9 @@ def simulate_session(
 ) -> SimulationResult:
     """Run a full Monte Carlo session and aggregate raw-file-shaped tallies.
 
-    ``thresholds`` optionally lists additional post-selection widths
-    (radians) to tally alongside ``params.delta_threshold``; each
+    ``params`` and ``model`` describe one configuration: every field is a
+    scalar.  ``thresholds`` optionally lists additional post-selection
+    widths (radians) to tally alongside ``params.delta_threshold``; each
     threshold's tallies are the same whatever others are requested.  The
     result is bit-identical for any ``workers`` value: the session is cut
     into chunks with independent seeded streams, whose int64 tallies add up
@@ -665,38 +647,29 @@ def _quadrature():
     return x, w / w.sum()
 
 
-def _effective_probs(
-    params: ProtocolParams, model: ChannelModel, thresholds=(), intensity=None, visibility=None
-) -> np.ndarray:
+def _effective_probs(params: ProtocolParams, model: ChannelModel, thresholds=()) -> np.ndarray:
     """Effective-click probabilities (ch0, ch1) per row and case.
 
-    A row is one configuration: ``intensity`` holds each row's signal
-    intensities of arms a and b at the beam splitter, shape (rows, 2), and
-    defaults to the single row of ``params`` and ``model``; ``visibility``
-    optionally gives each row's visibility, shape (rows, 1), in place of the
-    model's.  ``thresholds`` has shape (k,), shared by all rows, or (rows,
-    k).  The result has shape (rows, 3 + k, 2): first states 00, 01 and 10,
-    whose clicks do not depend on the phase, then per threshold t the
-    both-send probabilities averaged over a phase difference uniform on
-    [0, t].  A single click evaluation covers every row and case; without
-    thresholds the quadrature is not built.
+    A row is one configuration of a batch: ``params`` and ``model`` fields
+    of shape (rows, 1) vary per row, scalar ones are shared, and a single
+    configuration is one row.  ``thresholds`` has shape (k,), shared by all
+    rows, or (rows, k).  The result has shape (rows, 3 + k, 2): first states
+    00, 01 and 10, whose clicks do not depend on the phase, then per
+    threshold t the both-send probabilities averaged over a phase difference
+    uniform on [0, t].  A single click evaluation covers every row and case;
+    without thresholds the quadrature is not built.
     """
-    inten = _arm_intensities(model, [params.mu]) if intensity is None else intensity
-    rows = len(inten)
-    thr = np.broadcast_to(np.asarray(thresholds, dtype=float), (rows, np.shape(thresholds)[-1]))
+    thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
     x, weight = _quadrature() if thr.size else (np.empty(0), np.empty(0))
     both = np.ones(thr.shape[1] * x.size, dtype=bool)
     alice = np.concatenate(([False, False, True], both))
     bob = np.concatenate(([False, True, False], both))
     t = thr[..., None]
     phase = np.concatenate(
-        (np.zeros((rows, 3)), (0.5 * t * x + 0.5 * t).reshape(rows, both.size)), axis=1
+        (np.zeros((len(thr), 3)), (0.5 * t * x + 0.5 * t).reshape(len(thr), both.size)), axis=1
     )
-    p_left, p_right = click_probabilities(
-        params, model, alice, bob, phase, intensity=(inten[:, :1], inten[:, 1:]), visibility=visibility
-    )
-
-    shape = (rows, thr.shape[1], x.size)
+    p_left, p_right = click_probabilities(params, model, alice, bob, phase)
+    shape = (len(p_left), thr.shape[1], x.size)
 
     def effective(p, q):
         # The p detector clicks and the q one does not; nodes reduce to
@@ -707,22 +680,19 @@ def _effective_probs(
     return np.stack((effective(p_left, p_right), effective(p_right, p_left)), axis=2)
 
 
-def _expected_counts(
-    params: ProtocolParams, model: ChannelModel, n_windows: float, mu, epsilon, thresholds, fiber_km=None
-) -> np.ndarray:
+def _expected_counts(params: ProtocolParams, model: ChannelModel, n_windows: float, thresholds) -> np.ndarray:
     """Expected-value counts of a batch of configurations, one row each.
 
-    ``mu`` and ``epsilon`` hold one value per row, ``thresholds`` has shape
-    (rows, k), and ``fiber_km`` optionally gives each row's (arm a, arm b)
-    fibre lengths; everything else comes from ``params`` and ``model``.
+    ``params`` and ``model`` describe the batch as in :func:`_effective_probs`,
+    and ``thresholds`` has shape (k,), shared by all rows, or (rows, k).
     Returns shape (rows, k, state, 8): per threshold the rows of
     :attr:`SessionTallies.counts`, the windows sent and selected, then
     (test, key) x (windows, effective on ch0, effective on ch1).
     """
     check(n_windows=n_windows)
-    eps = np.asarray(epsilon, dtype=float)[:, None]
-    thr = np.asarray(thresholds, dtype=float)
-    eff = _effective_probs(params, model, thr, _arm_intensities(model, mu, fiber_km))
+    eff = _effective_probs(params, model, thresholds)
+    eps = np.zeros((len(eff), 1)) + params.epsilon
+    thr = np.zeros_like(eps) + thresholds
     sent = n_windows * np.hstack(((1.0 - eps) ** 2, (1.0 - eps) * eps, eps * (1.0 - eps), eps**2))
     counts = np.empty((*thr.shape, 4, 8))
     counts[..., 0] = sent[:, None]
@@ -757,7 +727,8 @@ def expected_tallies(
     The both-send averages use 64-node Gauss-Legendre quadrature whose
     nodes are computed once per process, on first use; one call evaluates
     the click probabilities once, for every state and threshold together.
-    It is the single-row case of the batched model behind
+    It takes one configuration, whose fields are scalars, and is the
+    single-row case of the batched model behind
     :func:`scfqkd.keyrate.analyze_expected_batch`.
 
     Returns ``{threshold: SessionTallies}`` with float-valued cells,
@@ -766,8 +737,6 @@ def expected_tallies(
     which keeps every window.
     """
     thr_list = _threshold_list(params, thresholds)
-    *rows, whole = _expected_counts(
-        params, model, n_windows, [params.mu], [params.epsilon], [thr_list + [math.pi]]
-    )[0]
+    *rows, whole = _expected_counts(params, model, n_windows, thr_list + [math.pi]).squeeze(0)
     effective = float(whole[:, [3, 4, 6, 7]].sum())
     return {thr: SessionTallies(float(n_windows), thr, c, effective) for thr, c in zip(thr_list, rows)}

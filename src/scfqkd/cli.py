@@ -31,12 +31,14 @@ _BUNDLED = defaults.bundled_tally_path()
 
 # Option groups shared by several subcommands: config key -> (help, built-in
 # default, argparse keywords). The flag is the key with underscores as dashes.
+# The threshold's default is rounded to the 30 a user types and a tally file records.
 COMMON = {
     "config": ("JSON config file (flags still win)", None, {}),
     "out": ("write the output here instead of stdout", None, {}),
     "mu": ("signal mean photon number", _PARAMS.mu, {"type": float}),
     "epsilon": ("per-window send probability", _PARAMS.epsilon, {"type": float}),
-    "delta_deg": ("phase threshold in degrees", math.degrees(_PARAMS.delta_threshold), {"type": float}),
+    "delta_deg": ("phase threshold in degrees", round(math.degrees(_PARAMS.delta_threshold), 9),
+                  {"type": float}),
     "pt": ("test-set fraction", _PARAMS.p_t, {"type": float}),
     "f_ec": ("error-correction inefficiency", _PARAMS.f_ec, {"type": float}),
 }
@@ -119,7 +121,7 @@ def _cmd_simulate(o: dict) -> None:
     params = _params(o)
     n_windows, result = _session(o, params)
     dataio.write_raw_tallies(o["out"], result.tallies, {
-        "Delta-Degrees": math.degrees(params.delta_threshold), "Mu": params.mu,
+        "Delta-Degrees": o["delta_deg"], "Mu": params.mu,
         "Epsilon": params.epsilon, "Pt": params.p_t, "F-EC": params.f_ec,
         "Windows": n_windows, "Seed": o["seed"],
     })

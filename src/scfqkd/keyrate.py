@@ -83,31 +83,23 @@ class ExpectedReports:
         return estimator.report(row, mu[i].item(), f_ec, delta[i].item(), n_windows)
 
 
-def analyze_expected_batch(
-    params: ProtocolParams,
-    model: ChannelModel,
-    n_windows: float,
-    mu,
-    epsilon,
-    delta_threshold,
-    fiber_km=None,
-) -> ExpectedReports:
+def analyze_expected_batch(params: ProtocolParams, model: ChannelModel, n_windows: float) -> ExpectedReports:
     """Analyse the expected-value tallies of many configurations at once.
 
-    Row i replaces ``params``' mu, epsilon and delta_threshold by ``mu[i]``,
-    ``epsilon[i]`` and ``delta_threshold[i]`` and, when ``fiber_km`` is
-    given, the model's arm lengths by ``fiber_km[i] = (arm a, arm b)``.  A
+    The batch is ``params`` and ``model`` with fields of shape (rows, 1),
+    made with ``dataclasses.replace``: row i takes element i of each such
+    field and shares the scalar ones.  ``mu``, ``epsilon`` and
+    ``delta_threshold`` may vary, as may any field of ``model``; the
+    dataclasses check every element of a field as they check a scalar.  A
     single click evaluation covers every row, and the estimation chain runs
     once over arrays of rows, so each row equals what
     :func:`analyze_tallies` makes of that configuration's
-    :func:`~scfqkd.channelsim.expected_tallies` bit for bit.  Out-of-range
-    rows raise ValueError with :class:`ProtocolParams`' messages, as does a
-    counting rate outside [0, 1]; rows without a phase-flip bound are
-    marked ``failed`` instead.
+    :func:`~scfqkd.channelsim.expected_tallies` bit for bit.  A counting
+    rate outside [0, 1] raises ValueError; rows without a phase-flip bound
+    are marked ``failed`` instead.
     """
-    mu, eps, delta = (np.asarray(a, dtype=float) for a in (mu, epsilon, delta_threshold))
-    check(mu=mu, epsilon=eps, delta_threshold=delta)
-    counts = channelsim._expected_counts(params, model, n_windows, mu, eps, delta[:, None], fiber_km)
+    counts = channelsim._expected_counts(params, model, n_windows, params.delta_threshold)
+    mu, delta = (np.zeros(len(counts)) + np.ravel(x) for x in (params.mu, params.delta_threshold))
     # (state, subset, cell, row) of the one threshold; sides L, R are ch0, ch1.
     leaves = counts[:, 0, :, 2:].reshape(-1, 4, 2, 3).transpose(1, 2, 3, 0).copy()
     values = estimator.estimate(leaves[:, 0], leaves[:, 1], mu, params.f_ec, n_windows)
@@ -135,11 +127,8 @@ def _both_send_qber(params: ProtocolParams, model: ChannelModel, visibility) -> 
     """Expected wrong-port fraction of kept both-send windows at each of the
     given visibilities, from one model call; NaN where the model predicts no
     both-send detections."""
-    vis = np.asarray(visibility, dtype=float)[:, None]
-    inten = np.broadcast_to(channelsim._arm_intensities(model, [params.mu]), (len(vis), 2))
-    p_ch0, p_ch1 = channelsim._effective_probs(
-        params, model, [params.delta_threshold], inten, vis
-    )[:, 3].T
+    column = replace(model, visibility=np.asarray(visibility, dtype=float)[:, None])
+    p_ch0, p_ch1 = channelsim._effective_probs(params, column, [params.delta_threshold])[:, 3].T
     total = p_ch0 + p_ch1
     return np.divide(p_ch1, total, out=np.full_like(total, np.nan), where=total > 0.0)
 
@@ -229,24 +218,13 @@ def sweep_distance(
     """
     for d in distances_km:
         check(distance=d)
-    vis = (
-        calibrate_visibility(params, model, target_qber)
-        if target_qber is not None
-        else model.visibility
-    )
-    n = len(distances_km)
+    vis = model.visibility if target_qber is None else calibrate_visibility(params, model, target_qber)
+    half = 0.5 * np.array(distances_km, dtype=float)[:, None]
     batch = analyze_expected_batch(
-        params, replace(model, visibility=vis), n_windows,
-        [params.mu] * n, [params.epsilon] * n, [params.delta_threshold] * n,
-        fiber_km=[(0.5 * d, 0.5 * d) for d in distances_km],
+        params, replace(model, visibility=vis, fiber_km_a=half, fiber_km_b=half), n_windows
     )
-    points = []
-    for i, d in enumerate(distances_km):
-        report = batch.report(i)
-        points.append(
-            SweepPoint(distance_km=float(d), rate_per_pulse=report.rate_per_pulse, report=report)
-        )
-    return points
+    reports = [batch.report(i) for i in range(len(distances_km))]
+    return [SweepPoint(float(d), r.rate_per_pulse, r) for d, r in zip(distances_km, reports)]
 
 
 @dataclass(frozen=True)
@@ -282,12 +260,16 @@ def optimize_params(
     refine_rounds``, 553 with the defaults.  No randomness is involved, so
     equal inputs give equal results.
     """
+    check(grid=grid)
     evaluations = 0
 
     def rates_at(points) -> list:
         nonlocal evaluations
         evaluations += len(points)
-        batch = analyze_expected_batch(base_params, model, n_windows, *zip(*points))
+        mu, eps, delta = np.array(points).T[:, :, None]
+        batch = analyze_expected_batch(
+            replace(base_params, mu=mu, epsilon=eps, delta_threshold=delta), model, n_windows
+        )
         return np.where(batch.failed, 0.0, batch.values["rate_per_pulse"]).tolist()
 
     def log_grid(lo: float, hi: float, n: int):

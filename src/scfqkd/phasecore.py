@@ -55,6 +55,7 @@ RANGES = {
     **dict.fromkeys(("n_windows", "tol"), ("be finite and positive", lambda v: (0.0 < v) & (v < math.inf))),
     **dict.fromkeys(("workers", "span_windows", "n_trials"),
                     ("be a positive integer", lambda v: isinstance(v, (int, np.integer)) & (v >= 1))),
+    "grid": ("be an integer of at least 2", lambda v: isinstance(v, (int, np.integer)) & (v >= 2)),
 }
 """Range rules by name, each (its wording in a refusal, its test), of every
 parameter field, extra threshold and argument the package checks.  A test

@@ -986,18 +986,21 @@ def test_effective_probs_rows_do_not_depend_on_each_other():
     mu = [2e-4, 3e-3, 0.05]
     thresholds = [[math.radians(d)] for d in (2.0, 30.0, 180.0)]
     fibre = [(10.0, 15.0), (25.0, 25.0), (0.0, 60.0)]
+    fibre_a, fibre_b = np.array(fibre).T[:, :, None]
     together = channelsim._effective_probs(
-        params, model, thresholds, channelsim._arm_intensities(model, mu, fibre)
+        replace(params, mu=np.array(mu)[:, None]),
+        replace(model, fiber_km_a=fibre_a, fiber_km_b=fibre_b), thresholds,
     )
     for i in range(3):
         alone = channelsim._effective_probs(
-            params, model, thresholds[i], channelsim._arm_intensities(model, mu[i:i + 1], fibre[i:i + 1])
+            replace(params, mu=np.array([[mu[i]]])),
+            replace(model, fiber_km_a=fibre_a[i:i + 1], fiber_km_b=fibre_b[i:i + 1]), thresholds[i],
         )
         assert np.array_equal(together[i:i + 1], alone)
     single = channelsim._effective_probs(replace(params, mu=mu[1]), model, thresholds[1])
     assert np.array_equal(
         single,
-        channelsim._effective_probs(params, model, thresholds[1], channelsim._arm_intensities(model, mu[1:2])),
+        channelsim._effective_probs(replace(params, mu=np.array([[mu[1]]])), model, thresholds[1]),
     )
 
 
@@ -1008,8 +1011,8 @@ def test_effective_probs_per_row_visibility_equals_single_rows():
     mu = [2e-4, 3e-3, 0.05, 0.002, 0.01]
     thresholds = [math.radians(2.0), math.radians(30.0), math.pi]
     together = channelsim._effective_probs(
-        params, model, thresholds, channelsim._arm_intensities(model, mu),
-        np.array(vis)[:, None],
+        replace(params, mu=np.array(mu)[:, None]), replace(model, visibility=np.array(vis)[:, None]),
+        thresholds,
     )
     for i, v in enumerate(vis):
         alone = channelsim._effective_probs(
@@ -1018,15 +1021,21 @@ def test_effective_probs_per_row_visibility_equals_single_rows():
         assert np.array_equal(together[i:i + 1], alone)
 
 
+def test_expected_tallies_refuses_a_batch():
+    """expected_tallies takes one configuration; a batch of two rows is
+    refused rather than answered with its first row."""
+    params = replace(defaults.reference_params(), mu=np.array([[0.002], [0.003]]))
+    with pytest.raises(ValueError):
+        expected_tallies(params, defaults.reference_model(50.0), 1e12)
+
+
 @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
 def test_effective_probs_rejects_bad_row_visibility(bad):
     params = defaults.reference_params()
     model = defaults.reference_model(50.0)
     vis = np.array([[0.5], [bad], [1.0]])
     with pytest.raises(ValueError, match=rf"visibility must lie in \[0, 1\], got {bad!r}"):
-        channelsim._effective_probs(
-            params, model, [math.radians(30.0)], channelsim._arm_intensities(model, [0.002] * 3), vis
-        )
+        channelsim._effective_probs(params, replace(model, visibility=vis), [math.radians(30.0)])
 
 
 @pytest.mark.parametrize("p_t", [0.0, 0.1, 1.0])

@@ -559,7 +559,7 @@ SIMULATE_2E6_SEED3_STDOUT = (
 )
 
 SIMULATE_2E6_SEED3_FILE = (
-    "Delta-Degrees\t29.999999999999996\n"
+    "Delta-Degrees\t30\n"
     "Mu\t0.002\n"
     "Epsilon\t0.021\n"
     "Pt\t0.1\n"

@@ -454,9 +454,10 @@ def test_batched_analysis_matches_scalar_chain_row_by_row(p_t):
         for deg in (5.0, 30.0, 90.0, 180.0)
         for dist in (0.0, 50.0, 120.0)
     ]
-    mu, eps, delta, dist = zip(*rows)
+    mu, eps, delta, dist = np.array(rows).T[:, :, None]
     batch = analyze_expected_batch(
-        params, model, 1e12, mu, eps, delta, fiber_km=[(0.5 * d, 0.5 * d) for d in dist]
+        replace(params, mu=mu, epsilon=eps, delta_threshold=delta),
+        replace(model, fiber_km_a=0.5 * dist, fiber_km_b=0.5 * dist), 1e12,
     )
     failed = []
     for i, (m, e, d, km) in enumerate(rows):
@@ -499,6 +500,23 @@ def test_sweep_distance_matches_single_analyses():
     assert sweep_distance(params, model, []) == []
 
 
+def test_calibrated_default_sweep_matches_single_analyses():
+    """Each fibre length of a batch row takes Python's pow, as a single
+    configuration does, so every report of the calibrated sweep at 0:80:5
+    km equals the single analysis at its distance field for field."""
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    target = defaults.REFERENCE_BOTH_SEND_QBER
+    vis = calibrate_visibility(params, model, target)
+    points = sweep_distance(params, model, [float(d) for d in range(0, 85, 5)], target_qber=target)
+    assert len(points) == 17
+    for pt in points:
+        half = 0.5 * pt.distance_km
+        want = analyze_expected(params, replace(model, visibility=vis, fiber_km_a=half, fiber_km_b=half), 1e12)
+        for f in fields(KeyRateReport):
+            _assert_equal(getattr(pt.report, f.name), getattr(want, f.name), f.name)
+
+
 @pytest.mark.parametrize(
     "name, bad",
     [("mu", -1e-3), ("mu", math.inf), ("epsilon", 1.5), ("delta_threshold", 0.0), ("delta_threshold", 4.0)],
@@ -507,11 +525,10 @@ def test_batched_rows_keep_protocol_range_checks(name, bad):
     params = defaults.reference_params()
     with pytest.raises(ValueError) as want:
         replace(params, **{name: bad})
-    rows = {"mu": [params.mu] * 3, "epsilon": [params.epsilon] * 3,
-            "delta_threshold": [params.delta_threshold] * 3}
-    rows[name][1] = bad
+    rows = np.full((3, 1), getattr(params, name))
+    rows[1] = bad
     with pytest.raises(ValueError) as got:
-        analyze_expected_batch(params, defaults.reference_model(50.0), 1e12, **rows)
+        analyze_expected_batch(replace(params, **{name: rows}), defaults.reference_model(50.0), 1e12)
     assert str(got.value) == str(want.value)
 
 
@@ -553,5 +570,5 @@ def test_batched_rate_outside_unit_interval_raises(monkeypatch):
     monkeypatch.setattr(channelsim, "_expected_counts", inflated)
     params = defaults.reference_params()
     with pytest.raises(ValueError, match=r"counting rate out of \[0, 1\] for state 10"):
-        analyze_expected_batch(params, defaults.reference_model(50.0), 1e12,
-                               [params.mu] * 3, [params.epsilon] * 3, [params.delta_threshold] * 3)
+        analyze_expected_batch(replace(params, mu=np.full((3, 1), params.mu)),
+                               defaults.reference_model(50.0), 1e12)

@@ -3,6 +3,7 @@ that checks a number through :func:`scfqkd.phasecore.check`: each refusal
 reads ``<name> must <rule>, got <value>``."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ P, M = ProtocolParams(), ChannelModel()
 
 def _batch(**row):
     """A 2-row expected-value batch whose second row takes ``row``."""
-    rows = {"mu": [P.mu] * 2, "epsilon": [P.epsilon] * 2, "delta_threshold": [P.delta_threshold] * 2}
-    for name, value in row.items():
-        rows[name][1] = value
-    return keyrate.analyze_expected_batch(P, M, 1e12, **rows)
+    rows = {name: np.array([[getattr(P, name)], [value]]) for name, value in row.items()}
+    return keyrate.analyze_expected_batch(replace(P, **rows), M, 1e12)
 
 
 @pytest.mark.parametrize("call, bad, message", [
@@ -65,10 +64,10 @@ def _batch(**row):
     (lambda n: key_length(1e6, 0.1, np.array([1e5, n]), 0.02, 1.1), -2.0, "n_v must be non-negative, got -2.0"),
     (lambda f: key_length(1e6, 0.1, 1e5, 0.02, f), 0.5, "f_ec must be finite and at least 1, got 0.5"),
     (lambda f: key_length(1e6, 0.1, 1e5, 0.02, f), math.inf, "f_ec must be finite and at least 1, got inf"),
-    (lambda km: arm_transmittance(M, "A", km), -10.0, "fiber_km_a must be finite and non-negative, got -10.0"),
-    (lambda km: keyrate.analyze_expected_batch(P, M, 1e12, [P.mu] * 2, [P.epsilon] * 2, [0.5] * 2,
-                                               fiber_km=[(25.0, 25.0), (25.0, km)]), math.nan,
-     "fiber_km_b must be finite and non-negative, got nan"),
+    (lambda km: arm_transmittance(replace(M, fiber_km_a=km), "A"), -10.0,
+     "fiber_km_a must be finite and non-negative, got -10.0"),
+    (lambda km: keyrate.analyze_expected_batch(P, replace(M, fiber_km_b=np.array([[25.0], [km]])), 1e12),
+     math.nan, "fiber_km_b must be finite and non-negative, got nan"),
     (lambda mu: _batch(mu=mu), math.nan, "mu must be finite and non-negative, got nan"),
     (lambda e: _batch(epsilon=e), -0.5, "epsilon must lie in [0, 1], got -0.5"),
     (lambda d: _batch(delta_threshold=d), 0.0, "delta_threshold must lie in (0, pi], got 0.0"),
@@ -78,6 +77,9 @@ def _batch(**row):
     (lambda d: keyrate.sweep_distance(P, M, [10.0, d]), math.nan,
      "distance must be finite and non-negative, got nan"),
     (lambda d: keyrate.sweep_distance(P, M, [d]), -1, "distance must be finite and non-negative, got -1"),
+    (lambda g: keyrate.optimize_params(M, P, grid=g), 1, "grid must be an integer of at least 2, got 1"),
+    (lambda g: keyrate.optimize_params(M, P, grid=g), 0, "grid must be an integer of at least 2, got 0"),
+    (lambda g: keyrate.optimize_params(M, P, grid=g), 2.5, "grid must be an integer of at least 2, got 2.5"),
     (defaults.reference_model, math.nan, "total_km must be finite and non-negative, got nan"),
     (defaults.reference_model, math.inf, "total_km must be finite and non-negative, got inf"),
     (defaults.reference_model, None, "total_km must be finite and non-negative, got None"),
