@@ -106,8 +106,8 @@ class ProtocolParams:
     post-selection bound on the minor angle of the estimated phase (radians),
     ``f_ec`` the error-correction inefficiency and ``p_t`` the fraction of
     kept windows sacrificed as the test set.  In a batch of the
-    expected-value model, ``mu``, ``epsilon`` and ``delta_threshold`` may
-    hold (rows, 1) arrays, one value per configuration.
+    expected-value model, any field may hold a (rows, 1) array, one value
+    per configuration.
     """
 
     mu: float = 0.002
@@ -127,9 +127,8 @@ class ChannelModel:
     efficiencies fold in everything after the beam splitter.  ``dark_prob``
     is the per-window dark-click probability of each detector.
     ``drift_rad_per_window`` is the standard deviation of the Gaussian phase
-    increment per signal window.  ``gate_fraction`` scales the effective
-    signal intensity for detector gating narrower than the pulse.  In a
-    batch of the expected-value model, any field may hold a (rows, 1) array.
+    increment per signal window.  In a batch of the expected-value model,
+    any field may hold a (rows, 1) array.
     """
 
     fiber_km_a: float = 25.0
@@ -142,7 +141,6 @@ class ChannelModel:
     dark_prob: float = 1e-8
     drift_rad_per_window: float = phasetrack.drift_scale_per_window()
     visibility: float = 1.0
-    gate_fraction: float = 1.0
 
     __post_init__ = check_fields
 
@@ -246,14 +244,13 @@ class SimulationResult:
 def arm_transmittance(model: ChannelModel, arm: str):
     """Power transmittance of one arm from source to beam splitter.
 
-    ``arm`` is "a" or "b" (case-insensitive).  Combines fibre attenuation
-    with the lumped component loss of that arm; detector efficiency is not
-    included.  Works elementwise on a batch, whose fields are arrays.
+    ``arm`` is "a" or "b".  Combines fibre attenuation with the lumped
+    component loss of that arm; detector efficiency is not included.  Works
+    elementwise on a batch, whose fields are arrays.
     """
-    key = arm.lower() if isinstance(arm, str) else arm
-    if key == "a":
+    if arm == "a":
         length, comp = model.fiber_km_a, model.comp_loss_db_a
-    elif key == "b":
+    elif arm == "b":
         length, comp = model.fiber_km_b, model.comp_loss_db_b
     else:
         raise ValueError(f"arm must be 'a' or 'b', got {arm!r}")
@@ -268,20 +265,19 @@ def arm_transmittance(model: ChannelModel, arm: str):
 def click_probabilities(params: ProtocolParams, model: ChannelModel, alice_sent, bob_sent, phase_diff):
     """Per-window click probabilities of the two detectors.
 
-    A sending party contributes ``mu * gate_fraction * arm_transmittance``
-    at the beam splitter, a silent one contributes vacuum.  Threshold
-    detection of the coherent output with efficiency eta and dark
-    probability d clicks with probability 1 - (1 - d) * exp(-I * eta); the
-    two detectors sample independently.  Returns ``(p_left, p_right)``
-    where left watches the port that is bright at zero phase difference.
+    A sending party contributes ``mu * arm_transmittance`` at the beam
+    splitter, a silent one contributes vacuum.  Threshold detection of the
+    coherent output with efficiency eta and dark probability d clicks with
+    probability 1 - (1 - d) * exp(-I * eta); the two detectors sample
+    independently.  Returns ``(p_left, p_right)`` where left watches the
+    port that is bright at zero phase difference.
     Accepts scalars or broadcastable arrays, and a batch: ``params`` and
     ``model`` fields of shape (rows, 1), such as ``mu`` or ``visibility``,
     broadcast against the windows on the last axis.
     """
-    intensity = params.mu * model.gate_fraction
     ports = interfere(
-        np.where(alice_sent, intensity * arm_transmittance(model, "a"), 0.0),
-        np.where(bob_sent, intensity * arm_transmittance(model, "b"), 0.0),
+        np.where(alice_sent, params.mu * arm_transmittance(model, "a"), 0.0),
+        np.where(bob_sent, params.mu * arm_transmittance(model, "b"), 0.0),
         phase_diff,
         model.visibility,
     )
@@ -576,6 +572,14 @@ def window_count(value, name: str = "n_windows") -> int:
     return int(value) if isinstance(value, (int, np.integer)) else int(count)
 
 
+def _one_configuration(params: ProtocolParams, model: ChannelModel) -> None:
+    """Raise ValueError naming the first field of ``params`` or ``model``
+    that holds an array: a batch where one configuration is expected."""
+    for name, value in (*vars(params).items(), *vars(model).items()):
+        if getattr(value, "ndim", 0):
+            raise ValueError(f"{name} must be a scalar for one configuration, got shape {value.shape}")
+
+
 def simulate_session(
     params: ProtocolParams,
     model: ChannelModel,
@@ -588,15 +592,16 @@ def simulate_session(
     """Run a full Monte Carlo session and aggregate raw-file-shaped tallies.
 
     ``params`` and ``model`` describe one configuration: every field is a
-    scalar.  ``thresholds`` optionally lists additional post-selection
-    widths (radians) to tally alongside ``params.delta_threshold``; each
-    threshold's tallies are the same whatever others are requested.  The
-    result is bit-identical for any ``workers`` value: the session is cut
-    into chunks with independent seeded streams, whose int64 tallies add up
-    in any order.  Every chunk's drift total and start phase, the initial
-    phase plus the totals of the chunks before it, come from the session
-    stream before any chunk runs; each chunk then pins its walk to its
-    total once, at its both-send windows and span ends.
+    scalar (a ValueError names the first array).  ``thresholds`` optionally
+    lists additional post-selection widths (radians) to tally alongside
+    ``params.delta_threshold``; each threshold's tallies are the same
+    whatever others are requested.  The result is bit-identical for any
+    ``workers`` value: the session is cut into chunks with independent
+    seeded streams, whose int64 tallies add up in any order.  Every chunk's
+    drift total and start phase, the initial phase plus the totals of the
+    chunks before it, come from the session stream before any chunk runs;
+    each chunk then pins its walk to its total once, at its both-send
+    windows and span ends.
 
     ``n_windows`` is a whole number of at least 1, such as ``1e8``, and
     ``seed`` a non-negative integer.  ``workers`` caps the processes that
@@ -608,6 +613,7 @@ def simulate_session(
     for 10**7 windows against 56 ms with ``workers=1``, and 0.30-0.39 s for
     10**8 windows against 0.56-0.59 s (medians and quartiles).
     """
+    _one_configuration(params, model)
     n_windows = window_count(n_windows)
     check(workers=workers, seed=seed, mean_ref_counts=mean_ref_counts)
     thr_list = _threshold_list(params, thresholds)
@@ -691,13 +697,17 @@ def _expected_counts(params: ProtocolParams, model: ChannelModel, n_windows: flo
     """
     check(n_windows=n_windows)
     eff = _effective_probs(params, model, thresholds)
-    eps = np.zeros((len(eff), 1)) + params.epsilon
+    # No click reads p_t, f_ec or the drift, but a batch has a row per value of
+    # them too: adding 0 times them, finite by their rules, gives eps those rows.
+    unread = params.p_t + params.f_ec + model.drift_rad_per_window
+    eps = np.zeros((len(eff), 1)) + params.epsilon + 0.0 * unread
     thr = np.zeros_like(eps) + thresholds
     sent = n_windows * np.hstack(((1.0 - eps) ** 2, (1.0 - eps) * eps, eps * (1.0 - eps), eps**2))
     counts = np.empty((*thr.shape, 4, 8))
     counts[..., 0] = sent[:, None]
     counts[..., 1] = sent[:, None] * (thr / math.pi)[..., None]
-    pool = counts[..., 1:2] * [params.p_t, 1.0 - params.p_t]
+    # Each row's (test, key) shares of its kept windows.
+    pool = counts[..., 1:2] * np.reshape(np.transpose([params.p_t, 1.0 - params.p_t]), (-1, 1, 1, 2))
     # Writes through this view fill the (subset, cell) columns; the 00/01/10
     # windows click alike at every threshold, the 11 ones per threshold.
     cells = counts[..., 2:].reshape(*thr.shape, 4, 2, 3)
@@ -727,15 +737,16 @@ def expected_tallies(
     The both-send averages use 64-node Gauss-Legendre quadrature whose
     nodes are computed once per process, on first use; one call evaluates
     the click probabilities once, for every state and threshold together.
-    It takes one configuration, whose fields are scalars, and is the
-    single-row case of the batched model behind
-    :func:`scfqkd.keyrate.analyze_expected_batch`.
+    It takes one configuration, whose fields are scalars (a ValueError
+    names the first array), and is the single-row case of the batched
+    model behind :func:`scfqkd.keyrate.analyze_expected_batch`.
 
     Returns ``{threshold: SessionTallies}`` with float-valued cells,
     covering ``params.delta_threshold`` and any extra ``thresholds``.  Their
     ``effective_windows`` is the sum of the detections at threshold pi,
     which keeps every window.
     """
+    _one_configuration(params, model)
     thr_list = _threshold_list(params, thresholds)
     *rows, whole = _expected_counts(params, model, n_windows, thr_list + [math.pi]).squeeze(0)
     effective = float(whole[:, [3, 4, 6, 7]].sum())

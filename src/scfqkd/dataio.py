@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
@@ -216,20 +216,9 @@ def write_raw_tallies(path, tallies: SessionTallies, metadata: Mapping | None = 
 # Reports and sweep tables
 # ---------------------------------------------------------------------------
 
-def _jsonable(v):
-    if isinstance(v, float) and math.isnan(v):
-        return None
-    return v
-
-
-_REPORT_FIELDS = tuple(f.name for f in fields(KeyRateReport))
-
-
 def report_to_dict(report: KeyRateReport) -> dict:
-    d = {name: _jsonable(getattr(report, name)) for name in _REPORT_FIELDS}
-    for name in ("rates_u_by_state", "rates_u_by_cell"):
-        d[name] = {k: _jsonable(v) for k, v in d[name].items()}
-    return d
+    """The report's fields; ``e_u`` and ``rate_per_pulse`` hold None, not NaN, where undefined."""
+    return dict(vars(report))
 
 
 def _json_object(d: dict, indent: str = "\n") -> str:

@@ -201,8 +201,8 @@ def estimate(test, key, mu, f_ec, n_total) -> dict:
     n_f_raw = key_length(n_z, _clip(e_ph, 0.0, 0.5), n_v, e_v, f_ec)
     n_f = _clip(n_f_raw, 0.0)
     # e_ph is NaN exactly where a test-set state has no windows, s_z is 0 or
-    # exp(-mu) underflows to 0.
-    failed = np.isnan(e_ph) | (mu <= 0.0)
+    # exp(-mu) underflows to 0, and infinite where the bound overflows.
+    failed = ~np.isfinite(e_ph) | (mu <= 0.0)
     return {
         "s_u": s_u,
         "e_u": e_u,
@@ -232,6 +232,8 @@ def _failure(by_state, s_z: float, mu: float) -> EstimationError:
         return EstimationError(f"no announced windows for cells: {bad}")
     if s_z <= 0:
         return EstimationError("mismatched-send yield is zero; no key material")
+    if mu > 0.0 and np.exp(-mu) > 0.0:
+        return EstimationError("phase-flip bound overflows to infinity")
     return _mu_error(mu)
 
 

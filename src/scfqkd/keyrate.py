@@ -70,7 +70,7 @@ class ExpectedReports:
     raises EstimationError; their other values carry no meaning.
     """
 
-    def __init__(self, values: dict, mu: np.ndarray, delta: np.ndarray, f_ec: float, n_windows):
+    def __init__(self, values: dict, mu: np.ndarray, delta: np.ndarray, f_ec: np.ndarray, n_windows):
         self.values = values
         self.failed = values["failed"]
         self._inputs = mu, delta, f_ec, n_windows
@@ -80,7 +80,7 @@ class ExpectedReports:
         EstimationError that :func:`analyze_tallies` raises."""
         mu, delta, f_ec, n_windows = self._inputs
         row = {name: a[..., i].tolist() for name, a in self.values.items()}
-        return estimator.report(row, mu[i].item(), f_ec, delta[i].item(), n_windows)
+        return estimator.report(row, mu[i].item(), f_ec[i].item(), delta[i].item(), n_windows)
 
 
 def analyze_expected_batch(params: ProtocolParams, model: ChannelModel, n_windows: float) -> ExpectedReports:
@@ -88,8 +88,7 @@ def analyze_expected_batch(params: ProtocolParams, model: ChannelModel, n_window
 
     The batch is ``params`` and ``model`` with fields of shape (rows, 1),
     made with ``dataclasses.replace``: row i takes element i of each such
-    field and shares the scalar ones.  ``mu``, ``epsilon`` and
-    ``delta_threshold`` may vary, as may any field of ``model``; the
+    field and shares the scalar ones.  Any field of either may vary; the
     dataclasses check every element of a field as they check a scalar.  A
     single click evaluation covers every row, and the estimation chain runs
     once over arrays of rows, so each row equals what
@@ -99,26 +98,20 @@ def analyze_expected_batch(params: ProtocolParams, model: ChannelModel, n_window
     are marked ``failed`` instead.
     """
     counts = channelsim._expected_counts(params, model, n_windows, params.delta_threshold)
-    mu, delta = (np.zeros(len(counts)) + np.ravel(x) for x in (params.mu, params.delta_threshold))
+    mu, delta, f_ec = (np.zeros(len(counts)) + np.ravel(x)
+                       for x in (params.mu, params.delta_threshold, params.f_ec))
     # (state, subset, cell, row) of the one threshold; sides L, R are ch0, ch1.
     leaves = counts[:, 0, :, 2:].reshape(-1, 4, 2, 3).transpose(1, 2, 3, 0).copy()
-    values = estimator.estimate(leaves[:, 0], leaves[:, 1], mu, params.f_ec, n_windows)
+    values = estimator.estimate(leaves[:, 0], leaves[:, 1], mu, f_ec, n_windows)
     for name in ("rates_u_by_state", "rates_u_by_cell"):
         values[name] = np.array(values[name])
-    return ExpectedReports(values, mu, delta, params.f_ec, n_windows)
+    return ExpectedReports(values, mu, delta, f_ec, n_windows)
 
 
-def analyze_expected(
-    params: ProtocolParams,
-    model: ChannelModel,
-    n_windows: float,
-    delta_threshold: float | None = None,
-) -> KeyRateReport:
+def analyze_expected(params: ProtocolParams, model: ChannelModel, n_windows: float) -> KeyRateReport:
     """Analyse the expected-value tallies of the given configuration with
     :func:`analyze_tallies`; equal bit for bit to the row of
     :func:`analyze_expected_batch`."""
-    if delta_threshold is not None:
-        params = replace(params, delta_threshold=float(delta_threshold))
     tallies = expected_tallies(params, model, n_windows)[params.delta_threshold]
     return analyze_tallies(*estimator.tallies_to_sets(tallies), params, n_total_pulses=n_windows)
 
@@ -243,25 +236,22 @@ def optimize_params(
     epsilon_bounds: tuple = (2e-3, 2e-1),
     delta_bounds: tuple = (math.radians(5.0), math.radians(90.0)),
     n_windows: float = 1e12,
-    grid: int = 7,
-    refine_rounds: int = 10,
 ) -> OptimizeResult:
     """Deterministic search for the rate-maximising (mu, epsilon, delta).
 
     A coarse log/linear grid seeds a coordinate-descent refinement that
     repeatedly rescans a shrinking bracket around the incumbent on each
     coordinate in a fixed order.  Points are evaluated in batches with
-    :func:`analyze_expected_batch`: the whole coarse grid (``grid**3``
-    points) in one call, and each coordinate scan (``grid`` points) in one
-    call.  Points are visited in a fixed order, a point without a
-    phase-flip bound counts as rate 0, and the incumbent changes only on a
-    strictly greater rate, so the first maximum wins.
-    ``evaluations`` counts points, not calls: ``grid**3 + 3 * grid *
-    refine_rounds``, 553 with the defaults.  No randomness is involved, so
-    equal inputs give equal results.
+    :func:`analyze_expected_batch`: the whole coarse grid (7 points per
+    axis, 343 points) in one call, and each coordinate scan (7 points) in
+    one call, for 10 rounds over the three coordinates.  Points are visited
+    in a fixed order, a point without a phase-flip bound counts as rate 0,
+    and the incumbent changes only on a strictly greater rate, so the first
+    maximum wins.  ``evaluations`` counts points, not calls: 7**3 + 3 * 7 *
+    10 = 553.  No randomness is involved, so equal inputs give equal
+    results.
     """
-    check(grid=grid)
-    evaluations = 0
+    grid, refine_rounds, evaluations = 7, 10, 0
 
     def rates_at(points) -> list:
         nonlocal evaluations

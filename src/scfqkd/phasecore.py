@@ -36,7 +36,6 @@ ArrayLike = Union[float, np.ndarray]
 RANGES = {
     "f_ec": ("be finite and at least 1", lambda v: (1.0 <= v) & (v < math.inf)),
     "dark_prob": ("lie in [0, 1)", lambda v: (0.0 <= v) & (v < 1.0)),
-    "gate_fraction": ("lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
     "target_qber": ("lie in (0, 0.5)", lambda v: (0.0 < v) & (v < 0.5)),
     "seed": ("be a non-negative integer", lambda v: isinstance(v, (int, np.integer)) & (v >= 0)),
     "minor_angle argument": ("be finite", lambda v: abs(v) < math.inf),
@@ -53,9 +52,8 @@ RANGES = {
     **dict.fromkeys(("epsilon", "p_t", "det_eff_left", "det_eff_right", "visibility",
                      "binary_entropy argument"), ("lie in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0))),
     **dict.fromkeys(("n_windows", "tol"), ("be finite and positive", lambda v: (0.0 < v) & (v < math.inf))),
-    **dict.fromkeys(("workers", "span_windows", "n_trials"),
+    **dict.fromkeys(("workers", "n_trials"),
                     ("be a positive integer", lambda v: isinstance(v, (int, np.integer)) & (v >= 1))),
-    "grid": ("be an integer of at least 2", lambda v: isinstance(v, (int, np.integer)) & (v >= 2)),
 }
 """Range rules by name, each (its wording in a refusal, its test), of every
 parameter field, extra threshold and argument the package checks.  A test

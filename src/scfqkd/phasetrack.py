@@ -39,17 +39,14 @@ DEFAULT_MEAN_REF_COUNTS = 45.0
 """Mean total reference detections per span, summed over the four slots."""
 
 
-def drift_scale_per_window(
-    rms_per_span: float = DEFAULT_DRIFT_RMS_PER_SPAN,
-    span_windows: int = DEFAULT_SPAN_WINDOWS,
-) -> float:
+def drift_scale_per_window(rms_per_span: float = DEFAULT_DRIFT_RMS_PER_SPAN) -> float:
     """Per-window standard deviation of the Gaussian phase random walk.
 
     The drift is modelled as independent Gaussian increments per signal
-    window; ``span_windows`` increments then accumulate to the given RMS.
+    window; a span's ``DEFAULT_SPAN_WINDOWS`` increments add up to the RMS.
     """
-    check(rms_per_span=rms_per_span, span_windows=span_windows)
-    return rms_per_span / math.sqrt(span_windows)
+    check(rms_per_span=rms_per_span)
+    return rms_per_span / math.sqrt(DEFAULT_SPAN_WINDOWS)
 
 
 def slot_probabilities(phase) -> np.ndarray:
@@ -111,27 +108,26 @@ class ErrorProfile:
 def estimation_error_profile(
     mean_total: float = DEFAULT_MEAN_REF_COUNTS,
     drift_rms_per_span: float = DEFAULT_DRIFT_RMS_PER_SPAN,
-    span_windows: int = DEFAULT_SPAN_WINDOWS,
     n_trials: int = 10_000,
     seed: int = 0,
 ) -> ErrorProfile:
     """Profile the end-to-end phase-estimation error by Monte Carlo.
 
-    Each trial simulates one statistics span: the phase starts uniform,
-    performs its per-window random walk, reference counts are drawn at the
-    span-mean phase, and the estimate is compared against the true phase at
-    a uniformly chosen signal window of the span.
+    Each trial simulates one span of ``DEFAULT_SPAN_WINDOWS`` windows: the
+    phase starts uniform, performs its per-window random walk, reference
+    counts are drawn at the span-mean phase, and the estimate is compared
+    against the true phase at a uniformly chosen signal window of the span.
     """
     check(mean_total=mean_total, drift_rms_per_span=drift_rms_per_span, n_trials=n_trials)
     rng = np.random.default_rng(seed)
-    scale = drift_scale_per_window(drift_rms_per_span, span_windows)
+    scale = drift_scale_per_window(drift_rms_per_span)
     phi0 = rng.uniform(-math.pi, math.pi, size=n_trials)
-    steps = scale * rng.standard_normal((n_trials, span_windows))
+    steps = scale * rng.standard_normal((n_trials, DEFAULT_SPAN_WINDOWS))
     phases = phi0[:, np.newaxis] + np.cumsum(steps, axis=1)
     span_mean = phases.mean(axis=1)
     counts = rng.poisson(0.5 * mean_total * slot_probabilities(span_mean))
     est = estimate_phase_batch(counts)
-    window = rng.integers(0, span_windows, size=n_trials)
+    window = rng.integers(0, DEFAULT_SPAN_WINDOWS, size=n_trials)
     truth = phases[np.arange(n_trials), window]
     diff = np.remainder(est - truth + math.pi, 2.0 * math.pi) - math.pi
     return ErrorProfile(

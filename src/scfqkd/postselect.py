@@ -33,9 +33,6 @@ class StateCoefficients:
     bob_only: float
     vacuum: float
 
-    def as_dict(self) -> dict:
-        return dict(zip(("11", "10", "01", "00"), self.as_tuple()))
-
     def as_tuple(self) -> tuple:
         return (self.both, self.alice_only, self.bob_only, self.vacuum)
 

@@ -74,7 +74,6 @@ def test_channel_model_validation():
     (ChannelModel, "drift_rad_per_window", -1e-3,
      "drift_rad_per_window must be finite and non-negative, got -0.001"),
     (ChannelModel, "visibility", -0.1, r"visibility must lie in \[0, 1\], got -0.1"),
-    (ChannelModel, "gate_fraction", 0.0, r"gate_fraction must lie in \(0, 1\], got 0.0"),
 ])
 def test_every_field_has_a_range_rule_that_names_the_value(cls, name, bad, message):
     """One range-rule table checks every field, and each message gives the
@@ -88,8 +87,8 @@ def test_every_field_has_a_range_rule_that_names_the_value(cls, name, bad, messa
 
 def test_arm_transmittance_known_values():
     m = ChannelModel(fiber_km_a=25.0, fiber_km_b=0.0, comp_loss_db_b=0.0)
-    assert arm_transmittance(m, "A") == pytest.approx(10 ** -0.5, rel=1e-12)
-    assert arm_transmittance(m, "A") == pytest.approx(0.3162, abs=5e-5)
+    assert arm_transmittance(m, "a") == pytest.approx(10 ** -0.5, rel=1e-12)
+    assert arm_transmittance(m, "a") == pytest.approx(0.3162, abs=5e-5)
     assert arm_transmittance(m, "b") == 1.0
     m2 = ChannelModel(fiber_km_a=25.0, comp_loss_db_a=4.78)
     assert arm_transmittance(m2, "a") == pytest.approx(10 ** (-9.78 / 10), rel=1e-12)
@@ -850,8 +849,7 @@ def test_simulation_matches_model_zero_visibility():
                       det_eff_left=0.7, det_eff_right=0.65),
          1_000_000),
         (ProtocolParams(mu=0.3, epsilon=0.5, p_t=0.3),
-         ChannelModel(fiber_km_a=1, fiber_km_b=2, dark_prob=1e-6, visibility=0.0,
-                      gate_fraction=0.8),
+         ChannelModel(fiber_km_a=1, fiber_km_b=2, dark_prob=1e-6, visibility=0.0),
          600_000),
     ]
     for params, model, n in draws:
@@ -935,8 +933,8 @@ def _mp_both_send_effective(params, model, threshold):
     """Both-send effective-click probabilities (ch0, ch1) averaged over a
     phase uniform on [0, threshold], by mpmath quadrature at 40 digits."""
     with mp.workdps(40):
-        mu_a = mp.mpf(params.mu) * model.gate_fraction * arm_transmittance(model, "a")
-        mu_b = mp.mpf(params.mu) * model.gate_fraction * arm_transmittance(model, "b")
+        mu_a = mp.mpf(params.mu) * arm_transmittance(model, "a")
+        mu_b = mp.mpf(params.mu) * arm_transmittance(model, "b")
         d = mp.mpf(model.dark_prob)
 
         def clicks(phi):
@@ -1029,6 +1027,21 @@ def test_expected_tallies_refuses_a_batch():
         expected_tallies(params, defaults.reference_model(50.0), 1e12)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda p, m: simulate_session(p, m, 1000, seed=1),
+    lambda p, m: expected_tallies(p, m, 1e12),
+    lambda p, m: keyrate.analyze_expected(p, m, 1e12),
+], ids=["simulate_session", "expected_tallies", "analyze_expected"])
+def test_one_configuration_entry_points_name_the_first_array_field(entry):
+    params, model = defaults.reference_params(), defaults.reference_model(50.0)
+    rows = np.array([[0.02], [0.03]])
+    for p, m, name in ((replace(params, epsilon=rows, p_t=rows), replace(model, visibility=rows[::-1]), "epsilon"),
+                       (params, replace(model, dark_prob=rows, visibility=rows), "dark_prob")):
+        with pytest.raises(ValueError) as got:
+            entry(p, m)
+        assert str(got.value) == f"{name} must be a scalar for one configuration, got shape (2, 1)"
+
+
 @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
 def test_effective_probs_rejects_bad_row_visibility(bad):
     params = defaults.reference_params()
@@ -1080,7 +1093,7 @@ def test_quadrature_nodes_computed_once(monkeypatch):
     model = defaults.reference_model(50.0)
     for deg in (2, 30, 90):
         expected_tallies(params, model, 1e12, thresholds=[math.radians(deg)])
-    keyrate.optimize_params(model, params, grid=3, refine_rounds=2)
+    keyrate.optimize_params(model, params)
     keyrate.calibrate_visibility(params, model, defaults.REFERENCE_BOTH_SEND_QBER)
     assert calls == [64]
 

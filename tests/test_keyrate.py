@@ -358,7 +358,7 @@ def test_optimizer_dominates_reference_point():
     params = defaults.reference_params()
     model = defaults.reference_model(50.0)
     base = analyze_expected(params, model, 1e12).rate_per_pulse
-    res = optimize_params(model, params, grid=5, refine_rounds=4)
+    res = optimize_params(model, params)
     assert res.rate_per_pulse >= base
     assert res.evaluations > 0
     lo_mu, hi_mu = 2e-4, 2e-2
@@ -368,7 +368,7 @@ def test_optimizer_dominates_reference_point():
 def test_optimizer_refinement_is_locally_flat():
     params = defaults.reference_params()
     model = defaults.reference_model(50.0)
-    res = optimize_params(model, params, grid=5, refine_rounds=6)
+    res = optimize_params(model, params)
     best = res.params
     # nudging each coordinate by 2% must not improve the rate by more than 1%
     for field, span in (("mu", 0.02), ("epsilon", 0.02)):
@@ -386,7 +386,7 @@ def test_optimizer_best_delta_on_coarse_grid():
     mcal = replace(model, visibility=vis)
     rates = {}
     for deg in (2, 5, 8, 10, 12, 15, 30, 45):
-        rep = analyze_expected(params, mcal, 1e12, delta_threshold=math.radians(deg))
+        rep = analyze_expected(replace(params, delta_threshold=math.radians(deg)), mcal, 1e12)
         rates[deg] = rep.rate_per_pulse
     best = max(rates, key=rates.get)
     assert best in (30, 45)
@@ -478,6 +478,26 @@ def test_batched_analysis_matches_scalar_chain_row_by_row(p_t):
     assert 0 < len(failed) < len(rows) or p_t == 0.0
 
 
+@pytest.mark.parametrize("names", [("p_t",), ("f_ec",), ("p_t", "f_ec"), ("drift_rad_per_window",)])
+def test_batched_fields_outside_the_clicks_vary_per_row(names):
+    """``p_t``, ``f_ec`` and the drift, which no click probability reads,
+    vary per row like ``mu``, also when no other field does; each row equals
+    the analysis of its configuration."""
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    values = {"p_t": [0.1, 0.3], "f_ec": [1.1, 1.4], "drift_rad_per_window": [0.005, 0.006]}
+
+    def configuration(pick):
+        return (replace(params, **{n: pick(values[n]) for n in names if hasattr(params, n)}),
+                replace(model, **{n: pick(values[n]) for n in names if hasattr(model, n)}))
+
+    batch = analyze_expected_batch(*configuration(lambda v: np.array(v)[:, None]), 1e12)
+    reports = [batch.report(i) for i in range(2)]
+    assert reports == [analyze_expected(*configuration(lambda v: v[i]), 1e12) for i in range(2)]
+    # The model does not read the drift, so only its rows are equal.
+    assert (reports[0] == reports[1]) == (names == ("drift_rad_per_window",))
+
+
 @pytest.mark.parametrize("change", [{"epsilon": 0.0}, {"mu": 0.0}, {"p_t": 0.0}])
 def test_sweep_distance_raises_the_scalar_chain_error(change):
     params = replace(defaults.reference_params(), **change)
@@ -551,10 +571,9 @@ def test_default_optimize_batches_click_evaluations(monkeypatch):
 def test_optimizer_keeps_the_first_of_equal_rates():
     """Where no point yields key, every rate is 0 and the first coarse
     point stays the incumbent."""
-    res = optimize_params(defaults.reference_model(600.0), defaults.reference_params(),
-                          grid=3, refine_rounds=2)
+    res = optimize_params(defaults.reference_model(600.0), defaults.reference_params())
     assert res.rate_per_pulse == 0.0
-    assert res.evaluations == 3**3 + 3 * 3 * 2
+    assert res.evaluations == 553
     assert (res.params.mu, res.params.epsilon, res.params.delta_threshold) == (
         2e-4, 2e-3, math.radians(5.0))
 

@@ -7,7 +7,6 @@ from scfqkd.phasecore import minor_angle
 from scfqkd.phasetrack import (
     DEFAULT_DRIFT_RMS_PER_SPAN,
     DEFAULT_MEAN_REF_COUNTS,
-    DEFAULT_SPAN_WINDOWS,
     REF_SLOT_OFFSETS,
     drift_scale_per_window,
     estimate_phase,
@@ -125,7 +124,7 @@ def test_fit_error_minimal_at_estimate():
 
 def test_drift_scale_per_window():
     assert drift_scale_per_window() == pytest.approx(0.073 / math.sqrt(180))
-    assert drift_scale_per_window(0.0, 180) == 0.0
+    assert drift_scale_per_window(0.0) == 0.0
 
 
 def test_error_profile_vanishes_without_noise():
@@ -140,7 +139,6 @@ def test_error_profile_at_experiment_settings():
     prof = estimation_error_profile(
         mean_total=DEFAULT_MEAN_REF_COUNTS,
         drift_rms_per_span=DEFAULT_DRIFT_RMS_PER_SPAN,
-        span_windows=DEFAULT_SPAN_WINDOWS,
         n_trials=4000,
         seed=8,
     )

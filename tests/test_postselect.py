@@ -202,12 +202,9 @@ def test_posterior_state_reference_dataset():
     assert c.bob_only == pytest.approx(0.020594, abs=5e-7)
     assert c.alice_only == pytest.approx(0.020564, abs=1e-6)
     assert c.vacuum == pytest.approx(0.958400, abs=5e-7)
-    assert c.as_dict()["01"] == c.bob_only
-    assert c.as_dict()["10"] == c.alice_only
 
 
 def test_state_coefficients_dict_keys():
     c = StateCoefficients(0.1, 0.2, 0.3, 0.4)
-    assert c.as_dict() == {"11": 0.1, "10": 0.2, "01": 0.3, "00": 0.4}
     assert c.as_tuple() == (0.1, 0.2, 0.3, 0.4)
 

@@ -173,6 +173,26 @@ def test_batch_of_tallies_equals_each_analysis(stack, swap, mu, n_total):
         assert report(row, mu, params.f_ec, params.delta_threshold, n_total) == want
 
 
+# mu runs past about 745, where exp(-mu) underflows to 0; from about 700 the
+# phase-flip bound can overflow to infinity.
+@settings(max_examples=200, deadline=None)
+@given(consistent_tallies(), st.booleans(), st.one_of(st.floats(0.0, 1.0), st.floats(700.0, 750.0)),
+       st.sampled_from([None, 1.0, 1e12]))
+def test_a_report_holds_no_nan_and_its_json_parses_back(t, swap, mu, n_total):
+    """An analysis of valid tallies raises EstimationError or gives a report
+    without NaN in any field or nested rate, whose JSON form parses back to
+    the report's fields."""
+    u, v = tallies_to_sets(t, swap_detectors=swap)
+    try:
+        rep = analyze_tallies(u, v, ProtocolParams(mu=mu), n_total_pulses=n_total)
+    except EstimationError:
+        return
+    d = dataio.report_to_dict(rep)
+    values = [*d.values(), *d["rates_u_by_state"].values(), *d["rates_u_by_cell"].values()]
+    assert not any(isinstance(x, float) and math.isnan(x) for x in values)
+    assert json.loads(dataio.emit_report(rep, fmt="json")) == d
+
+
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, -1e16, 0.1]
 json_scalars = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
