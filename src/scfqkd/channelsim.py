@@ -105,9 +105,10 @@ class ProtocolParams:
     per-window send probability of each party, ``delta_threshold`` the
     post-selection bound on the minor angle of the estimated phase (radians),
     ``f_ec`` the error-correction inefficiency and ``p_t`` the fraction of
-    kept windows sacrificed as the test set.  In a batch of the
-    expected-value model, any field may hold a (rows, 1) array, one value
-    per configuration.
+    kept windows sacrificed as the test set.  A batch of the expected-value
+    model is the broadcast of the fields of a ``ProtocolParams`` and a
+    :class:`ChannelModel`: any field may hold an array of shape S + (1,),
+    and the configurations are the cells of S in C order.
     """
 
     mu: float = 0.002
@@ -128,7 +129,8 @@ class ChannelModel:
     is the per-window dark-click probability of each detector.
     ``drift_rad_per_window`` is the standard deviation of the Gaussian phase
     increment per signal window.  In a batch of the expected-value model,
-    any field may hold a (rows, 1) array.
+    any field may hold an array of shape S + (1,), which broadcasts with
+    the other fields (see :class:`ProtocolParams`).
     """
 
     fiber_km_a: float = 25.0
@@ -272,8 +274,9 @@ def click_probabilities(params: ProtocolParams, model: ChannelModel, alice_sent,
     independently.  Returns ``(p_left, p_right)`` where left watches the
     port that is bright at zero phase difference.
     Accepts scalars or broadcastable arrays, and a batch: ``params`` and
-    ``model`` fields of shape (rows, 1), such as ``mu`` or ``visibility``,
-    broadcast against the windows on the last axis.
+    ``model`` fields of shape S + (1,), such as ``mu`` or ``visibility``,
+    broadcast with each other and against the windows on the last axis;
+    of ``params`` only ``mu`` is read.
     """
     ports = interfere(
         np.where(alice_sent, params.mu * arm_transmittance(model, "a"), 0.0),
@@ -627,7 +630,8 @@ def simulate_session(
     starts = np.cumsum(np.concatenate(([phi0], totals[:-1])))
     # The 00/01/10 windows' (state, subset, label) probabilities.
     eps, p_t = params.epsilon, params.p_t
-    q = _effective_probs(params, model)[0]
+    p_left, p_right = click_probabilities(params, model, [False, False, True], [False, True, False], 0.0)
+    q = np.column_stack((p_left * (1.0 - p_right), p_right * (1.0 - p_left)))
     click = np.column_stack((np.maximum(1.0 - q.sum(axis=1), 0.0), q))
     cell = np.outer(np.array([1.0 - eps, eps, eps]) / (1.0 + eps), [p_t, 1.0 - p_t])
     session = (params, model, seed, n_windows, starts, totals, thr_arr, mean_ref_counts,
@@ -648,72 +652,59 @@ _QUAD_NODES = 64
 
 @functools.cache
 def _quadrature():
-    """Gauss-Legendre nodes on [-1, 1] and weights summing to 1, built on first use."""
+    """Per click window of a configuration, built on first use: its node,
+    weight and whether A and B send.  Windows 00, 01 and 10 have node -1 and
+    weight 1, then come the 64 Gauss-Legendre nodes on [-1, 1] of state 11
+    with weights summing to 1; threshold t puts a node at phase t (node + 1) / 2."""
     x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    return x, w / w.sum()
+    sends = np.ones((2, 3 + _QUAD_NODES), dtype=bool)
+    sends[:, :3] = [[False, False, True], [False, True, False]]
+    return np.concatenate(([-1.0] * 3, x)), np.concatenate(([1.0] * 3, w / w.sum())), *sends
 
 
-def _effective_probs(params: ProtocolParams, model: ChannelModel, thresholds=()) -> np.ndarray:
-    """Effective-click probabilities (ch0, ch1) per row and case.
+def _effective_probs(params: ProtocolParams, model: ChannelModel, thresholds) -> np.ndarray:
+    """Effective-click probabilities (ch0, ch1) per configuration and state.
 
-    A row is one configuration of a batch: ``params`` and ``model`` fields
-    of shape (rows, 1) vary per row, scalar ones are shared, and a single
-    configuration is one row.  ``thresholds`` has shape (k,), shared by all
-    rows, or (rows, k).  The result has shape (rows, 3 + k, 2): first states
-    00, 01 and 10, whose clicks do not depend on the phase, then per
-    threshold t the both-send probabilities averaged over a phase difference
-    uniform on [0, t].  A single click evaluation covers every row and case;
-    without thresholds the quadrature is not built.
+    ``params`` and ``model`` are a batch (see :class:`ProtocolParams`), and
+    ``thresholds``, a scalar or of shape T + (1,), broadcasts with them as
+    one more field.  One click evaluation reads ``mu``, the thresholds and
+    ``model``; the result has shape B + (4, 2), B their broadcast shape
+    without the last axis.  States 00, 01 and 10 do not depend on the phase;
+    state 11 is averaged over a phase uniform on [0, t] at threshold t.
     """
-    thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
-    x, weight = _quadrature() if thr.size else (np.empty(0), np.empty(0))
-    both = np.ones(thr.shape[1] * x.size, dtype=bool)
-    alice = np.concatenate(([False, False, True], both))
-    bob = np.concatenate(([False, True, False], both))
-    t = thr[..., None]
-    phase = np.concatenate(
-        (np.zeros((len(thr), 3)), (0.5 * t * x + 0.5 * t).reshape(len(thr), both.size)), axis=1
-    )
-    p_left, p_right = click_probabilities(params, model, alice, bob, phase)
-    shape = (len(p_left), thr.shape[1], x.size)
-
-    def effective(p, q):
-        # The p detector clicks and the q one does not; nodes reduce to
-        # their weighted mean per threshold.
-        nodes = weight * p[:, 3:].reshape(shape) * (1.0 - q[:, 3:].reshape(shape))
-        return np.concatenate((p[:, :3] * (1.0 - q[:, :3]), nodes.sum(axis=2)), axis=1)
-
-    return np.stack((effective(p_left, p_right), effective(p_right, p_left)), axis=2)
+    node, weight, alice, bob = _quadrature()
+    half = 0.5 * np.asarray(thresholds, dtype=float)
+    p = np.stack(click_probabilities(params, model, alice, bob, half * node + half), axis=-2)
+    # Per channel, its detector clicks and the other one does not; nodes reduce to their mean.
+    both = weight * p * (1.0 - p[..., ::-1, :])
+    return np.concatenate((both[..., :3], both[..., 3:].sum(axis=-1, keepdims=True)), axis=-1).swapaxes(-1, -2)
 
 
 def _expected_counts(params: ProtocolParams, model: ChannelModel, n_windows: float, thresholds) -> np.ndarray:
-    """Expected-value counts of a batch of configurations, one row each.
+    """Expected-value counts of a batch of configurations.
 
-    ``params`` and ``model`` describe the batch as in :func:`_effective_probs`,
-    and ``thresholds`` has shape (k,), shared by all rows, or (rows, k).
-    Returns shape (rows, k, state, 8): per threshold the rows of
-    :attr:`SessionTallies.counts`, the windows sent and selected, then
-    (test, key) x (windows, effective on ch0, effective on ch1).
+    ``params``, ``model`` and ``thresholds`` describe the batch as in
+    :func:`_effective_probs`; ``epsilon`` and ``p_t`` join here.  Returns
+    shape C + (state, 8), C the broadcast shape of the fields read without
+    the last axis: the rows of :attr:`SessionTallies.counts`, the windows
+    sent and selected, then (test, key) x (windows, effective on ch0,
+    effective on ch1).
     """
     check(n_windows=n_windows)
     eff = _effective_probs(params, model, thresholds)
-    # No click reads p_t, f_ec or the drift, but a batch has a row per value of
-    # them too: adding 0 times them, finite by their rules, gives eps those rows.
-    unread = params.p_t + params.f_ec + model.drift_rad_per_window
-    eps = np.zeros((len(eff), 1)) + params.epsilon + 0.0 * unread
-    thr = np.zeros_like(eps) + thresholds
-    sent = n_windows * np.hstack(((1.0 - eps) ** 2, (1.0 - eps) * eps, eps * (1.0 - eps), eps**2))
-    counts = np.empty((*thr.shape, 4, 8))
-    counts[..., 0] = sent[:, None]
-    counts[..., 1] = sent[:, None] * (thr / math.pi)[..., None]
-    # Each row's (test, key) shares of its kept windows.
-    pool = counts[..., 1:2] * np.reshape(np.transpose([params.p_t, 1.0 - params.p_t]), (-1, 1, 1, 2))
-    # Writes through this view fill the (subset, cell) columns; the 00/01/10
-    # windows click alike at every threshold, the 11 ones per threshold.
-    cells = counts[..., 2:].reshape(*thr.shape, 4, 2, 3)
+    eps = np.atleast_1d(params.epsilon)
+    sent = n_windows * np.concatenate(((1.0 - eps) ** 2, (1.0 - eps) * eps, eps * (1.0 - eps), eps**2), axis=-1)
+    selected = sent * (thresholds / math.pi)
+    # Each configuration's (test, key) shares of its kept windows.
+    pool = selected[..., None] * np.stack((params.p_t, 1.0 - params.p_t), axis=-1)
+    detected = pool[..., None] * eff[..., None, :]
+    counts = np.empty((*detected.shape[:-2], 8))
+    counts[..., 0] = sent
+    counts[..., 1] = selected
+    # Writes through this view fill the (subset, cell) columns.
+    cells = counts[..., 2:].reshape(*detected.shape[:-1], 3)
     cells[..., 0] = pool
-    cells[..., :3, :, 1:] = pool[..., :3, :, None] * eff[:, None, :3, None, :]
-    cells[..., 3, :, 1:] = pool[..., 3, :, None] * eff[:, 3:, None, :]
+    cells[..., 1:] = detected
     return counts
 
 
@@ -738,8 +729,9 @@ def expected_tallies(
     nodes are computed once per process, on first use; one call evaluates
     the click probabilities once, for every state and threshold together.
     It takes one configuration, whose fields are scalars (a ValueError
-    names the first array), and is the single-row case of the batched
-    model behind :func:`scfqkd.keyrate.analyze_expected_batch`.
+    names the first array); its thresholds, with pi, form the one field of
+    shape (k, 1) of a batch of the model behind
+    :func:`scfqkd.keyrate.analyze_expected_batch`.
 
     Returns ``{threshold: SessionTallies}`` with float-valued cells,
     covering ``params.delta_threshold`` and any extra ``thresholds``.  Their
@@ -748,6 +740,6 @@ def expected_tallies(
     """
     _one_configuration(params, model)
     thr_list = _threshold_list(params, thresholds)
-    *rows, whole = _expected_counts(params, model, n_windows, thr_list + [math.pi]).squeeze(0)
+    *rows, whole = _expected_counts(params, model, n_windows, np.array(thr_list + [math.pi])[:, None])
     effective = float(whole[:, [3, 4, 6, 7]].sum())
     return {thr: SessionTallies(float(n_windows), thr, c, effective) for thr, c in zip(thr_list, rows)}

@@ -337,7 +337,10 @@ def phase_flip_upper(
     """Upper-bound the phase-flip error of the kept mismatched-send windows.
 
     Inputs are test-set counting rates resolved by detector side, the signal
-    mean photon number and the mismatched-send yield ``s_z``.
+    mean photon number and the mismatched-send yield ``s_z``.  Raises
+    EstimationError, as the analysis chain does, for a ``mu`` that is not
+    positive or whose exp(-mu) underflows, a ``s_z`` that is not positive,
+    and a bound that is not finite.
     """
     if not (mu > 0.0 and np.exp(-mu) > 0.0):
         raise _mu_error(mu)
@@ -346,6 +349,8 @@ def phase_flip_upper(
     up, low_raw, low, value = _phase_flip(
         s00_left, s00_right, s11_left, s11_right, s01_left, s10_left, mu, s_z
     )
+    if not math.isfinite(value):
+        raise EstimationError("phase-flip bound overflows to infinity")
     return PhaseFlipBound(
         value=float(value),
         x_upper_right=float(up),

@@ -25,7 +25,7 @@ import numpy as np
 from . import channelsim, estimator
 from .channelsim import ChannelModel, ProtocolParams, expected_tallies
 from .estimator import KeyRateReport, key_length, key_rate  # noqa: F401  (kept importable)
-from .phasecore import check
+from .phasecore import RANGES, check
 
 _log = logging.getLogger(__name__)
 
@@ -86,22 +86,23 @@ class ExpectedReports:
 def analyze_expected_batch(params: ProtocolParams, model: ChannelModel, n_windows: float) -> ExpectedReports:
     """Analyse the expected-value tallies of many configurations at once.
 
-    The batch is ``params`` and ``model`` with fields of shape (rows, 1),
-    made with ``dataclasses.replace``: row i takes element i of each such
-    field and shares the scalar ones.  Any field of either may vary; the
-    dataclasses check every element of a field as they check a scalar.  A
-    single click evaluation covers every row, and the estimation chain runs
-    once over arrays of rows, so each row equals what
-    :func:`analyze_tallies` makes of that configuration's
-    :func:`~scfqkd.channelsim.expected_tallies` bit for bit.  A counting
-    rate outside [0, 1] raises ValueError; rows without a phase-flip bound
-    are marked ``failed`` instead.
+    The batch is the broadcast of the fields of ``params`` and ``model``,
+    made with ``dataclasses.replace``: each field is a scalar or an array of
+    shape S + (1,), and the rows are the cells of S in C order.  Any field
+    of either may vary; the dataclasses check every element of a field as
+    they check a scalar.  Each stage evaluates only the fields it reads,
+    in a single click evaluation, and the estimation chain runs once over
+    arrays of rows, so each row equals what :func:`analyze_tallies` makes
+    of that configuration's :func:`~scfqkd.channelsim.expected_tallies` bit
+    for bit.  A counting rate outside [0, 1] raises ValueError; rows
+    without a phase-flip bound are marked ``failed`` instead.
     """
+    shape = np.broadcast_shapes(*map(np.shape, (*vars(params).values(), *vars(model).values())))
     counts = channelsim._expected_counts(params, model, n_windows, params.delta_threshold)
-    mu, delta, f_ec = (np.zeros(len(counts)) + np.ravel(x)
+    mu, delta, f_ec = (np.broadcast_to(x, shape).astype(float).ravel()
                        for x in (params.mu, params.delta_threshold, params.f_ec))
-    # (state, subset, cell, row) of the one threshold; sides L, R are ch0, ch1.
-    leaves = counts[:, 0, :, 2:].reshape(-1, 4, 2, 3).transpose(1, 2, 3, 0).copy()
+    # (state, subset, cell, row); sides L, R are ch0, ch1.
+    leaves = np.broadcast_to(counts[..., 2:], (*shape[:-1], 4, 6)).reshape(-1, 4, 2, 3).transpose(1, 2, 3, 0).copy()
     values = estimator.estimate(leaves[:, 0], leaves[:, 1], mu, f_ec, n_windows)
     for name in ("rates_u_by_state", "rates_u_by_cell"):
         values[name] = np.array(values[name])
@@ -121,7 +122,7 @@ def _both_send_qber(params: ProtocolParams, model: ChannelModel, visibility) -> 
     given visibilities, from one model call; NaN where the model predicts no
     both-send detections."""
     column = replace(model, visibility=np.asarray(visibility, dtype=float)[:, None])
-    p_ch0, p_ch1 = channelsim._effective_probs(params, column, [params.delta_threshold])[:, 3].T
+    p_ch0, p_ch1 = channelsim._effective_probs(params, column, params.delta_threshold)[:, 3].T
     total = p_ch0 + p_ch1
     return np.divide(p_ch1, total, out=np.full_like(total, np.nan), where=total > 0.0)
 
@@ -239,28 +240,36 @@ def optimize_params(
 ) -> OptimizeResult:
     """Deterministic search for the rate-maximising (mu, epsilon, delta).
 
-    A coarse log/linear grid seeds a coordinate-descent refinement that
-    repeatedly rescans a shrinking bracket around the incumbent on each
-    coordinate in a fixed order.  Points are evaluated in batches with
-    :func:`analyze_expected_batch`: the whole coarse grid (7 points per
-    axis, 343 points) in one call, and each coordinate scan (7 points) in
-    one call, for 10 rounds over the three coordinates.  Points are visited
-    in a fixed order, a point without a phase-flip bound counts as rate 0,
-    and the incumbent changes only on a strictly greater rate, so the first
-    maximum wins.  ``evaluations`` counts points, not calls: 7**3 + 3 * 7 *
-    10 = 553.  No randomness is involved, so equal inputs give equal
-    results.
+    Each bounds pair (lo, hi) must have 0 < lo < hi and ends that obey the
+    field's range rule, or a ValueError names it.  A coarse log/linear grid
+    seeds a coordinate-descent refinement that repeatedly rescans a
+    shrinking bracket around the incumbent on each coordinate in a fixed
+    order.  Points are evaluated in batches with
+    :func:`analyze_expected_batch`: the coarse grid (7 points per axis) in
+    one call, mu, epsilon and delta of shapes (7, 1, 1, 1), (1, 7, 1, 1)
+    and (1, 1, 7, 1), whose clicks take its 49 (mu, delta) pairs, and each
+    coordinate scan in one call, its coordinate a (7, 1) array and the
+    others scalars, for 10 rounds over the three coordinates.  Points are
+    visited in a fixed order, mu-major on the grid, a point without a
+    phase-flip bound counts as rate 0, and the incumbent changes only on a
+    strictly greater rate, so the first maximum wins.  ``evaluations``
+    counts points, not calls: 7**3 + 3 * 7 * 10 = 553.
     """
+    bounds = [mu_bounds, epsilon_bounds, delta_bounds]
+    for name, field, (lo, hi) in zip(("mu_bounds", "epsilon_bounds", "delta_bounds"),
+                                     ("mu", "epsilon", "delta_threshold"), bounds):
+        rule, ok = RANGES[field]
+        if not (0 < lo < hi and ok(lo) and ok(hi)):
+            raise ValueError(f"{name} must be (lo, hi) with 0 < lo < hi and both ends {rule}, got {(lo, hi)!r}")
     grid, refine_rounds, evaluations = 7, 10, 0
 
-    def rates_at(points) -> list:
+    def rates_at(mu, eps, delta) -> np.ndarray:
         nonlocal evaluations
-        evaluations += len(points)
-        mu, eps, delta = np.array(points).T[:, :, None]
         batch = analyze_expected_batch(
             replace(base_params, mu=mu, epsilon=eps, delta_threshold=delta), model, n_windows
         )
-        return np.where(batch.failed, 0.0, batch.values["rate_per_pulse"]).tolist()
+        evaluations += batch.failed.size
+        return np.where(batch.failed, 0.0, batch.values["rate_per_pulse"])
 
     def log_grid(lo: float, hi: float, n: int):
         return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
@@ -268,13 +277,12 @@ def optimize_params(
     def lin_grid(lo: float, hi: float, n: int):
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
-    coarse = [[mu, eps, delta] for mu in log_grid(*mu_bounds, grid)
-              for eps in log_grid(*epsilon_bounds, grid)
-              for delta in lin_grid(*delta_bounds, grid)]
-    # max() keeps the first of equal rates.
-    best_rate, point = max(zip(rates_at(coarse), coarse), key=lambda pair: pair[0])
+    axes = [log_grid(*mu_bounds, grid), log_grid(*epsilon_bounds, grid), lin_grid(*delta_bounds, grid)]
+    # Axis i of the grid varies coordinate i; argmax keeps the first of equal rates.
+    rates = rates_at(*(np.reshape(a, (-1,) + (1,) * (3 - i)) for i, a in enumerate(axes)))
+    first = int(np.argmax(rates))
+    best_rate, point = rates[first].item(), [a[i] for a, i in zip(axes, np.unravel_index(first, (grid,) * 3))]
 
-    bounds = [mu_bounds, epsilon_bounds, delta_bounds]
     spans = [(hi - lo) / grid for lo, hi in bounds]
     for _ in range(refine_rounds):
         for axis in range(3):
@@ -282,12 +290,11 @@ def optimize_params(
             hi = min(bounds[axis][1], point[axis] + spans[axis])
             # The other coordinates stay fixed during a scan, so all its
             # points are known before the first is evaluated.
-            trials = [point[:axis] + [x] + point[axis + 1:] for x in lin_grid(lo, hi, grid)]
-            for r, trial in zip(rates_at(trials), trials):
+            xs = lin_grid(lo, hi, grid)
+            coords = point[:axis] + [np.array(xs)[:, None]] + point[axis + 1:]
+            for r, x in zip(rates_at(*coords).tolist(), xs):
                 if r > best_rate:
-                    best_rate, point = r, trial
+                    best_rate, point[axis] = r, x
             spans[axis] *= 0.5
-    final = replace(
-        base_params, mu=point[0], epsilon=point[1], delta_threshold=point[2]
-    )
+    final = replace(base_params, mu=point[0], epsilon=point[1], delta_threshold=point[2])
     return OptimizeResult(params=final, rate_per_pulse=best_rate, evaluations=evaluations)

@@ -161,7 +161,8 @@ def interfere(
     Both outputs are non-negative for any visibility in [0, 1] and their sum
     equals ``intensity_a + intensity_b`` identically.  Scalar and ndarray
     arguments broadcast in the usual numpy way; ``visibility`` may be an
-    ndarray too, such as one value per batch row with shape (rows, 1).
+    ndarray too, such as one value per configuration of a batch, with
+    shape S + (1,) against the windows on the last axis.
     """
     a = np.asarray(intensity_a, dtype=float)
     b = np.asarray(intensity_b, dtype=float)

@@ -239,7 +239,7 @@ def _one_chunk(params, model, m, thresholds):
     (state, subset) prior times (no effective click, on ch0, on ch1)."""
     eps, p_t = params.epsilon, params.p_t
     prior = np.outer([1 - eps, eps, eps], [p_t, 1 - p_t]) / (1 + eps)
-    q0, q1 = channelsim._effective_probs(params, model)[0].T
+    q0, q1 = channelsim._effective_probs(params, model, math.pi)[:3].T
     click = np.stack((1 - q0 - q1, q0, q1), axis=1)
     label_p = (prior[:, :, None] * click[:, None, :]).ravel()
     return params, model, 9, m, [0.3], [-0.2], np.asarray(thresholds), 45.0, label_p
@@ -998,7 +998,7 @@ def test_effective_probs_rows_do_not_depend_on_each_other():
     single = channelsim._effective_probs(replace(params, mu=mu[1]), model, thresholds[1])
     assert np.array_equal(
         single,
-        channelsim._effective_probs(replace(params, mu=np.array([[mu[1]]])), model, thresholds[1]),
+        channelsim._effective_probs(replace(params, mu=np.array([[mu[1]]])), model, thresholds[1])[0],
     )
 
 
@@ -1007,16 +1007,16 @@ def test_effective_probs_per_row_visibility_equals_single_rows():
     model = defaults.reference_model(50.0)
     vis = [0.0, 0.25, 0.9, 0.9990234375, 1.0]
     mu = [2e-4, 3e-3, 0.05, 0.002, 0.01]
-    thresholds = [math.radians(2.0), math.radians(30.0), math.pi]
+    thresholds = np.array([math.radians(2.0), math.radians(30.0), math.pi])[:, None]
     together = channelsim._effective_probs(
         replace(params, mu=np.array(mu)[:, None]), replace(model, visibility=np.array(vis)[:, None]),
-        thresholds,
+        thresholds[:, None],
     )
     for i, v in enumerate(vis):
         alone = channelsim._effective_probs(
             replace(params, mu=mu[i]), replace(model, visibility=v), thresholds
         )
-        assert np.array_equal(together[i:i + 1], alone)
+        assert np.array_equal(together[:, i], alone)
 
 
 def test_expected_tallies_refuses_a_batch():

@@ -220,6 +220,13 @@ def test_phase_flip_upper_validation():
         phase_flip_upper(0, 0, 0, 0, 0, 0, 800.0, 1e-4)
 
 
+def test_phase_flip_upper_refuses_an_infinite_bound():
+    """At mu = 720 the bound overflows; the public bound raises the error
+    of the analysis chain instead of returning an infinite, flagged value."""
+    with pytest.raises(EstimationError, match="^phase-flip bound overflows to infinity$"):
+        phase_flip_upper(1e-6, 1e-6, 1e-3, 1e-3, 1e-4, 1e-4, 720.0, 1e-4)
+
+
 def test_underflowing_exp_mu_fails_alike_in_both_chains():
     """At mu = 800 exp(-mu) is 0: the scalar chain and a row of the array
     chain both fail with the error that names mu, and the row beside it,

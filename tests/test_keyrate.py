@@ -553,19 +553,98 @@ def test_batched_rows_keep_protocol_range_checks(name, bad):
 
 
 def test_default_optimize_batches_click_evaluations(monkeypatch):
-    calls = []
+    """The clicks of a configuration do not read epsilon, so the coarse grid
+    evaluates them for its 49 (mu, delta) pairs and a scan for the values
+    of its coordinate, 1 when it scans epsilon."""
+    configurations = []
     real = channelsim.click_probabilities
 
     def counting(*args, **kwargs):
-        calls.append(np.broadcast(*args[2:5]).shape)
-        return real(*args, **kwargs)
+        p_left, p_right = real(*args, **kwargs)
+        configurations.append(math.prod(np.shape(p_left)[:-1]))
+        return p_left, p_right
 
     monkeypatch.setattr(channelsim, "click_probabilities", counting)
     res = optimize_params(defaults.reference_model(50.0), defaults.reference_params())
     assert res.evaluations == 553
     # 1 coarse-grid call plus 3 scans per round.
-    assert len(calls) == 31
-    assert sum(shape[0] for shape in calls) == 553
+    assert len(configurations) == 31
+    assert configurations[:4] == [49, 7, 1, 7]
+    assert sum(configurations) == 49 + 10 * (7 + 1 + 7)
+
+
+@pytest.mark.parametrize("name, bounds", [
+    ("mu_bounds", (0.0, 2e-2)),
+    ("mu_bounds", (2e-2, 2e-3)),
+    ("mu_bounds", (2e-3, math.inf)),
+    ("epsilon_bounds", (0.1, 2.0)),
+    ("epsilon_bounds", (math.nan, 0.1)),
+    ("delta_bounds", (0.5, 0.5)),
+    ("delta_bounds", (0.1, 4.0)),
+])
+def test_optimizer_refuses_bad_bounds_by_name(monkeypatch, name, bounds):
+    """A pair that is not 0 < lo < hi within the field's range rule is
+    refused by name before any model call."""
+    calls = []
+    monkeypatch.setattr(keyrate, "analyze_expected_batch", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=rf"^{name} must be \(lo, hi\) with 0 < lo < hi") as got:
+        optimize_params(defaults.reference_model(50.0), defaults.reference_params(), **{name: bounds})
+    assert str(got.value).endswith(f"got {bounds!r}")
+    assert calls == []
+
+
+def test_batch_rows_are_the_cells_of_the_broadcast_shape():
+    """A 2 x 3 x 2 batch over (mu, epsilon, fiber_km_a) has 12 rows, the
+    cells of the broadcast shape in C order, each equal to the analysis of
+    its configuration field for field."""
+    params = defaults.reference_params()
+    model = replace(defaults.reference_model(50.0), visibility=0.93)
+    mus, epss, fibres = [2e-3, 0.0], [2e-3, 0.021, 0.2], [10.0, 40.0]
+    batch = analyze_expected_batch(
+        replace(params, mu=np.reshape(mus, (2, 1, 1, 1)), epsilon=np.reshape(epss, (1, 3, 1, 1))),
+        replace(model, fiber_km_a=np.reshape(fibres, (1, 1, 2, 1))), 1e12,
+    )
+    assert batch.failed.shape == (12,)
+    cells = [(m, e, f) for m in mus for e in epss for f in fibres]
+    for i, (m, e, f) in enumerate(cells):
+        configuration = replace(params, mu=m, epsilon=e), replace(model, fiber_km_a=f)
+        try:
+            want = analyze_expected(*configuration, 1e12)
+        except EstimationError as exc:
+            assert batch.failed[i]
+            with pytest.raises(EstimationError) as got:
+                batch.report(i)
+            assert str(got.value) == str(exc)
+            continue
+        got = batch.report(i)
+        for fd in fields(KeyRateReport):
+            _assert_equal(getattr(got, fd.name), getattr(want, fd.name), fd.name)
+    assert batch.failed.tolist() == [m == 0.0 for m, _, _ in cells]
+
+
+def test_scan_batch_with_scalar_fields_equals_repeated_rows():
+    """A coordinate scan passes the fixed coordinates as scalars; its values
+    equal those of the batch with them repeated per row, bit for bit."""
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    eps = np.linspace(2e-3, 0.2, 7)[:, None]
+    scalar = analyze_expected_batch(replace(params, epsilon=eps), model, 1e12)
+    repeated = analyze_expected_batch(
+        replace(params, epsilon=eps, mu=np.full((7, 1), params.mu),
+                delta_threshold=np.full((7, 1), params.delta_threshold)), model, 1e12,
+    )
+    assert list(scalar.values) == list(repeated.values)
+    for name, value in scalar.values.items():
+        assert np.array_equal(value, repeated.values[name], equal_nan=True), name
+        assert value.shape[-1] == 7, name
+
+
+def test_empty_batch_has_no_rows():
+    params = defaults.reference_params()
+    model = defaults.reference_model(50.0)
+    batch = analyze_expected_batch(params, replace(model, fiber_km_a=np.empty((0, 1))), 1e12)
+    assert batch.failed.shape == (0,)
+    assert sweep_distance(params, model, []) == []
 
 
 def test_optimizer_keeps_the_first_of_equal_rates():
@@ -583,7 +662,7 @@ def test_batched_rate_outside_unit_interval_raises(monkeypatch):
 
     def inflated(*args, **kwargs):
         counts = real(*args, **kwargs)
-        counts[1, :, 2, 3:5] *= 1e9  # row 1, state 10, test set: detections
+        counts[1, 2, 3:5] *= 1e9  # row 1, state 10, test set: detections
         return counts
 
     monkeypatch.setattr(channelsim, "_expected_counts", inflated)
