@@ -1,16 +1,16 @@
 """Command-line interface: ``scfqkd analyze``, ``simulate``, ``sweep``,
 ``optimize`` and ``qber-table``.
 
-Each subcommand and each of its options is declared once, in
-:data:`COMMANDS`, with its help and built-in default; ``--help`` shows each
-default. A call that names a subcommand builds that subcommand's parser
-only; any other call (``--help``, ``--version``, a missing or unknown
-subcommand) builds all five. Options resolve as flags over config file over
-built-in defaults. The config file is a JSON object whose keys are the long
-flag names with dashes replaced by underscores (for example ``{"mu": 0.002,
-"distance_km": 50, "no_calibrate": true}``). Every long flag is a config
-key; a value its flag would refuse, or one out of range, is an error naming
-the key, and keys the subcommand does not take are ignored.
+Each subcommand takes only the options that change its output, each
+declared once in :data:`COMMANDS` with its help and built-in default, which
+``--help`` shows; flags are not abbreviated. A call that names a subcommand
+builds its parser only; any other call builds all five. Options resolve as
+flags over config file over built-in defaults. The config file is a JSON
+object whose keys are the long flag names with dashes as underscores (for
+example ``{"mu": 0.002, "no_calibrate": true}``); a value its flag would
+refuse, or one out of range, is an error naming the key, and keys the
+subcommand does not take are ignored. A tally file's ``Delta-Degrees`` and
+``Mu`` win over ``--delta-deg`` and ``--mu``.
 """
 
 from __future__ import annotations
@@ -31,10 +31,13 @@ _BUNDLED = defaults.bundled_tally_path()
 
 # Option groups shared by several subcommands: config key -> (help, built-in
 # default, argparse keywords). The flag is the key with underscores as dashes.
-# The threshold's default is rounded to the 30 a user types and a tally file records.
 COMMON = {
     "config": ("JSON config file (flags still win)", None, {}),
     "out": ("write the output here instead of stdout", None, {}),
+}
+# A subcommand takes the protocol options it reads; main() gives the others their
+# defaults. The threshold's default is rounded to the 30 a user types and a file records.
+PROTOCOL = {
     "mu": ("signal mean photon number", _PARAMS.mu, {"type": float}),
     "epsilon": ("per-window send probability", _PARAMS.epsilon, {"type": float}),
     "delta_deg": ("phase threshold in degrees", round(math.degrees(_PARAMS.delta_threshold), 9),
@@ -54,7 +57,6 @@ SESSION = {
     "workers": ("processes that compute chunks, this one included, at most one per 3 chunks",
                 1, {"type": int}),
 }
-EXPECTED = {"windows": ("windows per evaluation", 1e12, {})}
 REPORT = {
     "format": ("report format", "table", {"choices": ("table", "json")}),
     "swap_detectors": ("map L=ch1, R=ch0", False, {"action": "store_true"}),
@@ -74,6 +76,11 @@ def _params(o: dict) -> ProtocolParams:
     (delta,) = _radians([o["delta_deg"]], "--delta-deg", f"{o['delta_deg']:g}")
     return ProtocolParams(mu=o["mu"], epsilon=o["epsilon"], f_ec=o["f_ec"], p_t=o["pt"],
                           delta_threshold=delta)
+
+
+def _recorded(params: ProtocolParams, raw) -> ProtocolParams:
+    """``params`` with the mu that the tally file ``raw`` records, if any."""
+    return replace(params, mu=raw.metadata["Mu"]) if "Mu" in raw.metadata else params
 
 
 def _model(o: dict) -> ChannelModel:
@@ -111,7 +118,7 @@ def _emit(text: str, path: str | None) -> None:
 def _cmd_analyze(o: dict) -> None:
     params = _params(o)
     raw = dataio.load_raw_tallies(o["in"], strict=True)
-    _, _, report = _analyse(o, params, raw.tallies, raw.n_total_pulses, raw.delta_threshold)
+    _, _, report = _analyse(o, _recorded(params, raw), raw.tallies, raw.n_total_pulses, raw.delta_threshold)
     if isinstance(report, EstimationError):
         raise report
     _emit(dataio.emit_report(report, fmt=o["format"]), o["out"])
@@ -203,7 +210,6 @@ def _cmd_optimize(o: dict) -> None:
         epsilon_bounds=_parse_range(o["epsilon_range"], "--epsilon-range", "epsilon"),
         delta_bounds=tuple(map(math.radians, _parse_range(o["delta_deg_range"], "--delta-deg-range",
                                                           "delta_deg"))),
-        n_windows=float(window_count(o["windows"], "windows")),
     )
     p = result.params
     lines = [
@@ -218,23 +224,24 @@ def _cmd_optimize(o: dict) -> None:
 
 def _cmd_qber_table(o: dict) -> None:
     params = _params(o)
-    # (threshold in degrees, tallies, total windows) per row, from a simulation or files.
+    # (degrees, tallies, total windows, parameters) per row, from a simulation or files.
     sources = []
     if o["simulate"]:
         deltas = _numbers(o["delta_list"], "--delta-list")
         thresholds = _radians(deltas, "--delta-list", repr(o["delta_list"]))
         n_windows, result = _session(o, params, thresholds)
-        sources = [(deg, result.by_threshold[thr], n_windows) for deg, thr in zip(deltas, thresholds)]
+        sources = [(deg, result.by_threshold[thr], n_windows, params) for deg, thr in zip(deltas, thresholds)]
     else:
         for path in o["in"]:
             raw = dataio.load_raw_tallies(path, strict=False)
             if raw.delta_threshold is None:
                 raise dataio.ParseError(f"{path}: missing Delta-Degrees metadata needed to "
                                         "label the row", key="Delta-Degrees")
-            sources.append((math.degrees(raw.delta_threshold), raw.tallies, raw.n_total_pulses))
+            sources.append((float(raw.metadata["Delta-Degrees"]), raw.tallies, raw.n_total_pulses,
+                            _recorded(params, raw)))
     rows = []
-    for deg, tallies, n_total in sorted(sources, key=lambda source: source[0]):
-        u, v, report = _analyse(o, params, tallies, n_total)
+    for deg, tallies, n_total, row_params in sorted(sources, key=lambda source: source[0]):
+        u, v, report = _analyse(o, row_params, tallies, n_total)
         rate = None if isinstance(report, EstimationError) else report.rate_per_pulse
         rows.append((deg, estimator.qber_both_send(u, v), rate))
 
@@ -254,25 +261,26 @@ def _cmd_qber_table(o: dict) -> None:
 # Subcommand -> (help, handler, options), options keyed as the groups above.
 COMMANDS = {
     "analyze": ("analyse a raw tally file (bundled dataset by default)", _cmd_analyze, {
-        **COMMON, **REPORT, "in": ("raw tally file", _BUNDLED, {})}),
+        **COMMON, **{k: PROTOCOL[k] for k in ("mu", "delta_deg", "f_ec")}, **REPORT,
+        "in": ("raw tally file", _BUNDLED, {})}),
     "simulate": ("Monte Carlo session; writes a raw tally file", _cmd_simulate, {
-        **COMMON, **MODEL, **SESSION, **REPORT,
+        **COMMON, **PROTOCOL, **MODEL, **SESSION, **REPORT,
         "out": ("raw tally output file", None, {"required": True})}),
     "sweep": ("expected-value key rate versus distance", _cmd_sweep, {
-        **COMMON, **MODEL, **EXPECTED,
+        **COMMON, **PROTOCOL, **MODEL, "windows": ("windows per evaluation", 1e12, {}),
         "distances": ("start:stop:step in km, or comma list", "0:80:5", {}),
         "target_qber": ("both-send QBER target for visibility calibration",
                         defaults.REFERENCE_BOTH_SEND_QBER, {"type": float}),
         "no_calibrate": ("keep the model's visibility, do not calibrate", False, {"action": "store_true"}),
     }),
     "optimize": ("search mu, epsilon, delta for the best rate", _cmd_optimize, {
-        **COMMON, **MODEL, **EXPECTED,
+        **COMMON, **{k: PROTOCOL[k] for k in ("pt", "f_ec")}, **MODEL,
         "mu_range": ("lo:hi", "2e-4:2e-2", {}),
         "epsilon_range": ("lo:hi", "2e-3:2e-1", {}),
         "delta_deg_range": ("lo:hi degrees", "5:90", {}),
     }),
     "qber-table": ("both-send QBER and detections per threshold", _cmd_qber_table, {
-        **COMMON, **MODEL, **SESSION, **REPORT,
+        **COMMON, **{k: PROTOCOL[k] for k in ("mu", "epsilon", "pt", "f_ec")}, **MODEL, **SESSION, **REPORT,
         "in": ("raw tally file; repeat for several thresholds", [_BUNDLED], {"action": "append"}),
         "simulate": ("simulate instead of reading files", False, {"action": "store_true"}),
         "delta_list": ("thresholds in degrees for --simulate", "2,5,8,10,12,15,30,45", {}),
@@ -301,9 +309,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if chosen is not COMMANDS:  # the usage line a stray argument prints lists them all
         sub.metavar = "{" + ",".join(COMMANDS) + "}"
     for name, (text, _, options) in chosen.items():
-        # Options not given stay out of the namespace, so that config values
-        # and built-in defaults can fill them in main().
-        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        # Options not given stay out of the namespace, for main() to fill in. No
+        # flag is abbreviated, so optimize does not read --mu as --mu-range.
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for key, (help_text, default, kwargs) in options.items():
             p.add_argument("--" + key.replace("_", "-"), help=_help(help_text, default), **kwargs)
     return parser
@@ -347,7 +355,7 @@ def main(argv=None) -> int:
     try:
         if "config" in given:
             config = _load_config(given["config"], options)
-        builtin = {key: default for key, (_, default, _) in options.items()}
+        builtin = {key: default for key, (_, default, _) in {**PROTOCOL, **options}.items()}
         handler({**builtin, **config, **given})
     except (dataio.ParseError, EstimationError, ValueError, OSError) as exc:
         # A range error starts with its parameter's name or flag; print the

@@ -72,6 +72,8 @@ _KEYS_BY_INDEX = sorted(CELL_INDEX, key=CELL_INDEX.get)
 # ``-Delta`` spelling of each cell named with ``-Δ``.
 _NAMES = {name: name for name in (*CELL_INDEX, *METADATA_KEYS)}
 _NAMES.update({name.replace(_DELTA, "Delta"): name for name in CELL_INDEX if _DELTA in name})
+# The metadata that the analysis reads -> its phasecore.RANGES rule.
+_RANGE_OF = {"Delta-Degrees": "delta_deg", "Mu": "mu"}
 
 SPLIT_TOLERANCE = 0.005
 """Allowed relative mismatch between SS + TT and the selected total,
@@ -144,8 +146,8 @@ def _parse_lines(text: str, source: str):
         if value > sys.float_info.max and key in CELL_INDEX:
             raise ParseError(f"{source}:{lineno}: count for {key!r} is too large for a float: "
                              f"{parts[1]!r}", key=key, line=lineno)
-        if key == "Delta-Degrees" and not RANGES["delta_deg"][1](value):
-            raise ParseError(f"{source}:{lineno}: {key!r} must {RANGES['delta_deg'][0]}, got {value}",
+        if key in _RANGE_OF and not RANGES[_RANGE_OF[key]][1](value):
+            raise ParseError(f"{source}:{lineno}: {key!r} must {RANGES[_RANGE_OF[key]][0]}, got {value}",
                              key=key, line=lineno)
         values[key] = value
     return values

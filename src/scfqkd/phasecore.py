@@ -82,7 +82,11 @@ def check(**values) -> None:
 
 
 def check_fields(self) -> None:
-    """A parameter dataclass's ``__post_init__``: :func:`check` every field."""
+    """A parameter dataclass's ``__post_init__``: refuse an array field of
+    a shape other than a batch field's S + (1,), then :func:`check` each."""
+    for name, value in vars(self).items():
+        if getattr(value, "shape", ())[-1:] not in ((), (1,)):
+            raise ValueError(f"{name} must be a scalar or of shape S + (1,), got shape {value.shape}")
     check(**vars(self))
 
 

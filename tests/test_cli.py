@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -192,7 +195,7 @@ def test_help_shows_each_default(capsys):
         (["simulate"], "signal windows to simulate (default 1e+08)"),
         (["qber-table"], "signal windows to simulate (default 1e+08)"),
         (["sweep"], "(default 0:80:5)"),
-        (["optimize"], "windows per evaluation (default 1e+12)"),
+        (["sweep"], "windows per evaluation (default 1e+12)"),
         (["analyze"], "phase threshold in degrees (default 30)"),
     ]:
         with pytest.raises(SystemExit) as exc:
@@ -310,8 +313,8 @@ def test_number_lists_name_their_flag(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv, value", [
-    (["analyze", "--pt", "1.5"], "1.5"),
-    (["analyze", "--pt", "-0.1"], "-0.1"),
+    (["sweep", "--pt", "1.5"], "1.5"),
+    (["sweep", "--pt", "-0.1"], "-0.1"),
     (["analyze", "--delta-deg", "200"], "200"),
     (["analyze", "--delta-deg", "0"], "0"),
     (["optimize", "--delta-deg-range", "5:200"], "'5:200'"),
@@ -410,7 +413,7 @@ def test_qber_table_does_not_hide_key_errors(monkeypatch):
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate"], ["sweep", "--distances", "50"], ["optimize"], ["qber-table", "--simulate"],
+    ["simulate"], ["sweep", "--distances", "50"], ["qber-table", "--simulate"],
 ])
 @pytest.mark.parametrize("windows", ["inf", "-inf", "nan", "1000.7", "0", "-5"])
 def test_bad_windows_rejected_by_name(tmp_path, capsys, command, windows):
@@ -541,6 +544,19 @@ DEFAULT_QBER_TABLE_STDOUT = (
     "       30       50490   5.8665%      4.7730e-07\n"
 )
 
+# `scfqkd qber-table --format json`: the file's `Delta-Degrees 30` reads 30.0,
+# as a --simulate row does.
+DEFAULT_QBER_TABLE_JSON_STDOUT = (
+    "[\n"
+    "  {\n"
+    '    "delta_deg": 30.0,\n'
+    '    "detections": 50490,\n'
+    '    "qber": 0.058665082194493956,\n'
+    '    "rate_per_pulse": 4.772959723830663e-07\n'
+    "  }\n"
+    "]\n"
+)
+
 # `scfqkd simulate --windows 2e6 --seed 3 --out FILE`: stdout, then FILE.
 SIMULATE_2E6_SEED3_STDOUT = (
     "signal mean photon number     0.002\n"
@@ -606,6 +622,7 @@ SIMULATE_2E6_SEED3_FILE = (
     (["analyze", "--format", "json"], DEFAULT_ANALYZE_JSON_STDOUT),
     (["optimize"], DEFAULT_OPTIMIZE_STDOUT),
     (["qber-table"], DEFAULT_QBER_TABLE_STDOUT),
+    (["qber-table", "--format", "json"], DEFAULT_QBER_TABLE_JSON_STDOUT),
 ])
 def test_default_stdout_is_unchanged(capsys, argv, stdout):
     code, out, err = run(capsys, *argv)
@@ -644,17 +661,16 @@ def test_simulate_stdout_and_file_are_unchanged(tmp_path, capsys):
 
 # Each subcommand's long flags; a trailing "!" marks a required one.
 CLI_FLAGS = {
-    "analyze": "--config --delta-deg --epsilon --f-ec --format --help --in --mu --out --pt "
-               "--swap-detectors",
+    "analyze": "--config --delta-deg --f-ec --format --help --in --mu --out --swap-detectors",
     "simulate": "--config --dark-prob --delta-deg --distance-km --epsilon --f-ec --format --help "
                 "--mu --out! --pt --seed --swap-detectors --visibility --windows --workers",
     "sweep": "--config --dark-prob --delta-deg --distance-km --distances --epsilon --f-ec --help "
              "--mu --no-calibrate --out --pt --target-qber --visibility --windows",
-    "optimize": "--config --dark-prob --delta-deg --delta-deg-range --distance-km --epsilon "
-                "--epsilon-range --f-ec --help --mu --mu-range --out --pt --visibility --windows",
-    "qber-table": "--config --dark-prob --delta-deg --delta-list --distance-km --epsilon --f-ec "
-                  "--format --help --in --mu --out --pt --seed --simulate --swap-detectors "
-                  "--visibility --windows --workers",
+    "optimize": "--config --dark-prob --delta-deg-range --distance-km --epsilon-range --f-ec --help "
+                "--mu-range --out --pt --visibility",
+    "qber-table": "--config --dark-prob --delta-list --distance-km --epsilon --f-ec --format --help "
+                  "--in --mu --out --pt --seed --simulate --swap-detectors --visibility --windows "
+                  "--workers",
 }
 
 
@@ -724,3 +740,85 @@ def test_non_finite_float_options_name_their_flag(capsys, command, flag, value):
     code, out, err = run(capsys, command, *_FLOAT_RUNS[command], flag, value)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {flag} ") and err.endswith(f", got {value}\n")
+
+
+@pytest.fixture(scope="module")
+def tally_files(tmp_path_factory):
+    """The bundled file without its ``Delta-Degrees`` line and with 45 in
+    it, and a path for the files that runs write."""
+    text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
+    assert "Delta-Degrees\t30\n" in text
+    folder = tmp_path_factory.mktemp("tallies")
+    for name, line in (("no-delta", ""), ("45", "Delta-Degrees\t45\n")):
+        (folder / f"{name}.tsv").write_text(text.replace("Delta-Degrees\t30\n", line), encoding="utf-8")
+    return {name: str(folder / f"{name}.tsv") for name in ("no-delta", "45", "out")}
+
+
+def _modes(files):
+    """Each subcommand's modes, the arguments each of its runs starts with.
+    A session of 10⁷ windows at mu 0.05 has both-send clicks, through which
+    the visibility shows, and key rates, through which --pt and --f-ec show;
+    at the default mu 0.002 it has no both-send click."""
+    session = ["--windows", "1e7", "--mu", "0.05"]
+    return {
+        "analyze": [[], ["--in", files["no-delta"]]],
+        "simulate": [[*session, "--out", files["out"]]],
+        "sweep": [["--distances", "50"], ["--distances", "50", "--no-calibrate"]],
+        "optimize": [[]],
+        "qber-table": [[], ["--simulate", *session]],
+    }
+
+
+# A second valid value of each option; None for a switch.
+_SECOND = {
+    "mu": "0.1", "epsilon": "0.05", "delta_deg": "45", "pt": "0.3", "f_ec": "1.2",
+    "distance_km": "40", "visibility": "0.5", "dark_prob": "1e-4", "windows": "5e6", "seed": "2",
+    "format": "json", "swap_detectors": None, "distances": "40", "target_qber": "0.05",
+    "no_calibrate": None, "mu_range": "1e-3:1e-2", "epsilon_range": "1e-2:1e-1",
+    "delta_deg_range": "10:60", "simulate": None, "delta_list": "30,45",
+}
+
+
+@functools.cache
+def _output(argv: tuple):
+    """The exit code, stdout and written file of ``scfqkd <argv>``."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    written = b""
+    if "--out" in argv:
+        with open(argv[argv.index("--out") + 1], "rb") as fh:
+            written = fh.read()
+    return code, out.getvalue(), written
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, _, options) in cli.COMMANDS.items()
+    for key in options if key not in ("config", "out", "workers")
+])
+def test_every_option_changes_the_output(tally_files, command, key):
+    """Each option a subcommand takes, apart from --config, --out and
+    --workers, changes stdout or the written file in one of its modes."""
+    second = tally_files["45"] if key == "in" else _SECOND[key]
+    flag = ["--" + key.replace("_", "-"), *([] if second is None else [second])]
+    changed = []
+    for mode in _modes(tally_files)[command]:
+        base, varied = _output((command, *mode)), _output((command, *mode, *flag))
+        assert base[0] == varied[0] == 0
+        changed.append(base != varied)
+    assert any(changed)
+
+
+def test_analyze_takes_mu_from_the_file(tmp_path, capsys):
+    """A file's ``Mu`` wins over --mu, as its ``Delta-Degrees`` wins over
+    --delta-deg: analysing a simulated session reports what the session did,
+    and a qber-table row from the file gives the same rate."""
+    target = tmp_path / "f.tsv"
+    code, simulated, _ = run(capsys, "simulate", "--windows", "1e8", "--seed", "7", "--mu", "0.003",
+                             "--out", str(target))
+    assert code == 0
+    assert "signal mean photon number     0.003\n" in simulated
+    assert run(capsys, "analyze", "--in", str(target)) == (0, simulated, "")
+    assert run(capsys, "analyze", "--in", str(target), "--mu", "0.1") == (0, simulated, "")
+    _, report, _ = run(capsys, "analyze", "--in", str(target), "--format", "json")
+    _, table, _ = run(capsys, "qber-table", "--in", str(target), "--format", "json")
+    assert json.loads(table)[0]["rate_per_pulse"] == json.loads(report)["rate_per_pulse"]

@@ -61,33 +61,28 @@ scfqkd: error: unrecognized arguments: --version
 """),
     'analyze --format xml': (2, "", """\
 usage: scfqkd analyze [-h] [--config CONFIG] [--out OUT] [--mu MU]
-                      [--epsilon EPSILON] [--delta-deg DELTA_DEG] [--pt PT]
-                      [--f-ec F_EC] [--format {table,json}] [--swap-detectors]
-                      [--in IN]
+                      [--delta-deg DELTA_DEG] [--f-ec F_EC]
+                      [--format {table,json}] [--swap-detectors] [--in IN]
 scfqkd analyze: error: argument --format: invalid choice: 'xml' (choose from 'table', 'json')
 """),
     'analyze --mu x': (2, "", """\
 usage: scfqkd analyze [-h] [--config CONFIG] [--out OUT] [--mu MU]
-                      [--epsilon EPSILON] [--delta-deg DELTA_DEG] [--pt PT]
-                      [--f-ec F_EC] [--format {table,json}] [--swap-detectors]
-                      [--in IN]
+                      [--delta-deg DELTA_DEG] [--f-ec F_EC]
+                      [--format {table,json}] [--swap-detectors] [--in IN]
 scfqkd analyze: error: argument --mu: invalid float value: 'x'
 """),
     'analyze --help': (0, """\
 usage: scfqkd analyze [-h] [--config CONFIG] [--out OUT] [--mu MU]
-                      [--epsilon EPSILON] [--delta-deg DELTA_DEG] [--pt PT]
-                      [--f-ec F_EC] [--format {table,json}] [--swap-detectors]
-                      [--in IN]
+                      [--delta-deg DELTA_DEG] [--f-ec F_EC]
+                      [--format {table,json}] [--swap-detectors] [--in IN]
 
 options:
   -h, --help            show this help message and exit
   --config CONFIG       JSON config file (flags still win)
   --out OUT             write the output here instead of stdout
   --mu MU               signal mean photon number (default 0.002)
-  --epsilon EPSILON     per-window send probability (default 0.021)
   --delta-deg DELTA_DEG
                         phase threshold in degrees (default 30)
-  --pt PT               test-set fraction (default 0.1)
   --f-ec F_EC           error-correction inefficiency (default 1.1)
   --format {table,json}
                         report format (default table)
@@ -159,22 +154,16 @@ options:
   --no-calibrate        keep the model's visibility, do not calibrate
 """, ""),
     'optimize --help': (0, """\
-usage: scfqkd optimize [-h] [--config CONFIG] [--out OUT] [--mu MU]
-                       [--epsilon EPSILON] [--delta-deg DELTA_DEG] [--pt PT]
+usage: scfqkd optimize [-h] [--config CONFIG] [--out OUT] [--pt PT]
                        [--f-ec F_EC] [--distance-km DISTANCE_KM]
                        [--visibility VISIBILITY] [--dark-prob DARK_PROB]
-                       [--windows WINDOWS] [--mu-range MU_RANGE]
-                       [--epsilon-range EPSILON_RANGE]
+                       [--mu-range MU_RANGE] [--epsilon-range EPSILON_RANGE]
                        [--delta-deg-range DELTA_DEG_RANGE]
 
 options:
   -h, --help            show this help message and exit
   --config CONFIG       JSON config file (flags still win)
   --out OUT             write the output here instead of stdout
-  --mu MU               signal mean photon number (default 0.002)
-  --epsilon EPSILON     per-window send probability (default 0.021)
-  --delta-deg DELTA_DEG
-                        phase threshold in degrees (default 30)
   --pt PT               test-set fraction (default 0.1)
   --f-ec F_EC           error-correction inefficiency (default 1.1)
   --distance-km DISTANCE_KM
@@ -183,7 +172,6 @@ options:
                         interference visibility (default 1)
   --dark-prob DARK_PROB
                         per-window dark-click probability (default 1e-08)
-  --windows WINDOWS     windows per evaluation (default 1e+12)
   --mu-range MU_RANGE   lo:hi (default 2e-4:2e-2)
   --epsilon-range EPSILON_RANGE
                         lo:hi (default 2e-3:2e-1)
@@ -192,10 +180,10 @@ options:
 """, ""),
     'qber-table --help': (0, """\
 usage: scfqkd qber-table [-h] [--config CONFIG] [--out OUT] [--mu MU]
-                         [--epsilon EPSILON] [--delta-deg DELTA_DEG] [--pt PT]
-                         [--f-ec F_EC] [--distance-km DISTANCE_KM]
-                         [--visibility VISIBILITY] [--dark-prob DARK_PROB]
-                         [--windows WINDOWS] [--seed SEED] [--workers WORKERS]
+                         [--epsilon EPSILON] [--pt PT] [--f-ec F_EC]
+                         [--distance-km DISTANCE_KM] [--visibility VISIBILITY]
+                         [--dark-prob DARK_PROB] [--windows WINDOWS]
+                         [--seed SEED] [--workers WORKERS]
                          [--format {table,json}] [--swap-detectors] [--in IN]
                          [--simulate] [--delta-list DELTA_LIST]
 
@@ -205,8 +193,6 @@ options:
   --out OUT             write the output here instead of stdout
   --mu MU               signal mean photon number (default 0.002)
   --epsilon EPSILON     per-window send probability (default 0.021)
-  --delta-deg DELTA_DEG
-                        phase threshold in degrees (default 30)
   --pt PT               test-set fraction (default 0.1)
   --f-ec F_EC           error-correction inefficiency (default 1.1)
   --distance-km DISTANCE_KM

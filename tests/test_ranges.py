@@ -109,3 +109,19 @@ def test_nan_pools_of_a_failed_batch_row_reach_key_length():
     assert batch.failed.tolist() == [False, True]
     assert math.isnan(batch.values["n_tilde_z"][1])
     assert math.isnan(key_length(np.array([1e6, math.nan]), 0.1, 1e5, 0.02, 1.1)[1])
+
+
+@pytest.mark.parametrize("dataclass, name", [(P, "mu"), (M, "visibility")])
+@pytest.mark.parametrize("shape", [(67,), (3,)])
+def test_a_batch_field_not_of_shape_s_plus_1_is_refused_by_name(dataclass, name, shape):
+    """A field of shape (67,) would broadcast against the 67 click windows
+    of the model, each window taking another configuration's value."""
+    with pytest.raises(ValueError) as exc:
+        replace(dataclass, **{name: np.full(shape, 0.5)})
+    assert str(exc.value) == f"{name} must be a scalar or of shape S + (1,), got shape {shape}"
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3, 1), (2, 3, 1)])
+def test_a_batch_field_of_shape_s_plus_1_is_accepted(shape):
+    replace(P, mu=np.full(shape, 0.002))
+    replace(M, visibility=np.full(shape, 0.9))
