@@ -413,7 +413,8 @@ def test_qber_table_does_not_hide_key_errors(monkeypatch):
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate"], ["sweep", "--distances", "50"], ["qber-table", "--simulate"],
+    ["simulate"], ["sweep", "--distances", "50"],
+    ["qber-table", "--simulate", "--format", "json"], ["qber-table", "--simulate"],
 ])
 @pytest.mark.parametrize("windows", ["inf", "-inf", "nan", "1000.7", "0", "-5"])
 def test_bad_windows_rejected_by_name(tmp_path, capsys, command, windows):
