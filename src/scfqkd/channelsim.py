@@ -674,10 +674,11 @@ def _effective_probs(params: ProtocolParams, model: ChannelModel, thresholds) ->
     """
     node, weight, alice, bob = _quadrature()
     half = 0.5 * np.asarray(thresholds, dtype=float)
-    p = np.stack(click_probabilities(params, model, alice, bob, half * node + half), axis=-2)
+    p = np.array(click_probabilities(params, model, alice, bob, half * node + half))
     # Per channel, its detector clicks and the other one does not; nodes reduce to their mean.
-    both = weight * p * (1.0 - p[..., ::-1, :])
-    return np.concatenate((both[..., :3], both[..., 3:].sum(axis=-1, keepdims=True)), axis=-1).swapaxes(-1, -2)
+    both = weight * p * (1.0 - p[::-1])
+    both[..., 3] = both[..., 3:].sum(axis=-1)
+    return both[..., :4].transpose(*range(1, p.ndim), 0)
 
 
 def _expected_counts(params: ProtocolParams, model: ChannelModel, n_windows: float, thresholds) -> np.ndarray:
@@ -696,15 +697,14 @@ def _expected_counts(params: ProtocolParams, model: ChannelModel, n_windows: flo
     sent = n_windows * np.concatenate(((1.0 - eps) ** 2, (1.0 - eps) * eps, eps * (1.0 - eps), eps**2), axis=-1)
     selected = sent * (thresholds / math.pi)
     # Each configuration's (test, key) shares of its kept windows.
-    pool = selected[..., None] * np.stack((params.p_t, 1.0 - params.p_t), axis=-1)
+    p_t = np.asarray(params.p_t)[..., None]
+    pool = selected[..., None] * np.concatenate((p_t, 1.0 - p_t), axis=-1)
     detected = pool[..., None] * eff[..., None, :]
     counts = np.empty((*detected.shape[:-2], 8))
-    counts[..., 0] = sent
-    counts[..., 1] = selected
+    counts[..., 0], counts[..., 1] = sent, selected
     # Writes through this view fill the (subset, cell) columns.
     cells = counts[..., 2:].reshape(*detected.shape[:-1], 3)
-    cells[..., 0] = pool
-    cells[..., 1:] = detected
+    cells[..., 0], cells[..., 1:] = pool, detected
     return counts
 
 

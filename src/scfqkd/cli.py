@@ -186,20 +186,14 @@ def _cmd_sweep(o: dict) -> None:
     _emit(dataio.emit_sweep_csv(points), o["out"])
 
 
-def _parse_range(text: str, name: str, param: str | None = None):
-    """The (lo, hi) of ``text``; a ValueError naming the flag ``name``
-    unless 0 < lo < hi and both ends obey the range rule of ``param``."""
+def _parse_range(text: str, name: str, param: str):
+    """The (lo, hi) of ``text``; a ValueError naming the flag ``name`` unless ``param``'s bounds rule holds."""
     values = _numbers(text, name, ":")
     if len(values) != 2 or text.count(":") != 1:
         raise ValueError(f"{name} must be lo:hi, got {text!r}")
-    lo, hi = values
-    if not 0 < lo < hi:
-        raise ValueError(f"{name} must satisfy 0 < lo < hi, got {text!r}")
-    if param is not None:
-        rule, ok = phasecore.RANGES[param]
-        if not (ok(lo) and ok(hi)):
-            raise ValueError(f"{name} must {rule}, got {text!r}")
-    return lo, hi
+    if rule := phasecore.broken_bounds_rule(param, *values):
+        raise ValueError(f"{name} must {rule}, got {text!r}")
+    return tuple(values)
 
 
 def _cmd_optimize(o: dict) -> None:

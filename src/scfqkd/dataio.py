@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channelsim import STATE_LABELS, SessionTallies, broken_tally_rule
-from .estimator import KeyRateReport, tallies_to_sets
+from .estimator import KeyRateReport, _mu_rule, tallies_to_sets
 from .phasecore import RANGES
 
 _DELTA = "Δ"
@@ -72,8 +72,9 @@ _KEYS_BY_INDEX = sorted(CELL_INDEX, key=CELL_INDEX.get)
 # ``-Delta`` spelling of each cell named with ``-Δ``.
 _NAMES = {name: name for name in (*CELL_INDEX, *METADATA_KEYS)}
 _NAMES.update({name.replace(_DELTA, "Delta"): name for name in CELL_INDEX if _DELTA in name})
-# The metadata that the analysis reads -> its phasecore.RANGES rule.
-_RANGE_OF = {"Delta-Degrees": "delta_deg", "Mu": "mu"}
+# The metadata that the analysis reads -> the rule a value breaks, or None.
+_BROKEN_RULE = {"Delta-Degrees": lambda v: None if RANGES["delta_deg"][1](v) else RANGES["delta_deg"][0],
+                "Mu": _mu_rule}
 
 SPLIT_TOLERANCE = 0.005
 """Allowed relative mismatch between SS + TT and the selected total,
@@ -146,9 +147,8 @@ def _parse_lines(text: str, source: str):
         if value > sys.float_info.max and key in CELL_INDEX:
             raise ParseError(f"{source}:{lineno}: count for {key!r} is too large for a float: "
                              f"{parts[1]!r}", key=key, line=lineno)
-        if key in _RANGE_OF and not RANGES[_RANGE_OF[key]][1](value):
-            raise ParseError(f"{source}:{lineno}: {key!r} must {RANGES[_RANGE_OF[key]][0]}, got {value}",
-                             key=key, line=lineno)
+        if key in _BROKEN_RULE and (rule := _BROKEN_RULE[key](value)):
+            raise ParseError(f"{source}:{lineno}: {key!r} must {rule}, got {value}", key=key, line=lineno)
         values[key] = value
     return values
 

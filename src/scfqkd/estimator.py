@@ -232,15 +232,15 @@ def _failure(by_state, s_z: float, mu: float) -> EstimationError:
         return EstimationError(f"no announced windows for cells: {bad}")
     if s_z <= 0:
         return EstimationError("mismatched-send yield is zero; no key material")
-    if mu > 0.0 and np.exp(-mu) > 0.0:
-        return EstimationError("phase-flip bound overflows to infinity")
-    return _mu_error(mu)
+    rule = _mu_rule(mu)
+    return EstimationError(f"mu must {rule}, got {mu!r}" if rule else "phase-flip bound overflows to infinity")
 
 
-def _mu_error(mu: float) -> EstimationError:
-    """The error for a mu that is not positive or whose exp(-mu) underflows to 0."""
-    rule = "be positive" if not mu > 0.0 else "be small enough that exp(-mu) > 0"
-    return EstimationError(f"mu must {rule}, got {mu!r}")
+def _mu_rule(mu: float) -> str | None:
+    """The rule of the estimator that ``mu`` breaks, or None: mu > 0 and exp(-mu) > 0."""
+    if not mu > 0.0:
+        return "be positive"
+    return None if np.exp(-mu) > 0.0 else "be small enough that exp(-mu) > 0"
 
 
 @dataclass
@@ -342,8 +342,8 @@ def phase_flip_upper(
     positive or whose exp(-mu) underflows, a ``s_z`` that is not positive,
     and a bound that is not finite.
     """
-    if not (mu > 0.0 and np.exp(-mu) > 0.0):
-        raise _mu_error(mu)
+    if rule := _mu_rule(mu):
+        raise EstimationError(f"mu must {rule}, got {mu!r}")
     if not s_z > 0.0:
         raise EstimationError(f"s_tilde_z must be positive, got {s_z!r}")
     up, low_raw, low, value = _phase_flip(

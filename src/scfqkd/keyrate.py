@@ -15,6 +15,7 @@ key length by the total number of signal windows.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -25,7 +26,7 @@ import numpy as np
 from . import channelsim, estimator
 from .channelsim import ChannelModel, ProtocolParams, expected_tallies
 from .estimator import KeyRateReport, key_length, key_rate  # noqa: F401  (kept importable)
-from .phasecore import RANGES, check
+from .phasecore import RANGES, broken_bounds_rule, check
 
 _log = logging.getLogger(__name__)
 
@@ -75,12 +76,16 @@ class ExpectedReports:
         self.failed = values["failed"]
         self._inputs = mu, delta, f_ec, n_windows
 
+    @functools.cached_property
+    def _rows(self) -> list:
+        """Each row's values, mu, delta and f_ec as Python numbers, converted for all rows at once."""
+        columns = (*self.values.values(), *self._inputs[:3])
+        return list(zip(*(a.transpose(-1, *range(a.ndim - 1)).tolist() for a in columns)))
+
     def report(self, i: int) -> KeyRateReport:
-        """Row ``i`` as a report; on a failed row, raises the
-        EstimationError that :func:`analyze_tallies` raises."""
-        mu, delta, f_ec, n_windows = self._inputs
-        row = {name: a[..., i].tolist() for name, a in self.values.items()}
-        return estimator.report(row, mu[i].item(), f_ec[i].item(), delta[i].item(), n_windows)
+        """Row ``i`` as a report; on a failed row, raises the EstimationError of :func:`analyze_tallies`."""
+        *row, mu, delta, f_ec = self._rows[i]
+        return estimator.report(dict(zip(self.values, row)), mu, f_ec, delta, self._inputs[3])
 
 
 def analyze_expected_batch(params: ProtocolParams, model: ChannelModel, n_windows: float) -> ExpectedReports:
@@ -97,15 +102,18 @@ def analyze_expected_batch(params: ProtocolParams, model: ChannelModel, n_window
     for bit.  A counting rate outside [0, 1] raises ValueError; rows
     without a phase-flip bound are marked ``failed`` instead.
     """
-    shape = np.broadcast_shapes(*map(np.shape, (*vars(params).values(), *vars(model).values())))
+    shape = np.broadcast_shapes(*(x.shape for x in (vars(params) | vars(model)).values() if hasattr(x, "shape")))
     counts = channelsim._expected_counts(params, model, n_windows, params.delta_threshold)
-    mu, delta, f_ec = (np.broadcast_to(x, shape).astype(float).ravel()
-                       for x in (params.mu, params.delta_threshold, params.f_ec))
+    # Assignment keeps -0.0 and casts an integer field as astype(float) does.
+    inputs = np.empty((3, *shape))
+    inputs[0], inputs[1], inputs[2] = params.mu, params.delta_threshold, params.f_ec
+    mu, delta, f_ec = inputs.reshape(3, -1)
     # (state, subset, cell, row); sides L, R are ch0, ch1.
-    leaves = np.broadcast_to(counts[..., 2:], (*shape[:-1], 4, 6)).reshape(-1, 4, 2, 3).transpose(1, 2, 3, 0).copy()
+    leaves = np.empty((*shape[:-1], 4, 6))
+    leaves[...] = counts[..., 2:]
+    leaves = leaves.reshape(-1, 4, 2, 3).transpose(1, 2, 3, 0)
     values = estimator.estimate(leaves[:, 0], leaves[:, 1], mu, f_ec, n_windows)
-    for name in ("rates_u_by_state", "rates_u_by_cell"):
-        values[name] = np.array(values[name])
+    values.update({name: np.array(values[name]) for name in ("rates_u_by_state", "rates_u_by_cell")})
     return ExpectedReports(values, mu, delta, f_ec, n_windows)
 
 
@@ -258,9 +266,9 @@ def optimize_params(
     bounds = [mu_bounds, epsilon_bounds, delta_bounds]
     for name, field, (lo, hi) in zip(("mu_bounds", "epsilon_bounds", "delta_bounds"),
                                      ("mu", "epsilon", "delta_threshold"), bounds):
-        rule, ok = RANGES[field]
-        if not (0 < lo < hi and ok(lo) and ok(hi)):
-            raise ValueError(f"{name} must be (lo, hi) with 0 < lo < hi and both ends {rule}, got {(lo, hi)!r}")
+        if broken_bounds_rule(field, lo, hi):
+            raise ValueError(f"{name} must be (lo, hi) with 0 < lo < hi and both ends {RANGES[field][0]}, "
+                             f"got {(lo, hi)!r}")
     grid, refine_rounds, evaluations = 7, 10, 0
 
     def rates_at(mu, eps, delta) -> np.ndarray:

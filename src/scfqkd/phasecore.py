@@ -81,6 +81,14 @@ def check(**values) -> None:
         raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
+def broken_bounds_rule(name: str, lo, hi) -> str | None:
+    """The rule a search range (lo, hi) breaks, or None: 0 < lo < hi within the :data:`RANGES` rule ``name``."""
+    rule, ok = RANGES[name]
+    if not 0 < lo < hi:
+        return "satisfy 0 < lo < hi"
+    return None if ok(lo) and ok(hi) else rule
+
+
 def check_fields(self) -> None:
     """A parameter dataclass's ``__post_init__``: refuse an array field of
     a shape other than a batch field's S + (1,), then :func:`check` each."""

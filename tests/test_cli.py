@@ -72,8 +72,11 @@ def test_analyze_corrupted_file_names_key(tmp_path, capsys):
     ("Delta-Degrees\t30", "Delta-Degrees\t0"),
     ("Delta-Degrees\t30", "Delta-Degrees\tnan"),
     ("Sent-00\t578835000000", "Sent-00\tinf"),
+    ("Delta-Degrees\t30", "Mu\t0\nDelta-Degrees\t30"),
 ])
 def test_analyze_rejects_bad_values(tmp_path, capsys, line, bad):
+    """A bad value of the file is refused by its key and the file, not by a
+    flag: a file's ``Mu 0`` is not reported as ``--mu``."""
     text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
     assert line in text
     path = tmp_path / "bad.tsv"
@@ -81,6 +84,7 @@ def test_analyze_rejects_bad_values(tmp_path, capsys, line, bad):
     code, out, err = run(capsys, "analyze", "--in", str(path))
     assert code == 2
     assert out == ""
+    assert err.startswith(f"error: {path}:")
     assert bad.split("\t")[0] in err
 
 

@@ -105,6 +105,8 @@ def test_negative_value_rejected(tmp_path):
     ("Delta-Degrees", "-30"),
     ("Delta-Degrees", "400"),
     ("Mu", "-0.002"),
+    ("Mu", "0"),
+    ("Mu", "800"),
 ])
 def test_non_finite_and_impossible_values_rejected(tmp_path, key, value):
     path = tmp_path / "bad.tsv"

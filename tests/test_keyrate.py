@@ -392,14 +392,18 @@ def test_optimizer_best_delta_on_coarse_grid():
     assert best in (30, 45)
 
 
-def test_optimizer_default_search_is_unchanged():
-    """Default search at the reference 50 km model: evaluation count and
-    optimum pinned to the values before the quadrature nodes were cached."""
-    res = optimize_params(defaults.reference_model(50.0), defaults.reference_params())
+@pytest.mark.parametrize("km, mu, epsilon, delta, rate", [
+    (41.7, "0x1.0f48713ea72a6p-8", "0x1.a4e8e30911d8bp-6", "0x1.20f7e58e336c6p-1", "0x1.c799f1984b2c2p-21"),
+    (50.0, "0x1.c0ac27027c07dp-9", "0x1.a3b3ee721a54dp-6", "0x1.1e910246e8d82p-1", "0x1.2f02224f7432ep-21"),
+    (55.2, "0x1.8d807134b0939p-9", "0x1.a3c8ff1f4e1ddp-6", "0x1.1ca8b733f1628p-1", "0x1.d3c5dbbe87057p-22"),
+], ids=["41.7km", "50km", "55.2km"])
+def test_optimizer_default_search_is_unchanged(km, mu, epsilon, delta, rate):
+    """Default search at the reference model: evaluation count and optimum
+    pinned bit for bit, as ``float.hex`` of mu, epsilon, delta and the rate."""
+    res = optimize_params(defaults.reference_model(km), defaults.reference_params())
     assert res.evaluations == 553
-    assert res.params.mu == pytest.approx(0.003423099290778052, rel=1e-12)
-    assert res.params.epsilon == pytest.approx(0.025616629464285712, rel=1e-12)
-    assert res.params.delta_threshold == pytest.approx(0.5597000800666339, rel=1e-12)
+    assert [res.params.mu.hex(), res.params.epsilon.hex(), res.params.delta_threshold.hex(),
+            res.rate_per_pulse.hex()] == [mu, epsilon, delta, rate]
 
 
 @pytest.mark.parametrize("deg", [2.0, 30.0, 90.0])
@@ -478,22 +482,29 @@ def test_batched_analysis_matches_scalar_chain_row_by_row(p_t):
     assert 0 < len(failed) < len(rows) or p_t == 0.0
 
 
-@pytest.mark.parametrize("names", [("p_t",), ("f_ec",), ("p_t", "f_ec"), ("drift_rad_per_window",)])
+@pytest.mark.parametrize("names", [("p_t",), ("f_ec",), ("p_t", "f_ec"), ("drift_rad_per_window",),
+                                   ("f_ec", "mu")])
 def test_batched_fields_outside_the_clicks_vary_per_row(names):
     """``p_t``, ``f_ec`` and the drift, which no click probability reads,
     vary per row like ``mu``, also when no other field does; each row equals
-    the analysis of its configuration."""
+    the analysis of its configuration.  In the case with ``mu`` the batch
+    takes ``f_ec`` as an integer array and ``mu`` as a 0-d array, and its
+    rows equal the analyses with float fields."""
     params = defaults.reference_params()
     model = defaults.reference_model(50.0)
     values = {"p_t": [0.1, 0.3], "f_ec": [1.1, 1.4], "drift_rad_per_window": [0.005, 0.006]}
+    if "mu" in names:
+        values.update(f_ec=[1, 2], mu=0.003)
 
     def configuration(pick):
         return (replace(params, **{n: pick(values[n]) for n in names if hasattr(params, n)}),
                 replace(model, **{n: pick(values[n]) for n in names if hasattr(model, n)}))
 
-    batch = analyze_expected_batch(*configuration(lambda v: np.array(v)[:, None]), 1e12)
+    batch = analyze_expected_batch(
+        *configuration(lambda v: np.array(v)[:, None] if isinstance(v, list) else np.array(v)), 1e12)
     reports = [batch.report(i) for i in range(2)]
-    assert reports == [analyze_expected(*configuration(lambda v: v[i]), 1e12) for i in range(2)]
+    assert reports == [analyze_expected(*configuration(lambda v: float(v[i] if isinstance(v, list) else v)), 1e12)
+                       for i in range(2)]
     # The model does not read the drift, so only its rows are equal.
     assert (reports[0] == reports[1]) == (names == ("drift_rad_per_window",))
 
