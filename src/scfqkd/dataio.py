@@ -144,8 +144,10 @@ def _parse_lines(text: str, source: str):
                              key=key, line=lineno)
         if value < 0 and key in CELL_INDEX:
             raise ParseError(f"{source}: negative count for {key!r}: {value}", key=key, line=lineno)
-        if value > sys.float_info.max and key in CELL_INDEX:
-            raise ParseError(f"{source}:{lineno}: count for {key!r} is too large for a float: "
+        # Counts and the metadata the analysis reads must fit a float.
+        if value > sys.float_info.max and (key in CELL_INDEX or key in _BROKEN_RULE):
+            what = "count for" if key in CELL_INDEX else "value of"
+            raise ParseError(f"{source}:{lineno}: {what} {key!r} is too large for a float: "
                              f"{parts[1]!r}", key=key, line=lineno)
         if key in _BROKEN_RULE and (rule := _BROKEN_RULE[key](value)):
             raise ParseError(f"{source}:{lineno}: {key!r} must {rule}, got {value}", key=key, line=lineno)

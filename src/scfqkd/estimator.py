@@ -11,10 +11,12 @@ type (see :attr:`~scfqkd.channelsim.SessionTallies.cells`): per state,
 (announced windows, detections on L, on R), with L = ch0 unless
 ``swap_detectors`` reverses the channel axis.  :func:`estimate` is the
 whole chain, written once as elementwise arithmetic over such leaves:
-Python numbers for one analysis, arrays over rows for a batch, with the
-same operations in the same order, so a batch row equals its single
-analysis bit for bit.  Failures are per-row flags that :func:`report`
-raises.
+Python numbers for one analysis, arrays over rows for a batch.  A batch
+evaluates each per-state quantity once over the state axis, a (state,
+row) array, where one analysis loops over the four states; each element
+sees the same operations in the same order, totals included, so a batch
+row equals its single analysis bit for bit.  Failures are per-row flags
+that :func:`report` raises.
 
 Counting-rate notation: for a subset (test or key) and joint state ab, the
 rate is detections / announced windows of that state in the subset.  The
@@ -76,11 +78,18 @@ def _any(flags) -> bool:
     return flags.any() if isinstance(flags, np.ndarray) else flags
 
 
+def _not_finite(x):
+    """Whether ``x`` is NaN or infinite: elementwise for an array, else a Python bool."""
+    return ~np.isfinite(x) if isinstance(x, np.ndarray) else not math.isfinite(x)
+
+
 def _clip(x, lo, hi=None):
     """``x`` limited to [lo, hi] elementwise, NaN to ``lo``."""
     if isinstance(x, np.ndarray):
-        x = np.fmax(x, lo)
-        return x if hi is None else np.fmin(x, hi)
+        # A tie keeps x, as max and min do below; np.fmax picks between tied
+        # zeros by the element's place in the array.
+        x = np.where(x >= lo, x, lo)
+        return x if hi is None else np.where(hi < x, hi, x)
     if math.isnan(x):
         return lo
     x = max(x, lo)
@@ -101,19 +110,30 @@ def _rates(cells):
     the matched-decision (bit-error) fraction of the detections, NaN
     without detections.  Raises ValueError for a per-state rate outside
     [0, 1]."""
-    by_state, by_cell, detected = [], [], []
-    total_sent = total_det = 0
-    outside = False
-    for windows, left, right in cells:
+    if isinstance(cells, np.ndarray):
+        # A batch's (state, cell, row) array: one operation per quantity
+        # over all states, the totals added state by state as below.
+        windows, left, right = cells.swapaxes(0, 1)
         den = _positive(windows)
-        both = left + right
-        rate = both / den
-        outside = outside | (rate < 0.0) | (rate > 1.0)
-        by_state.append(rate)
-        by_cell.append((left / den, right / den))
-        detected.append(both)
-        total_sent = total_sent + windows
-        total_det = total_det + left + right
+        detected = left + right
+        by_state, by_cell = detected / den, cells[:, 1:] / den[:, None]
+        outside = (by_state < 0.0) | (by_state > 1.0)
+        total_sent = 0 + windows[0] + windows[1] + windows[2] + windows[3]
+        total_det = 0 + left[0] + right[0] + left[1] + right[1] + left[2] + right[2] + left[3] + right[3]
+    else:
+        by_state, by_cell, detected = [], [], []
+        total_sent = total_det = 0
+        outside = False
+        for windows, left, right in cells:
+            den = _positive(windows)
+            both = left + right
+            rate = both / den
+            outside = outside | (rate < 0.0) | (rate > 1.0)
+            by_state.append(rate)
+            by_cell.append((left / den, right / den))
+            detected.append(both)
+            total_sent = total_sent + windows
+            total_det = total_det + left + right
     if _any(outside):
         for s, r in zip(STATE_LABELS, by_state):
             bad = (r < 0.0) | (r > 1.0)
@@ -129,11 +149,18 @@ def _phase_flip(s00_l, s00_r, s11_l, s11_r, s01_l, s10_l, mu, s_z):
     docstring): ``(up, low_raw, low, e_ph)``, ``low`` being ``low_raw``
     floored at 0; ``e_ph`` is NaN where ``s_z`` is not positive or
     exp(-mu) underflows to 0."""
-    em, sqrt = np.exp(-mu), np.sqrt
-    if not isinstance(s_z, np.ndarray):
-        # One analysis runs on Python floats: math.sqrt rounds as np.sqrt
-        # does (both exactly), while exp stays numpy's, which math.exp is not.
-        em, sqrt = float(em), math.sqrt
+    if isinstance(s_z, np.ndarray):
+        # Where exp(-mu) is subnormal the bounds overflow to inf, as they do
+        # on Python floats, without numpy's warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _bounds(np.exp(-mu), np.sqrt, s00_l, s00_r, s11_l, s11_r, s01_l, s10_l, s_z)
+    # One analysis runs on Python floats: math.sqrt rounds as np.sqrt does
+    # (both exactly), while exp stays numpy's, which math.exp is not.
+    return _bounds(float(np.exp(-mu)), math.sqrt, s00_l, s00_r, s11_l, s11_r, s01_l, s10_l, s_z)
+
+
+def _bounds(em, sqrt, s00_l, s00_r, s11_l, s11_r, s01_l, s10_l, s_z):
+    """:func:`_phase_flip` from em = exp(-mu), with ``sqrt`` for the leaves' kind."""
     em = _positive(em)
     g = 1.0 - em
     two_g, two_g_em, den = 2.0 * g, 2.0 * g / em, 2.0 * (1.0 + em)
@@ -152,9 +179,13 @@ def _phase_flip(s00_l, s00_r, s11_l, s11_r, s01_l, s10_l, mu, s_z):
 def _bit_flips(cells):
     """``(n_v, e_v)`` of one subset's leaves: its detections and their
     matched-decision fraction, 0 without detections."""
-    n_v = 0
-    for _, left, right in cells:
-        n_v = n_v + left + right
+    if isinstance(cells, np.ndarray):
+        left, right = cells[:, 1], cells[:, 2]
+        n_v = 0 + left[0] + right[0] + left[1] + right[1] + left[2] + right[2] + left[3] + right[3]
+    else:
+        n_v = 0
+        for _, left, right in cells:
+            n_v = n_v + left + right
     errors = (cells[0][1] + cells[0][2]) + (cells[3][1] + cells[3][2])
     return n_v, errors / _positive(n_v, math.inf)
 
@@ -173,6 +204,10 @@ def key_length(n_z, e_ph, n_v, e_v, f_ec):
     keep the raw value for diagnostics.  Elementwise over arrays; NaN pools pass.
     """
     check(n_z=n_z, n_v=n_v, f_ec=f_ec)
+    if isinstance(e_ph, np.ndarray) and getattr(e_v, "shape", None) == e_ph.shape:
+        # A batch's two entropies in one call, which checks e_ph's values first.
+        h_ph, h_v = binary_entropy(np.array((e_ph, e_v)))
+        return n_z * (1.0 - h_ph) - f_ec * n_v * h_v
     return n_z * (1.0 - binary_entropy(e_ph)) - f_ec * n_v * binary_entropy(e_v)
 
 
@@ -180,14 +215,17 @@ def estimate(test, key, mu, f_ec, n_total) -> dict:
     """The estimation chain from a (test, key) pair of leaves to a key length.
 
     ``test[state][cell]`` and ``key[state][cell]`` hold (announced windows,
-    L, R) per state; every leaf, and ``mu``, ``f_ec`` and ``n_total`` (NaN
-    when unknown), is a Python number or an array over rows.  Returns the
-    computed :class:`KeyRateReport` fields as leaves, with
-    ``rates_u_by_state`` a list over states, ``rates_u_by_cell`` a list of
-    (L, R) pairs, ``e_u`` NaN where the report holds None, and ``failed``,
-    true on the rows where :func:`report` raises EstimationError; the other
-    values of a failed row carry no meaning.  Raises ValueError for a
-    counting rate outside [0, 1].
+    L, R) per state: nested lists of Python numbers for one analysis, or
+    for a batch (state, cell, row) arrays, over whose state axis the
+    per-state arithmetic runs at once, with the same operations per
+    element in the same order.  ``mu``, ``f_ec`` and ``n_total`` (NaN when
+    unknown) are Python numbers or arrays over rows.  Returns the computed
+    :class:`KeyRateReport` fields as leaves, with ``rates_u_by_state`` a
+    list over states (a batch: a (state, row) array), ``rates_u_by_cell`` a
+    list of (L, R) pairs (a (state, side, row) array), ``e_u`` NaN where
+    the report holds None, and ``failed``, true on the rows where
+    :func:`report` raises EstimationError; the other values of a failed row
+    carry no meaning.  Raises ValueError for a counting rate outside [0, 1].
     """
     by_state, by_cell, s_u, e_u = _rates(test)
     s_z = 0.5 * (by_state[1] + by_state[2])
@@ -202,7 +240,7 @@ def estimate(test, key, mu, f_ec, n_total) -> dict:
     n_f = _clip(n_f_raw, 0.0)
     # e_ph is NaN exactly where a test-set state has no windows, s_z is 0 or
     # exp(-mu) underflows to 0, and infinite where the bound overflows.
-    failed = ~np.isfinite(e_ph) | (mu <= 0.0)
+    failed = _not_finite(e_ph) | (mu <= 0.0)
     return {
         "s_u": s_u,
         "e_u": e_u,

@@ -144,9 +144,10 @@ def binary_entropy(x: ArrayLike) -> ArrayLike:
     """
     check(**{"binary_entropy argument": x})
     if isinstance(x, np.ndarray):
-        # At x = 0 or 1 the log of the smallest float, times 0, gives H = 0.
+        # At x = 0 or 1 the log of the smallest float, times 0, gives H = 0;
+        # 0.0 - makes that 0.0 at x = -0.0 too, as the scalar path returns.
         tiny = 5e-324
-        return -x * np.log2(np.fmax(x, tiny)) - (1.0 - x) * np.log2(np.fmax(1.0 - x, tiny))
+        return 0.0 - x * np.log2(np.fmax(x, tiny)) - (1.0 - x) * np.log2(np.fmax(1.0 - x, tiny))
     x = float(x)
     if x == 0.0 or x == 1.0:
         return 0.0

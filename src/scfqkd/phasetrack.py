@@ -56,8 +56,11 @@ def slot_probabilities(phase) -> np.ndarray:
     to 2 for every phase.  Broadcasting over an array of phases appends the
     slot axis last.
     """
-    phi = np.asarray(phase, dtype=float)
-    return np.cos(0.5 * (REF_SLOT_OFFSETS + phi[..., np.newaxis])) ** 2
+    # cos((dtheta_i + phi) / 2)**2 = (1 + cos(dtheta_i + phi)) / 2, and the
+    # offsets make cos(dtheta_i + phi) cos phi, -sin phi, -cos phi, sin phi.
+    phi = np.asarray(phase, dtype=float)[..., np.newaxis]
+    c, s = np.cos(phi), np.sin(phi)
+    return 0.5 * (1.0 + np.concatenate((c, -s, -c, s), axis=-1))
 
 
 def estimate_phase(counts) -> Angle:

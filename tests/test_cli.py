@@ -73,6 +73,8 @@ def test_analyze_corrupted_file_names_key(tmp_path, capsys):
     ("Delta-Degrees\t30", "Delta-Degrees\tnan"),
     ("Sent-00\t578835000000", "Sent-00\tinf"),
     ("Delta-Degrees\t30", "Mu\t0\nDelta-Degrees\t30"),
+    pytest.param("Delta-Degrees\t30", "Mu\t1" + "0" * 400 + "\nDelta-Degrees\t30",
+                 id="Mu-integer-too-large-for-a-float"),
 ])
 def test_analyze_rejects_bad_values(tmp_path, capsys, line, bad):
     """A bad value of the file is refused by its key and the file, not by a

@@ -107,6 +107,7 @@ def test_negative_value_rejected(tmp_path):
     ("Mu", "-0.002"),
     ("Mu", "0"),
     ("Mu", "800"),
+    pytest.param("Mu", "1" + "0" * 400, id="Mu-integer-too-large-for-a-float"),
 ])
 def test_non_finite_and_impossible_values_rejected(tmp_path, key, value):
     path = tmp_path / "bad.tsv"
@@ -356,8 +357,10 @@ def test_sweep_csv_empty():
     ("Sent-00\t5\nSent-00 5 6\n", ":2: expected 'name value', got 'Sent-00 5 6'", None, 2),
     ("Sent-01\t7\nSent-00\t1" + "0" * 400 + "\n",
      ":2: count for 'Sent-00' is too large for a float: '1" + "0" * 400 + "'", "Sent-00", 2),
+    ("Sent-01\t7\nMu\t1" + "0" * 400 + "\n",
+     ":2: value of 'Mu' is too large for a float: '1" + "0" * 400 + "'", "Mu", 2),
 ], ids=["unknown-not-a-number", "delta-spellings-duplicate", "inf-cell", "negative-float",
-        "zero-threshold", "three-fields", "int-above-float-range"])
+        "zero-threshold", "three-fields", "int-above-float-range", "mu-above-float-range"])
 def test_parse_error_names_key_and_line(tmp_path, text, message, key, line):
     """Which check fails first, and what its error says, for lines that
     break more than one rule or sit where one rule ends and another starts."""
@@ -369,7 +372,8 @@ def test_parse_error_names_key_and_line(tmp_path, text, message, key, line):
 
 
 def test_huge_metadata_integer_stays_as_written(tmp_path):
-    """Only counts must fit a float; a metadata integer is kept exact."""
+    """Only counts, ``Mu`` and ``Delta-Degrees`` must fit a float; another
+    metadata integer is kept exact."""
     path = tmp_path / "seed.tsv"
     seed = 10**400 + 7
     path.write_text(f"Seed\t{seed}\nSent-00\t{2**70}\n")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -42,6 +43,21 @@ def test_slot_probabilities_sum_is_two():
         p = slot_probabilities(phi)
         assert p.shape == (4,)
         assert p.sum() == pytest.approx(2.0, rel=1e-12)
+
+
+def test_slot_probabilities_match_the_cos_squared_form():
+    """Over [-20 pi, 20 pi] each slot mean lies within 1e-15 of
+    cos((dtheta_i + phi) / 2)**2, evaluated exactly at the float phi, and the
+    four sum to 2 within 1e-15; a batch of phases gives each phase's row."""
+    phis = np.linspace(-20 * math.pi, 20 * math.pi, 801)
+    got = slot_probabilities(phis)
+    assert got.shape == (801, 4)
+    with mp.workdps(40):
+        for phi, row in zip(phis.tolist(), got):
+            want = [mp.cos((k * mp.pi / 2 + mp.mpf(phi)) / 2) ** 2 for k in range(4)]
+            assert max(abs(mp.mpf(float(x)) - w) for x, w in zip(row, want)) <= 1e-15
+            assert abs(row.sum() - 2.0) <= 1e-15
+            np.testing.assert_array_equal(slot_probabilities(phi), row)
 
 
 def test_slot_probabilities_at_zero():

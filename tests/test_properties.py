@@ -173,6 +173,61 @@ def test_batch_of_tallies_equals_each_analysis(stack, swap, mu, n_total):
         assert report(row, mu, params.f_ec, params.delta_threshold, n_total) == want
 
 
+_COUNTS = st.one_of(st.sampled_from([0, 1, 2**40]), st.integers(0, 10**9))
+
+
+@st.composite
+def leaf_arrays(draw, overfull=False):
+    """One subset's (4, 3) leaves as floats: integer-valued counts, where a
+    zero may be -0.0, any state may lack windows or detections, and with
+    ``overfull`` a state's detections may exceed its windows."""
+    leaves = []
+    for _ in range(4):
+        windows = draw(_COUNTS)
+        left = draw(st.integers(0, windows))
+        right = draw(st.integers(0, windows - left))
+        if overfull and draw(st.integers(0, 3)) == 0:
+            right += draw(st.integers(1, 10))
+        leaves.append([draw(st.sampled_from([0.0, -0.0])) if c == 0 else float(c)
+                       for c in (windows, left, right)])
+    return np.array(leaves)
+
+
+def _bits(value) -> list:
+    """A value's leaves as ``float.hex`` strings, NaN as "nan", bools as floats."""
+    return ["nan" if math.isnan(x) else float.hex(x) for x in np.ravel(np.array(value, dtype=float))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(leaf_arrays(overfull=True), leaf_arrays(),
+                          st.sampled_from([0.0, -0.0, 2e-3, 0.05, 1.0, 720.0, 800.0])),
+                min_size=1, max_size=5),
+       st.sampled_from([1.16, 2.0]), st.sampled_from([math.nan, 1e12]))
+def test_batch_chain_equals_scalar_chain_bit_for_bit(rows, f_ec, n_total):
+    """Every value of :func:`estimate` over a (4, 3, rows) view, as
+    ``analyze_expected_batch`` passes it, has each row's scalar-chain bits,
+    -0.0 and the ``failed`` flag included; a counting rate outside [0, 1]
+    raises the message of the first state, then row, that has one."""
+    test, key = (np.array([r[i] for r in rows]).transpose(1, 2, 0) for i in (0, 1))
+    mu = np.array([r[2] for r in rows])
+    scalar, errors = [], []
+    for i, (u, v, m) in enumerate(rows):
+        try:
+            scalar.append(estimate(u.tolist(), v.tolist(), m, f_ec, n_total))
+        except ValueError as exc:
+            errors.append((STATE_LABELS.index(str(exc).split("state ")[1][:2]), i, str(exc)))
+    if errors:
+        with pytest.raises(ValueError) as got:
+            estimate(test, key, mu, f_ec, n_total)
+        assert str(got.value) == min(errors)[2]
+        return
+    batch = estimate(test, key, mu, f_ec, n_total)
+    assert batch.keys() == scalar[0].keys()
+    for i, want in enumerate(scalar):
+        for name, value in batch.items():
+            assert _bits(np.asarray(value)[..., i]) == _bits(want[name]), (i, name)
+
+
 # mu runs past about 745, where exp(-mu) underflows to 0; from about 700 the
 # phase-flip bound can overflow to infinity.
 @settings(max_examples=200, deadline=None)
