@@ -44,9 +44,11 @@ in this frozen order:
    end) for a free Gaussian walk that is pinned to T once (a discrete
    Brownian bridge), and one normal per span for the span mean given those
    points;
-3. the four reference slot counts n1..n4 per span (Poisson at the
-   span-mean phase), whose differences D1 = n1 - n3 and D2 = n4 - n2 give
-   the span's keep level;
+3. the four reference slot counts n1..n4 per span, Poisson at the
+   span-mean phase: one uniform per count, per span and slot in order,
+   inverted exactly through a cached table of Poisson CDFs
+   (:func:`_reference_counts`); their differences D1 = n1 - n3 and
+   D2 = n4 - n2 give the span's keep level;
 4. per both-send window a test-set uniform, then left and right click
    uniforms against the click probabilities at its phase;
 5. per keep-level bin, one multinomial of its spans' other windows over 18
@@ -329,6 +331,127 @@ def _table_bins(counts: np.ndarray):
     return _keep_table().take((d1 + _TABLE_RADIUS) * (2 * _TABLE_RADIUS + 1) + d2 + _TABLE_RADIUS)
 
 
+_COUNT_ROWS = 1024
+"""Intervals of the grid of means in :func:`_count_table`; at 45 mean
+reference counts about 2 % of the draws fall between two rows' counts, at
+2000 most do."""
+_GUIDE_CELLS = 256
+"""Cells of [0, 1) per row of the guide of :func:`_count_table`."""
+_WALK = 8
+"""Columns that a walk along a table row reads at a time."""
+
+
+def _tail_end(lam: float) -> int:
+    """The smallest k with P(Poisson(lam) > k) < 2**-60, from the bound
+    P(X > k) <= P(X = k + 1) / (1 - lam / (k + 2)) for k + 2 > lam."""
+    if lam == 0:
+        return 0
+    k = int(lam)
+    log_p = k * math.log(lam) - lam - math.lgamma(k + 1)
+    while True:
+        log_p += math.log(lam / (k + 1))  # now log P(X = k + 1)
+        if log_p - math.log1p(-lam / (k + 2)) < -60 * math.log(2):
+            return k
+        k += 1
+
+
+@functools.lru_cache(maxsize=4)
+def _count_table(mean_ref_counts: float) -> tuple:
+    """Poisson CDF table that :func:`_reference_counts` inverts, built on
+    first use for each mean total of the four reference slots; the tables
+    of the last four means are kept, read-only.
+
+    Row j holds F(k; j h) for the grid of means j h, j = 0..1025, whose
+    1024th row lies at max(``mean_ref_counts`` / 2, 1), the largest slot
+    mean or above.  A row is ``terms`` zeros (F below k = 0, which the
+    sum between rows reads), F(k) for k = 0 up to the first k whose tail
+    at the top of the grid is below 2**-60, where F is 1 to double
+    precision and is set to 1, and then ``_WALK`` ones.  The rows are
+    built in log space.  The guide holds, per row and cell c of
+    ``_GUIDE_CELLS``, the column of the smallest k with F(k) > c / 256,
+    where the inversion of any uniform of that cell starts.  The table
+    grows with the mean: about 0.8 MB at 45 and 11 MB at 2000.
+
+    Returns (``mean_ref_counts``, h, ``terms``, the rows, the guide),
+    ``terms`` being the terms of the sum between rows, which are as many
+    as the tail of a Poisson law of mean h needs.
+    """
+    top = max(0.5 * mean_ref_counts, 1.0)
+    step = top / _COUNT_ROWS
+    terms, cols = _tail_end(step), _tail_end(top) + 1
+    lam = step * np.arange(1, _COUNT_ROWS + 2)
+    cdf = np.zeros((_COUNT_ROWS + 2, terms + cols + _WALK))
+    cdf[0, terms:] = cdf[:, terms + cols - 1:] = 1.0
+    # Rows 1.. of the body go from log P(k; lam) to F(k; lam) in place.
+    body = cdf[1:, terms:terms + cols - 1]
+    np.multiply.outer(np.log(lam), np.arange(cols - 1.0), out=body)
+    body -= lam[:, None]
+    body -= [math.lgamma(k + 1.0) for k in range(cols - 1)]
+    np.exp(body, out=body)
+    np.cumsum(body, axis=1, out=body)
+    np.minimum(body, 1.0, out=body)
+    # F(k) <= c / 256 exactly when ceil(256 F(k)) <= c.  Writing k + 1 at that
+    # cell for k = 0, 1, ... and taking the running maximum over the cells
+    # leaves at cell c the number of k with F(k) <= c / 256.
+    guide = np.zeros((_COUNT_ROWS + 2, _GUIDE_CELLS + 1), np.min_scalar_type(cdf.shape[1]))
+    rows = guide.shape[1] * np.arange(_COUNT_ROWS + 2)
+    for k in range(cols):
+        guide.ravel()[rows + np.ceil(cdf[:, terms + k] * _GUIDE_CELLS).astype(np.intp)] = k + 1
+    np.maximum.accumulate(guide, axis=1, out=guide)
+    guide += terms
+    cdf.flags.writeable = guide.flags.writeable = False
+    return mean_ref_counts, step, terms, cdf, guide
+
+
+def _reference_counts(rng: np.random.Generator, phase: np.ndarray, table: tuple) -> np.ndarray:
+    """The four reference slot counts of spans at mean phases ``phase``,
+    Poisson of mean ``mean_ref_counts`` / 2 times
+    :func:`phasetrack.slot_probabilities`, by exact inversion: per span and
+    slot in order one ``rng.random`` uniform u, and the count is the smallest
+    k with u < F(k; lam), or the table's last k, beyond which the tail is
+    below 2**-60.
+
+    For lam in [j h, (j + 1) h] of :func:`_count_table`, the walk from the
+    guide along row j gives row j's count.  F falls as the mean grows, so
+    the count at lam lies between the counts of rows j and j + 1, and it is
+    row j's whenever row j + 1 agrees, F(k; (j + 1) h) > u.  Otherwise it
+    walks on with F(k; j h + d) = sum over i of Poisson(i; d) F(k - i; j h),
+    whose terms past ``terms`` weigh less than 2**-60.
+    """
+    mean_ref_counts, step, terms, cdf, guide = table
+    lam = (0.5 * mean_ref_counts * phasetrack.slot_probabilities(phase)).ravel()
+    u = rng.random(lam.size)
+    row = (lam * (1.0 / step)).astype(np.intp)
+    k = (u * _GUIDE_CELLS).astype(np.intp)
+    k += row * (_GUIDE_CELLS + 1)
+    # From here row is the flat index where a draw's row starts and k the
+    # flat index of its column: take reads the table as one array.
+    width = cdf.shape[1]
+    row *= width
+    np.add(row, guide.take(k), out=k)
+    walk = np.flatnonzero(cdf.take(k) <= u)
+    while walk.size:
+        steps = (cdf.take(k[walk, None] + np.arange(_WALK)) <= u[walk, None]).sum(axis=1)
+        k[walk] += steps
+        walk = walk[steps == _WALK]
+    off = np.flatnonzero(cdf[1:].take(k) <= u)
+    if off.size:
+        d = lam[off] - step * (row[off] // width)
+        poisson = np.empty((off.size, terms + 1))
+        poisson[:, 0] = np.exp(-d)
+        poisson[:, 1:] = d[:, None] / np.arange(1, terms + 1)
+        poisson = poisson.cumprod(axis=1)
+        last = row[off] + width - _WALK - 1
+        while off.size:
+            f = (poisson * cdf.take(k[off, None] - np.arange(terms + 1))).sum(axis=1)
+            up = (f <= u[off]) & (k[off] < last)
+            off, poisson, last = off[up], poisson[up], last[up]
+            k[off] += 1
+    k -= row
+    k -= terms
+    return k.reshape(-1, 4)
+
+
 def _threshold_list(params: ProtocolParams, thresholds: Sequence[float] | None) -> list:
     """The primary threshold followed by each distinct extra one (radians)."""
     extra = np.asarray([] if thresholds is None else thresholds, dtype=float)
@@ -409,7 +532,8 @@ def _bin_prefix(rng: np.random.Generator, labels: np.ndarray, k: int) -> np.ndar
 def _chunk_tallies(session: tuple, k: int):
     """Simulate chunk ``k`` of a ``session`` of (params, model, seed,
     n_windows, every chunk's start phase, every chunk's drift total,
-    thresholds, mean reference counts, the 00/01/10 label probabilities),
+    thresholds, the :func:`_count_table` of the mean reference counts, the
+    00/01/10 label probabilities),
     in the module docstring's draw order, with its counts gathered per
     keep-level bin.  The spans' bins come from :func:`_table_bins`, or,
     off the table, from ``phasetrack.estimate_phase_batch``, which also
@@ -420,7 +544,7 @@ def _chunk_tallies(session: tuple, k: int):
     every window, whose detections are the chunk's effective windows, as
     in the expected-value model's rows at threshold pi.
     """
-    params, model, seed, n_windows, starts, totals, thresholds, mean_ref_counts, label_p = session
+    params, model, seed, n_windows, starts, totals, thresholds, counts_table, label_p = session
     m = min(CHUNK_WINDOWS, n_windows - k * CHUNK_WINDOWS)
     rng = _chunk_rng(seed, k + 1)
     # Only the session's last span can be short.
@@ -430,8 +554,7 @@ def _chunk_tallies(session: tuple, k: int):
     both, both_span = _spread(rng, length, rng.binomial(m, params.epsilon**2))
     mean, both_offset = _bridge(rng, totals[k], length, both, both_span, model.drift_rad_per_window)
 
-    lam = 0.5 * mean_ref_counts * phasetrack.slot_probabilities(starts[k] + mean)
-    ref = rng.poisson(lam)
+    ref = _reference_counts(rng, starts[k] + mean, counts_table)
     span_bin = _table_bins(ref)
     level = None
     if span_bin is None:
@@ -475,10 +598,12 @@ def _chunk_tallies(session: tuple, k: int):
     return np.dstack((np.broadcast_to(selected[-1], selected.shape), selected, cells.reshape(-1, 4, 6)))
 
 
-MIN_CHUNKS_PER_PROCESS = 3
+MIN_CHUNKS_PER_PROCESS = 4
 """Chunks per process below which a session starts fewer helpers: on a
-2-core host, 2 workers took 1.02-1.04 times the wall time of 1 at 5 chunks
-and 0.86-0.88 times at 6."""
+shared 2-core host, with a helper forced to start, 2 workers took 1.12
+times the wall time of 1 at 5 chunks (median of 120 interleaved pairs,
+quartiles 1.07-1.21), 1.11 at 6 (1.06-1.17), 0.97 at 7 (0.93-1.05), 0.98
+at 8 (0.94-1.04) and 0.88 at 9 (0.85-0.97)."""
 
 
 def _sum_chunks(session: tuple, chunks):
@@ -610,11 +735,12 @@ def simulate_session(
     ``seed`` a non-negative integer.  ``workers`` caps the processes that
     compute chunks, this one included; each takes the next chunk from a
     shared counter.  At most one process runs per ``MIN_CHUNKS_PER_PROCESS``
-    (3) chunks, because starting a helper costs about as much as a chunk's
-    work, so a session of fewer than 6 chunks (a chunk is 737,280 windows)
-    runs in this process alone.  On a 2-core host, ``workers=2`` took 43 ms
-    for 10**7 windows against 56 ms with ``workers=1``, and 0.30-0.39 s for
-    10**8 windows against 0.56-0.59 s (medians and quartiles).
+    (4) chunks, below which a helper's start-up outweighs the work it takes
+    over, so a session of fewer than 8 chunks (a chunk is 737,280 windows)
+    runs in this process alone.  On a shared 2-core host,
+    ``workers=2`` took 22 ms (quartiles 19-24 ms) for 10**7 windows against
+    24 ms (22-27 ms) with ``workers=1``, and 0.13 s (0.13-0.14 s) for 10**8
+    windows against 0.23 s (0.22-0.23 s), medians of interleaved runs.
     """
     _one_configuration(params, model)
     n_windows = window_count(n_windows)
@@ -634,7 +760,7 @@ def simulate_session(
     q = np.column_stack((p_left * (1.0 - p_right), p_right * (1.0 - p_left)))
     click = np.column_stack((np.maximum(1.0 - q.sum(axis=1), 0.0), q))
     cell = np.outer(np.array([1.0 - eps, eps, eps]) / (1.0 + eps), [p_t, 1.0 - p_t])
-    session = (params, model, seed, n_windows, starts, totals, thr_arr, mean_ref_counts,
+    session = (params, model, seed, n_windows, starts, totals, thr_arr, _count_table(float(mean_ref_counts)),
                (cell[:, :, None] * click[:, None, :]).ravel())
     *rows, whole = _run_chunks(session, n_chunks, workers)
     effective = int(whole[:, [3, 4, 6, 7]].sum())

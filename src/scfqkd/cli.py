@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__, dataio, defaults, estimator, keyrate, phasecore
-from .channelsim import ChannelModel, ProtocolParams, simulate_session, window_count
+from .channelsim import MIN_CHUNKS_PER_PROCESS, ChannelModel, ProtocolParams, simulate_session, window_count
 from .estimator import EstimationError
 
 _PARAMS = defaults.reference_params()
@@ -54,7 +54,8 @@ MODEL = {
 SESSION = {
     "windows": ("signal windows to simulate", 1e8, {}),
     "seed": ("random seed", 1, {"type": int}),
-    "workers": ("processes that compute chunks, this one included, at most one per 3 chunks",
+    "workers": ("processes that compute chunks, this one included, at most one per "
+                f"{MIN_CHUNKS_PER_PROCESS} chunks",
                 1, {"type": int}),
 }
 REPORT = {

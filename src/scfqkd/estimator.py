@@ -241,6 +241,7 @@ def estimate(test, key, mu, f_ec, n_total) -> dict:
     # e_ph is NaN exactly where a test-set state has no windows, s_z is 0 or
     # exp(-mu) underflows to 0, and infinite where the bound overflows.
     failed = _not_finite(e_ph) | (mu <= 0.0)
+    check(n_total_pulses=n_total)
     return {
         "s_u": s_u,
         "e_u": e_u,
@@ -255,7 +256,8 @@ def estimate(test, key, mu, f_ec, n_total) -> dict:
         "n_v": n_v,
         "n_f_raw": n_f_raw,
         "n_f": n_f,
-        "rate_per_pulse": key_rate(n_f_raw, n_total),
+        # n_f is clamped already, so the rate is key_rate's without a second clip.
+        "rate_per_pulse": n_f / n_total,
         "rates_u_by_state": by_state,
         "rates_u_by_cell": by_cell,
         "failed": failed,

@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import fields, replace
 
@@ -242,7 +244,7 @@ def _one_chunk(params, model, m, thresholds):
     q0, q1 = channelsim._effective_probs(params, model, math.pi)[:3].T
     click = np.stack((1 - q0 - q1, q0, q1), axis=1)
     label_p = (prior[:, :, None] * click[:, None, :]).ravel()
-    return params, model, 9, m, [0.3], [-0.2], np.asarray(thresholds), 45.0, label_p
+    return params, model, 9, m, [0.3], [-0.2], np.asarray(thresholds), channelsim._count_table(45.0), label_p
 
 
 def test_worker_count_does_not_change_tallies(monkeypatch):
@@ -326,11 +328,11 @@ def test_helper_exit_without_result_raises(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("n_chunks, workers, helpers", [(5, 2, 0), (8, 3, 1), (9, 8, 2)])
+@pytest.mark.parametrize("n_chunks, workers, helpers", [(5, 2, 0), (8, 3, 1), (12, 8, 2)])
 def test_helpers_start_only_above_the_cap(monkeypatch, n_chunks, workers, helpers):
     """Each process gets at least MIN_CHUNKS_PER_PROCESS chunks, so a short
     session starts fewer helpers than workers - 1, or none."""
-    assert channelsim.MIN_CHUNKS_PER_PROCESS == 3
+    assert channelsim.MIN_CHUNKS_PER_PROCESS == 4
     started = _spy_helpers(monkeypatch)
     claimed = []
 
@@ -399,8 +401,11 @@ def test_single_chunk_session_starts_no_pool(tmp_path, monkeypatch):
 
 def test_threshold_tallies_do_not_depend_on_other_thresholds():
     params = ProtocolParams(mu=0.1, epsilon=0.3)
-    model = ChannelModel(fiber_km_a=5.0, fiber_km_b=5.0, dark_prob=1e-4, visibility=0.9)
-    n = 200_000
+    # A drift of 1 rad per window makes the spans' mean phases independent
+    # and uniform.
+    model = ChannelModel(fiber_km_a=5.0, fiber_km_b=5.0, dark_prob=1e-4, visibility=0.9,
+                         drift_rad_per_window=1.0)
+    n = 5 * CHUNK_WINDOWS
     extra = [math.radians(5), math.radians(45), math.radians(90)]
     alone = simulate_session(params, model, n, seed=21, thresholds=[extra[1]])
     together = simulate_session(params, model, n, seed=21, thresholds=extra)
@@ -408,7 +413,14 @@ def test_threshold_tallies_do_not_depend_on_other_thresholds():
     assert alone.tallies == together.tallies
     # Two thresholds off the keep-level grid, inside one bin (28 to 29
     # degrees) whose spans they split: each reads a prefix of the bin's split.
-    pair = [0.492, 0.494]
+    # Lattice levels cut the bin into three parts that each hold a span's
+    # level with probability above 1.3e-3 at a uniform phase and 45 mean
+    # reference counts, such as the rays of (D1, D2) = (13, 7), (22, 12) and
+    # (20, 11), so with 20,480 spans a part stays empty with probability
+    # below 1e-11.
+    pair = [0.495, 0.501]
+    rays = minor_angle(np.arctan2([7.0, 12.0, 11.0], [13.0, 22.0, 20.0]))
+    assert math.radians(28) < rays[0] < pair[0] < rays[1] < pair[1] < rays[2] < math.radians(29)
     together = simulate_session(params, model, n, seed=21, thresholds=extra + pair)
     for thr in pair:
         alone = simulate_session(params, model, n, seed=21, thresholds=[thr])
@@ -1116,6 +1128,122 @@ def test_model_never_builds_keep_table():
     assert channelsim._keep_table.cache_info().currsize == 1
 
 
+def test_import_and_analyses_never_build_the_count_table():
+    """A fresh interpreter that imports scfqkd, runs the expected-value
+    analysis and analyses the bundled file has built no table of
+    reference counts; its first session builds one."""
+    code = (
+        "import scfqkd\n"
+        "from scfqkd import channelsim, dataio, defaults, keyrate\n"
+        "sizes = [channelsim._count_table.cache_info().currsize]\n"
+        "params = defaults.reference_params()\n"
+        "keyrate.analyze_expected(params, defaults.reference_model(50.0), 1e12)\n"
+        "raw = dataio.load_raw_tallies(defaults.bundled_tally_path(), strict=True)\n"
+        "keyrate.analyze_tallies(*raw.tally_sets(), params, n_total_pulses=raw.n_total_pulses,\n"
+        "                        delta_threshold=raw.delta_threshold)\n"
+        "sizes.append(channelsim._count_table.cache_info().currsize)\n"
+        "channelsim.simulate_session(params, defaults.reference_model(50.0), 20_000, 4)\n"
+        "sizes.append(channelsim._count_table.cache_info().currsize)\n"
+        "print(sizes)\n"
+    )
+    src = os.path.dirname(os.path.dirname(channelsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[0] == "[0, 0, 1]"
+
+
+def test_helpers_inherit_the_count_table(monkeypatch, tmp_path):
+    """A 2-worker session of 8 chunks looks its table up once, in this
+    process, and its helper reads it from the session it inherits."""
+    channelsim._count_table.cache_clear()
+    log, real = tmp_path / "lookups", channelsim._count_table
+
+    def logged(mean_ref_counts):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(mean_ref_counts)
+
+    monkeypatch.setattr(channelsim, "_count_table", logged)
+    started = _spy_helpers(monkeypatch)
+    n = 2 * channelsim.MIN_CHUNKS_PER_PROCESS * CHUNK_WINDOWS
+    simulate_session(ProtocolParams(mu=0.05, epsilon=0.25), ChannelModel(), n, seed=4, workers=2)
+    assert started == [1]
+    assert log.read_text().split() == [str(os.getpid())]
+    assert real.cache_info().misses == 1
+
+
+def _poisson_cdf(lam: float, n: int) -> np.ndarray:
+    """P(X <= k), k = 0..n-1, for X Poisson of mean ``lam``, summed by
+    mpmath at 100 bits and rounded to double."""
+    with mp.workprec(100):
+        lam = mp.mpf(lam)
+        term = total = mp.exp(-lam)
+        out = [float(total)]
+        for k in range(1, n):
+            term = term * lam / k
+            total += term
+            out.append(float(total))
+    return np.array(out)
+
+
+def _inverted(lam: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """The smallest k with u < F(k; lam) per draw, through the mpmath CDF of
+    each distinct mean."""
+    out = np.empty(u.size, np.int64)
+    for value in np.unique(lam):
+        at = lam == value
+        out[at] = np.searchsorted(_poisson_cdf(value, n), u[at], "right")
+    return out
+
+
+def test_reference_counts_are_the_exact_poisson_inversion():
+    """The sampler's counts equal the inversion of the Poisson CDF that
+    mpmath computes, draw by draw, with the uniforms it reads replayed from
+    its stream: 120,000 draws at 45 and 2000 mean reference counts, at
+    means between the table's rows, at 0 and at the top of its grid.  The
+    draws whose two rows give different counts take the sum between rows;
+    there are over 1,000 of them."""
+    draws = between = 0
+    for mean, n_phases, repeats, n_cdf in ((45.0, 250, 100, 100), (2000.0, 10, 500, 1400)):
+        table = channelsim._count_table(mean)
+        step = table[1]
+        phase = np.tile(np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False), repeats)
+        rng = np.random.default_rng(int(mean))
+        got = channelsim._reference_counts(rng, phase, table).ravel()
+        replay = np.random.default_rng(int(mean))
+        u = replay.random(got.size)
+        assert rng.random() == replay.random()
+        lam = (0.5 * mean * slot_probabilities(phase)).ravel()
+        assert lam.min() == 0.0 and lam.max() == 0.5 * mean
+        assert np.array_equal(got, _inverted(lam, u, n_cdf))
+        row = np.floor(lam / step)
+        between += np.count_nonzero(_inverted(row * step, u, n_cdf) != _inverted((row + 1) * step, u, n_cdf))
+        draws += got.size
+    assert draws >= 100_000 and between >= 1000
+
+
+@pytest.mark.parametrize("mean", [1.0, 9.0, 45.0, 200.0, 2000.0])
+def test_reference_counts_follow_the_poisson_pmf(mean):
+    """Chi-square of 20,000 spans' counts per slot, at a phase that puts
+    the four slot means between the table's rows, against the Poisson pmf,
+    with the tail pooled where fewer than 5 counts are expected."""
+    spans = 20_000
+    counts = channelsim._reference_counts(np.random.default_rng(7), np.full(spans, 1.0),
+                                          channelsim._count_table(mean))
+    for lam, slot in zip(0.5 * mean * slot_probabilities(1.0), counts.T):
+        k = np.arange(int(lam + 12 * math.sqrt(lam) + 12))
+        pmf = np.exp(k * math.log(lam) - lam - np.array([math.lgamma(i + 1.0) for i in k]))
+        pmf[-1] += 1.0 - pmf.sum()
+        observed = np.bincount(np.minimum(slot, k[-1]), minlength=k.size)
+        keep = spans * pmf >= 5
+        lo, hi = np.flatnonzero(keep)[[0, -1]]
+        expect = spans * np.concatenate(([pmf[:lo + 1].sum()], pmf[lo + 1:hi], [pmf[hi:].sum()]))
+        seen = np.concatenate(([observed[:lo + 1].sum()], observed[lo + 1:hi], [observed[hi:].sum()]))
+        chi2 = float(np.sum((seen - expect) ** 2 / expect))
+        dof = expect.size - 1
+        assert chi2 < dof + 5 * math.sqrt(2 * dof)
+
+
 def test_keep_table_holds_the_estimator_bin_of_every_pair():
     """Each of the 161**2 cells is the bin that the estimator, the minor
     angle and the edge search give a span with that (D1, D2), and the
@@ -1179,15 +1307,16 @@ def test_counts_off_the_table_take_the_estimator(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (3, "9ccb980219d94a5c7a6d620360bf9c0d7ac1d7118c8801a531897d48dcff1dca"),
-    (11, "e65fba7470333b7aa7fed5f7b7f9a2ab6272b178c532c9beaf30aed9fcc5f8a7"),
+    (3, "26798367818dc26284ba6b0049865fc31a70dec2e8e230431eee2a6dcc580e6f"),
+    (11, "4840cbf28a8ba4f7c435659b8d9be3ee5f2fcfc87256aa5c039035c58dacfe95"),
 ])
 def test_session_files_keep_their_pinned_digest(tmp_path, seed, digest):
-    """Tally files of a 7-chunk session at the reference point, on the
+    """Tally files of an 8-chunk session at the reference point, on the
     keep-level grid and off it, with 1 and 2 workers, hash to the values
-    that the estimator-per-span sampler wrote (numpy 2.4).  A sampler
-    change that moves them changes every seed's tallies."""
-    n = 6 * CHUNK_WINDOWS + 12_345
+    that the sampler which inverts one uniform per reference count through
+    the count table wrote (numpy 2.4).  A sampler change that moves them
+    changes every seed's tallies."""
+    n = 7 * CHUNK_WINDOWS + 12_345
     thresholds = [math.radians(d) for d in (2.0, 12.5, 30.25, 45.0)] + [math.pi]
     for workers in (1, 2):
         res = simulate_session(defaults.reference_params(), defaults.reference_model(50.0), n, seed,

@@ -566,19 +566,7 @@ DEFAULT_QBER_TABLE_JSON_STDOUT = (
 
 # `scfqkd simulate --windows 2e6 --seed 3 --out FILE`: stdout, then FILE.
 SIMULATE_2E6_SEED3_STDOUT = (
-    "signal mean photon number     0.002\n"
-    "error-correction factor       1.1\n"
-    "phase threshold [deg]         30\n"
-    "total signal windows          2.000000e+06\n"
-    "test-set counting rate        5.847269e-05\n"
-    "test-set error rate           0.0000%\n"
-    "mismatched-send yield         1.453488e-03\n"
-    "raw key pool                  9.1\n"
-    "phase-flip upper bound        0.0688%\n"
-    "key-set bit error             0.0000%\n"
-    "key-set detections            3.0\n"
-    "asymptotic secure key length  9.1\n"
-    "key rate per window           4.532204e-06\n"
+    "tally file written; no key-rate report: mismatched-send yield is zero; no key material\n"
 )
 
 SIMULATE_2E6_SEED3_FILE = (
@@ -589,34 +577,34 @@ SIMULATE_2E6_SEED3_FILE = (
     "F-EC\t1.1\n"
     "Windows\t2000000\n"
     "Seed\t3\n"
-    "Sent-00\t1916969\n"
-    "Sent-01\t41115\n"
-    "Sent-10\t41065\n"
+    "Sent-00\t1916952\n"
+    "Sent-01\t41463\n"
+    "Sent-10\t40734\n"
     "Sent-11\t851\n"
-    "Sent-00-Δ\t164118\n"
-    "Sent-01-Δ\t3488\n"
-    "Sent-10-Δ\t3498\n"
-    "Sent-11-Δ\t76\n"
-    "Sent-SS00-Δ\t147721\n"
-    "Sent-SS01-Δ\t3144\n"
-    "Sent-SS10-Δ\t3144\n"
-    "Sent-SS11-Δ\t69\n"
-    "Sent-TT00-Δ\t16397\n"
-    "Sent-TT01-Δ\t344\n"
-    "Sent-TT10-Δ\t354\n"
-    "Sent-TT11-Δ\t7\n"
+    "Sent-00-Δ\t160681\n"
+    "Sent-01-Δ\t3414\n"
+    "Sent-10-Δ\t3426\n"
+    "Sent-11-Δ\t79\n"
+    "Sent-SS00-Δ\t144757\n"
+    "Sent-SS01-Δ\t3042\n"
+    "Sent-SS10-Δ\t3082\n"
+    "Sent-SS11-Δ\t75\n"
+    "Sent-TT00-Δ\t15924\n"
+    "Sent-TT01-Δ\t372\n"
+    "Sent-TT10-Δ\t344\n"
+    "Sent-TT11-Δ\t4\n"
     "Detected-SS00-ch0\t0\n"
     "Detected-SS00-ch1\t0\n"
-    "Detected-SS01-ch0\t1\n"
+    "Detected-SS01-ch0\t2\n"
     "Detected-SS01-ch1\t0\n"
-    "Detected-SS10-ch0\t1\n"
-    "Detected-SS10-ch1\t1\n"
+    "Detected-SS10-ch0\t0\n"
+    "Detected-SS10-ch1\t0\n"
     "Detected-SS11-ch0\t0\n"
     "Detected-SS11-ch1\t0\n"
     "Detected-TT00-ch0\t0\n"
     "Detected-TT00-ch1\t0\n"
     "Detected-TT01-ch0\t0\n"
-    "Detected-TT01-ch1\t1\n"
+    "Detected-TT01-ch1\t0\n"
     "Detected-TT10-ch0\t0\n"
     "Detected-TT10-ch1\t0\n"
     "Detected-TT11-ch0\t0\n"

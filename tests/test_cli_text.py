@@ -116,7 +116,7 @@ options:
   --windows WINDOWS     signal windows to simulate (default 1e+08)
   --seed SEED           random seed (default 1)
   --workers WORKERS     processes that compute chunks, this one included, at
-                        most one per 3 chunks (default 1)
+                        most one per 4 chunks (default 1)
   --format {table,json}
                         report format (default table)
   --swap-detectors      map L=ch1, R=ch0
@@ -204,7 +204,7 @@ options:
   --windows WINDOWS     signal windows to simulate (default 1e+08)
   --seed SEED           random seed (default 1)
   --workers WORKERS     processes that compute chunks, this one included, at
-                        most one per 3 chunks (default 1)
+                        most one per 4 chunks (default 1)
   --format {table,json}
                         report format (default table)
   --swap-detectors      map L=ch1, R=ch0
