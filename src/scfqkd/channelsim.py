@@ -46,7 +46,7 @@ in this frozen order:
    points;
 3. the four reference slot counts n1..n4 per span, Poisson at the
    span-mean phase: one uniform per count, per span and slot in order,
-   inverted exactly through a cached table of Poisson CDFs
+   inverted through a cached table of Poisson CDFs that is exact to 5e-15
    (:func:`_reference_counts`); their differences D1 = n1 - n3 and
    D2 = n4 - n2 give the span's keep level;
 4. per both-send window a test-set uniform, then left and right click
@@ -60,12 +60,12 @@ is kept at threshold delta when its level is below delta.  The levels fall
 into fixed bins with edges at 1, 2, ..., 180 degrees.  The estimate,
 :func:`scfqkd.phasetrack.estimate_phase_batch`, is arctan2(D2, D1) of
 exact float differences, so a span's bin depends only on (D1, D2): a chunk
-reads it from a table over [-80, 80]**2 built with that same expression.
-Only a chunk with a difference off the table (probability below 3e-17 at
-45 mean reference counts) or a threshold between edges computes the float
-levels.  Each 00/01/10 window takes its state, subset and click outcome
-independently of the phase, and a sum of multinomials with one probability
-vector is multinomial, so step 5 is exact.  A threshold on an edge keeps
+reads it from a table over [-75, 75]**2, 75 being the largest count the
+reference sampler draws, built with that same expression.  Only a
+threshold between edges makes a chunk compute the float levels.  Each
+00/01/10 window takes its state, subset and click outcome independently
+of the phase, and a sum of multinomials with one probability vector is
+multinomial, so step 5 is exact.  A threshold on an edge keeps
 whole bins, one row of a cumulative sum over bins.  A threshold between
 edges also keeps the spans of its own bin whose level lies below it: their
 00/01/10 windows are a prefix of one uniformly random order of the bin's
@@ -303,38 +303,36 @@ CHUNK_WINDOWS = CHUNK_SPANS * _SPAN
 _KEEP_EDGES = np.radians(np.arange(1, 181))
 """Edges of the keep-level bins, 1 to 180 degrees, each equal bit for bit to
 ``math.radians`` of its degree."""
-_TABLE_RADIUS = 80
-"""Largest |D1| and |D2| in the keep-level table; at 45 mean reference
-counts a slot's count passes 80 with probability at most 1.4e-21."""
 
 
 @functools.cache
 def _keep_table() -> np.ndarray:
-    """Keep-level bin of every (D1, D2) in [-80, 80]**2, indexed from
-    (-80, -80), built on first use with the chunk's fallback expression on
-    floats of the same integers, so bit for bit the same.  int16, because a
-    bin times 6 must not wrap."""
-    d = np.arange(-_TABLE_RADIUS, _TABLE_RADIUS + 1, dtype=float)
+    """Keep-level bin of every (D1, D2) with |D1|, |D2| <= ``_MAX_COUNT``,
+    indexed from (-``_MAX_COUNT``, -``_MAX_COUNT``), built on first use with
+    ``phasetrack.estimate_phase_batch``'s expression on floats of the same
+    integers, so bit for bit the same.  int16, because a bin times 6 must
+    not wrap."""
+    d = np.arange(-_MAX_COUNT, _MAX_COUNT + 1, dtype=float)
     level = minor_angle(np.arctan2(d[None, :], d[:, None]))
     return np.searchsorted(_KEEP_EDGES, level, "right").astype(np.int16)
 
 
-def _table_bins(counts: np.ndarray):
+def _table_bins(counts: np.ndarray) -> np.ndarray:
     """Keep-level bins of spans read from :func:`_keep_table` by their
-    reference counts' D1 = n1 - n3 and D2 = n4 - n2, or None when a
-    difference lies off the table."""
+    reference counts' D1 = n1 - n3 and D2 = n4 - n2, which no count above
+    ``_MAX_COUNT`` can take off the table."""
     d1 = counts[:, 0] - counts[:, 2]
     d2 = counts[:, 3] - counts[:, 1]
-    if max(np.abs(d1).max(), np.abs(d2).max()) > _TABLE_RADIUS:
-        return None
     # take on the flat index costs less than indexing by the pair.
-    return _keep_table().take((d1 + _TABLE_RADIUS) * (2 * _TABLE_RADIUS + 1) + d2 + _TABLE_RADIUS)
+    return _keep_table().take((d1 + _MAX_COUNT) * (2 * _MAX_COUNT + 1) + d2 + _MAX_COUNT)
 
 
+_SLOT_MEAN = 0.5 * phasetrack.DEFAULT_MEAN_REF_COUNTS
+"""Largest mean count of one reference slot, where its
+:func:`phasetrack.slot_probabilities` entry is 1."""
 _COUNT_ROWS = 1024
-"""Intervals of the grid of means in :func:`_count_table`; at 45 mean
-reference counts about 2 % of the draws fall between two rows' counts, at
-2000 most do."""
+"""Intervals of the grid of means in :func:`_count_table`; about 2 % of the
+draws fall between two rows' counts."""
 _GUIDE_CELLS = 256
 """Cells of [0, 1) per row of the guide of :func:`_count_table`."""
 _WALK = 8
@@ -344,8 +342,6 @@ _WALK = 8
 def _tail_end(lam: float) -> int:
     """The smallest k with P(Poisson(lam) > k) < 2**-60, from the bound
     P(X > k) <= P(X = k + 1) / (1 - lam / (k + 2)) for k + 2 > lam."""
-    if lam == 0:
-        return 0
     k = int(lam)
     log_p = k * math.log(lam) - lam - math.lgamma(k + 1)
     while True:
@@ -355,30 +351,32 @@ def _tail_end(lam: float) -> int:
         k += 1
 
 
-@functools.lru_cache(maxsize=4)
-def _count_table(mean_ref_counts: float) -> tuple:
+_MAX_COUNT = _tail_end(_SLOT_MEAN)
+"""Largest reference slot count that :func:`_reference_counts` draws, 75,
+and so the largest |D1| and |D2| of the keep-level table."""
+
+
+@functools.cache
+def _count_table() -> tuple:
     """Poisson CDF table that :func:`_reference_counts` inverts, built on
-    first use for each mean total of the four reference slots; the tables
-    of the last four means are kept, read-only.
+    first use and read-only.
 
     Row j holds F(k; j h) for the grid of means j h, j = 0..1025, whose
-    1024th row lies at max(``mean_ref_counts`` / 2, 1), the largest slot
-    mean or above.  A row is ``terms`` zeros (F below k = 0, which the
-    sum between rows reads), F(k) for k = 0 up to the first k whose tail
-    at the top of the grid is below 2**-60, where F is 1 to double
-    precision and is set to 1, and then ``_WALK`` ones.  The rows are
-    built in log space.  The guide holds, per row and cell c of
-    ``_GUIDE_CELLS``, the column of the smallest k with F(k) > c / 256,
-    where the inversion of any uniform of that cell starts.  The table
-    grows with the mean: about 0.8 MB at 45 and 11 MB at 2000.
+    1024th row lies at ``_SLOT_MEAN``.  A row is ``terms`` zeros (F below
+    k = 0, which the sum between rows reads), F(k) for k = 0 up to
+    ``_MAX_COUNT``, where the tail at the top of the grid is below 2**-60
+    and F is set to 1, and then ``_WALK`` ones.  The rows are built in log
+    space; against mpmath (every 8th row and the top rows) the largest
+    error of F is 4.9e-15, at row 1025 and k = 63.  The guide holds, per
+    row and cell c of ``_GUIDE_CELLS``, the column of the smallest k with
+    F(k) > c / 256, where the inversion of any uniform of that cell starts.
 
-    Returns (``mean_ref_counts``, h, ``terms``, the rows, the guide),
-    ``terms`` being the terms of the sum between rows, which are as many
-    as the tail of a Poisson law of mean h needs.
+    Returns (h, ``terms``, the rows, the guide), ``terms`` being the terms
+    of the sum between rows, which are as many as the tail of a Poisson law
+    of mean h needs.
     """
-    top = max(0.5 * mean_ref_counts, 1.0)
-    step = top / _COUNT_ROWS
-    terms, cols = _tail_end(step), _tail_end(top) + 1
+    step = _SLOT_MEAN / _COUNT_ROWS
+    terms, cols = _tail_end(step), _MAX_COUNT + 1
     lam = step * np.arange(1, _COUNT_ROWS + 2)
     cdf = np.zeros((_COUNT_ROWS + 2, terms + cols + _WALK))
     cdf[0, terms:] = cdf[:, terms + cols - 1:] = 1.0
@@ -400,16 +398,19 @@ def _count_table(mean_ref_counts: float) -> tuple:
     np.maximum.accumulate(guide, axis=1, out=guide)
     guide += terms
     cdf.flags.writeable = guide.flags.writeable = False
-    return mean_ref_counts, step, terms, cdf, guide
+    return step, terms, cdf, guide
 
 
 def _reference_counts(rng: np.random.Generator, phase: np.ndarray, table: tuple) -> np.ndarray:
     """The four reference slot counts of spans at mean phases ``phase``,
-    Poisson of mean ``mean_ref_counts`` / 2 times
-    :func:`phasetrack.slot_probabilities`, by exact inversion: per span and
-    slot in order one ``rng.random`` uniform u, and the count is the smallest
-    k with u < F(k; lam), or the table's last k, beyond which the tail is
-    below 2**-60.
+    Poisson of mean ``_SLOT_MEAN`` times
+    :func:`phasetrack.slot_probabilities`, by inversion: per span and slot
+    in order one ``rng.random`` uniform u, and the count is the smallest k
+    with u < F(k; lam), or ``_MAX_COUNT``.  F is the table's CDF, whose
+    rows lie within 4.9e-15 of the Poisson's (see :func:`_count_table`), so
+    a count can differ from the exact inversion only for a u about that
+    close to a step of the Poisson CDF: at u = 1 - 2**-53 and phase 0 the
+    slots get 75 and 46 where the exact inversion gives 72 and 49.
 
     For lam in [j h, (j + 1) h] of :func:`_count_table`, the walk from the
     guide along row j gives row j's count.  F falls as the mean grows, so
@@ -418,8 +419,8 @@ def _reference_counts(rng: np.random.Generator, phase: np.ndarray, table: tuple)
     walks on with F(k; j h + d) = sum over i of Poisson(i; d) F(k - i; j h),
     whose terms past ``terms`` weigh less than 2**-60.
     """
-    mean_ref_counts, step, terms, cdf, guide = table
-    lam = (0.5 * mean_ref_counts * phasetrack.slot_probabilities(phase)).ravel()
+    step, terms, cdf, guide = table
+    lam = (_SLOT_MEAN * phasetrack.slot_probabilities(phase)).ravel()
     u = rng.random(lam.size)
     row = (lam * (1.0 / step)).astype(np.intp)
     k = (u * _GUIDE_CELLS).astype(np.intp)
@@ -441,7 +442,7 @@ def _reference_counts(rng: np.random.Generator, phase: np.ndarray, table: tuple)
         poisson[:, 0] = np.exp(-d)
         poisson[:, 1:] = d[:, None] / np.arange(1, terms + 1)
         poisson = poisson.cumprod(axis=1)
-        last = row[off] + width - _WALK - 1
+        last = row[off] + terms + _MAX_COUNT
         while off.size:
             f = (poisson * cdf.take(k[off, None] - np.arange(terms + 1))).sum(axis=1)
             up = (f <= u[off]) & (k[off] < last)
@@ -532,12 +533,11 @@ def _bin_prefix(rng: np.random.Generator, labels: np.ndarray, k: int) -> np.ndar
 def _chunk_tallies(session: tuple, k: int):
     """Simulate chunk ``k`` of a ``session`` of (params, model, seed,
     n_windows, every chunk's start phase, every chunk's drift total,
-    thresholds, the :func:`_count_table` of the mean reference counts, the
-    00/01/10 label probabilities),
-    in the module docstring's draw order, with its counts gathered per
-    keep-level bin.  The spans' bins come from :func:`_table_bins`, or,
-    off the table, from ``phasetrack.estimate_phase_batch``, which also
-    gives the float levels that a threshold between edges needs.
+    thresholds, the :func:`_count_table`, the 00/01/10 label
+    probabilities), in the module docstring's draw order, with its counts
+    gathered per keep-level bin.  The spans' bins come from
+    :func:`_table_bins`; ``phasetrack.estimate_phase_batch`` gives the
+    float levels that a threshold between edges needs.
 
     Returns the chunk's :attr:`SessionTallies.counts` rows, int64 of shape
     (thresholds + 1, state, 8): one set per threshold, then one that keeps
@@ -557,9 +557,6 @@ def _chunk_tallies(session: tuple, k: int):
     ref = _reference_counts(rng, starts[k] + mean, counts_table)
     span_bin = _table_bins(ref)
     level = None
-    if span_bin is None:
-        level = minor_angle(phasetrack.estimate_phase_batch(ref))
-        span_bin = np.searchsorted(_KEEP_EDGES, level, "right")
     n_bins = _KEEP_EDGES.size + 1
 
     # Counts per bin and (state, subset, label), a window's label being no
@@ -715,7 +712,6 @@ def simulate_session(
     seed: int,
     workers: int = 1,
     thresholds: Sequence[float] | None = None,
-    mean_ref_counts: float = phasetrack.DEFAULT_MEAN_REF_COUNTS,
 ) -> SimulationResult:
     """Run a full Monte Carlo session and aggregate raw-file-shaped tallies.
 
@@ -736,15 +732,13 @@ def simulate_session(
     compute chunks, this one included; each takes the next chunk from a
     shared counter.  At most one process runs per ``MIN_CHUNKS_PER_PROCESS``
     (4) chunks, below which a helper's start-up outweighs the work it takes
-    over, so a session of fewer than 8 chunks (a chunk is 737,280 windows)
-    runs in this process alone.  On a shared 2-core host,
-    ``workers=2`` took 22 ms (quartiles 19-24 ms) for 10**7 windows against
-    24 ms (22-27 ms) with ``workers=1``, and 0.13 s (0.13-0.14 s) for 10**8
-    windows against 0.23 s (0.22-0.23 s), medians of interleaved runs.
+    over (the constant's docstring gives the measurements), so a session of
+    fewer than 8 chunks (a chunk is 737,280 windows) runs in this process
+    alone.
     """
     _one_configuration(params, model)
     n_windows = window_count(n_windows)
-    check(workers=workers, seed=seed, mean_ref_counts=mean_ref_counts)
+    check(workers=workers, seed=seed)
     thr_list = _threshold_list(params, thresholds)
     thr_arr = np.array(thr_list)
 
@@ -760,7 +754,7 @@ def simulate_session(
     q = np.column_stack((p_left * (1.0 - p_right), p_right * (1.0 - p_left)))
     click = np.column_stack((np.maximum(1.0 - q.sum(axis=1), 0.0), q))
     cell = np.outer(np.array([1.0 - eps, eps, eps]) / (1.0 + eps), [p_t, 1.0 - p_t])
-    session = (params, model, seed, n_windows, starts, totals, thr_arr, _count_table(float(mean_ref_counts)),
+    session = (params, model, seed, n_windows, starts, totals, thr_arr, _count_table(),
                (cell[:, :, None] * click[:, None, :]).ravel())
     *rows, whole = _run_chunks(session, n_chunks, workers)
     effective = int(whole[:, [3, 4, 6, 7]].sum())

@@ -135,12 +135,11 @@ def _both_send_qber(params: ProtocolParams, model: ChannelModel, visibility) -> 
     return np.divide(p_ch1, total, out=np.full_like(total, np.nan), where=total > 0.0)
 
 
-def calibrate_visibility(
-    params: ProtocolParams,
-    model: ChannelModel,
-    target_qber: float,
-    tol: float = 1e-10,
-) -> float:
+_CALIBRATION_TOL = 1e-10
+"""Width of the bracket whose midpoint :func:`calibrate_visibility` returns."""
+
+
+def calibrate_visibility(params: ProtocolParams, model: ChannelModel, target_qber: float) -> float:
     """Find the visibility whose expected both-send QBER matches a target.
 
     The expected-value model keeps estimation noise out of the phase
@@ -152,22 +151,21 @@ def calibrate_visibility(
 
     The search keeps a bracket [lo, hi] of [0, 1] with QBER(lo) > target >=
     QBER(hi) and cuts it into 2**k equal parts per batched model call, k
-    being the halvings still needed to reach width ``tol``, at most 5; the
-    first call also evaluates visibilities 1 and 0.  The new bracket is the
-    first part whose right end has QBER <= target.  The cut points are the
-    midpoints bisection of [0, 1] computes, so wherever the QBER is
-    monotone in floating point the result equals plain bisection's bit for
-    bit; elsewhere it is still the midpoint of a bracket of width <= ``tol``
-    on which the QBER crosses the target.  The default ``tol`` takes 34
-    halvings, so 7 model calls.  ``tol`` must be finite and positive; the
-    search also stops once the bracket stops narrowing, so a ``tol`` below
-    the spacing of floats ends there.
+    being the halvings still needed to reach width ``_CALIBRATION_TOL``, at
+    most 5; the first call also evaluates visibilities 1 and 0.  The new
+    bracket is the first part whose right end has QBER <= target.  The cut
+    points are the midpoints bisection of [0, 1] computes, so wherever the
+    QBER is monotone in floating point the result equals plain bisection's
+    bit for bit; elsewhere it is still the midpoint of a bracket of width
+    <= ``_CALIBRATION_TOL`` on which the QBER crosses the target.  That
+    takes 34 halvings, so 7 model calls, and every part stays far wider
+    than the spacing of floats.
     """
-    check(target_qber=target_qber, tol=tol)
+    check(target_qber=target_qber)
     lo, hi, ends = 0.0, 1.0, [1.0, 0.0]
-    while ends or hi - lo > tol:
+    while ends or hi - lo > _CALIBRATION_TOL:
         k, width = 0, hi - lo
-        while k < 5 and width > tol:
+        while k < 5 and width > _CALIBRATION_TOL:
             k, width = k + 1, 0.5 * width
         cuts = (lo + (hi - lo) * np.arange(1, 2**k) / 2**k).tolist()
         q = _both_send_qber(params, model, ends + cuts)
@@ -185,10 +183,7 @@ def calibrate_visibility(
                 return v
             ends = []
         i = int(np.argmax(np.append(q <= target_qber, True)))
-        bracket = ([lo] + cuts + [hi])[i:i + 2]
-        if bracket == [lo, hi]:
-            break
-        lo, hi = bracket
+        lo, hi = ([lo] + cuts + [hi])[i:i + 2]
     return 0.5 * (lo + hi)
 
 

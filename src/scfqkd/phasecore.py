@@ -45,13 +45,13 @@ RANGES = {
     **dict.fromkeys(("delta_threshold", "thresholds"),
                     ("lie in (0, pi]", lambda v: (0.0 < v) & (v <= math.pi))),
     "delta_deg": ("lie in (0, 180] degrees", lambda v: (0.0 < v) & (v <= 180.0)),
-    **dict.fromkeys(("mu", "mean_ref_counts", "mean_total", "fiber_km_a", "fiber_km_b", "atten_db_per_km",
+    **dict.fromkeys(("mu", "mean_total", "fiber_km_a", "fiber_km_b", "atten_db_per_km",
                      "comp_loss_db_a", "comp_loss_db_b", "drift_rad_per_window", "total_km", "distance",
                      "rms_per_span", "drift_rms_per_span", "intensity_a", "intensity_b"),
                     ("be finite and non-negative", lambda v: (0.0 <= v) & (v < math.inf))),
     **dict.fromkeys(("epsilon", "p_t", "det_eff_left", "det_eff_right", "visibility",
                      "binary_entropy argument"), ("lie in [0, 1]", lambda v: (0.0 <= v) & (v <= 1.0))),
-    **dict.fromkeys(("n_windows", "tol"), ("be finite and positive", lambda v: (0.0 < v) & (v < math.inf))),
+    "n_windows": ("be finite and positive", lambda v: (0.0 < v) & (v < math.inf)),
     **dict.fromkeys(("workers", "n_trials"),
                     ("be a positive integer", lambda v: isinstance(v, (int, np.integer)) & (v >= 1))),
 }

@@ -70,7 +70,7 @@ def estimate_phase(counts) -> Angle:
     The closed form atan2(p_4 - p_2, p_1 - p_3) is the exact minimiser of
     the residual sum of squares (see module docstring), evaluated by
     :func:`estimate_phase_batch` on the raw counts; the result lies in
-    (-pi, pi].  A perfectly ambiguous pattern (all slots equal) returns 0.0.
+    (-pi, pi].  Counts with n_1 = n_3 and n_2 = n_4 return 0.0.
     """
     c = np.asarray(counts, dtype=float)
     if c.shape != (4,):
@@ -85,8 +85,8 @@ def estimate_phase(counts) -> Angle:
 def estimate_phase_batch(counts: np.ndarray) -> np.ndarray:
     """Vectorised :func:`estimate_phase` over rows of an (n, 4) count array.
 
-    Rows with zero total yield 0.0 (the session simulator treats a span with
-    no reference detections as carrying no phase information).
+    A row with n_1 = n_3 and n_2 = n_4, such as one with zero total, yields
+    0.0, so the session simulator keeps its span at every threshold.
     """
     c = np.asarray(counts, dtype=float)
     return np.arctan2(c[:, 3] - c[:, 1], c[:, 0] - c[:, 2])

@@ -1,7 +1,9 @@
 """The public API: every exported name resolves, and removed names stay gone."""
 
+import inspect
+
 import scfqkd
-from scfqkd import estimator, keyrate
+from scfqkd import channelsim, estimator, keyrate
 
 
 def test_every_name_in_all_resolves():
@@ -18,3 +20,10 @@ def test_tally_set_class_is_gone():
     ``SessionTallies.cells``; there is no second tally type to export."""
     for module in (scfqkd, keyrate, estimator):
         assert not hasattr(module, "TallySet"), module.__name__
+
+
+def test_removed_settings_stay_gone():
+    """The reference-count mean and the calibration tolerance are fixed:
+    neither is a parameter."""
+    assert "mean_ref_counts" not in inspect.signature(channelsim.simulate_session).parameters
+    assert "tol" not in inspect.signature(keyrate.calibrate_visibility).parameters

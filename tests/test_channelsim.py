@@ -236,15 +236,15 @@ def _empty_chunk(session, k):
 
 def _one_chunk(params, model, m, thresholds):
     """The session argument of ``_chunk_tallies`` for one chunk of ``m``
-    windows at seed 9, starting at phase 0.3 with drift total -0.2, 45 mean
-    reference counts and the 00/01/10 windows' label probabilities:
-    (state, subset) prior times (no effective click, on ch0, on ch1)."""
+    windows at seed 9, starting at phase 0.3 with drift total -0.2, the
+    count table and the 00/01/10 windows' label probabilities: (state,
+    subset) prior times (no effective click, on ch0, on ch1)."""
     eps, p_t = params.epsilon, params.p_t
     prior = np.outer([1 - eps, eps, eps], [p_t, 1 - p_t]) / (1 + eps)
     q0, q1 = channelsim._effective_probs(params, model, math.pi)[:3].T
     click = np.stack((1 - q0 - q1, q0, q1), axis=1)
     label_p = (prior[:, :, None] * click[:, None, :]).ravel()
-    return params, model, 9, m, [0.3], [-0.2], np.asarray(thresholds), channelsim._count_table(45.0), label_p
+    return params, model, 9, m, [0.3], [-0.2], np.asarray(thresholds), channelsim._count_table(), label_p
 
 
 def test_worker_count_does_not_change_tallies(monkeypatch):
@@ -463,20 +463,23 @@ def test_bin_prefix_draws_windows_without_replacement():
     assert not channelsim._bin_prefix(rng, labels, 0).any()
 
 
-def _off_table(counts):
-    """A stand-in for :func:`channelsim._table_bins` that sends every chunk
-    to the estimator fallback, so that tests can inject phase estimates
-    through ``phasetrack.estimate_phase_batch``."""
-    return None
+def _inject_estimates(monkeypatch, estimates):
+    """Give the spans of a chunk the phase estimates ``estimates(n_spans)``:
+    their bins through :func:`channelsim._table_bins`, and the float levels
+    that a threshold between edges reads through
+    ``phasetrack.estimate_phase_batch``."""
+    def bins(counts):
+        return np.searchsorted(channelsim._KEEP_EDGES, minor_angle(estimates(len(counts))), "right")
+
+    monkeypatch.setattr(channelsim, "_table_bins", bins)
+    monkeypatch.setattr(phasetrack, "estimate_phase_batch", lambda counts: estimates(len(counts)))
 
 
 @pytest.mark.parametrize("level", [math.radians(10), 0.5])
 def test_span_at_a_threshold_is_discarded(monkeypatch, level):
     """Every span's keep level equals a threshold, on the grid or off it:
     none is kept there, and all are kept at the next float above it."""
-    monkeypatch.setattr(channelsim, "_table_bins", _off_table)
-    monkeypatch.setattr(phasetrack, "estimate_phase_batch",
-                        lambda counts: np.full(len(counts), level))
+    _inject_estimates(monkeypatch, lambda n: np.full(n, level))
     params = ProtocolParams(mu=0.5, epsilon=0.3)
     model = ChannelModel(dark_prob=1e-3, visibility=0.9)
     thresholds = np.array([level, np.nextafter(level, 4.0), math.pi])
@@ -500,7 +503,7 @@ def test_ragged_final_span_with_every_window_both_send():
     assert simulate_session(params, model, n, seed=8, workers=2).tallies == res.tallies
 
 
-def _oracle_cells(params, model, n, rng, mean_ref_counts):
+def _oracle_cells(params, model, n, rng):
     """Per-window reference sampler: every window draws its own drift step,
     send decisions, clicks and test flag, as the session simulator did
     before it sampled per span.  Returns the cells of :func:`_sampler_cells`."""
@@ -510,7 +513,7 @@ def _oracle_cells(params, model, n, rng, mean_ref_counts):
     bob = rng.random(n) < params.epsilon
     starts = np.arange(0, n, DEFAULT_SPAN_WINDOWS)
     span_mean = np.add.reduceat(phases, starts) / np.minimum(DEFAULT_SPAN_WINDOWS, n - starts)
-    counts = rng.poisson(0.5 * mean_ref_counts * slot_probabilities(span_mean))
+    counts = rng.poisson(0.5 * phasetrack.DEFAULT_MEAN_REF_COUNTS * slot_probabilities(span_mean))
     kept_span = minor_angle(estimate_phase_batch(counts)) < params.delta_threshold
     kept = np.repeat(kept_span, DEFAULT_SPAN_WINDOWS)[:n]
     p_left, p_right = click_probabilities(params, model, alice, bob, phases)
@@ -758,31 +761,31 @@ def test_span_sampler_matches_per_window_oracle():
     """Two-sample z-test per cell between the span-level simulator and the
     per-window oracle over many short sessions, at high click rates and
     visibility below 1.  In the second configuration the phase drifts by
-    about 1.3 rad per span and the reference estimate is precise, so the
-    both-send windows' spread around the span mean shows in the cells; the
-    third keeps its windows at a threshold between keep-level edges."""
+    about 1.3 rad per span, so the both-send windows' spread around the span
+    mean shows in the cells: a sampler that puts them at the span mean is
+    off by about 15 standard errors.  The third keeps its windows at a
+    threshold between keep-level edges."""
     configs = [
         (ProtocolParams(mu=0.2, epsilon=0.4, p_t=0.3),
          ChannelModel(fiber_km_a=2, fiber_km_b=3, dark_prob=2e-3, visibility=0.9,
                       det_eff_left=0.7, det_eff_right=0.6),
-         100 * DEFAULT_SPAN_WINDOWS, 45.0),
+         100 * DEFAULT_SPAN_WINDOWS),
         (ProtocolParams(mu=0.3, epsilon=0.5, p_t=0.4, delta_threshold=math.radians(45)),
          ChannelModel(fiber_km_a=1, fiber_km_b=1, dark_prob=2e-3, visibility=0.8,
                       drift_rad_per_window=0.1),
-         100 * DEFAULT_SPAN_WINDOWS + 77, 1000.0),
+         100 * DEFAULT_SPAN_WINDOWS + 77),
         # A threshold off the keep-level grid splits the bin it falls in.
         (ProtocolParams(mu=0.2, epsilon=0.4, p_t=0.3, delta_threshold=0.5),
          ChannelModel(fiber_km_a=2, fiber_km_b=3, dark_prob=2e-3, visibility=0.9),
-         100 * DEFAULT_SPAN_WINDOWS, 45.0),
+         100 * DEFAULT_SPAN_WINDOWS),
     ]
     sessions = 400
     worst = 0.0
-    for k, (params, model, n, ref) in enumerate(configs):
+    for k, (params, model, n) in enumerate(configs):
         rng = np.random.default_rng(100 + k)
-        oracle = np.array([_oracle_cells(params, model, n, rng, ref) for _ in range(sessions)])
+        oracle = np.array([_oracle_cells(params, model, n, rng) for _ in range(sessions)])
         spans = np.array([
-            _sampler_cells(simulate_session(params, model, n, seed=1000 * k + i,
-                                            mean_ref_counts=ref).tallies)
+            _sampler_cells(simulate_session(params, model, n, seed=1000 * k + i).tallies)
             for i in range(sessions)
         ])
         se = np.sqrt((oracle.var(axis=0, ddof=1) + spans.var(axis=0, ddof=1)) / sessions)
@@ -865,7 +868,7 @@ def test_simulation_matches_model_zero_visibility():
          600_000),
     ]
     for params, model, n in draws:
-        res = simulate_session(params, model, n, seed=5, mean_ref_counts=200.0)
+        res = simulate_session(params, model, n, seed=5)
         e = expected_tallies(params, model, n)[params.delta_threshold]
         t = res.tallies
         zs = []
@@ -899,7 +902,7 @@ def test_simulation_matches_model_phase_free_cells():
          800_000),
     ]
     for params, model, n in draws:
-        res = simulate_session(params, model, n, seed=5, mean_ref_counts=200.0)
+        res = simulate_session(params, model, n, seed=5)
         e = expected_tallies(params, model, n)[params.delta_threshold]
         t = res.tallies
         zs = []
@@ -1069,8 +1072,7 @@ def test_chunk_totals_equal_sums_over_span_counts(monkeypatch, p_t, m):
     """The sent and effective columns of a chunk's all-windows rows equal
     the sums over its per-span counts, read here through a threshold that
     keeps every span."""
-    monkeypatch.setattr(channelsim, "_table_bins", _off_table)
-    monkeypatch.setattr(phasetrack, "estimate_phase_batch", lambda counts: np.zeros(len(counts)))
+    _inject_estimates(monkeypatch, np.zeros)
     params = ProtocolParams(mu=0.5, epsilon=0.3, p_t=p_t)
     model = ChannelModel(fiber_km_a=1.0, fiber_km_b=2.0, dark_prob=1e-3, visibility=0.9)
     rows = channelsim._chunk_tallies(_one_chunk(params, model, m, np.array([math.pi])), 0)
@@ -1158,10 +1160,10 @@ def test_helpers_inherit_the_count_table(monkeypatch, tmp_path):
     channelsim._count_table.cache_clear()
     log, real = tmp_path / "lookups", channelsim._count_table
 
-    def logged(mean_ref_counts):
+    def logged():
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return real(mean_ref_counts)
+        return real()
 
     monkeypatch.setattr(channelsim, "_count_table", logged)
     started = _spy_helpers(monkeypatch)
@@ -1199,38 +1201,80 @@ def _inverted(lam: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
 def test_reference_counts_are_the_exact_poisson_inversion():
     """The sampler's counts equal the inversion of the Poisson CDF that
     mpmath computes, draw by draw, with the uniforms it reads replayed from
-    its stream: 120,000 draws at 45 and 2000 mean reference counts, at
-    means between the table's rows, at 0 and at the top of its grid.  The
-    draws whose two rows give different counts take the sum between rows;
-    there are over 1,000 of them."""
-    draws = between = 0
-    for mean, n_phases, repeats, n_cdf in ((45.0, 250, 100, 100), (2000.0, 10, 500, 1400)):
-        table = channelsim._count_table(mean)
-        step = table[1]
-        phase = np.tile(np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False), repeats)
-        rng = np.random.default_rng(int(mean))
-        got = channelsim._reference_counts(rng, phase, table).ravel()
-        replay = np.random.default_rng(int(mean))
-        u = replay.random(got.size)
-        assert rng.random() == replay.random()
-        lam = (0.5 * mean * slot_probabilities(phase)).ravel()
-        assert lam.min() == 0.0 and lam.max() == 0.5 * mean
-        assert np.array_equal(got, _inverted(lam, u, n_cdf))
-        row = np.floor(lam / step)
-        between += np.count_nonzero(_inverted(row * step, u, n_cdf) != _inverted((row + 1) * step, u, n_cdf))
-        draws += got.size
-    assert draws >= 100_000 and between >= 1000
+    its stream: 100,000 draws, at means between the table's rows, at 0 and
+    at the top of its grid.  The draws whose two rows give different counts
+    take the sum between rows; there are over 1,000 of them."""
+    table = channelsim._count_table()
+    step = table[0]
+    phase = np.tile(np.linspace(0.0, 2.0 * math.pi, 250, endpoint=False), 100)
+    rng = np.random.default_rng(45)
+    got = channelsim._reference_counts(rng, phase, table).ravel()
+    replay = np.random.default_rng(45)
+    u = replay.random(got.size)
+    assert rng.random() == replay.random()
+    lam = (channelsim._SLOT_MEAN * slot_probabilities(phase)).ravel()
+    assert lam.min() == 0.0 and lam.max() == channelsim._SLOT_MEAN
+    assert np.array_equal(got, _inverted(lam, u, 100))
+    row = np.floor(lam / step)
+    between = np.count_nonzero(_inverted(row * step, u, 100) != _inverted((row + 1) * step, u, 100))
+    assert got.size == 100_000 and between >= 1000
 
 
-@pytest.mark.parametrize("mean", [1.0, 9.0, 45.0, 200.0, 2000.0])
-def test_reference_counts_follow_the_poisson_pmf(mean):
+def test_count_table_is_within_2_to_the_minus_46_of_the_poisson_cdf():
+    """Every 8th row of the count table and its top rows hold the Poisson
+    CDF that mpmath computes within 2**-46, 64 times the float spacing at
+    1.  Uniforms at 0, at 1 - 2**-53 and in the top cell of the guide, at
+    phases across the grid, run the walk along a row for several passes
+    and the sum between rows up to the largest count.  Each draw is then
+    the inversion of a CDF within that bound of the Poisson's, and none
+    exceeds the keep-level table's radius."""
+    bound = 64 * np.finfo(float).eps
+    step, terms, cdf, guide = channelsim._count_table()
+    cols = channelsim._MAX_COUNT + 1
+    for j in [*range(0, channelsim._COUNT_ROWS + 2, 8), channelsim._COUNT_ROWS, channelsim._COUNT_ROWS + 1]:
+        assert np.abs(cdf[j, terms:terms + cols] - _poisson_cdf(j * step, cols)).max() <= bound
+
+    class Stub:
+        def random(self, n):
+            return np.resize(uniforms, n)
+
+    # Five uniforms, so that each slot reads each of them in turn.
+    uniforms = np.array([0.0, 1.0 - 2.0**-53, 255 / 256, 1.0 - 2.0**-20, 1.0 - 2.0**-40])
+    phase = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+    got = channelsim._reference_counts(Stub(), phase, (step, terms, cdf, guide)).ravel()
+    u = np.resize(uniforms, got.size)
+    lam = (channelsim._SLOT_MEAN * slot_probabilities(phase)).ravel()
+    assert got.max() == channelsim._MAX_COUNT == channelsim._keep_table().shape[0] // 2
+    for value in np.unique(lam):
+        at = lam == value
+        exact = np.concatenate(([0.0], _poisson_cdf(value, cols), [1.0]))
+        k = got[at]
+        assert np.all(exact[k] - bound <= u[at])
+        assert np.all((u[at] < exact[k + 1] + bound) | (k == cols - 1))
+
+
+def test_balanced_reference_counts_are_kept_at_every_threshold():
+    """Counts with n1 = n3 and n2 = n4 estimate the phase 0.0, and the
+    keep-level table puts (D1, D2) = (0, 0) in bin 0, below every threshold."""
+    assert phasetrack.estimate_phase([3, 7, 3, 7]) == 0.0
+    r = channelsim._MAX_COUNT
+    assert channelsim._keep_table()[r, r] == 0
+    assert channelsim._table_bins(np.array([[3, 7, 3, 7], [0, 0, 0, 0]])).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("phase", [0.0, 1.0, 0.5 * math.pi], ids=["phase-0", "phase-1", "phase-pi/2"])
+def test_reference_counts_follow_the_poisson_pmf(phase):
     """Chi-square of 20,000 spans' counts per slot, at a phase that puts
-    the four slot means between the table's rows, against the Poisson pmf,
-    with the tail pooled where fewer than 5 counts are expected."""
+    the slot means at 0, 11.25 and 22.5, the top of the grid, or between
+    the table's rows, against the Poisson pmf, with the tail pooled where
+    fewer than 5 counts are expected; a slot of mean 0 counts 0."""
     spans = 20_000
-    counts = channelsim._reference_counts(np.random.default_rng(7), np.full(spans, 1.0),
-                                          channelsim._count_table(mean))
-    for lam, slot in zip(0.5 * mean * slot_probabilities(1.0), counts.T):
+    counts = channelsim._reference_counts(np.random.default_rng(7), np.full(spans, phase),
+                                          channelsim._count_table())
+    for lam, slot in zip(channelsim._SLOT_MEAN * slot_probabilities(phase), counts.T):
+        if lam == 0.0:
+            assert not slot.any()
+            continue
         k = np.arange(int(lam + 12 * math.sqrt(lam) + 12))
         pmf = np.exp(k * math.log(lam) - lam - np.array([math.lgamma(i + 1.0) for i in k]))
         pmf[-1] += 1.0 - pmf.sum()
@@ -1244,21 +1288,24 @@ def test_reference_counts_follow_the_poisson_pmf(mean):
         assert chi2 < dof + 5 * math.sqrt(2 * dof)
 
 
+def _estimator_bins(counts):
+    """Keep-level bins of spans through the estimator, the minor angle and
+    the edge search."""
+    return np.searchsorted(channelsim._KEEP_EDGES, minor_angle(phasetrack.estimate_phase_batch(counts)), "right")
+
+
 def test_keep_table_holds_the_estimator_bin_of_every_pair():
-    """Each of the 161**2 cells is the bin that the estimator, the minor
+    """Each of the 151**2 cells is the bin that the estimator, the minor
     angle and the edge search give a span with that (D1, D2), and the
     chunk's lookup reads it from any counts with those differences."""
-    r = channelsim._TABLE_RADIUS
+    r = channelsim._MAX_COUNT
     table = channelsim._keep_table()
-    assert table.size == 25_921 and table.shape == (2 * r + 1, 2 * r + 1)
+    assert table.size == 22_801 and table.shape == (2 * r + 1, 2 * r + 1)
     d1, d2 = (d.ravel() for d in np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij"))
     counts = np.stack((np.maximum(d1, 0), np.maximum(-d2, 0), np.maximum(-d1, 0), np.maximum(d2, 0)), axis=1)
-    want = np.searchsorted(channelsim._KEEP_EDGES, minor_angle(estimate_phase_batch(counts)), "right")
+    want = _estimator_bins(counts)
     assert np.array_equal(table.ravel(), want)
     assert np.array_equal(channelsim._table_bins(counts + 7), want)
-    for edge in ([r, 0, 0, 0], [0, r, 0, 0], [0, 0, r, 0], [0, 0, 0, r]):
-        assert channelsim._table_bins(np.array([edge])) is not None
-        assert channelsim._table_bins(np.array([edge]) * (r + 1) // r) is None
 
 
 def _estimator_calls(monkeypatch):
@@ -1281,8 +1328,8 @@ def _estimator_calls(monkeypatch):
 ])
 def test_estimator_fallback_gives_the_table_tallies(monkeypatch, degrees, table_calls):
     """A session whose chunks read the keep-level table has the tallies of
-    one whose chunks all take the estimator; with the table, the estimator
-    runs only for a threshold between edges, once per chunk."""
+    one whose spans' bins all come from the estimator; with the table, the
+    estimator runs only for a threshold between edges, once per chunk."""
     params = ProtocolParams(mu=0.05, epsilon=0.25)
     model = ChannelModel(dark_prob=1e-5, visibility=0.95)
     thresholds = [math.radians(d) for d in degrees]
@@ -1290,20 +1337,9 @@ def test_estimator_fallback_gives_the_table_tallies(monkeypatch, degrees, table_
     calls = _estimator_calls(monkeypatch)
     table = simulate_session(params, model, n, seed=13, thresholds=thresholds)
     assert calls == table_calls
-    monkeypatch.setattr(channelsim, "_table_bins", _off_table)
+    monkeypatch.setattr(channelsim, "_table_bins", _estimator_bins)
     fallback = simulate_session(params, model, n, seed=13, thresholds=thresholds)
-    assert calls[len(table_calls):] == [4096, 6]
     assert fallback.by_threshold == table.by_threshold
-
-
-def test_counts_off_the_table_take_the_estimator(monkeypatch):
-    params = ProtocolParams(mu=0.05, epsilon=0.25)
-    n = 5 * DEFAULT_SPAN_WINDOWS + 77
-    calls = _estimator_calls(monkeypatch)
-    simulate_session(params, ChannelModel(), n, seed=2, mean_ref_counts=45.0)
-    assert calls == []
-    simulate_session(params, ChannelModel(), n, seed=2, mean_ref_counts=2000.0)
-    assert calls == [6]
 
 
 @pytest.mark.parametrize("seed, digest", [
@@ -1329,12 +1365,3 @@ def test_session_files_keep_their_pinned_digest(tmp_path, seed, digest):
         assert type(res.tallies.effective_windows) is int
         assert h.hexdigest() == digest
 
-
-@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, "45"])
-def test_bad_mean_ref_counts_is_named_before_any_draw(monkeypatch, bad):
-    def no_draw(*args):
-        raise AssertionError("a stream was drawn from")
-
-    monkeypatch.setattr(channelsim, "_chunk_rng", no_draw)
-    with pytest.raises(ValueError, match=rf"^mean_ref_counts must be finite and non-negative, got {bad!r}$"):
-        simulate_session(ProtocolParams(), ChannelModel(), 1000, seed=1, mean_ref_counts=bad)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_analyze_corrupted_file_names_key(tmp_path, capsys):
 def test_analyze_rejects_bad_values(tmp_path, capsys, line, bad):
     """A bad value of the file is refused by its key and the file, not by a
     flag: a file's ``Mu 0`` is not reported as ``--mu``."""
-    text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
+    text = Path(defaults.bundled_tally_path()).read_text(encoding="utf-8")
     assert line in text
     path = tmp_path / "bad.tsv"
     path.write_text(text.replace(line, bad), encoding="utf-8")
@@ -91,7 +92,7 @@ def test_analyze_rejects_bad_values(tmp_path, capsys, line, bad):
 
 
 def test_analyze_refuses_an_inconsistent_file_by_key_and_rule(tmp_path, capsys):
-    text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
+    text = Path(defaults.bundled_tally_path()).read_text(encoding="utf-8")
     assert "Sent-01-Δ\t4436985713\n" in text
     path = tmp_path / "inconsistent.tsv"
     path.write_text(text.replace("Sent-01-Δ\t4436985713\n", "Sent-01-Δ\t12438400001\n"),
@@ -106,7 +107,7 @@ def test_analyze_refuses_an_inconsistent_file_by_key_and_rule(tmp_path, capsys):
 def test_count_too_large_for_a_float_exits_2(tmp_path, capsys, command):
     """A cell of 401 digits is a parse error naming its key and line, not
     an OverflowError."""
-    text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
+    text = Path(defaults.bundled_tally_path()).read_text(encoding="utf-8")
     line = next(x for x in text.splitlines() if x.startswith("Sent-00\t"))
     path = tmp_path / "huge.tsv"
     path.write_text(text.replace(line, "Sent-00\t1" + "0" * 400), encoding="utf-8")
@@ -741,7 +742,7 @@ def test_non_finite_float_options_name_their_flag(capsys, command, flag, value):
 def tally_files(tmp_path_factory):
     """The bundled file without its ``Delta-Degrees`` line and with 45 in
     it, and a path for the files that runs write."""
-    text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
+    text = Path(defaults.bundled_tally_path()).read_text(encoding="utf-8")
     assert "Delta-Degrees\t30\n" in text
     folder = tmp_path_factory.mktemp("tallies")
     for name, line in (("no-delta", ""), ("45", "Delta-Degrees\t45\n")):

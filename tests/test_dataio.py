@@ -80,7 +80,7 @@ def test_lenient_load_tolerates_partial(tmp_path):
 
 def test_ascii_delta_alias(tmp_path):
     src = load_raw_tallies(defaults.bundled_tally_path())
-    text = open(defaults.bundled_tally_path(), encoding="utf-8").read()
+    text = Path(defaults.bundled_tally_path()).read_text(encoding="utf-8")
     path = tmp_path / "ascii.tsv"
     path.write_text(text.replace("-Δ", "-Delta"))
     raw = load_raw_tallies(path)
@@ -184,7 +184,7 @@ def test_loaded_cells_stack_into_the_array_chain(tmp_path):
     through the array chain and gives :func:`analyze_tallies`' report bit
     for bit."""
     bundled = defaults.bundled_tally_path()
-    text = open(bundled, encoding="utf-8").read()
+    text = Path(bundled).read_text(encoding="utf-8")
     assert "Detected-SS11-ch1\t2647\n" in text
     halved = tmp_path / "halved.tsv"
     halved.write_text(text.replace("Detected-SS11-ch1\t2647\n", "Detected-SS11-ch1\t2647.5\n"))

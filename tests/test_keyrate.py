@@ -181,7 +181,10 @@ def _asymmetric_model():
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.3])
-def test_calibrate_visibility_equals_bisection(tol):
+def test_calibrate_visibility_equals_bisection(monkeypatch, tol):
+    """Equal to plain bisection bit for bit at the bracket width the
+    package uses and at two coarser ones, which end on fewer halvings."""
+    monkeypatch.setattr(keyrate, "_CALIBRATION_TOL", tol)
     params = defaults.reference_params()
     wide = replace(params, delta_threshold=math.radians(90.0))
     cases = [
@@ -194,7 +197,7 @@ def test_calibrate_visibility_equals_bisection(tol):
               for t in (0.1, 0.3)]
     clamps = set()
     for p, model, t in cases:
-        got = calibrate_visibility(p, model, t, tol=tol)
+        got = calibrate_visibility(p, model, t)
         assert got.hex() == _bisection_oracle(p, model, t, tol=tol).hex()
         if got in (0.0, 1.0):
             clamps.add(got)
@@ -208,37 +211,11 @@ def test_calibrate_visibility_without_detections_fails():
         calibrate_visibility(ProtocolParams(mu=0.0), ChannelModel(dark_prob=0.0), 0.5)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_calibrate_visibility_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        calibrate_visibility(defaults.reference_params(), defaults.reference_model(50.0),
-                             defaults.REFERENCE_BOTH_SEND_QBER, tol=tol)
-
-
-def test_calibrate_visibility_ends_below_float_spacing(monkeypatch):
-    """A tol below the spacing of floats near the answer ends where the
-    bracket stops narrowing, after a bounded number of model calls."""
-    calls = []
-    real = channelsim.click_probabilities
-
-    def limited(*args, **kwargs):
-        calls.append(1)
-        if len(calls) > 60:
-            raise RuntimeError("calibration made more than 60 model calls")
-        return real(*args, **kwargs)
-
-    params, model = defaults.reference_params(), defaults.reference_model(50.0)
-    target = defaults.REFERENCE_BOTH_SEND_QBER
-    coarse = calibrate_visibility(params, model, target)
-    monkeypatch.setattr(channelsim, "click_probabilities", limited)
-    for tol in (1e-20, 5e-324):
-        assert abs(calibrate_visibility(params, model, target, tol=tol) - coarse) <= 1e-10
-
-
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])
 def test_calibrate_visibility_brackets_a_crossing_of_a_non_monotone_qber(monkeypatch, tol):
     """Where the QBER is not monotone, the result still lies within tol of
     a point where it falls from above the target to at or below it."""
+    monkeypatch.setattr(keyrate, "_CALIBRATION_TOL", tol)
     target, crossings = 0.1, (0.3, 0.7)
 
     def stub(params, model, visibility):
@@ -247,8 +224,7 @@ def test_calibrate_visibility_brackets_a_crossing_of_a_non_monotone_qber(monkeyp
         return np.where((v < 0.3) | ((0.5 <= v) & (v < 0.7)), 0.4, 0.01)
 
     monkeypatch.setattr(keyrate, "_both_send_qber", stub)
-    vis = calibrate_visibility(defaults.reference_params(), defaults.reference_model(50.0),
-                               target, tol=tol)
+    vis = calibrate_visibility(defaults.reference_params(), defaults.reference_model(50.0), target)
     assert min(abs(vis - c) for c in crossings) <= tol
 
 

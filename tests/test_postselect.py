@@ -17,10 +17,11 @@ from scfqkd.phasetrack import DEFAULT_SPAN_WINDOWS
 from scfqkd.postselect import StateCoefficients, posterior_state
 
 # The simulator keeps or discards whole reference spans by the strict test
-# minor_angle(estimate) < threshold.  The selection tests below route the
-# chunk past the keep-level table to the span phase estimator, replace that
-# with fixed estimates, one per span in span order, and read the kept windows
-# from the session tallies.
+# minor_angle(estimate) < threshold.  The selection tests below give the
+# spans fixed estimates, one per span in span order: the keep-level bins
+# that the chunk reads from its table, and the float levels that a threshold
+# between edges reads from the span phase estimator.  They read the kept
+# windows from the session tallies.
 
 
 def _kept_per_span(monkeypatch, estimates, threshold, seed=4):
@@ -28,7 +29,8 @@ def _kept_per_span(monkeypatch, estimates, threshold, seed=4):
     estimates = np.asarray(estimates, dtype=float)
     n = len(estimates) * DEFAULT_SPAN_WINDOWS
     assert n <= CHUNK_WINDOWS  # one chunk, so one estimator call
-    monkeypatch.setattr(channelsim, "_table_bins", lambda counts: None)
+    bins = np.searchsorted(channelsim._KEEP_EDGES, minor_angle(estimates), "right")
+    monkeypatch.setattr(channelsim, "_table_bins", lambda counts: bins[: len(counts)])
     monkeypatch.setattr(phasetrack, "estimate_phase_batch",
                         lambda counts: estimates[: len(counts)])
     params = ProtocolParams(mu=0.05, epsilon=0.3, delta_threshold=threshold)

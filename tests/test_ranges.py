@@ -36,8 +36,6 @@ def _batch(**row):
      "intensity_b must be finite and non-negative, got inf"),
     (lambda w: simulate_session(P, M, 1000, 1, workers=w), 2.0, "workers must be a positive integer, got 2.0"),
     (lambda s: simulate_session(P, M, 1000, s), None, "seed must be a non-negative integer, got None"),
-    (lambda r: simulate_session(P, M, 1000, 1, mean_ref_counts=r), "45",
-     "mean_ref_counts must be finite and non-negative, got '45'"),
     (lambda t: simulate_session(P, M, 1000, 1, thresholds=[0.1, t]), 4.0,
      "thresholds must lie in (0, pi], got 4.0"),
     (lambda n: expected_tallies(P, M, n), math.nan, "n_windows must be finite and positive, got nan"),
@@ -71,7 +69,6 @@ def _batch(**row):
     (lambda d: _batch(delta_threshold=d), 0.0, "delta_threshold must lie in (0, pi], got 0.0"),
     (lambda q: keyrate.calibrate_visibility(P, M, q), 0.5, "target_qber must lie in (0, 0.5), got 0.5"),
     (lambda q: keyrate.calibrate_visibility(P, M, q), "0.1", "target_qber must lie in (0, 0.5), got '0.1'"),
-    (lambda t: keyrate.calibrate_visibility(P, M, 0.05, t), math.inf, "tol must be finite and positive, got inf"),
     (lambda d: keyrate.sweep_distance(P, M, [10.0, d]), math.nan,
      "distance must be finite and non-negative, got nan"),
     (lambda d: keyrate.sweep_distance(P, M, [d]), -1, "distance must be finite and non-negative, got -1"),
